@@ -33,6 +33,11 @@ def fidelity_spec(bench_scale, ladder=None) -> RunSpec:
                 {"name": "caching/scan-storm", "num_requests": requests},
             ],
             "reducer": "mean",
+            # The gate was set against the ``compiled`` backend; on the
+            # (3x cheaper per request) ``vectorized`` default the work a rung
+            # cannot shrink -- generate, check, lower -- weighs more and the
+            # ratio reads ~1.5x.  Re-basing it is its own issue.
+            "backend": "compiled",
         },
         search={
             "rounds": bench_scale["search_rounds"],

@@ -55,7 +55,8 @@ def test_static_screen_overhead(benchmark, bench_records):
     screened_out = sum(1 for v in verdicts if v.screened)
 
     trace = build_trace("caching/zipf-hot", num_requests=TRACE_REQUESTS, num_objects=400)
-    rung0 = CachingEvaluator(trace).at_fidelity(RUNG0_FIDELITY)
+    # The 5% gate prices the screener against a ``compiled`` rung 0.
+    rung0 = CachingEvaluator(trace, backend="compiled").at_fidelity(RUNG0_FIDELITY)
     start = time.perf_counter()
     for program in programs:
         rung0.evaluate(program)

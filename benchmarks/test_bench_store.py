@@ -32,6 +32,9 @@ def sweep_spec(bench_scale) -> RunSpec:
                 {"name": "caching/scan-storm", "num_requests": requests},
             ],
             "reducer": "mean",
+            # Pinned so the cold run -- the denominator -- stays what the
+            # recorded baseline was measured against, not the default backend.
+            "backend": "compiled",
         },
         search={
             "rounds": bench_scale["search_rounds"],

@@ -4,13 +4,14 @@ The classic pipeline is layered for clarity: the simulator walks the trace,
 the policy dispatches hook methods, every priority evaluation builds an
 environment dict, and the DSL runner is invoked once per evaluation.  Those
 layers dominate the runtime once the priority function itself is a compiled
-kernel.  This module collapses them with code generation: one specialised
-loop over struct-of-arrays trace columns is compiled per (program, policy)
-pair, with the kernel's feature-column reads spliced inline at each
-evaluation site -- store-entry slot reads, inlined eviction-history
-expressions over the live records dict, and a per-refresh constant table
-for loop-invariant aggregate calls.  A priority evaluation costs exactly
-one Python frame (the kernel itself).
+kernel.  This module collapses them into one ordinary function,
+:func:`_fused_loop`, that walks struct-of-arrays trace columns and calls the
+candidate's kernel with a fixed ``(now, key, entry, table, hrecords, hget)``
+signature.  Nothing but the kernel is generated per program:
+:func:`~repro.cache.layout.cache_layout` turns each feature-column read into
+a line of the kernel's prologue over those six arguments (``table`` is the
+per-run list that :func:`_kernel_table` rewrites at every aggregate
+refresh), so a priority evaluation is one Python frame.
 
 Why eager per-row scoring and not deferred numpy batches?  Both were built
 and measured: :meth:`~repro.dsl.vectorize.VectorizedProgram.run_batch` is
@@ -18,7 +19,7 @@ and measured: :meth:`~repro.dsl.vectorize.VectorizedProgram.run_batch` is
 numpy arrays (that is the DSL-level batch API, and ``simulate_many``'s
 per-candidate column sharing), but inside the simulator the features are
 inherently produced row-by-row as the cache mutates, and the Python-value
--> ndarray conversion alone costs more than the generated scalar call.
+-> ndarray conversion alone costs more than the scalar call.
 Deferring evaluations to eviction decision points was measured slower than
 this zero-layer loop at every realistic batch size, and eager scoring has
 a stronger exactness story: every evaluation -- including one that raises
@@ -29,342 +30,173 @@ classic loop -- the returned :class:`SimulationResult`, every policy counter,
 the final object table (including ``ps_gen``/``ps_score``), the heap, the
 aggregates and the eviction history all match field-for-field, so tests and
 downstream search code cannot tell which loop ran.  Scores are bit-identical
-(the kernel is the same compiled function the classic loop calls), heap
-pushes/pops happen in the classic order (even NaN scores leave the heap in
-the same deterministic layout), and captures read the policy's *real*
+(the kernel body is the one the compiled backend runs, and raises what it
+would), heap pushes/pops happen in the classic order (even NaN scores leave
+the heap in the same deterministic layout), and the kernel reads the policy's *real*
 :class:`FeatureAggregates`/:class:`EvictionHistory` objects, so snapshot
 staleness semantics are inherited rather than re-implemented.
-
-:func:`fused_cache_run` is conservative: anything it cannot replicate
-exactly -- a subclassed policy, eviction listeners, invariant checking, a
-non-vectorized priority function, an already-used policy, feature columns
-outside the Table-1 vocabulary, or a trace without columnar form -- returns
-``None`` and the caller falls back to the classic loop.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
+from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cache.features import EvictedRecord
+from repro.cache.layout import _COUNT, _GEN, _INSERTED, _LAST, _SCORE, _SIZE
 from repro.cache.metrics import SimulationResult
 from repro.cache.policies.base import CachedObject
-from repro.cache.priority_cache import DslPriorityFunction, PriorityFunctionCache
+from repro.cache.priority_cache import DslPriorityFunction, PriorityFunctionCache, as_score
+from repro.dsl.compile import reraise_normalised
 from repro.dsl.vectorize import VectorizedProgram
 
-#: Store-entry slots (plain lists are markedly faster than CachedObject in
-#: the fused loop; the table is converted back on exit).
-_COUNT, _LAST, _INSERTED, _SIZE, _GEN, _SCORE = range(6)
-
-_ATTR_SLOT = {"count": _COUNT, "last_accessed": _LAST, "inserted_at": _INSERTED, "size": _SIZE}
-_AGG_ARITY = {"percentile": 1, "mean": 0, "minimum": 0, "maximum": 0, "count": 0}
-_HISTORY_ARITY = {
-    "contains": 1,
-    "count_of": 1,
-    "age_at_eviction": 1,
-    "size_of": 1,
-    "time_since_eviction": 1,
-    "length": 0,
+#: The resident set's column behind each aggregate, as its ``update`` takes it.
+_AGGREGATE_COLUMNS = {
+    "counts": lambda entries, now: [entry[0] for entry in entries],
+    "ages": lambda entries, now: [(now - entry[1]) if now > entry[1] else 0 for entry in entries],
+    "sizes": lambda entries, now: [entry[3] for entry in entries],
 }
 
 
-def _convert_score(value: Any) -> float:
-    """The classic ``evaluate`` conversion for non-float kernel results."""
-    if isinstance(value, (bool, int, float)):
-        return float(value)
-    raise TypeError(f"priority function returned a non-numeric value: {value!r}")
+def _kernel_table(plan, policy: PriorityFunctionCache):
+    """What a run of ``policy`` refreshes: the kernel's ``table``, the function
+    rewriting its value slots after an aggregate refresh, and the ``(update,
+    column)`` pairs of the aggregates the kernel reads and of all three."""
+    aggregates = {"counts": policy._counts, "ages": policy._ages, "sizes": policy._sizes}
+    table: List[Any] = []
+    values: List[Tuple[int, Callable[..., Any], Tuple[Any, ...]]] = []
+    for slot, (param, attr, args) in enumerate(plan):
+        method = getattr(aggregates[param], attr)
+        if args is None:
+            table.append(method)
+        else:
+            table.append(0.0)  # the first request always refreshes
+            values.append((slot, method, args))
+
+    def refresh_table() -> None:
+        for slot, method, args in values:
+            table[slot] = method(*args)
+
+    every = [(aggregates[name].update, column) for name, column in _AGGREGATE_COLUMNS.items()]
+    read = {param for param, _attr, _args in plan}
+    live = [pair for name, pair in zip(_AGGREGATE_COLUMNS, every) if name in read]
+    return table, refresh_table, live, every
 
 
-# The whole simulation loop is generated so the kernel's argument
-# expressions ({parts}) inline at both evaluation sites with no call
-# frames around them.  Metric counters are unconditional; the warmup
-# boundary is handled by splitting the trace into two segments and
-# snapshotting the counters between them, so the hot loop carries no
-# per-request ``counted`` checks.  Structure and order mirror
-# ``CacheSimulator.run`` + ``PriorityFunctionCache`` exactly:
-# refresh check, lookup, hit re-push / miss, bypass, evict-until-fits
-# (lazy-deletion heap peek + history record), admit, push.
-_LOOP_TEMPLATE = """\
-def _fused_loop(timestamps, keys, sizes, warmup,
-                capacity, refresh_interval, refresh_since):
-    heappush = __g_heappush
-    heappop = __g_heappop
-    counts_update = __g_counts_update
-    ages_update = __g_ages_update
-    sizes_update = __g_sizes_update
-    refresh_consts = __g_refresh_consts
-    EvictedRecord = __g_EvictedRecord
-    hist_max = __g_hist_max
-    _hrecords = __g_hrecords
-    hpop_oldest = _hrecords.popitem
-    _hget = __g_hget
-    _consts = __g_consts
-    _kernel = __g_kernel
-    _convert = __g_convert
-    _wrapped = __g_wrapped
-    _capture = _capture_row
-{method_aliases}\
-    store = {{}}
+def _fused_loop(timestamps, keys, sizes, warmup, policy, kernel, table, refresh_table, live, every):
+    """``CacheSimulator.run`` + ``PriorityFunctionCache`` for a fresh
+    ``policy``, in one frame and in the classic order: refresh, lookup,
+    hit / miss, bypass, evict-until-fits (lazy-deletion heap peek + history
+    record), admit, and one scoring push.
+
+    A fresh policy refreshes on request 0 and every ``refresh_interval``
+    requests after it, so the trace is walked in chunks starting there and
+    nothing the chunk bounds already say is counted per request.  Before the
+    run ends only the kernel can see a snapshot: an aggregate it does not
+    read (``live`` lists those it does) is refreshed at the trace's last
+    refresh alone, which is the state the classic loop leaves it in.  The
+    miss counters restart at the warmup boundary.
+    """
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    capacity = policy.capacity
+    interval = policy.refresh_interval
+    # record() mutates this dict in place and never rebinds it, so capturing
+    # it once is safe for the whole run.
+    hrecords = policy._history._records
+    hget = hrecords.get
+    hpop_oldest = hrecords.popitem
+    hist_max = policy._history.max_entries
+    store: Dict[int, list] = {}
     store_get = store.get
-    heap = []
+    entries = store.values()
+    heap: List[Tuple[float, int, int]] = []
     used = 0
     evictions = 0
     generation = 0
     last_push_now = None
-    m_requests = m_bytes_requested = m_hits = m_misses = 0
-    m_bytes_missed = m_bypassed = m_admissions = 0
-    base = None
-    n = len(timestamps)
-    w = warmup if warmup > 0 else 0
-    if w > n:
-        w = n
-    for seg_ts, seg_keys, seg_sizes in (
-        (timestamps[:w], keys[:w], sizes[:w]),
-        (timestamps[w:], keys[w:], sizes[w:]),
-    ):
-        for now, key, size in zip(seg_ts, seg_keys, seg_sizes):
-            m_requests += 1
-            m_bytes_requested += size
-            refresh_since += 1
-            if refresh_since >= refresh_interval:
-                refresh_since = 0
-                entries = store.values()
-                counts_update([entry[0] for entry in entries])
-                ages_update(
-                    [(now - entry[1]) if now > entry[1] else 0 for entry in entries]
-                )
-                sizes_update([entry[3] for entry in entries])
-                refresh_consts()
-            entry = store_get(key)
-            if entry is not None:
-                entry[0] += 1
-                entry[1] = now
+    admissions = 0
+    total = len(timestamps)
+    w = min(max(warmup, 0), total)
+    last_refresh = (total - 1) // interval * interval
+    requests = zip(timestamps, keys, sizes)
+    for start, stop in ((0, w), (w, total)):
+        warmup_admissions = admissions
+        m_misses = m_bytes_missed = m_bypassed = 0
+        while start < stop:
+            if start % interval == 0:
+                now = timestamps[start]
+                for update, column in every if start == last_refresh else live:
+                    update(column(entries, now))
+                refresh_table()
+            chunk = min(stop, start - start % interval + interval) - start
+            start += chunk
+            for now, key, size in islice(requests, chunk):
+                entry = store_get(key)
+                if entry is not None:
+                    entry[0] += 1
+                    entry[1] = now
+                else:
+                    m_misses += 1
+                    m_bytes_missed += size
+                    if size > capacity:
+                        m_bypassed += 1
+                        continue
+                    while used + size > capacity:
+                        victim_entry = None
+                        while heap:
+                            _score, gen, victim = heap[0]
+                            candidate = store_get(victim)
+                            if candidate is not None and candidate[4] == gen:
+                                victim_entry = candidate
+                                break
+                            heappop(heap)
+                        if victim_entry is None:
+                            raise RuntimeError(
+                                f"{policy.policy_name}: choose_victim returned invalid key None"
+                            )
+                        del store[victim]
+                        used -= victim_entry[3]
+                        evictions += 1
+                        if victim in hrecords:
+                            del hrecords[victim]
+                        last = victim_entry[1]
+                        hrecords[victim] = EvictedRecord(
+                            victim,
+                            now,
+                            victim_entry[0],
+                            (now - last) if now > last else 0,
+                            victim_entry[3],
+                        )
+                        while len(hrecords) > hist_max:
+                            hpop_oldest(last=False)
+                    entry = [1, now, now, size, 0, 0.0]
+                    store[key] = entry
+                    used += size
+                    admissions += 1
                 last_push_now = now
                 generation += 1
                 entry[4] = generation
                 try:
-                    value = _kernel({parts})
-                    score = value if type(value) is float else _convert(value)
-                except Exception:
-                    _wrapped(*_capture(now, key, entry))
-                    raise
+                    value = kernel(now, key, entry, table, hrecords, hget)
+                except Exception as exc:
+                    reraise_normalised(exc)
+                score = value if type(value) is float else as_score(value)
                 entry[5] = score
                 heappush(heap, (score, generation, key))
-                m_hits += 1
-                continue
-            m_misses += 1
-            m_bytes_missed += size
-            if size > capacity:
-                m_bypassed += 1
-                continue
-            while used + size > capacity:
-                victim_entry = None
-                while heap:
-                    _score, gen, victim = heap[0]
-                    candidate = store_get(victim)
-                    if candidate is not None and candidate[4] == gen:
-                        victim_entry = candidate
-                        break
-                    heappop(heap)
-                if victim_entry is None:
-                    raise RuntimeError(__g_invalid_victim_msg)
-                del store[victim]
-                used -= victim_entry[3]
-                evictions += 1
-                if victim in _hrecords:
-                    del _hrecords[victim]
-                last = victim_entry[1]
-                _hrecords[victim] = EvictedRecord(
-                    victim,
-                    now,
-                    victim_entry[0],
-                    (now - last) if now > last else 0,
-                    victim_entry[3],
-                )
-                while len(_hrecords) > hist_max:
-                    hpop_oldest(last=False)
-            entry = [1, now, now, size, 0, 0.0]
-            store[key] = entry
-            used += size
-            last_push_now = now
-            generation += 1
-            entry[4] = generation
-            try:
-                value = _kernel({parts})
-                score = value if type(value) is float else _convert(value)
-            except Exception:
-                _wrapped(*_capture(now, key, entry))
-                raise
-            entry[5] = score
-            heappush(heap, (score, generation, key))
-            m_admissions += 1
-        if base is None:
-            base = (m_requests, m_bytes_requested, m_hits, m_misses,
-                    m_bytes_missed, m_bypassed, m_admissions)
-    totals = (m_requests, m_bytes_requested, m_hits, m_misses,
-              m_bytes_missed, m_bypassed, m_admissions)
-    return (store, heap, used, evictions, generation, refresh_since,
-            last_push_now, base, totals)
-"""
-
-
-def _build_fused_loop(
-    vp: VectorizedProgram, policy: PriorityFunctionCache
-) -> Optional[Tuple[Callable, Callable[[], None]]]:
-    """Compile the specialised simulation loop for ``vp`` against ``policy``.
-
-    Returns ``(loop, refresh_consts)`` or ``None`` when any kernel column
-    falls outside the Table-1 vocabulary -- then the classic loop must run
-    so unknown attributes and methods fail with their usual errors.
-
-    Each kernel column becomes a Python expression evaluated inline at the
-    push sites: store-entry slot reads for ``obj_info`` attributes, the
-    loop variables for ``now``/``obj_id``, inlined :class:`EvictionHistory`
-    method bodies over the live records dict (same reads, no method-call
-    frames), a per-refresh constant table for aggregate methods with
-    literal arguments, and bound method calls for the rest.  A
-    ``_capture_row`` helper materialising the same row feeds the classic
-    kernel *wrapper* on the exception path, so a failing evaluation raises
-    exactly the classic exception (division by zero normalisation etc.).
-    """
-    aggregates = {"counts": policy._counts, "ages": policy._ages, "sizes": policy._sizes}
-    history = policy._history
-    parts: List[str] = []
-    namespace: Dict[str, Any] = {
-        # record() mutates these containers in place and never rebinds them,
-        # so capturing them once is safe for the whole run.
-        "__g_hrecords": history._records,
-        "__g_hget": history._records.get,
+    measured = {
+        "requests": total - w,
+        "bytes_requested": sum(sizes[w:]),
+        "hits": total - w - m_misses,
+        "misses": m_misses,
+        "bytes_missed": m_bytes_missed,
+        "bypassed": m_bypassed,
+        "admissions": admissions - warmup_admissions,
+        "evictions": evictions,
     }
-    consts: List[float] = []
-    const_calls: List[Tuple[Callable, Tuple[Any, ...]]] = []
-    method_aliases: List[str] = []
-
-    def argument_source(kind: str, value: Any) -> Optional[str]:
-        if kind == "lit":
-            return repr(value)
-        if value == "now":
-            return "now"
-        if value == "obj_id":
-            return "key"
-        return None
-
-    # EvictionHistory method bodies as expressions; {0} is the method
-    # argument, {r} a per-column temp bound by the walrus in the condition.
-    # Records are always truthy, so ``record if record else 0`` is an
-    # is-None test.  ``time_since_eviction`` uses the push-time ``now``
-    # directly -- the classic loop's set_now(now) happens at the same
-    # instant, so ``history._now == now`` whenever it is read.
-    history_exprs = {
-        "contains": "({0} in _hrecords)",
-        "count_of": "({r}.access_count if ({r} := _hget({0})) else 0)",
-        "age_at_eviction": "({r}.age_at_eviction if ({r} := _hget({0})) else 0)",
-        "size_of": "({r}.size if ({r} := _hget({0})) else 0)",
-        "time_since_eviction": (
-            "(0 if ({r} := _hget({0})) is None"
-            " else ({d} if ({d} := now - {r}.evicted_at) > 0 else 0))"
-        ),
-        "length": "len(_hrecords)",
-    }
-
-    for index, spec in enumerate(vp.columns):
-        if spec.kind == "scalar":
-            if spec.param == "now":
-                parts.append("now")
-            elif spec.param == "obj_id":
-                parts.append("key")
-            else:
-                return None
-        elif spec.kind == "attr":
-            if spec.param != "obj_info" or spec.attr not in _ATTR_SLOT:
-                return None
-            parts.append(f"entry[{_ATTR_SLOT[spec.attr]}]")
-        else:  # method column
-            if spec.param == "history":
-                arity = _HISTORY_ARITY.get(spec.attr)
-            elif spec.param in aggregates:
-                arity = _AGG_ARITY.get(spec.attr)
-            else:
-                return None
-            if arity is None or len(spec.args) != arity:
-                return None
-            sources = []
-            for kind, value in spec.args:
-                source = argument_source(kind, value)
-                if source is None:
-                    return None
-                sources.append(source)
-            if spec.param == "history":
-                template = history_exprs[spec.attr]
-                parts.append(
-                    template.format(*sources, r=f"_r{index}", d=f"_d{index}")
-                )
-                continue
-            receiver = aggregates[spec.param]
-            if all(kind == "lit" for kind, _value in spec.args):
-                slot = len(const_calls)
-                const_calls.append(
-                    (getattr(receiver, spec.attr), tuple(v for _k, v in spec.args))
-                )
-                consts.append(0.0)
-                parts.append(f"_consts[{slot}]")
-                continue
-            bound = f"_method{index}"
-            namespace[f"__g{bound}"] = getattr(receiver, spec.attr)
-            method_aliases.append(f"    {bound} = __g{bound}\n")
-            parts.append(f"{bound}({', '.join(sources)})")
-
-    trailing = "," if len(parts) == 1 else ""
-    joined = ", ".join(parts)
-
-    def refresh_consts() -> None:
-        for slot, (method, args) in enumerate(const_calls):
-            consts[slot] = method(*args)
-
-    namespace["__g_heappush"] = heapq.heappush
-    namespace["__g_heappop"] = heapq.heappop
-    namespace["__g_counts_update"] = policy._counts.update
-    namespace["__g_ages_update"] = policy._ages.update
-    namespace["__g_sizes_update"] = policy._sizes.update
-    namespace["__g_refresh_consts"] = refresh_consts
-    namespace["__g_EvictedRecord"] = EvictedRecord
-    namespace["__g_hist_max"] = history.max_entries
-    namespace["__g_consts"] = consts
-    namespace["__g_kernel"] = vp.kernel._fn
-    namespace["__g_convert"] = _convert_score
-    namespace["__g_wrapped"] = vp.kernel
-    namespace["__g_invalid_victim_msg"] = (
-        f"{policy.policy_name}: choose_victim returned invalid key None"
-    )
-    source = (
-        "def _capture_row(now, key, entry):\n"
-        f"    return ({joined}{trailing})\n"
-        + _LOOP_TEMPLATE.format(parts=joined, method_aliases="".join(method_aliases))
-    )
-    exec(_compiled_loop(source), namespace)  # noqa: S102 - fixed vocabulary
-    return namespace["_fused_loop"], refresh_consts
-
-
-#: Compiling the ~150-line generated loop costs more than a millisecond --
-#: comparable to simulating a small trace -- so code objects are cached by
-#: source text (identical programs share one entry; the namespace binding
-#: per run stays cheap).
-_LOOP_CODE_CACHE: "OrderedDict[str, Any]" = OrderedDict()
-_LOOP_CODE_CACHE_MAX = 256
-
-
-def _compiled_loop(source: str):
-    code = _LOOP_CODE_CACHE.get(source)
-    if code is None:
-        code = compile(source, "<columnar-fused>", "exec")
-        _LOOP_CODE_CACHE[source] = code
-        while len(_LOOP_CODE_CACHE) > _LOOP_CODE_CACHE_MAX:
-            _LOOP_CODE_CACHE.popitem(last=False)
-    else:
-        _LOOP_CODE_CACHE.move_to_end(source)
-    return code
+    refresh_since = (total - 1) % interval if total else policy._requests_since_refresh
+    return store, heap, used, generation, refresh_since, last_push_now, admissions, measured
 
 
 def _policy_is_fresh(policy: PriorityFunctionCache) -> bool:
@@ -381,12 +213,12 @@ def _policy_is_fresh(policy: PriorityFunctionCache) -> bool:
     )
 
 
-def fused_cache_run(
-    simulator, policy, trace, warmup: int = 0
-) -> Optional[SimulationResult]:
+def fused_cache_run(simulator, policy, trace, warmup: int = 0) -> Optional[SimulationResult]:
     """Run ``policy`` over ``trace`` on the fused columnar path, or ``None``.
 
-    ``None`` means "not eligible, use the classic loop" -- never an error.
+    ``None`` means "this run cannot be replicated exactly, use the classic
+    loop" -- never an error.  (A program with feature columns outside the
+    Table-1 vocabulary never resolves to the vectorized backend at all.)
     """
     if simulator.check_invariants_every:
         return None
@@ -395,50 +227,31 @@ def fused_cache_run(
     if policy._eviction_listeners:
         return None
     priority = policy._priority
-    if not isinstance(priority, DslPriorityFunction) or priority.backend != "vectorized":
+    if not isinstance(priority, DslPriorityFunction):
         return None
     vp = priority._runner
     if not isinstance(vp, VectorizedProgram):
         return None
     if not _policy_is_fresh(policy):
         return None
-    built = _build_fused_loop(vp, policy)
-    if built is None:
-        return None
     columns_of = getattr(trace, "columns", None)
     columns = columns_of() if callable(columns_of) else None
     if columns is None:
         return None
-    loop, refresh_consts = built
-    refresh_consts()
 
-    (store, heap, used, evictions, generation, refresh_since,
-     last_push_now, base, totals) = loop(
-        columns[0].tolist(),
-        columns[1].tolist(),
-        columns[2].tolist(),
+    store, heap, used, generation, refresh_since, last_push_now, admissions, measured = _fused_loop(
+        *(column.tolist() for column in columns),  # timestamps, keys, sizes
         warmup,
-        policy.capacity,
-        policy.refresh_interval,
-        policy._requests_since_refresh,
+        policy,
+        vp.bound._fn,
+        *_kernel_table(vp.binding.plan, policy),
     )
 
-    history = policy._history
     if last_push_now is not None:
-        history._now = last_push_now
+        policy._history._now = last_push_now
 
     result = SimulationResult(
-        policy=policy.policy_name,
-        trace=trace.name,
-        cache_size=policy.capacity,
-        requests=totals[0] - base[0],
-        bytes_requested=totals[1] - base[1],
-        hits=totals[2] - base[2],
-        misses=totals[3] - base[3],
-        bytes_missed=totals[4] - base[4],
-        bypassed=totals[5] - base[5],
-        admissions=totals[6] - base[6],
-        evictions=evictions,
+        policy=policy.policy_name, trace=trace.name, cache_size=policy.capacity, **measured
     )
 
     # Write the fused state back so the policy object is indistinguishable
@@ -455,8 +268,8 @@ def fused_cache_run(
         )
     policy._objects = objects
     policy._used = used
-    policy.eviction_count = evictions
-    policy.admission_count = totals[6]
+    policy.eviction_count = measured["evictions"]
+    policy.admission_count = admissions
     # The classic loop scores exactly once per generation bump.
     policy.priority_evaluations = generation
     policy._generation = generation

@@ -22,10 +22,11 @@ import heapq
 from typing import Callable, List, Optional, Protocol, Tuple, Union
 
 from repro.cache.features import EvictionHistory, FeatureAggregates, ObjectInfoView
+from repro.cache.layout import cache_layout
 from repro.cache.policies.base import CachedObject, EvictionPolicy
 from repro.cache.request import Request
 from repro.dsl.ast import Program
-from repro.dsl.compile import make_runner
+from repro.dsl.compile import DEFAULT_BACKEND, make_runner
 
 #: Signature of a priority function supplied as a plain Python callable.
 PriorityCallable = Callable[
@@ -44,22 +45,30 @@ class PriorityFunction(Protocol):
         ...
 
 
+def as_score(value) -> float:
+    """A DSL program's return value as a heap score."""
+    if isinstance(value, (bool, int, float)):
+        return float(value)
+    raise TypeError(f"priority function returned a non-numeric value: {value!r}")
+
+
 class DslPriorityFunction:
     """Adapts a DSL :class:`Program` to the priority-function interface.
 
-    ``backend`` selects the execution strategy: ``"compiled"`` (the default)
-    turns the program into a native Python callable via
-    :func:`~repro.dsl.compile.compile_program` -- roughly an order of
-    magnitude faster per invocation -- while ``"interpreter"`` keeps the
-    tree-walking interpreter (the differential-testing oracle).  If
-    compilation fails for any reason the interpreter is used as a fallback.
+    ``backend`` selects the execution strategy: ``"vectorized"`` (the
+    default) compiles the program's kernel behind the call signature of the
+    fused simulation loop (:mod:`repro.cache.columnar`), ``"compiled"``
+    turns the program into a native Python callable -- roughly an order of
+    magnitude faster per invocation than ``"interpreter"``, the tree-walking
+    oracle.  A program one backend cannot lower falls back to the next
+    (``self.backend`` is the one in use).
     """
 
     def __init__(
         self,
         program: Program,
         max_steps: int = 20_000,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
     ):
         expected = list(TEMPLATE_PARAMS)
         if list(program.params) != expected:
@@ -68,15 +77,10 @@ class DslPriorityFunction:
                 f"got {list(program.params)}"
             )
         self.program = program
-        self._runner, self.backend = make_runner(program, backend, max_steps)
+        self._runner, self.backend = make_runner(program, backend, max_steps, cache_layout)
 
     def evaluate(self, env: dict) -> float:
-        value = self._runner.run(env)
-        if isinstance(value, bool):
-            return float(value)
-        if isinstance(value, (int, float)):
-            return float(value)
-        raise TypeError(f"priority function returned a non-numeric value: {value!r}")
+        return as_score(self._runner.run(env))
 
 
 class CallablePriorityFunction:
@@ -101,7 +105,7 @@ class CallablePriorityFunction:
 
 def as_priority_function(
     priority: Union[Program, PriorityCallable, PriorityFunction],
-    backend: str = "compiled",
+    backend: str = DEFAULT_BACKEND,
 ) -> PriorityFunction:
     """Coerce any supported priority representation to the common interface."""
     if isinstance(priority, Program):
@@ -131,8 +135,11 @@ class PriorityFunctionCache(EvictionPolicy):
         Number of evicted objects remembered in the history feature.
     backend:
         DSL execution backend for ``priority`` when it is a
-        :class:`~repro.dsl.ast.Program`: ``"compiled"`` (default, the fast
-        path) or ``"interpreter"`` (the oracle / fallback).
+        :class:`~repro.dsl.ast.Program`: ``"vectorized"`` (default: a fresh
+        policy on a columnar trace is simulated by the fused loop of
+        :mod:`repro.cache.columnar`, one Python frame per evaluation),
+        ``"compiled"`` (one native callable per program behind the classic
+        hook-by-hook loop) or ``"interpreter"`` (the oracle / fallback).
     """
 
     policy_name = "PolicySmith"
@@ -144,7 +151,7 @@ class PriorityFunctionCache(EvictionPolicy):
         refresh_interval: int = 64,
         history_size: int = 1024,
         name: Optional[str] = None,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
     ):
         super().__init__(capacity)
         if refresh_interval <= 0:

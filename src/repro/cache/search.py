@@ -31,6 +31,7 @@ from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.search import SearchConfig
 from repro.core.template import Template
 from repro.dsl.ast import Program
+from repro.dsl.compile import DEFAULT_BACKEND
 from repro.dsl.grammar import FeatureSpec
 from repro.dsl.parser import parse
 from repro.llm.mock import SyntheticLLMConfig
@@ -234,7 +235,7 @@ class CachingEvaluator(Evaluator):
         cache_fraction: float = 0.10,
         warmup: int = 0,
         refresh_interval: int = 64,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
     ):
         self.trace = trace
         self.cache_size = cache_size or cache_size_for(trace, cache_fraction)
@@ -303,7 +304,8 @@ class CachingDomain(SearchDomain):
 
     Domain keyword arguments accepted by :func:`~repro.core.domain.build_search`:
     ``trace`` (required), ``cache_fraction`` (default 0.10) and ``backend``
-    (DSL execution backend for candidate evaluation, default ``"compiled"``).
+    (DSL execution backend for candidate evaluation, default
+    :data:`~repro.dsl.compile.DEFAULT_BACKEND`).
     """
 
     name = "caching"
@@ -337,7 +339,7 @@ class CachingDomain(SearchDomain):
         self,
         trace: Optional[Trace] = None,
         cache_fraction: float = 0.10,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
         **_ignored: Any,
     ) -> CachingEvaluator:
         if trace is None:
@@ -347,7 +349,7 @@ class CachingDomain(SearchDomain):
     def build_scenario_evaluator(
         self,
         workload: Any,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
         **_ignored: Any,
     ) -> CachingEvaluator:
         """One scenario of a workload matrix: the workload's trace at its

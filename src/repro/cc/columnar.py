@@ -7,44 +7,46 @@ normalising wrapper with keyword arguments.  Per-ACK cwnd updates are the
 netsim inner loop, so those layers dominate once the program itself is a
 compiled kernel.
 
-This module generates one specialised function per program that reads the
-:class:`~repro.netsim.flow.CCSignals` fields directly, inlines the
-``HistoryView`` accessor bodies over the live interval list (index 0 of the
-view is the *newest* interval, i.e. ``history[len - 1]``), and feeds the
-kernel's feature columns positionally into its raw compiled function --
-exactly one Python frame per cwnd update.  True cross-ACK batching is not
-possible (each update's inputs depend on the previous update's cwnd), so
-this per-event lowering is the congestion-control counterpart of the fused
-cache loop in :mod:`repro.cache.columnar`.
+:func:`cc_layout` tells :class:`~repro.dsl.vectorize.VectorizedProgram` how
+to compile a program's kernel as a function of the
+:class:`~repro.netsim.flow.CCSignals` object itself: the prologue reads the
+signal fields directly and inlines the ``HistoryView`` accessor bodies over
+the live interval list (index 0 of the view is the *newest* interval, i.e.
+``history[len - 1]``) -- exactly one Python frame per cwnd update.  True
+cross-ACK batching is not possible (each update's inputs depend on the
+previous update's cwnd), so this per-event lowering is the
+congestion-control counterpart of the fused cache loop in
+:mod:`repro.cache.columnar`.
 
-Exactness: the generated function computes bit-identical values to the
-classic path -- same clamping (``max(0, rtt)``), same bounds-clamped
-history indexing, same ``int()`` truncation of method arguments.  It is
-used opportunistically: any kernel column outside the cong_control
-Template vocabulary returns ``None`` and the caller keeps the classic
-path, and a generated call that raises is re-run through the classic path
-so errors surface with their usual normalised types and messages.
+Exactness: the kernel computes bit-identical values to the classic path --
+same clamping (``max(0, rtt)``), same bounds-clamped history indexing, same
+``int()`` truncation of method arguments.  It is used opportunistically: a
+program with any feature column outside the cong_control Template
+vocabulary runs on the compiled backend instead, and a call that raises is
+re-run through the classic path so errors surface with their usual
+normalised types and messages.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from typing import List, Optional, Sequence
 
-from repro.dsl.vectorize import VectorizedProgram
+from repro.dsl.analysis import ColumnSpec
+from repro.dsl.vectorize import KernelBinding
 
-#: CCSignals reads for the Template's scalar parameters.  ``rtt``-family
-#: signals are clamped to zero exactly like ``signals_environment``.
+#: CCSignals reads for the Template's scalar parameters (``{s}`` the signals
+#: object, ``{t}`` a temporary).  ``rtt``-family signals are clamped to zero
+#: exactly like ``signals_environment``.
 _SCALAR_SRC = {
-    "now": "s.now_us",
-    "cwnd": "s.cwnd_pkts",
-    "mss": "s.mss",
-    "acked": "s.acked_bytes",
-    "inflight": "s.inflight_pkts",
-    "rtt": "(_t{i} if (_t{i} := s.rtt_us) > 0 else 0)",
-    "min_rtt": "(_t{i} if (_t{i} := s.min_rtt_us) > 0 else 0)",
-    "srtt": "(_t{i} if (_t{i} := s.srtt_us) > 0 else 0)",
-    "losses": "s.losses_since_last_ack",
+    "now": "{s}.now_us",
+    "cwnd": "{s}.cwnd_pkts",
+    "mss": "{s}.mss",
+    "acked": "{s}.acked_bytes",
+    "inflight": "{s}.inflight_pkts",
+    "rtt": "({t} if ({t} := {s}.rtt_us) > 0 else 0)",
+    "min_rtt": "({t} if ({t} := {s}.min_rtt_us) > 0 else 0)",
+    "srtt": "({t} if ({t} := {s}.srtt_us) > 0 else 0)",
+    "losses": "{s}.losses_since_last_ack",
 }
 
 _HISTORY_AT_FIELD = {
@@ -61,44 +63,31 @@ _HISTORY_ARITY = {
     "min_rtt": 0,
 }
 
-_CODE_CACHE: "OrderedDict[str, Any]" = OrderedDict()
-_CODE_CACHE_MAX = 256
 
+def cc_layout(
+    columns: Sequence[ColumnSpec], names: Sequence[str], prefix: str
+) -> Optional[KernelBinding]:
+    """Bind a cong_control kernel to a single ``CCSignals`` argument.
 
-def _compiled(source: str):
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = compile(source, "<cc-columnar>", "exec")
-        _CODE_CACHE[source] = code
-        while len(_CODE_CACHE) > _CODE_CACHE_MAX:
-            _CODE_CACHE.popitem(last=False)
-    else:
-        _CODE_CACHE.move_to_end(source)
-    return code
-
-
-def build_cc_fast(vp: VectorizedProgram) -> Optional[Any]:
-    """Compile the direct ``CCSignals -> cwnd-value`` scorer for ``vp``.
-
-    Returns a callable ``fast(signals)`` returning exactly what the classic
-    ``runner.run(signals_environment(signals))`` would return, or ``None``
+    ``kernel(signals)`` returns exactly what the classic
+    ``runner.run(signals_environment(signals))`` would return.  ``None``
     when any kernel column falls outside the Template vocabulary.
     """
+    s, h, hn, iv = (f"{prefix}{name}" for name in ("s", "h", "hn", "iv"))
+    hlen, hsum, hmin = (f"{prefix}{name}" for name in ("len", "sum", "min"))
     body: List[str] = []
-    names: List[str] = []
     needs_history = False
 
     def scalar_source(param: str, temp: str) -> Optional[str]:
         template = _SCALAR_SRC.get(param)
-        return template.format(i=temp) if template else None
+        return template.format(s=s, t=f"{prefix}t{temp}") if template else None
 
-    for index, spec in enumerate(vp.columns):
-        name = f"c{index}"
+    for index, (spec, name) in enumerate(zip(columns, names)):
         if spec.kind == "scalar":
             source = scalar_source(spec.param, str(index))
             if source is None:
                 return None
-            body.append(f"    {name} = {source}")
+            body.append(f"{name} = {source}")
         elif spec.kind == "attr":
             return None  # no attribute-bearing params in the cong_control Template
         else:  # method column
@@ -109,15 +98,13 @@ def build_cc_fast(vp: VectorizedProgram) -> Optional[Any]:
                 return None
             needs_history = True
             if spec.attr == "length":
-                body.append(f"    {name} = hn")
+                body.append(f"{name} = {hn}")
             elif spec.attr == "total_losses":
-                body.append(f"    {name} = sum(_iv.losses for _iv in h)")
+                body.append(f"{name} = {hsum}({iv}.losses for {iv} in {h})")
             elif spec.attr == "min_rtt":
-                body.append(
-                    f"    _rtts{index} = "
-                    "[_iv.avg_rtt_us for _iv in h if _iv.avg_rtt_us > 0]"
-                )
-                body.append(f"    {name} = min(_rtts{index}) if _rtts{index} else 0")
+                rtts = f"{prefix}rtts{index}"
+                body.append(f"{rtts} = [{iv}.avg_rtt_us for {iv} in {h} if {iv}.avg_rtt_us > 0]")
+                body.append(f"{name} = {hmin}({rtts}) if {rtts} else 0")
             else:
                 kind, value = spec.args[0]
                 if kind == "lit":
@@ -128,28 +115,24 @@ def build_cc_fast(vp: VectorizedProgram) -> Optional[Any]:
                     if arg_source is None:
                         return None
                 field = _HISTORY_AT_FIELD[spec.attr]
+                i = f"{prefix}i{index}"
                 # HistoryView._at, inlined: clamp into [0, hn-1] over the
                 # reversed view (view index 0 == live list index hn-1).
                 body.extend(
                     [
-                        "    if hn:",
-                        f"        _i{index} = {arg_source}",
-                        f"        if _i{index} < 0:",
-                        f"            _i{index} = 0",
-                        f"        elif _i{index} > hn - 1:",
-                        f"            _i{index} = hn - 1",
-                        f"        {name} = h[hn - 1 - _i{index}].{field}",
-                        "    else:",
-                        f"        {name} = 0",
+                        f"if {hn}:",
+                        f"    {i} = {arg_source}",
+                        f"    if {i} < 0:",
+                        f"        {i} = 0",
+                        f"    elif {i} > {hn} - 1:",
+                        f"        {i} = {hn} - 1",
+                        f"    {name} = {h}[{hn} - 1 - {i}].{field}",
+                        "else:",
+                        f"    {name} = 0",
                     ]
                 )
-        names.append(name)
 
-    prologue = ["def _cc_fast(s):"]
-    if needs_history:
-        prologue.append("    h = s.history")
-        prologue.append("    hn = len(h)")
-    source = "\n".join(prologue + body + [f"    return _kernel({', '.join(names)})", ""])
-    namespace: Dict[str, Any] = {"_kernel": vp.kernel._fn}
-    exec(_compiled(source), namespace)  # noqa: S102 - fixed vocabulary
-    return namespace["_cc_fast"]
+    prologue = [f"{h} = {s}.history", f"{hn} = {hlen}({h})"] if needs_history else []
+    return KernelBinding(
+        params=(s,), prologue=tuple(prologue + body), helpers={hlen: len, hsum: sum, hmin: min}
+    )

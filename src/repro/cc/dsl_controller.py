@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.cc.columnar import cc_layout
 from repro.cc.signals import signals_environment
 from repro.cc.template import CC_TEMPLATE_PARAMS
 from repro.dsl.ast import Program
-from repro.dsl.compile import make_runner
+from repro.dsl.compile import DEFAULT_BACKEND, make_runner
 from repro.dsl.errors import DslError
 from repro.netsim.flow import CCSignals
 
@@ -25,11 +26,12 @@ class DslCongestionController:
     failing score -- while non-strict mode freezes the window, which is how a
     deployed fallback would behave.
 
-    ``backend`` selects the execution strategy: ``"compiled"`` (default, the
-    fast path via :func:`~repro.dsl.compile.compile_program`),
-    ``"vectorized"`` (the compiled kernel plus the zero-layer per-ACK scorer
-    from :mod:`repro.cc.columnar`, which skips the environment dict and
-    :class:`HistoryView` construction entirely), or ``"interpreter"`` (the
+    ``backend`` selects the execution strategy: ``"vectorized"`` (default:
+    the program's kernel compiled as a function of the signals object by
+    :mod:`repro.cc.columnar`, which skips the environment dict and
+    :class:`HistoryView` construction entirely), ``"compiled"`` (one native
+    callable per program via :func:`~repro.dsl.compile.compile_program`
+    behind the classic environment), or ``"interpreter"`` (the
     tree-walking oracle).  Vectorization and compilation failures fall back
     down the chain; all backends produce bit-identical cwnd decisions.
     """
@@ -40,7 +42,7 @@ class DslCongestionController:
         initial_window: int = 10,
         max_steps: int = 20_000,
         strict: bool = True,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
     ):
         if list(program.params) != list(CC_TEMPLATE_PARAMS):
             raise ValueError(
@@ -50,14 +52,8 @@ class DslCongestionController:
         self.program = program
         self.initial_window = initial_window
         self.strict = strict
-        self._runner, self.backend = make_runner(program, backend, max_steps)
-        self._fast = None
-        if self.backend == "vectorized":
-            from repro.cc.columnar import build_cc_fast
-            from repro.dsl.vectorize import VectorizedProgram
-
-            if isinstance(self._runner, VectorizedProgram):
-                self._fast = build_cc_fast(self._runner)
+        self._runner, self.backend = make_runner(program, backend, max_steps, cc_layout)
+        self._fast = self._runner.bound._fn if self.backend == "vectorized" else None
         self.invocations = 0
         self.runtime_errors = 0
         self.last_error: Optional[str] = None
@@ -69,31 +65,23 @@ class DslCongestionController:
 
     def _invoke(self, signals: CCSignals) -> int:
         self.invocations += 1
-        fast = self._fast
-        if fast is not None:
+        value = None  # no program returns it: falling off the end returns 0
+        if self._fast is not None:
             try:
-                value = fast(signals)
+                value = self._fast(signals)
             except Exception:
                 # Re-run through the classic path below so the error
                 # surfaces with its usual normalised type and message.
                 pass
-            else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    self.runtime_errors += 1
-                    self.last_error = f"non-numeric cwnd {value!r}"
-                    if self.strict:
-                        raise TypeError(self.last_error)
-                    return signals.cwnd_pkts
-                return int(value)
-        env = signals_environment(signals)
-        try:
-            value = self._runner.run(env)
-        except DslError as exc:
-            self.runtime_errors += 1
-            self.last_error = str(exc)
-            if self.strict:
-                raise
-            return signals.cwnd_pkts
+        if value is None:
+            try:
+                value = self._runner.run(signals_environment(signals))
+            except DslError as exc:
+                self.runtime_errors += 1
+                self.last_error = str(exc)
+                if self.strict:
+                    raise
+                return signals.cwnd_pkts
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.runtime_errors += 1
             self.last_error = f"non-numeric cwnd {value!r}"

@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cc.dsl_controller import DslCongestionController
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.dsl.ast import Program
+from repro.dsl.compile import DEFAULT_BACKEND
 from repro.netsim.link import LinkConfig
 from repro.netsim.simulator import SimulationConfig, SimulationMetrics
 from repro.workloads.netsim import NetSimScenario, build_scenario
@@ -133,7 +134,7 @@ class CongestionControlEvaluator(Evaluator):
         config: Optional[SimulationConfig] = None,
         objective: Optional[CCObjective] = None,
         initial_window: int = 10,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
         scenario: Optional[NetSimScenario] = None,
     ):
         if scenario is not None and config is not None:

@@ -23,6 +23,7 @@ from repro.core.context import Context
 from repro.core.domain import SearchDomain, SearchSetup, build_search, register_domain
 from repro.core.search import SearchConfig
 from repro.core.template import Template
+from repro.dsl.compile import DEFAULT_BACKEND
 from repro.dsl.grammar import GrammarConfig
 from repro.llm.mock import SyntheticLLMConfig
 from repro.netsim.simulator import SimulationConfig
@@ -35,7 +36,7 @@ class CCDomain(SearchDomain):
     ``duration_s`` (default 8.0), ``simulation`` (a full
     :class:`~repro.netsim.simulator.SimulationConfig` overriding
     ``duration_s``) and ``backend`` (DSL execution backend, default
-    ``"compiled"``).
+    :data:`~repro.dsl.compile.DEFAULT_BACKEND`).
     """
 
     name = "cc"
@@ -64,7 +65,7 @@ class CCDomain(SearchDomain):
         self,
         duration_s: float = 8.0,
         simulation: Optional[SimulationConfig] = None,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
         **_ignored: Any,
     ) -> CongestionControlEvaluator:
         return CongestionControlEvaluator(
@@ -75,7 +76,7 @@ class CCDomain(SearchDomain):
     def build_scenario_evaluator(
         self,
         workload: Any,
-        backend: str = "compiled",
+        backend: str = DEFAULT_BACKEND,
         **_ignored: Any,
     ) -> CongestionControlEvaluator:
         """One scenario of a workload matrix: a declarative netsim topology."""

@@ -103,9 +103,12 @@ class EngineConfig:
     evaluation (``"interpreter"`` / ``"compiled"`` / ``"vectorized"``); it is
     injected as the domain's ``backend`` kwarg by
     :func:`~repro.core.domain.build_search` unless the caller already set one
-    explicitly.  ``None`` (the default) keeps the domain's own default.  All
-    backends produce bit-identical scores -- the knob trades compilation
-    effort for evaluation throughput, never results.
+    explicitly.  ``None`` (the default) keeps the domain's own default,
+    which is ``"vectorized"`` (:data:`repro.dsl.compile.DEFAULT_BACKEND`):
+    each program's kernel compiled behind the call signature of its
+    simulator's hot loop, falling back per program to ``"compiled"`` and then
+    ``"interpreter"``.  All backends produce bit-identical scores -- pin one
+    of the other two to cross-check a result, never to change it.
 
     ``static_screen`` turns on rung "-1" below the fidelity ladder: every
     evaluable candidate is first run through the interval abstract

@@ -17,13 +17,22 @@ deduplicate naturally).
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field, fields
-from typing import Iterator, List, Sequence, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 
 # --------------------------------------------------------------------------
 # Base node
 # --------------------------------------------------------------------------
+
+
+@functools.cache
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """Field names of a node class, in declaration order -- cached, because
+    ``dataclasses.fields`` rebuilds its tuple on every call and
+    ``children()`` runs per node on every checker and lowering traversal."""
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(eq=True)
@@ -32,8 +41,8 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes (depth 1)."""
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):

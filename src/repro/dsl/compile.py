@@ -36,7 +36,7 @@ interpreter, which stays the oracle for exactly those programs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, NoReturn, Optional, Sequence
 
 from repro.dsl.ast import (
     Assign,
@@ -61,6 +61,9 @@ from repro.dsl.ast import (
 from repro.dsl.codegen import _format_number
 from repro.dsl.errors import DslError, DslRuntimeError
 from repro.dsl.interpreter import _clamp
+
+if TYPE_CHECKING:  # vectorize imports this module
+    from repro.dsl.vectorize import KernelLayout
 
 #: Builtins visible to compiled programs; mirrors ``EvalContext`` defaults.
 DEFAULT_BUILTINS: Dict[str, Callable[..., Any]] = {
@@ -90,6 +93,17 @@ def _call_unknown(name: str, _args: tuple) -> Any:
     # Arguments are evaluated by the caller (as the interpreter does) before
     # this helper rejects the call.
     raise DslRuntimeError(f"unknown function {name!r}")
+
+
+def reraise_normalised(exc: Exception) -> NoReturn:
+    """Re-raise ``exc``, caught around a compiled function, on the
+    interpreter's error surface: :class:`DslRuntimeError` for everything a
+    candidate's arithmetic can raise, anything else unchanged."""
+    if isinstance(exc, ZeroDivisionError):
+        raise DslRuntimeError("division by zero") from exc
+    if isinstance(exc, (TypeError, AttributeError, NameError, ValueError, OverflowError)):
+        raise DslRuntimeError(f"{type(exc).__name__}: {exc}") from exc
+    raise exc
 
 
 def _reject_unsafe_identifiers(program: Program) -> None:
@@ -201,12 +215,16 @@ def _cblock(
 
 
 def to_callable_source(
-    program: Program, builtins: Optional[Dict[str, Callable[..., Any]]] = None
+    program: Program,
+    builtins: Optional[Dict[str, Callable[..., Any]]] = None,
+    prologue: Sequence[str] = (),
 ) -> str:
-    """Render ``program`` as the Python source the compiler will ``exec``."""
+    """Render ``program`` as the Python source the compiler will ``exec``;
+    ``prologue`` lines (Python, not DSL) run before its first statement."""
     table = builtins if builtins is not None else DEFAULT_BUILTINS
     header = f"def {program.name}({', '.join(program.params)}):"
     lines = [header]
+    lines.extend(f"    {line}" for line in prologue)
     lines.extend(_cblock(program.body, 1, table))
     # The interpreter returns 0 when execution falls off the end.
     lines.append("    return 0")
@@ -231,13 +249,18 @@ class CompiledProgram:
         max_steps: int = 20_000,  # interface symmetry with EvalContext;
         # compiled programs are loop-free, so the budget cannot be exceeded
         builtins: Optional[Dict[str, Callable[..., Any]]] = None,
+        prologue: Sequence[str] = (),
+        helpers: Optional[Mapping[str, Any]] = None,
     ):
+        """``helpers`` are the globals the ``prologue`` lines call (the
+        namespace has no ``__builtins__``)."""
         self.program = program
         self.max_steps = max_steps
         table = dict(builtins) if builtins is not None else dict(DEFAULT_BUILTINS)
         _reject_unsafe_identifiers(program)
-        self.python_source = to_callable_source(program, table)
+        self.python_source = to_callable_source(program, table, prologue)
         namespace: Dict[str, Any] = {
+            **(helpers or {}),
             "__builtins__": {},
             "__dsl_truthy": _truthy,
             "__dsl_call_unknown": _call_unknown,
@@ -263,23 +286,15 @@ class CompiledProgram:
             raise DslRuntimeError(f"missing parameter bindings: {missing}")
         try:
             return self._fn(*[env[p] for p in self._params])
-        except DslError:
-            raise
-        except ZeroDivisionError as exc:
-            raise DslRuntimeError("division by zero") from exc
-        except (TypeError, AttributeError, NameError, ValueError, OverflowError) as exc:
-            raise DslRuntimeError(f"{type(exc).__name__}: {exc}") from exc
+        except Exception as exc:
+            reraise_normalised(exc)
 
     def __call__(self, *args: Any) -> Any:
         """Positional fast path (arguments in ``program.params`` order)."""
         try:
             return self._fn(*args)
-        except DslError:
-            raise
-        except ZeroDivisionError as exc:
-            raise DslRuntimeError("division by zero") from exc
-        except (TypeError, AttributeError, NameError, ValueError, OverflowError) as exc:
-            raise DslRuntimeError(f"{type(exc).__name__}: {exc}") from exc
+        except Exception as exc:
+            reraise_normalised(exc)
 
 
 def compile_program(
@@ -307,20 +322,28 @@ class _InterpreterRunner:
 #: Backends accepted by :func:`make_runner`, in fallback order.
 BACKENDS = ("vectorized", "compiled", "interpreter")
 
+#: What runs unless ``engine.dsl_backend`` / ``--backend`` names another.
+DEFAULT_BACKEND = "vectorized"
 
-def make_runner(program: Program, backend: str = "compiled", max_steps: int = 20_000):
+
+def make_runner(
+    program: Program,
+    backend: str = DEFAULT_BACKEND,
+    max_steps: int = 20_000,
+    layout: Optional["KernelLayout"] = None,
+):
     """Build a ``run(env)`` executor for ``program``.
 
-    Returns ``(runner, effective_backend)``.  ``backend="compiled"`` tries
-    the fast path and silently falls back to the interpreter for programs
-    the compiler rejects (loops, Python-keyword identifiers, ...);
-    ``backend="vectorized"`` additionally tries the numpy batch lowering
-    (:mod:`repro.dsl.vectorize`) first -- its ``run(env)`` delegates to the
-    compiled scalar program, and hot loops that recognise the runner can
-    call its ``run_batch``/``run_row`` fast paths; programs the lowering
-    rejects degrade to compiled, then interpreter.
-    ``backend="interpreter"`` forces the oracle.  This is the single place
-    hot-loop adapters get their execution strategy from.
+    Returns ``(runner, effective_backend)``.  ``backend="vectorized"`` (the
+    default) lowers the program with :mod:`repro.dsl.vectorize`: its
+    ``run(env)`` is the compiled scalar program, and a hot loop that passes
+    its ``layout`` (see :class:`~repro.dsl.vectorize.KernelBinding`) gets
+    ``runner.bound``, the kernel compiled behind the loop's own call
+    signature.  Programs the lowering or the layout rejects degrade to
+    ``"compiled"`` -- a native Python callable per program -- and programs
+    the compiler rejects (loops, Python-keyword identifiers, ...) to
+    ``"interpreter"``, the oracle, which can also be forced.  This is the
+    single place hot-loop adapters get their execution strategy from.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -328,7 +351,7 @@ def make_runner(program: Program, backend: str = "compiled", max_steps: int = 20
         from repro.dsl.vectorize import VectorizedProgram
 
         try:
-            return VectorizedProgram(program, max_steps=max_steps), "vectorized"
+            return VectorizedProgram(program, max_steps=max_steps, layout=layout), "vectorized"
         except DslError:
             pass
         backend = "compiled"

@@ -31,6 +31,13 @@ results are normalised to ``+0.0`` (numpy yields ``-0.0`` for e.g.
 branch structure elementwise; ``min``/``max`` are first-on-tie comparison
 folds (``np.minimum`` has different NaN/tie semantics).
 
+The domains' hot loops run the same kernel one row at a time: a loop hands
+:class:`VectorizedProgram` a *layout* -- the signature it can call at an
+evaluation site plus the prologue lines that read each feature column out of
+those arguments (:class:`KernelBinding`) -- and gets ``bound``, the kernel
+compiled behind that signature: one Python frame per evaluation, and no
+per-program code outside the kernel itself.
+
 Programs the lowering cannot handle exactly are rejected up front by
 :func:`repro.dsl.analysis.vectorizability`;
 :func:`repro.dsl.compile.make_runner` then falls back to the compiled or
@@ -39,8 +46,10 @@ interpreter backend, so ``backend="vectorized"`` is always safe to request.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,14 +100,46 @@ def _mangle_prefix(program: Program) -> str:
     return prefix
 
 
+@dataclass(frozen=True)
+class KernelBinding:
+    """How one hot loop calls a kernel.
+
+    ``params`` is the kernel's signature -- whatever the loop has at hand at
+    an evaluation site -- and ``prologue`` the Python lines that bind every
+    feature column's kernel-local name from it (a scalar column's name is
+    the DSL parameter's, so a signature parameter of that name needs no
+    line).  ``helpers`` are the globals the lines call; ``plan`` is the
+    layout's own note of what its loop must prepare per run.
+    """
+
+    params: Tuple[str, ...]
+    prologue: Tuple[str, ...]
+    helpers: Mapping[str, Any] = field(default_factory=dict)
+    plan: Any = None
+
+
+#: ``layout(columns, names, prefix)`` -> the binding that serves ``columns``
+#: (``names`` their kernel-local names, ``prefix`` a stem no identifier of
+#: the program starts with, for the layout's own names), or ``None`` when a
+#: column is outside what the loop can read.
+KernelLayout = Callable[[Sequence[ColumnSpec], Sequence[str], str], Optional[KernelBinding]]
+
+
+def positional_layout(
+    columns: Sequence[ColumnSpec], names: Sequence[str], prefix: str
+) -> KernelBinding:
+    """The layout of a caller that has the column values themselves at hand."""
+    return KernelBinding(params=tuple(names), prologue=())
+
+
 def _kernel_program(
     program: Program,
     columns: List[ColumnSpec],
     expr_key: Dict[int, str],
+    prefix: str,
 ) -> Program:
     """``program`` with every feature-column expression replaced by a
     positional parameter, one per column, in column order."""
-    prefix = _mangle_prefix(program)
     kernel_name: Dict[str, str] = {}
     params: List[str] = []
     for index, spec in enumerate(columns):
@@ -559,48 +600,74 @@ class _BatchEvaluator:
 class VectorizedProgram:
     """A program lowered for batch evaluation over feature columns.
 
-    ``run(env)`` delegates to the compiled scalar program (full fidelity for
-    single evaluations, including feature-object error surfaces);
-    ``kernel`` is the column-specialised compiled scalar function (one
-    positional argument per column, in ``columns`` order); ``run_batch``
-    evaluates whole columns at once, bit-identically to calling ``kernel``
-    row by row.
+    ``bound`` is the column-specialised kernel behind the signature of
+    ``layout`` (by default one positional argument per column, in ``columns``
+    order) and ``kernel`` that positional form whatever the layout;
+    ``run_batch`` evaluates whole columns at once, bit-identically to calling
+    ``kernel`` row by row; ``run(env)`` delegates to the compiled scalar
+    program (full fidelity, including feature-object error surfaces).
+
+    Only ``bound`` is compiled at construction -- a program the compiler
+    rejects (keyword identifiers, helper collisions) raises
+    :class:`DslCompileError` here, where ``make_runner`` can still fall back.
     """
 
-    backend_name = "vectorized"
-
-    def __init__(self, program: Program, max_steps: int = 20_000):
+    def __init__(
+        self,
+        program: Program,
+        max_steps: int = 20_000,
+        layout: Optional[KernelLayout] = None,
+    ):
         report = vectorizability(program)
         if not report.ok:
             raise DslVectorizeError(
                 "not vectorizable: " + "; ".join(report.reasons[:3])
             )
         self.program = program
+        self.max_steps = max_steps
         self.columns: List[ColumnSpec] = report.columns
         self.column_keys: List[str] = [spec.key for spec in self.columns]
         self._expr_key = _map_feature_exprs(program)
-        # Compile order matters: if the original program is uncompilable
-        # (keyword identifiers, helper collisions) the kernel would be too;
-        # raising DslCompileError here lets make_runner fall back cleanly.
-        self._scalar = compile_program(program, max_steps=max_steps)
-        self.kernel: CompiledProgram = compile_program(
-            _kernel_program(program, self.columns, self._expr_key),
-            max_steps=max_steps,
+        prefix = _mangle_prefix(program)
+        self._kernel_program = _kernel_program(program, self.columns, self._expr_key, prefix)
+        self._positional = layout is None
+        names = self._kernel_program.params
+        binding = (layout or positional_layout)(self.columns, names, prefix)
+        if binding is None:
+            raise DslVectorizeError("a feature column is outside the hot loop's vocabulary")
+        self.binding: KernelBinding = binding
+        self.bound = self._compile_kernel(binding)
+
+    def _compile_kernel(self, binding: KernelBinding) -> CompiledProgram:
+        kernel = self._kernel_program
+        compiled = CompiledProgram(
+            Program(name=kernel.name, params=list(binding.params), body=kernel.body),
+            max_steps=self.max_steps,
+            prologue=binding.prologue,
+            helpers=binding.helpers,
         )
         # The kernel only ever sees numeric values (columns are coerced, and
         # every DSL operation over numbers yields a number), and for numbers
         # the compiler's truthiness helper is exactly ``bool``.  Swapping in
         # the C builtin removes one Python frame per condition in the
         # hot-loop scalar path.
-        self.kernel._fn.__globals__["__dsl_truthy"] = bool
+        compiled._fn.__globals__["__dsl_truthy"] = bool
+        return compiled
+
+    @functools.cached_property
+    def kernel(self) -> CompiledProgram:
+        if self._positional:
+            return self.bound
+        names = self._kernel_program.params
+        return self._compile_kernel(positional_layout(self.columns, names, ""))
+
+    @functools.cached_property
+    def _scalar(self) -> CompiledProgram:
+        return compile_program(self.program, max_steps=self.max_steps)
 
     def run(self, env: Mapping[str, Any]) -> Any:
         """Single-row evaluation, identical to the compiled backend."""
         return self._scalar.run(env)
-
-    def run_row(self, *values: Any) -> Any:
-        """Evaluate one row of column values positionally (hot-loop path)."""
-        return self.kernel(*values)
 
     def run_batch(
         self, columns: Mapping[str, Any], n: Optional[int] = None

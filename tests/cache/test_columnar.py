@@ -11,16 +11,15 @@ vectorized kernel.  When exact replication is not guaranteed it must decline
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cache.columnar import (
-    _LOOP_CODE_CACHE,
-    _build_fused_loop,
-    fused_cache_run,
-)
+from repro.cache.columnar import fused_cache_run
 from repro.cache.policies.fifo import FIFOCache
 from repro.cache.priority_cache import PriorityFunctionCache
+from repro.cache.search import caching_feature_spec
 from repro.cache.simulator import CacheSimulator
 from repro.dsl.errors import DslError
+from repro.dsl.grammar import random_program
 from repro.dsl.parser import parse
 
 from tests.conftest import make_trace
@@ -81,17 +80,20 @@ def _state(policy):
             for k, r in policy.history._records.items()
         ],
         "history_now": policy.history._now,
+        "aggregates": [
+            (list(a._sorted), a._sum) for a in (policy._counts, policy._ages, policy._sizes)
+        ],
     }
 
 
-def _run_pair(source, trace, warmup=0, capacity=1_000):
+def _run_pair(source, trace, warmup=0, capacity=1_000, **kwargs):
     """(fused result+state, classic result+state) for the same kernel."""
-    fused_policy = _policy(source, capacity)
+    fused_policy = _policy(source, capacity, **kwargs)
     fused = fused_cache_run(CacheSimulator(), fused_policy, trace, warmup)
     assert fused is not None, "expected the fused loop to take this run"
     # A never-firing invariant check forces the classic loop with the *same*
     # vectorized kernel: a pure control oracle.
-    classic_policy = _policy(source, capacity)
+    classic_policy = _policy(source, capacity, **kwargs)
     classic = CacheSimulator(check_invariants_every=10**9).run(
         classic_policy, trace, warmup=warmup
     )
@@ -119,6 +121,23 @@ def test_fused_matches_classic_warmup_beyond_trace():
     assert fused_state == classic_state
 
 
+@pytest.mark.parametrize("name", ["lru-like", "aggregates"])
+@pytest.mark.parametrize(
+    "n, warmup, interval",
+    [(1, 0, 64), (64, 0, 64), (65, 64, 64), (128, 64, 64), (129, 500, 64), (300, 0, 1), (300, 7, 7)],
+)
+def test_fused_refreshes_where_the_classic_loop_does(name, n, warmup, interval):
+    """The fused loop walks the trace in refresh-interval chunks and skips
+    snapshots the kernel never reads: the aggregates and the refresh
+    countdown must still end where the classic loop leaves them, wherever
+    the trace end and the warmup boundary fall relative to a refresh."""
+    (fused, fused_state), (classic, classic_state) = _run_pair(
+        PROGRAMS[name], _workload_trace(n=n), warmup=warmup, refresh_interval=interval
+    )
+    assert fused == classic
+    assert fused_state == classic_state
+
+
 def test_fused_matches_compiled_backend_scores():
     """Cross-backend contract: compiled-backend classic run, same result."""
     trace = _workload_trace(seed=3)
@@ -128,15 +147,55 @@ def test_fused_matches_compiled_backend_scores():
     assert fused == compiled
 
 
-def test_fused_raises_same_error_as_classic():
-    source = f"{_SIG} {{ return 1 / (obj_info.count - 2) }}"
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_every_backend_simulates_grammar_programs_identically(seed):
+    """What the search relies on: whatever the generator writes, the default
+    (fused) run, the compiled classic run and the interpreter oracle end in
+    the same result and policy state, or in the same error."""
+    program = random_program(caching_feature_spec(), random.Random(seed))
+    trace = _workload_trace(seed=seed % 7, n=300)
+    outcomes = {}
+    for backend in ("vectorized", "compiled", "interpreter"):
+        policy = PriorityFunctionCache(1_000, program, name="candidate", backend=backend)
+        try:
+            result = CacheSimulator().run(policy, trace, warmup=20)
+            outcomes[backend] = ("ok", result, _state(policy))
+        except DslError as exc:
+            outcomes[backend] = ("error", type(exc), str(exc))
+    assert outcomes["vectorized"] == outcomes["compiled"] == outcomes["interpreter"]
+
+
+def _assert_same_error(source):
     trace = _workload_trace()
     with pytest.raises(DslError) as fused_exc:
         fused_cache_run(CacheSimulator(), _policy(source), trace, 0)
-    with pytest.raises(DslError) as classic_exc:
-        CacheSimulator(check_invariants_every=10**9).run(_policy(source), trace)
-    assert type(fused_exc.value) is type(classic_exc.value)
-    assert str(fused_exc.value) == str(classic_exc.value)
+    for backend in ("vectorized", "compiled"):
+        with pytest.raises(DslError) as classic_exc:
+            classic = CacheSimulator(check_invariants_every=10**9)
+            classic.run(_policy(source, backend=backend), trace)
+        assert type(fused_exc.value) is type(classic_exc.value)
+        assert str(fused_exc.value) == str(classic_exc.value)
+
+
+def test_fused_raises_same_error_as_classic():
+    _assert_same_error(f"{_SIG} {{ return 1 / (obj_info.count - 2) }}")
+
+
+#: Raising evaluations that also read the other kinds of feature column: a
+#: refreshed aggregate value, an inlined history method, a bound aggregate
+#: method with a per-row argument -- and one that fails on a local.
+RAISING = {
+    "aggregate-constant": "return obj_info.size / (obj_info.count - 2) + counts.mean()",
+    "history-method": "return history.length() // (obj_info.count - 2) + history.count_of(obj_id)",
+    "param-arg-aggregate": "return counts.percentile(now) % (obj_info.count - 2)",
+    "unbound-local": "if (obj_info.count > 1) { x = ages.maximum() }  return x",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAISING))
+def test_fused_raises_same_error_whatever_columns_the_evaluation_reads(name):
+    _assert_same_error(f"{_SIG} {{ {RAISING[name]} }}")
 
 
 # -- gating: every ineligible shape must decline, not misbehave ----------------------
@@ -163,6 +222,12 @@ def test_declines_eviction_listeners():
     policy = _policy(PROGRAMS["lru-like"])
     policy.add_eviction_listener(lambda obj, now: None)
     assert fused_cache_run(CacheSimulator(), policy, _workload_trace(), 0) is None
+
+
+def test_vectorized_is_the_default_backend():
+    policy = PriorityFunctionCache(1_000, parse(PROGRAMS["lru-like"]))
+    assert policy._priority.backend == "vectorized"
+    assert fused_cache_run(CacheSimulator(), policy, _workload_trace(), 0) is not None
 
 
 def test_declines_non_vectorized_backend():
@@ -213,14 +278,3 @@ def test_simulator_run_uses_fused_path_transparently():
     via_run = CacheSimulator().run(_policy(PROGRAMS["history"]), trace, warmup=50)
     explicit = fused_cache_run(CacheSimulator(), _policy(PROGRAMS["history"]), trace, 50)
     assert via_run == explicit
-
-
-def test_loop_code_cache_shared_across_same_column_programs():
-    policy_a = _policy(PROGRAMS["lru-like"])
-    built_a = _build_fused_loop(policy_a._priority._runner, policy_a)
-    before = len(_LOOP_CODE_CACHE)
-    # Same column vocabulary, different kernel constant: same code object.
-    policy_b = _policy(f"{_SIG} {{ return 5 - (now - obj_info.last_accessed) }}")
-    built_b = _build_fused_loop(policy_b._priority._runner, policy_b)
-    assert built_a is not None and built_b is not None
-    assert len(_LOOP_CODE_CACHE) == before

@@ -1,21 +1,22 @@
 """Zero-layer CC scoring fast-path tests (:mod:`repro.cc.columnar`).
 
-``build_cc_fast`` must read :class:`CCSignals` exactly like the classic
-``signals_environment`` + ``HistoryView`` path -- same clamping, same
-history-index semantics, same errors -- and must return ``None`` for any
-program outside the Template vocabulary so the controller keeps the classic
-path.  Scenario-level decisions must be identical across all three backends.
+A kernel bound by ``cc_layout`` must read :class:`CCSignals` exactly like the
+classic ``signals_environment`` + ``HistoryView`` path -- same clamping, same
+history-index semantics, same errors -- and the layout must return ``None``
+for any program outside the Template vocabulary so the controller keeps the
+classic path.  Scenario-level decisions must be identical across all three
+backends.
 """
 
 import pytest
 
-from repro.cc.columnar import build_cc_fast
+from repro.cc.columnar import cc_layout
 from repro.cc.dsl_controller import DslCongestionController
 from repro.cc.evaluator import CongestionControlEvaluator
 from repro.cc.template import CC_TEMPLATE_PARAMS
 from repro.dsl import parse
 from repro.dsl.errors import DslError
-from repro.dsl.vectorize import vectorize_program
+from repro.dsl.vectorize import VectorizedProgram
 from repro.netsim.flow import CCSignals, HistoryInterval
 
 CC_SIG = f"def cong_control({', '.join(CC_TEMPLATE_PARAMS)})"
@@ -116,6 +117,39 @@ def test_fast_scorer_error_matches_classic():
     assert fast_ctl.runtime_errors == classic_ctl.runtime_errors == 1
 
 
+#: Raising updates that read every kind of column the layout serves: a
+#: clamped signal, history accessors with a literal and with a signal
+#: argument, and the whole-history folds.
+RAISING = {
+    "clamped-rtt": ("return cwnd / rtt", dict(rtt=-5)),
+    "history-literal-index": ("return history.delivered_at(1) // losses", {}),
+    "history-signal-index": ("return history.rtt_at(cwnd) % losses", {}),
+    "history-folds": (
+        "return (history.total_losses() + history.min_rtt() + history.length()) / losses",
+        {},
+    ),
+    "unbound-local": ("if (losses > 0) { x = history.length() }  return x", {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAISING))
+def test_fast_scorer_error_matches_classic_whatever_columns_the_update_reads(name):
+    body, overrides = RAISING[name]
+    program = parse(f"{CC_SIG} {{ {body} }}")
+    signals = make_signals(history=_HISTORY, **overrides)
+    errors = {}
+    for backend in ("vectorized", "compiled"):
+        strict = DslCongestionController(program, backend=backend, strict=True)
+        assert strict.backend == backend
+        with pytest.raises(DslError) as exc:
+            strict.on_ack(signals)
+        lenient = DslCongestionController(program, backend=backend, strict=False)
+        assert lenient.on_ack(signals) == signals.cwnd_pkts
+        assert strict.runtime_errors == lenient.runtime_errors == 1
+        errors[backend] = (type(exc.value), str(exc.value), strict.last_error, lenient.last_error)
+    assert errors["vectorized"] == errors["compiled"]
+
+
 def test_fast_scorer_non_strict_freezes_window_on_error():
     program = parse(f"{CC_SIG} {{ return cwnd // losses }}")
     ctl = DslCongestionController(program, backend="vectorized", strict=False)
@@ -142,8 +176,7 @@ def test_fast_scorer_only_built_for_vectorized_backend():
 
 def test_build_cc_fast_literal_history_index_clamps():
     program = parse(f"{CC_SIG} {{ return cwnd + history.losses_at(99) }}")
-    fast = build_cc_fast(vectorize_program(program))
-    assert fast is not None
+    fast = VectorizedProgram(program, layout=cc_layout).bound
     # Clamped to the oldest interval when the index overshoots; 0 when empty.
     assert fast(make_signals(cwnd=10, history=_HISTORY)) == 10 + _HISTORY[0].losses
     assert fast(make_signals(cwnd=10)) == 10

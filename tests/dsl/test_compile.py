@@ -97,6 +97,23 @@ def test_division_by_zero_is_dsl_error():
         compile_program(program).run({"x": 3})
 
 
+@pytest.mark.parametrize("op", ["/", "//", "%"])
+@pytest.mark.parametrize("zero", ["x - x", "(x - x) / 2"], ids=["int", "float"])
+def test_zero_division_message_is_the_same_on_every_backend(op, zero):
+    """The message is part of a failed candidate's ``result.json`` entry (and
+    of the store record every backend shares), so it may not depend on the
+    backend; the compiled backends cannot tell the operators apart."""
+    program = parse(f"def f(x) {{ return 7 {op} ({zero}) }}")
+    messages = set()
+    for backend in ("vectorized", "compiled", "interpreter"):
+        runner, effective = make_runner(program, backend)
+        assert effective == backend
+        with pytest.raises(DslRuntimeError) as raised:
+            runner.run({"x": 3})
+        messages.add(str(raised.value))
+    assert len(messages) == 1 and "division by zero" in messages.pop()
+
+
 def test_unknown_attribute_is_dsl_error(priority_env):
     program = parse(
         "def priority(now, obj_id, obj_info, counts, ages, sizes, history) "

@@ -20,10 +20,15 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.search import caching_feature_spec
 from repro.dsl import Interpreter, parse
 from repro.dsl.analysis import vectorizability
-from repro.dsl.compile import make_runner
+from repro.dsl.compile import DEFAULT_BACKEND, DslCompileError, make_runner
 from repro.dsl.errors import DslError
 from repro.dsl.grammar import random_program
-from repro.dsl.vectorize import DslVectorizeError, VectorizedProgram, vectorize_program
+from repro.dsl.vectorize import (
+    DslVectorizeError,
+    KernelBinding,
+    VectorizedProgram,
+    vectorize_program,
+)
 
 from tests.conftest import StubAggregate, StubHistory, StubObjectInfo
 
@@ -205,6 +210,66 @@ def test_requested_backend_is_respected():
     for requested in ("interpreter", "compiled", "vectorized"):
         _runner, resolved = make_runner(program, requested)
         assert resolved == requested
+
+
+def test_vectorized_is_the_default_backend():
+    _runner, resolved = make_runner(random_program(SPEC, random.Random(0)))
+    assert resolved == DEFAULT_BACKEND == "vectorized"
+
+
+def _row_layout(columns, names, prefix):
+    """A toy hot loop: the kernel is called with one tuple of column values."""
+    row = f"{prefix}row"
+    return KernelBinding(
+        params=(row,),
+        prologue=tuple(f"{name} = {row}[{i}]" for i, name in enumerate(names)),
+    )
+
+
+def test_bound_kernel_is_the_kernel_behind_the_layouts_signature():
+    program = parse("def f(a, b, stats) { x = a * stats.mean()\n return x // b }")
+    vp = VectorizedProgram(program, layout=_row_layout)
+    assert vp.bound.python_source.startswith("def f(__colrow):\n    a = __colrow[0]\n")
+    for row in [(1, 2.5, 3), (7, 0.5, 2), (2**60, 3.0, 7)]:
+        assert vp.bound(row) == vp.kernel(*row)
+    with pytest.raises(DslError, match="division by zero"):
+        vp.bound((1, 1.0, 0))
+
+
+def test_program_a_layout_cannot_serve_runs_on_the_compiled_backend():
+    program = parse("def f(a) { return a + 1 }")
+    runner, backend = make_runner(program, "vectorized", layout=lambda *_: None)
+    assert backend == "compiled"
+    assert runner.run({"a": 1}) == 2
+
+
+def test_only_the_bound_kernel_is_compiled_at_construction():
+    program = parse("def f(a, stats) { return a + stats.mean() }")
+    plain = vectorize_program(program)
+    assert "kernel" not in vars(plain) and "_scalar" not in vars(plain)
+    assert plain.kernel is plain.bound  # no layout: bound is the positional kernel
+    bound = VectorizedProgram(program, layout=_row_layout)
+    assert "kernel" not in vars(bound) and "_scalar" not in vars(bound)
+    assert bound.kernel is not bound.bound
+    # ... and run(env) compiles the scalar program the first time it is used.
+    assert bound.run({"a": 1, "stats": StubAggregate(4)}) == plain.run(
+        {"a": 1, "stats": StubAggregate(4)}
+    )
+    assert "_scalar" in vars(bound)
+
+
+@pytest.mark.parametrize("layout", [None, _row_layout], ids=["positional", "bound"])
+def test_uncompilable_program_falls_back_at_construction(layout):
+    # Legal DSL, illegal Python.  The scalar program compiles lazily, so it is
+    # the eager kernel compile that must refuse -- at construction, where
+    # make_runner can still degrade -- and not the first run(env).
+    program = parse("def f(a) { lambda = a + 1\n return lambda }")
+    assert vectorizability(program).ok
+    with pytest.raises(DslCompileError):
+        VectorizedProgram(program, layout=layout)
+    runner, backend = make_runner(program, "vectorized", layout=layout)
+    assert backend == "interpreter"
+    assert runner.run({"a": 2}) == 3
 
 
 def test_make_runner_rejects_unknown_backend():

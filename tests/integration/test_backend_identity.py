@@ -56,6 +56,64 @@ def test_result_json_identical_across_backends(base, tmp_path):
     assert results["vectorized"] == results["interpreter"]
 
 
+@pytest.mark.parametrize("base", [CACHING_SPEC, CC_SPEC], ids=["caching", "cc"])
+def test_a_run_that_names_no_backend_is_a_vectorized_run(base, tmp_path):
+    outcomes = {
+        label: run(RunSpec(**base, engine=engine), store=tmp_path / label, eval_store=None)
+        for label, engine in (("default", {}), ("pinned", {"dsl_backend": "vectorized"}))
+    }
+    metadata = json.loads((outcomes["default"].artifact_dir / "metadata.json").read_text())
+    assert metadata["dsl_backend"]["requested"] == "vectorized"
+    assert set(metadata["dsl_backend"]["resolved"]) == {"vectorized"}
+    assert (outcomes["default"].artifact_dir / "result.json").read_bytes() == (
+        outcomes["pinned"].artifact_dir / "result.json"
+    ).read_bytes()
+
+
+#: The program the benchmark's seed 1 breeds (model seeds 7-9 at 20x25 on 2000
+#: requests): valid to the checker, raising on every request with now < 300.
+#: Its failing evaluation reads a store-entry slot, a refreshed aggregate and
+#: a history method -- the columns the old fused loop's error path lost.
+RAISING_ARCHETYPE = """def priority(now, obj_id, obj_info, counts, ages, sizes, history) {
+    x = obj_info.count + counts.mean() + history.count_of(obj_id)
+    return x // (now // 300 / 2)
+}"""
+
+RAISING_SPEC = dict(
+    domain="caching",
+    name="backend-raising",
+    domain_kwargs={
+        "workloads": [{"name": "caching/zipf-hot", "num_requests": 400, "num_objects": 120}],
+        "reducer": "mean",
+    },
+    search={"rounds": 2, "candidates_per_round": 4},
+    llm={"archetypes": [RAISING_ARCHETYPE], "archetype_weight": 0.5},
+)
+
+
+def test_raising_candidates_fail_identically_on_every_backend_and_executor(tmp_path):
+    results = {}
+    for backend in BACKENDS:
+        for label, executor in (
+            ("serial", {}),
+            ("process", {"executor": "process", "max_workers": 2}),
+        ):
+            spec = RunSpec(**RAISING_SPEC, engine={"dsl_backend": backend, **executor})
+            outcome = run(spec, store=tmp_path / f"{backend}-{label}", eval_store=None)
+            results[backend, label] = (outcome.artifact_dir / "result.json").read_bytes()
+            raised = [
+                item.evaluation
+                for item in outcome.result.candidates
+                if item.evaluation is not None and item.evaluation.error
+            ]
+            assert raised, "the archetype should have been drawn at least once"
+            for evaluation in raised:
+                assert evaluation.error.endswith("runtime error: division by zero")
+                assert not evaluation.transient and not evaluation.valid
+    oracle = results["interpreter", "serial"]
+    assert [key for key, result in results.items() if result != oracle] == []
+
+
 def test_engine_config_rejects_unknown_backend():
     with pytest.raises(ValueError, match="dsl_backend"):
         RunSpec(**CC_SPEC, engine={"dsl_backend": "numba"}).engine_config()
