@@ -8,6 +8,16 @@ model duplicate-ACK detection without simulating the full fast-retransmit
 machinery (the dynamics that matter to a congestion controller -- multiplicative
 reaction after about an RTT -- are preserved).
 
+Burst rule: a window that outgrows BDP + buffer has thousands of packets
+tail-dropped per RTT, all at one instant with one fate and one detection
+time.  The flow offers them to the link in one call, hears of the refused
+ones as a count, and schedules *one* loss-detection event for the run (see
+:mod:`repro.netsim.events` for how a run keeps every other event's place).
+Firing a run of n equals n per-packet detections each followed by a
+``_pump``: within one instant the queue only fills and sRTT does not move,
+so "loss, send, loss, send" and "n losses, send" offer the link the same
+packets in the same order.
+
 The controller also receives *history arrays*: per-RTT-interval summaries of
 delivered bytes, average RTT and losses over the last 10 intervals, matching
 the paper's cong_control Template (§5.0.1).
@@ -17,11 +27,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Protocol
+from typing import Deque, List, Optional, Protocol
 
 from repro.netsim.events import EventQueue
 from repro.netsim.link import DropTailLink
-from repro.netsim.packet import ACK_SIZE, DEFAULT_MSS, Packet
+from repro.netsim.packet import DEFAULT_MSS, Packet
 
 
 @dataclass
@@ -129,12 +139,12 @@ class Flow:
         self.delivered_bytes = 0
         self.running = False
 
-        self._outstanding: Dict[int, Packet] = {}
         self._pending_losses = 0
         self._last_loss_reaction_us = -1
 
         # History-array bookkeeping.
         self._history: Deque[HistoryInterval] = deque(maxlen=history_length)
+        self._history_list: List[HistoryInterval] = []  # rebuilt when an interval closes
         self._interval_start_us = 0
         self._interval_delivered = 0
         self._interval_rtt_sum = 0
@@ -153,40 +163,29 @@ class Flow:
     # -- transmission ------------------------------------------------------------------
 
     def _pump(self) -> None:
-        """Send packets while the congestion window allows."""
+        """Offer the link every packet the congestion window allows, in one call."""
         if not self.running:
             return
-        while self.inflight < self.cwnd:
-            packet = Packet(
-                flow_id=self.flow_id,
-                sequence=self.next_seq,
-                size=self.mss,
-                sent_at=self.events.now,
-            )
-            self.next_seq += 1
-            self.inflight += 1
-            self.stats.packets_sent += 1
-            self._outstanding[packet.sequence] = packet
-            self.link.send(packet)
+        count = self.cwnd - self.inflight
+        if count <= 0:
+            return
+        first = self.next_seq
+        self.next_seq += count
+        self.inflight += count
+        self.stats.packets_sent += count
+        self.link.send_burst(self.flow_id, first, self.mss, count, self._on_drops)
 
-    # -- signal plumbing (called by the simulator) -----------------------------------------
+    # -- signal plumbing (called by the simulator and the link) ------------------------------
 
     def handle_delivery(self, packet: Packet, now: int) -> None:
-        """A data packet reached the receiver; schedule the acknowledgement."""
-        ack = Packet(
-            flow_id=self.flow_id,
-            sequence=packet.sequence,
-            size=ACK_SIZE,
-            sent_at=packet.sent_at,
-            is_ack=True,
-        )
-        self.events.schedule_after(self.ack_delay_us, lambda _now, a=ack: self._on_ack(a))
+        """A data packet reached the receiver; its acknowledgement is one event."""
+        self.events.call_at(now + self.ack_delay_us, self._on_ack, packet)
 
-    def handle_drop(self, packet: Packet, now: int) -> None:
-        """The bottleneck dropped one of our packets; detect it one RTT later."""
+    def _on_drops(self, count: int) -> None:
+        """The bottleneck refused ``count`` packets in a row; detect them one RTT later."""
         detection_delay = self.srtt_us or (2 * self.link.config.one_way_delay_us)
-        self.events.schedule_after(
-            detection_delay, lambda _now, p=packet: self._on_loss_detected(p)
+        self.events.call_at(
+            self.events.now + detection_delay, self._on_losses_detected, None, run=count
         )
 
     # -- ACK / loss processing ----------------------------------------------------------------
@@ -205,7 +204,7 @@ class Flow:
             loss=loss,
             losses_since_last_ack=self._pending_losses,
             delivered_bytes=self.delivered_bytes,
-            history=list(self._history),
+            history=self._history_list,
         )
 
     def _apply_cwnd(self, new_cwnd: int) -> None:
@@ -216,54 +215,59 @@ class Flow:
         self.cwnd = max(self.MIN_CWND, min(self.MAX_CWND, value))
         self.stats.cwnd_trace.append((self.events.now, self.cwnd))
 
-    def _on_ack(self, ack: Packet) -> None:
+    def _on_ack(self, packet: Packet) -> None:
+        """The ACK of delivered ``packet`` arrived (ACKs are not packets of their own)."""
         if not self.running:
             return
-        sent = self._outstanding.pop(ack.sequence, None)
-        if sent is None:
-            return  # already accounted as lost
         now = self.events.now
-        rtt = max(1, now - ack.sent_at)
+        size = packet.size
+        rtt = max(1, now - packet.sent_at)
         self.inflight = max(0, self.inflight - 1)
         self.stats.packets_acked += 1
-        self.stats.bytes_acked += sent.size
+        self.stats.bytes_acked += size
         self.stats.rtt_samples_us.append(rtt)
-        self.delivered_bytes += sent.size
+        self.delivered_bytes += size
         if self.min_rtt_us == 0 or rtt < self.min_rtt_us:
             self.min_rtt_us = rtt
         self.srtt_us = rtt if self.srtt_us == 0 else (7 * self.srtt_us + rtt) // 8
-        self._interval_delivered += sent.size
+        self._interval_delivered += size
         self._interval_rtt_sum += rtt
         self._interval_rtt_count += 1
         self._roll_history()
 
-        signals = self._signals(acked_bytes=sent.size, rtt_us=rtt, loss=False)
+        signals = self._signals(acked_bytes=size, rtt_us=rtt, loss=False)
         self._pending_losses = 0
         self._apply_cwnd(self.controller.on_ack(signals))
         self._pump()
 
-    def _on_loss_detected(self, packet: Packet) -> None:
+    def _on_losses_detected(self, count: int) -> None:
+        """``count`` packets of one refused run are detected lost at this instant."""
         if not self.running:
             return
-        if self._outstanding.pop(packet.sequence, None) is None:
-            return
-        self.inflight = max(0, self.inflight - 1)
-        self.stats.packets_lost += 1
-        self._pending_losses += 1
-        self._interval_losses += 1
         # React to at most one loss event per RTT (fast-recovery semantics):
         # a burst of drops from one congestion episode causes one window
         # reduction, not one per packet.
         reaction_gap = self.srtt_us or (2 * self.link.config.one_way_delay_us)
         now = self.events.now
-        if (
-            self._last_loss_reaction_us < 0
-            or now - self._last_loss_reaction_us >= reaction_gap
-        ):
-            self._last_loss_reaction_us = now
-            signals = self._signals(acked_bytes=0, rtt_us=self.srtt_us, loss=True)
-            self._apply_cwnd(self.controller.on_loss(signals))
-        self._pump()
+        while count:
+            reacts = (
+                self._last_loss_reaction_us < 0
+                or now - self._last_loss_reaction_us >= reaction_gap
+            )
+            # A loss that may react is taken alone; after it nothing reacts
+            # until the gap has passed, so the rest go in one step (a zero
+            # gap lets every loss react: one at a time).
+            lost = 1 if reacts else count
+            count -= lost
+            self.inflight = max(0, self.inflight - lost)
+            self.stats.packets_lost += lost
+            self._pending_losses += lost
+            self._interval_losses += lost
+            if reacts:
+                self._last_loss_reaction_us = now
+                signals = self._signals(acked_bytes=0, rtt_us=self.srtt_us, loss=True)
+                self._apply_cwnd(self.controller.on_loss(signals))
+            self._pump()
 
     # -- history arrays ------------------------------------------------------------------------
 
@@ -284,6 +288,7 @@ class Flow:
                 losses=self._interval_losses,
             )
         )
+        self._history_list = list(self._history)
         self._interval_start_us = self.events.now
         self._interval_delivered = 0
         self._interval_rtt_sum = 0

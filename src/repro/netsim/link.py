@@ -8,6 +8,12 @@ arriving packets when full.
 Serialisation is modelled exactly: each packet occupies the transmitter for
 ``size * 8 / rate`` seconds, and the queueing delay of a packet is the time
 between its arrival and the moment it starts being serialised.
+
+Burst rule: a flow offers a whole window's worth of packets in one
+:meth:`DropTailLink.send_burst` call; the link applies the per-packet admit
+rule in order (one loss-RNG draw per offered packet) but builds only the
+packets it admits and reports the refused ones as counts, one count per run
+of drops between which the link scheduled nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from repro.netsim.packet import Packet
 
 #: Callback invoked when a packet pops out of the far end of the link.
 DeliveryCallback = Callable[[Packet, int], None]
-#: Callback invoked when the queue drops a packet.
+#: Callback invoked when the queue drops a packet offered through ``send``.
 DropCallback = Callable[[Packet, int], None]
 
 
@@ -71,18 +77,13 @@ class LinkStats:
             return 0.0
         return sum(self.queueing_delays_us) / len(self.queueing_delays_us) / 1000.0
 
-    def p95_queueing_delay_ms(self) -> float:
-        return self.percentile_queueing_delay_ms(0.95)
-
-    def p99_queueing_delay_ms(self) -> float:
-        return self.percentile_queueing_delay_ms(0.99)
-
-    def percentile_queueing_delay_ms(self, fraction: float) -> float:
+    def queueing_delay_percentiles_ms(self, *fractions: float) -> List[float]:
+        """The delay at each of ``fractions`` of the samples, from one sort."""
         if not self.queueing_delays_us:
-            return 0.0
+            return [0.0] * len(fractions)
         ordered = sorted(self.queueing_delays_us)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index] / 1000.0
+        last = len(ordered) - 1
+        return [ordered[min(last, int(f * len(ordered)))] / 1000.0 for f in fractions]
 
     def utilization(self, rate_bps: int, duration_us: int) -> float:
         if duration_us <= 0:
@@ -149,34 +150,71 @@ class DropTailLink:
 
     # -- datapath --------------------------------------------------------------------
 
+    def _refuses(self, size: int) -> bool:
+        """The admit rule: one random-loss draw per arriving packet, then drop-tail."""
+        if self._loss_rng is not None and self._loss_rng.random() < self.config.loss_rate:
+            return True
+        return self._queued_bytes + size > self.config.queue_bytes
+
     def send(self, packet: Packet) -> bool:
         """Offer ``packet`` to the link at the current simulation time.
 
         Returns False (and reports a drop) if the buffer cannot hold it.
         """
+        if self._refuses(packet.size):
+            self.stats.dropped_packets += 1
+            self.stats.dropped_bytes += packet.size
+            if self._on_drop is not None:
+                self._on_drop(packet, self.events.now)
+            return False
+        self._enqueue(packet)
+        return True
+
+    def send_burst(
+        self,
+        flow_id: int,
+        sequence: int,
+        size: int,
+        count: int,
+        on_drops: Callable[[int], None],
+    ) -> None:
+        """Offer ``count`` back-to-back ``size``-byte packets of one flow.
+
+        Equal to ``count`` :meth:`send` calls in sequence order, with drops
+        reported as ``on_drops(n)`` for ``n`` refusals in a row.  Only an
+        admitted packet that finds the transmitter idle schedules an event,
+        so the drops before it are reported first.  Without random loss the
+        queue only fills within an instant: after the first refusal the rest
+        of the burst is one tail-drop run, at no per-packet cost.
+        """
         now = self.events.now
-        if (
-            self._loss_rng is not None
-            and self._loss_rng.random() < self.config.loss_rate
-        ):
-            self.stats.dropped_packets += 1
-            self.stats.dropped_bytes += packet.size
-            if self._on_drop is not None:
-                self._on_drop(packet, now)
-            return False
-        if self._queued_bytes + packet.size > self.config.queue_bytes:
-            self.stats.dropped_packets += 1
-            self.stats.dropped_bytes += packet.size
-            if self._on_drop is not None:
-                self._on_drop(packet, now)
-            return False
-        packet.enqueued_at = now
+        dropped = 0
+        for offset in range(count):
+            if self._refuses(size):
+                if self._loss_rng is None:
+                    dropped = count - offset
+                    break
+                dropped += 1
+                continue
+            if dropped and not self._transmitting:
+                self._report_drops(dropped, size, on_drops)
+                dropped = 0
+            self._enqueue(Packet(flow_id, sequence + offset, size, now))
+        if dropped:
+            self._report_drops(dropped, size, on_drops)
+
+    def _report_drops(self, count: int, size: int, on_drops: Callable[[int], None]) -> None:
+        self.stats.dropped_packets += count
+        self.stats.dropped_bytes += count * size
+        on_drops(count)
+
+    def _enqueue(self, packet: Packet) -> None:
+        packet.enqueued_at = self.events.now
         self._queue.append(packet)
         self._queued_bytes += packet.size
         self.stats.enqueued_packets += 1
         if not self._transmitting:
             self._start_transmission()
-        return True
 
     def _start_transmission(self) -> None:
         if not self._queue:
@@ -184,24 +222,23 @@ class DropTailLink:
             return
         self._transmitting = True
         packet = self._queue[0]
-        packet.dequeued_at = self.events.now
+        now = self.events.now
+        packet.dequeued_at = now
         serialization = self.config.serialization_us(packet.size)
         self.stats.busy_us += serialization
-        self.events.schedule_after(
-            serialization, lambda _now, p=packet: self._finish_transmission(p)
-        )
+        self.events.call_at(now + serialization, self._finish_transmission, packet)
 
     def _finish_transmission(self, packet: Packet) -> None:
         self._queue.popleft()
         self._queued_bytes -= packet.size
         self.stats.queueing_delays_us.append(packet.queueing_delay_us())
-        self.events.schedule_after(
-            self.config.one_way_delay_us, lambda now, p=packet: self._deliver(p, now)
+        self.events.call_at(
+            self.events.now + self.config.one_way_delay_us, self._deliver, packet
         )
         self._start_transmission()
 
-    def _deliver(self, packet: Packet, now: int) -> None:
+    def _deliver(self, packet: Packet) -> None:
         self.stats.delivered_packets += 1
         self.stats.delivered_bytes += packet.size
         if self._on_delivery is not None:
-            self._on_delivery(packet, now)
+            self._on_delivery(packet, self.events.now)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 @dataclass
 class Packet:
-    """A data packet (or its acknowledgement).
+    """A data packet (its acknowledgement is an event, not a packet of its own).
 
     Attributes
     ----------
@@ -16,11 +16,9 @@ class Packet:
     sequence:
         Per-flow sequence number of the data packet.
     size:
-        Payload + header size in bytes (ACKs are small but not free).
+        Payload + header size in bytes.
     sent_at:
         Time the packet left the sender, in microseconds.
-    is_ack:
-        True for acknowledgements travelling back to the sender.
     enqueued_at / dequeued_at:
         Set by the link; their difference is the packet's queueing delay.
     retransmission:
@@ -31,7 +29,6 @@ class Packet:
     sequence: int
     size: int
     sent_at: int
-    is_ack: bool = False
     enqueued_at: int = 0
     dequeued_at: int = 0
     retransmission: bool = False
@@ -43,6 +40,3 @@ class Packet:
 
 #: Conventional Ethernet-ish maximum segment size used by the flows.
 DEFAULT_MSS = 1448
-
-#: Size of an acknowledgement packet in bytes.
-ACK_SIZE = 64

@@ -1,10 +1,11 @@
 """Top-level network simulation wiring and metrics.
 
 A :class:`NetworkSimulator` owns the event queue, one bottleneck link and a
-set of flows, and routes link callbacks (deliveries, drops) back to the
-owning flow.  :class:`SimulationMetrics` collects the two numbers the paper
-reports in §5.0.3 -- bandwidth utilisation and average queueing delay --
-plus throughput, loss rate and RTT statistics per flow.
+set of flows, and routes deliveries back to the owning flow (a flow hears of
+its drops from the link directly, as counts).  :class:`SimulationMetrics`
+collects the two numbers the paper reports in §5.0.3 -- bandwidth utilisation
+and average queueing delay -- plus throughput, loss rate and RTT statistics
+per flow.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ class SimulationMetrics:
     duration_s: float
     p99_queueing_delay_ms: float = 0.0
     flows: List[FlowMetrics] = field(default_factory=list)
+    #: Logical events the run processed (a run of n tail-drops counts n).
+    events: int = 0
+    #: True when ``max_events`` stopped the run before ``duration_s``.
+    truncated: bool = False
 
     def aggregate_throughput_bps(self) -> float:
         return sum(f.throughput_bps for f in self.flows)
@@ -93,7 +98,6 @@ class NetworkSimulator:
         self.events = EventQueue()
         self.link = DropTailLink(self.events, self.config.link)
         self.link.set_delivery_callback(self._on_delivery)
-        self.link.set_drop_callback(self._on_drop)
         self._flows: Dict[int, Flow] = {}
 
     # -- construction ----------------------------------------------------------------
@@ -130,11 +134,6 @@ class NetworkSimulator:
         if flow is not None:
             flow.handle_delivery(packet, now)
 
-    def _on_drop(self, packet: Packet, now: int) -> None:
-        flow = self._flows.get(packet.flow_id)
-        if flow is not None:
-            flow.handle_drop(packet, now)
-
     # -- execution ------------------------------------------------------------------------
 
     def run(self) -> SimulationMetrics:
@@ -142,11 +141,12 @@ class NetworkSimulator:
         if not self._flows:
             raise ValueError("add at least one flow before running the simulation")
         duration_us = self.config.duration_us
-        self.events.run_until(duration_us, max_events=self.config.max_events)
+        events = self.events.run_until(duration_us, max_events=self.config.max_events)
         for flow in self._flows.values():
             flow.stop()
 
         link_stats = self.link.stats
+        p95, p99 = link_stats.queueing_delay_percentiles_ms(0.95, 0.99)
         flow_metrics = [
             FlowMetrics(
                 flow_id=flow.flow_id,
@@ -161,11 +161,13 @@ class NetworkSimulator:
         return SimulationMetrics(
             utilization=link_stats.utilization(self.config.link.rate_bps, duration_us),
             mean_queueing_delay_ms=link_stats.mean_queueing_delay_ms(),
-            p95_queueing_delay_ms=link_stats.p95_queueing_delay_ms(),
-            p99_queueing_delay_ms=link_stats.p99_queueing_delay_ms(),
+            p95_queueing_delay_ms=p95,
+            p99_queueing_delay_ms=p99,
             loss_rate=link_stats.loss_rate(),
             duration_s=self.config.duration_s,
             flows=flow_metrics,
+            events=events,
+            truncated=self.events.truncated,
         )
 
 
