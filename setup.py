@@ -20,11 +20,11 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # numpy is a *core* dependency, not a dev extra: the trace sidecar decode
-    # (traces/streaming.py), the columnar Trace form and the vectorized DSL
-    # backend all import it at runtime.  1.24 is the tested minimum (first
-    # release with the strict float64 promotion rules run_batch relies on);
-    # the suite is routinely exercised against numpy 2.x (2.4.6 in CI).
+    # numpy is a *core* dependency, not a dev extra: the synthetic trace
+    # generators, the trace sidecar decode (traces/streaming.py), the
+    # columnar Trace form and the evaluation store import it at runtime (the
+    # DSL backends do not).  1.24 is the tested minimum; the suite is
+    # routinely exercised against numpy 2.x (2.4.6 in CI).
     install_requires=["numpy>=1.24"],
     extras_require={
         # Everything CI needs on top of the runtime dependencies: the test

@@ -14,12 +14,11 @@ per-run list that :func:`_kernel_table` rewrites at every aggregate
 refresh), so a priority evaluation is one Python frame.
 
 Why eager per-row scoring and not deferred numpy batches?  Both were built
-and measured: :meth:`~repro.dsl.vectorize.VectorizedProgram.run_batch` is
-3-4x faster than the scalar kernel once feature columns already live in
-numpy arrays (that is the DSL-level batch API, and ``simulate_many``'s
-per-candidate column sharing), but inside the simulator the features are
-inherently produced row-by-row as the cache mutates, and the Python-value
--> ndarray conversion alone costs more than the scalar call.
+and measured: a numpy lane evaluator was 3-4x faster than the scalar kernel
+once feature columns already lived in numpy arrays, but inside the
+simulator the features are inherently produced row-by-row as the cache
+mutates, and the Python-value -> ndarray conversion alone costs more than
+the scalar call.
 Deferring evaluations to eviction decision points was measured slower than
 this zero-layer loop at every realistic batch size, and eager scoring has
 a stronger exactness story: every evaluation -- including one that raises

@@ -381,9 +381,6 @@ class CachingDomain(SearchDomain):
 
 register_domain(CachingDomain())
 
-#: Backwards-compatible alias: the generic setup has the same field names.
-CachingSearchSetup = SearchSetup
-
 
 def build_caching_search(
     trace: Trace,

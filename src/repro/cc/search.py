@@ -102,9 +102,6 @@ class CCDomain(SearchDomain):
 
 register_domain(CCDomain())
 
-#: Backwards-compatible alias: the generic setup has the same field names.
-CCSearchSetup = SearchSetup
-
 
 def build_cc_search(
     rounds: int = 4,

@@ -359,15 +359,3 @@ def build_search(
         engine=search.engine,
         domain=domain,
     )
-
-
-def __getattr__(name: str):
-    if name == "run_search":
-        # Removed after its one-release deprecation window (PR 2 deprecated,
-        # PR 4 deleted); a helpful error beats an AttributeError.
-        raise AttributeError(
-            "run_search() was removed; use repro.core.spec.run(RunSpec(...)), "
-            "whose RunOutcome carries the result, the SearchSetup and the "
-            "run's artifact directory"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

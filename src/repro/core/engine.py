@@ -20,8 +20,8 @@ shared execution substrate that replaces that loop for every domain:
   evaluation, whose result back-fills both tiers.
 * **Pluggable fan-out** -- unique units of work run on a registered
   :class:`~repro.core.executors.Executor` backend (``serial`` / ``thread`` /
-  ``process`` / ``async``), selected by :class:`EngineConfig`, with optional
-  per-unit timeouts and crash isolation.
+  ``process`` / ``distributed``), selected by :class:`EngineConfig`, with
+  optional per-unit timeouts and crash isolation.
 * **Scenario sharding** -- when the evaluator is a
   :class:`~repro.core.scenarios.MultiScenarioEvaluator` and a parallel
   backend is configured, the unit of work becomes one (candidate, scenario)

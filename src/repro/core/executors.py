@@ -22,12 +22,6 @@ without touching the engine:
     evaluator pickled once into each worker.  True parallelism plus hard
     crash isolation: a worker that dies takes neither the pool's results nor
     the search down.
-``async``
-    An asyncio event loop multiplexing units over a bounded thread pool.
-    Evaluators that implement ``evaluate_async`` (a coroutine) are awaited
-    natively, so overlap-friendly evaluators (remote services, async I/O)
-    can exceed ``max_workers`` in-flight requests; everything else behaves
-    like ``thread``.
 ``distributed``
     A spool-directory work queue (see :mod:`repro.core.queue`): the
     coordinator serializes units into ``<queue>/pending/``, worker
@@ -46,7 +40,6 @@ across backends (asserted in the tests).
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import os
 import shutil
@@ -278,102 +271,6 @@ class ProcessExecutor(_PoolExecutor):
         if unit.scenario is None:
             return pool.submit(_evaluate_in_worker, unit.program)
         return pool.submit(_evaluate_scenario_in_worker, unit.program, unit.scenario)
-
-
-class AsyncExecutor(_PoolExecutor):
-    """Asyncio multiplexing over a bounded thread pool.
-
-    Synchronous evaluators run on the thread pool exactly like the
-    ``thread`` backend (one pool slot per in-flight unit); an evaluator
-    exposing ``evaluate_async(program)`` (a coroutine) is awaited on the
-    loop itself and bypasses the pool entirely, so overlap-friendly
-    evaluators (remote services, async I/O) really do exceed
-    ``max_workers`` in-flight requests.  Timeout handling mirrors the
-    thread backend: a timed-out synchronous unit abandons its pool thread,
-    later units of the batch are rescued on fresh threads instead of being
-    charged queue-wait they never asked for, and the poisoned pool is
-    discarded so the next batch starts clean.  Results keep submission
-    order.
-    """
-
-    name = "async"
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(max_workers=self.config.max_workers)
-
-    def run_units(self, units: List[EvalUnit], stats) -> List[EvaluationResult]:
-        before = stats.eval_timeouts
-        results = asyncio.run(self._run_all(units, stats))
-        if stats.eval_timeouts > before:
-            # A timed-out synchronous unit still occupies a pool thread
-            # (threads cannot be killed); keeping the pool would let hung
-            # work starve every later batch.
-            self._discard_pool(wait=False)
-        return results
-
-    async def _run_all(self, units: List[EvalUnit], stats) -> List[EvaluationResult]:
-        semaphore = asyncio.Semaphore(self.config.max_workers)
-        rescue = asyncio.Lock()
-        loop = asyncio.get_running_loop()
-        pool = self._ensure_pool()
-        poisoned = False  # a sync timeout left a hung thread in the pool
-
-        async def one(unit: EvalUnit) -> EvaluationResult:
-            nonlocal poisoned
-            native = (
-                unit.scenario is None
-                and getattr(self.evaluator, "evaluate_async", None) is not None
-            )
-            if native:
-                # Coroutines never touch the pool: their in-flight overlap
-                # is bounded by the batch, not by max_workers.
-                result, _timed_out = await self._guarded(
-                    unit, self.evaluator.evaluate_async(unit.program), stats
-                )
-                return result
-            async with semaphore:
-                if poisoned:
-                    # Queueing behind a hung thread would charge this unit
-                    # wait time against its own timeout; rescue it on a
-                    # fresh thread (serially, like the thread backend).
-                    async with rescue:
-                        return await loop.run_in_executor(
-                            None, self._run_inline, unit
-                        )
-                result, timed_out = await self._guarded(
-                    unit, loop.run_in_executor(pool, self._run_inline, unit), stats
-                )
-                poisoned = poisoned or timed_out
-                return result
-
-        return list(await asyncio.gather(*(one(unit) for unit in units)))
-
-    async def _guarded(self, unit: EvalUnit, awaitable, stats) -> tuple:
-        """Await one unit with the configured timeout; ``(result, timed_out)``."""
-        try:
-            result = await asyncio.wait_for(
-                awaitable, timeout=self.config.eval_timeout_s
-            )
-            return result, False
-        except asyncio.TimeoutError:
-            stats.eval_timeouts += 1
-            return (
-                EvaluationResult.failure(
-                    f"evaluation timed out after {self.config.eval_timeout_s}s",
-                    unit.failure_score,
-                    transient=True,
-                ),
-                True,
-            )
-        except Exception as exc:  # noqa: BLE001 - worker boundary
-            return (
-                EvaluationResult.failure(
-                    f"evaluation failed in worker: {type(exc).__name__}: {exc}",
-                    unit.failure_score,
-                    transient=True,
-                ),
-                False,
-            )
 
 
 class DistributedExecutor(Executor):
@@ -673,11 +570,5 @@ def create_executor(name: str, config, evaluator: Evaluator) -> Executor:
     return cls(config, evaluator)
 
 
-for _cls in (
-    SerialExecutor,
-    ThreadExecutor,
-    ProcessExecutor,
-    AsyncExecutor,
-    DistributedExecutor,
-):
+for _cls in (SerialExecutor, ThreadExecutor, ProcessExecutor, DistributedExecutor):
     register_executor(_cls)

@@ -18,7 +18,7 @@ The public surface:
 ``analyze``           static facts used by checkers (floats, division, loops)
 ``mutate`` / ``crossover``   evolutionary operators
 ``random_program``    grammar-based sampling of fresh candidates
-``to_source`` / ``to_c_like`` / ``to_python``  code generation back ends
+``to_source`` / ``to_c_like``   code generation back ends
 ``compile_program``   compiles a :class:`Program` to a native Python callable
                       (the hot-loop fast path; the interpreter stays as the
                       fallback and differential-testing oracle)
@@ -69,7 +69,7 @@ from repro.dsl.abstract import (
     analyze_intervals,
     certify_program,
 )
-from repro.dsl.codegen import to_c_like, to_python, to_source
+from repro.dsl.codegen import to_c_like, to_source
 from repro.dsl.mutation import MutationConfig, crossover, mutate
 from repro.dsl.grammar import GrammarConfig, FeatureSpec, random_program
 from repro.dsl.vectorize import DslVectorizeError, VectorizedProgram, vectorize_program
@@ -120,7 +120,6 @@ __all__ = [
     "vectorize_program",
     "to_source",
     "to_c_like",
-    "to_python",
     "MutationConfig",
     "mutate",
     "crossover",

@@ -173,22 +173,18 @@ def _brief_repr(node) -> str:
 
 
 # --------------------------------------------------------------------------
-# Vectorizability (feeds the numpy batch backend, repro.dsl.vectorize)
+# Vectorizability (feeds the column-bound kernels of repro.dsl.vectorize)
 # --------------------------------------------------------------------------
 
-#: Builtin functions the batch lowering can translate, with the arities it
-#: supports (min/max accept 2+; anything else errors at runtime, so such
-#: programs fall back to the scalar backends which produce the right error).
+#: Builtin functions a kernel may call, with the arities checked below
+#: (min/max accept 2+; anything else errors at runtime, so such programs
+#: take the scalar backends, which produce the right error).
 _VECTOR_BUILTINS = {"min", "max", "abs", "clamp"}
-
-#: Integer literals at or beyond 2**53 are not exactly representable as
-#: float64 lanes, so programs containing them take the scalar backends.
-_EXACT_INT_BOUND = 2**53
 
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """One per-row input column of a vectorized kernel.
+    """One feature read of a program, as a per-evaluation input of its kernel.
 
     ``kind`` is ``"scalar"`` (a plain numeric parameter read), ``"attr"``
     (``param.attr``) or ``"method"`` (``param.method(args)``).  ``args`` are
@@ -205,11 +201,16 @@ class ColumnSpec:
 
 @dataclass
 class VectorizabilityReport:
-    """Outcome of :func:`vectorizability`: either a column plan or reasons."""
+    """Outcome of :func:`vectorizability`: either a column plan or reasons.
+
+    ``leaves`` maps ``id(node)`` of every attribute read and method call on
+    a parameter object to its column's key: the nodes a kernel reads from a
+    local instead of evaluating (``repro.dsl.compile``'s ``leaves``)."""
 
     ok: bool
     reasons: List[str] = field(default_factory=list)
     columns: List[ColumnSpec] = field(default_factory=list)
+    leaves: Dict[int, str] = field(default_factory=dict)
 
 
 def _column_key(kind: str, param: str, attr: Optional[str], args) -> str:
@@ -222,19 +223,20 @@ def _column_key(kind: str, param: str, attr: Optional[str], args) -> str:
 
 
 def vectorizability(program: Program) -> VectorizabilityReport:
-    """Decide whether ``program`` can be lowered to numpy batch kernels.
+    """Decide whether ``program``'s feature reads can be hoisted into columns.
 
     The check is conservative: it accepts straight-line numeric programs
-    whose feature accesses can be captured as per-row columns ahead of time
-    (attribute reads and method calls on parameter objects, with literal or
-    never-reassigned-parameter arguments), and rejects everything whose
-    batch semantics could diverge from the scalar backends -- loops, huge
-    integer literals, feature objects used as values, unknown functions.
+    whose feature accesses can be captured ahead of the body (attribute
+    reads and method calls on parameter objects, with literal or
+    never-reassigned-parameter arguments), and rejects everything a kernel
+    over plain column values could evaluate differently from the scalar
+    backends -- loops, feature objects used as values, unknown functions.
     Rejected programs simply run on the compiled/interpreter backends.
     """
     params = set(program.params)
     reasons: List[str] = []
     columns: List[ColumnSpec] = []
+    leaves: Dict[int, str] = {}
     seen_keys: Set[str] = set()
     assigned: Set[str] = set()
     feature_params: Set[str] = set()
@@ -248,13 +250,14 @@ def vectorizability(program: Program) -> VectorizabilityReport:
         elif isinstance(node, ForRange):
             assigned.add(node.var.id)
 
-    def add_column(kind: str, param: str, attr: Optional[str], args=()) -> None:
+    def add_column(kind: str, param: str, attr: Optional[str], args=()) -> str:
         key = _column_key(kind, param, attr, args)
         if key not in seen_keys:
             seen_keys.add(key)
             columns.append(
                 ColumnSpec(key=key, kind=kind, param=param, attr=attr, args=tuple(args))
             )
+        return key
 
     def visit_feature_base(base: Expr, what: str) -> Optional[str]:
         if not isinstance(base, Name):
@@ -267,12 +270,7 @@ def vectorizability(program: Program) -> VectorizabilityReport:
         return base.id
 
     def visit_expr(expr: Expr) -> None:
-        if isinstance(expr, Number):
-            if isinstance(expr.value, int) and abs(expr.value) >= _EXACT_INT_BOUND:
-                reasons.append(
-                    f"integer literal {expr.value} is not exact in float64 lanes"
-                )
-        elif isinstance(expr, Name):
+        if isinstance(expr, Name):
             bare_reads.add(expr.id)
             if expr.id in params:
                 add_column("scalar", expr.id, None)
@@ -281,7 +279,7 @@ def vectorizability(program: Program) -> VectorizabilityReport:
         elif isinstance(expr, Attribute):
             param = visit_feature_base(expr.value, f"attribute read .{expr.attr}")
             if param is not None:
-                add_column("attr", param, expr.attr)
+                leaves[id(expr)] = add_column("attr", param, expr.attr)
         elif isinstance(expr, Call):
             func = expr.func
             if isinstance(func, Attribute):
@@ -307,7 +305,7 @@ def vectorizability(program: Program) -> VectorizabilityReport:
                             "or parameter"
                         )
                         return
-                add_column("method", param, func.attr, args)
+                leaves[id(expr)] = add_column("method", param, func.attr, args)
             elif isinstance(func, Name):
                 if func.id not in _VECTOR_BUILTINS:
                     reasons.append(f"unknown function {func.id!r}")
@@ -335,7 +333,7 @@ def vectorizability(program: Program) -> VectorizabilityReport:
             visit_expr(expr.condition)
             visit_expr(expr.if_true)
             visit_expr(expr.if_false)
-        else:
+        elif not isinstance(expr, Number):
             reasons.append(f"unsupported expression {type(expr).__name__}")
 
     def visit_block(stmts: List[Stmt]) -> None:
@@ -355,7 +353,7 @@ def vectorizability(program: Program) -> VectorizabilityReport:
             elif isinstance(stmt, Return):
                 visit_expr(stmt.value)
             elif isinstance(stmt, (ForRange, While)):
-                reasons.append(f"{type(stmt).__name__} loops are not vectorized")
+                reasons.append(f"{type(stmt).__name__} loops take the interpreter: step budget")
             else:
                 reasons.append(f"unsupported statement {type(stmt).__name__}")
 
@@ -368,4 +366,4 @@ def vectorizability(program: Program) -> VectorizabilityReport:
 
     if reasons:
         return VectorizabilityReport(ok=False, reasons=reasons)
-    return VectorizabilityReport(ok=True, columns=columns)
+    return VectorizabilityReport(ok=True, columns=columns, leaves=leaves)

@@ -1,14 +1,15 @@
 """Code generation: render AST programs back to text.
 
-Three back ends:
+Two back ends:
 
 * :func:`to_source` -- canonical DSL text; ``parse(to_source(p)) == p`` holds
   for every program the parser can produce (round-trip property, tested with
   hypothesis).
 * :func:`to_c_like` -- C-flavoured rendering close to the paper's Listing 1,
   used when printing discovered heuristics in experiment reports.
-* :func:`to_python` -- a Python function body, useful for inspection and for
-  embedding a discovered heuristic in a pure-Python deployment.
+
+Rendering a program as *Python* is not done here: :mod:`repro.dsl.compile` is
+the one emitter of executable code (``to_callable_source`` for inspection).
 """
 
 from __future__ import annotations
@@ -210,70 +211,3 @@ def to_c_like(program: Program) -> str:
         else:
             lines.append(stripped + ";")
     return "\n".join(lines) + "\n"
-
-
-def _python_expr(expr: Expr) -> str:
-    if isinstance(expr, Ternary):
-        return (
-            f"({_python_expr(expr.if_true)} if {_python_expr(expr.condition)}"
-            f" else {_python_expr(expr.if_false)})"
-        )
-    if isinstance(expr, BinOp):
-        return f"({_python_expr(expr.left)} {expr.op} {_python_expr(expr.right)})"
-    if isinstance(expr, Compare):
-        return f"({_python_expr(expr.left)} {expr.op} {_python_expr(expr.right)})"
-    if isinstance(expr, BoolOp):
-        joined = f" {expr.op} ".join(_python_expr(v) for v in expr.values)
-        return f"({joined})"
-    if isinstance(expr, UnaryOp):
-        if expr.op == "not":
-            return f"(not {_python_expr(expr.operand)})"
-        return f"(-{_python_expr(expr.operand)})"
-    if isinstance(expr, Call):
-        args = ", ".join(_python_expr(a) for a in expr.args)
-        return f"{_python_expr(expr.func)}({args})"
-    if isinstance(expr, Attribute):
-        return f"{_python_expr(expr.value)}.{expr.attr}"
-    if isinstance(expr, Name):
-        return expr.id
-    if isinstance(expr, Number):
-        return _format_number(expr.value)
-    raise TypeError(f"cannot render expression of type {type(expr).__name__}")
-
-
-def _python_block(stmts: List[Stmt], indent: int) -> List[str]:
-    pad = "    " * indent
-    lines: List[str] = []
-    for stmt in stmts:
-        if isinstance(stmt, Assign):
-            lines.append(f"{pad}{stmt.target.id} = {_python_expr(stmt.value)}")
-        elif isinstance(stmt, AugAssign):
-            lines.append(f"{pad}{stmt.target.id} {stmt.op}= {_python_expr(stmt.value)}")
-        elif isinstance(stmt, Return):
-            lines.append(f"{pad}return {_python_expr(stmt.value)}")
-        elif isinstance(stmt, If):
-            lines.append(f"{pad}if {_python_expr(stmt.condition)}:")
-            lines.extend(_python_block(stmt.body, indent + 1) or [f"{pad}    pass"])
-            if stmt.orelse:
-                lines.append(f"{pad}else:")
-                lines.extend(_python_block(stmt.orelse, indent + 1) or [f"{pad}    pass"])
-        elif isinstance(stmt, ForRange):
-            lines.append(
-                f"{pad}for {stmt.var.id} in range({_python_expr(stmt.limit)}):"
-            )
-            lines.extend(_python_block(stmt.body, indent + 1) or [f"{pad}    pass"])
-        elif isinstance(stmt, While):
-            lines.append(f"{pad}while {_python_expr(stmt.condition)}:")
-            lines.extend(_python_block(stmt.body, indent + 1) or [f"{pad}    pass"])
-        else:
-            raise TypeError(f"cannot render statement of type {type(stmt).__name__}")
-    return lines
-
-
-def to_python(program: Program) -> str:
-    """Render ``program`` as an equivalent Python function definition."""
-    header = f"def {program.name}({', '.join(program.params)}):"
-    body = _python_block(program.body, 1)
-    if not body:
-        body = ["    return 0"]
-    return "\n".join([header, *body]) + "\n"

@@ -4,9 +4,12 @@ The tree-walking :class:`~repro.dsl.interpreter.Interpreter` pays a Python
 function call per AST node per invocation, which dominates the cost of
 simulating a candidate on a trace (the priority function runs on every cache
 access, the cong_control function on every ACK).  This module renders a
-:class:`~repro.dsl.ast.Program` as real Python source -- building on the
-:func:`~repro.dsl.codegen.to_python` rendering -- and ``exec``-compiles it
-once, so each invocation afterwards is a single native call.
+:class:`~repro.dsl.ast.Program` as real Python source and ``exec``-compiles it
+once, so each invocation afterwards is a single native call.  ``_cexpr`` /
+``_cblock`` are the only place a DSL AST becomes Python: a caller that already
+holds some sub-expressions' values in locals (the vectorized backend's feature
+columns) passes ``leaves``, ``id(node) -> local name``, and those nodes render
+as that name instead of being descended into.
 
 The compiled callable preserves the interpreter's observable semantics, which
 the differential property test (``tests/dsl/test_compile.py``) checks over
@@ -134,18 +137,23 @@ def _args_tuple(parts: List[str]) -> str:
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
-def _cexpr(expr: Expr, builtins: Dict[str, Callable[..., Any]]) -> str:
+def _cexpr(
+    expr: Expr, builtins: Dict[str, Callable[..., Any]], leaves: Mapping[int, str]
+) -> str:
+    leaf = leaves.get(id(expr))
+    if leaf is not None:
+        return leaf
     if isinstance(expr, Number):
         return _format_number(expr.value)
     if isinstance(expr, Name):
         return expr.id
     if isinstance(expr, Attribute):
-        return f'{_cexpr(expr.value, builtins)}.dsl_getattr("{expr.attr}")'
+        return f'{_cexpr(expr.value, builtins, leaves)}.dsl_getattr("{expr.attr}")'
     if isinstance(expr, Call):
-        args = [_cexpr(arg, builtins) for arg in expr.args]
+        args = [_cexpr(arg, builtins, leaves) for arg in expr.args]
         func = expr.func
         if isinstance(func, Attribute):
-            target = _cexpr(func.value, builtins)
+            target = _cexpr(func.value, builtins, leaves)
             return f'{target}.dsl_call("{func.attr}", {_args_tuple(args)})'
         if isinstance(func, Name):
             if func.id in builtins:
@@ -153,24 +161,23 @@ def _cexpr(expr: Expr, builtins: Dict[str, Callable[..., Any]]) -> str:
             return f'__dsl_call_unknown("{func.id}", {_args_tuple(args)})'
         raise DslCompileError("unsupported call target")
     if isinstance(expr, UnaryOp):
-        operand = _cexpr(expr.operand, builtins)
+        operand = _cexpr(expr.operand, builtins, leaves)
         if expr.op == "not":
             return f"(not {operand})"
         return f"(-{operand})"
-    if isinstance(expr, BinOp):
-        return f"({_cexpr(expr.left, builtins)} {expr.op} {_cexpr(expr.right, builtins)})"
-    if isinstance(expr, Compare):
-        return f"({_cexpr(expr.left, builtins)} {expr.op} {_cexpr(expr.right, builtins)})"
+    if isinstance(expr, (BinOp, Compare)):
+        left = _cexpr(expr.left, builtins, leaves)
+        return f"({left} {expr.op} {_cexpr(expr.right, builtins, leaves)})"
     if isinstance(expr, BoolOp):
         joined = f" {expr.op} ".join(
-            f"__dsl_truthy({_cexpr(v, builtins)})" for v in expr.values
+            f"__dsl_truthy({_cexpr(v, builtins, leaves)})" for v in expr.values
         )
         return f"({joined})"
     if isinstance(expr, Ternary):
         return (
-            f"({_cexpr(expr.if_true, builtins)} "
-            f"if __dsl_truthy({_cexpr(expr.condition, builtins)}) "
-            f"else {_cexpr(expr.if_false, builtins)})"
+            f"({_cexpr(expr.if_true, builtins, leaves)} "
+            f"if __dsl_truthy({_cexpr(expr.condition, builtins, leaves)}) "
+            f"else {_cexpr(expr.if_false, builtins, leaves)})"
         )
     raise DslCompileError(f"cannot compile expression of type {type(expr).__name__}")
 
@@ -179,27 +186,24 @@ def _cblock(
     stmts: List[Stmt],
     indent: int,
     builtins: Dict[str, Callable[..., Any]],
+    leaves: Mapping[int, str],
 ) -> List[str]:
     pad = "    " * indent
     lines: List[str] = []
     for stmt in stmts:
         if isinstance(stmt, Assign):
-            lines.append(f"{pad}{stmt.target.id} = {_cexpr(stmt.value, builtins)}")
+            lines.append(f"{pad}{stmt.target.id} = {_cexpr(stmt.value, builtins, leaves)}")
         elif isinstance(stmt, AugAssign):
-            lines.append(
-                f"{pad}{stmt.target.id} {stmt.op}= {_cexpr(stmt.value, builtins)}"
-            )
+            lines.append(f"{pad}{stmt.target.id} {stmt.op}= {_cexpr(stmt.value, builtins, leaves)}")
         elif isinstance(stmt, Return):
-            lines.append(f"{pad}return {_cexpr(stmt.value, builtins)}")
+            lines.append(f"{pad}return {_cexpr(stmt.value, builtins, leaves)}")
         elif isinstance(stmt, If):
-            lines.append(f"{pad}if __dsl_truthy({_cexpr(stmt.condition, builtins)}):")
-            lines.extend(
-                _cblock(stmt.body, indent + 1, builtins) or [f"{pad}    pass"]
-            )
+            lines.append(f"{pad}if __dsl_truthy({_cexpr(stmt.condition, builtins, leaves)}):")
+            lines.extend(_cblock(stmt.body, indent + 1, builtins, leaves) or [f"{pad}    pass"])
             if stmt.orelse:
                 lines.append(f"{pad}else:")
                 lines.extend(
-                    _cblock(stmt.orelse, indent + 1, builtins) or [f"{pad}    pass"]
+                    _cblock(stmt.orelse, indent + 1, builtins, leaves) or [f"{pad}    pass"]
                 )
         elif isinstance(stmt, (ForRange, While)):
             # Loops take the interpreter path: its per-node step budget has
@@ -218,14 +222,18 @@ def to_callable_source(
     program: Program,
     builtins: Optional[Dict[str, Callable[..., Any]]] = None,
     prologue: Sequence[str] = (),
+    leaves: Optional[Mapping[int, str]] = None,
 ) -> str:
-    """Render ``program`` as the Python source the compiler will ``exec``;
-    ``prologue`` lines (Python, not DSL) run before its first statement."""
+    """Render ``program`` as the Python source the compiler will ``exec``.
+
+    ``prologue`` lines (Python, not DSL) run before its first statement; a
+    node whose ``id`` is in ``leaves`` renders as that local name, which the
+    prologue (or the signature) is expected to have bound."""
     table = builtins if builtins is not None else DEFAULT_BUILTINS
     header = f"def {program.name}({', '.join(program.params)}):"
     lines = [header]
     lines.extend(f"    {line}" for line in prologue)
-    lines.extend(_cblock(program.body, 1, table))
+    lines.extend(_cblock(program.body, 1, table, leaves or {}))
     # The interpreter returns 0 when execution falls off the end.
     lines.append("    return 0")
     return "\n".join(lines) + "\n"
@@ -251,14 +259,16 @@ class CompiledProgram:
         builtins: Optional[Dict[str, Callable[..., Any]]] = None,
         prologue: Sequence[str] = (),
         helpers: Optional[Mapping[str, Any]] = None,
+        leaves: Optional[Mapping[int, str]] = None,
     ):
         """``helpers`` are the globals the ``prologue`` lines call (the
-        namespace has no ``__builtins__``)."""
+        namespace has no ``__builtins__``); ``prologue`` and ``leaves`` are
+        :func:`to_callable_source`'s."""
         self.program = program
         self.max_steps = max_steps
         table = dict(builtins) if builtins is not None else dict(DEFAULT_BUILTINS)
         _reject_unsafe_identifiers(program)
-        self.python_source = to_callable_source(program, table, prologue)
+        self.python_source = to_callable_source(program, table, prologue, leaves)
         namespace: Dict[str, Any] = {
             **(helpers or {}),
             "__builtins__": {},

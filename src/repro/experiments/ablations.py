@@ -190,10 +190,3 @@ register_experiment(
         },
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover - migration stub
-    raise SystemExit(
-        "this entry point moved to the unified CLI: "
-        "python -m repro run ablations --set rounds=4"
-    )

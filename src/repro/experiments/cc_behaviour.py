@@ -165,10 +165,3 @@ register_experiment(
         params={"candidates": 50, "seed": 23, "duration": 4.0},
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover - migration stub
-    raise SystemExit(
-        "this entry point moved to the unified CLI: "
-        "python -m repro run cc-behaviour --set candidates=40"
-    )

@@ -210,10 +210,3 @@ register_experiment(
         params={"candidates": 100, "seed": 11, "caching": True, "repair": True},
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover - migration stub
-    raise SystemExit(
-        "this entry point moved to the unified CLI: "
-        "python -m repro run cc-compilation --set candidates=100"
-    )

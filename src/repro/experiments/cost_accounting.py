@@ -137,10 +137,3 @@ register_experiment(
         },
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover - migration stub
-    raise SystemExit(
-        "this entry point moved to the unified CLI: "
-        "python -m repro run cost-accounting --set rounds=4"
-    )

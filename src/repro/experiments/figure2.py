@@ -215,10 +215,3 @@ register_experiment(
         accepts_progress=True,
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover - migration stub
-    raise SystemExit(
-        "this entry point moved to the unified CLI: "
-        "python -m repro run figure2 --set dataset=msr"
-    )

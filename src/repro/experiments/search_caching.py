@@ -204,10 +204,3 @@ register_experiment(
         },
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover - migration stub
-    raise SystemExit(
-        "this entry point moved to the unified CLI: "
-        "python -m repro run caching-search --set trace=89 --set rounds=20"
-    )

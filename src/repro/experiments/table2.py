@@ -127,10 +127,3 @@ register_experiment(
         params={"dataset": "both", "traces": None, "requests": None},
     )
 )
-
-
-if __name__ == "__main__":  # pragma: no cover - migration stub
-    raise SystemExit(
-        "this entry point moved to the unified CLI: "
-        "python -m repro run table2"
-    )

@@ -28,29 +28,10 @@ from repro.traces.streaming import (
     open_csv_trace,
 )
 
-#: The old loader entry points (``cloudphysics_trace`` / ``msr_trace`` /
-#: ``*_corpus``) were removed after their one-release deprecation window:
-#: use ``repro.workloads.build_trace("caching/cloudphysics", index=...)``
-#: and ``repro.workloads.corpus_traces(dataset, ...)``.  The ``*_config``
-#: parameter sources and :func:`generate_trace` remain the supported
-#: machinery beneath the workload registry.
-
-_REMOVED_LOADERS = {
-    "cloudphysics_trace": 'repro.workloads.build_trace("caching/cloudphysics", index=...)',
-    "msr_trace": 'repro.workloads.build_trace("caching/msr", index=...)',
-    "cloudphysics_corpus": 'repro.workloads.corpus_traces("cloudphysics", ...)',
-    "msr_corpus": 'repro.workloads.corpus_traces("msr", ...)',
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED_LOADERS:
-        raise AttributeError(
-            f"{name}() was removed; use {_REMOVED_LOADERS[name]} -- the "
-            "workload registry is the canonical loader entry point"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+#: Traces are loaded through the workload registry
+#: (``repro.workloads.build_trace("caching/cloudphysics", index=...)``,
+#: ``repro.workloads.corpus_traces(dataset, ...)``); the ``*_config``
+#: parameter sources and :func:`generate_trace` are the machinery beneath it.
 
 __all__ = [
     "SyntheticWorkloadConfig",

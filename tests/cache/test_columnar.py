@@ -166,6 +166,22 @@ def test_every_backend_simulates_grammar_programs_identically(seed):
     assert outcomes["vectorized"] == outcomes["compiled"] == outcomes["interpreter"]
 
 
+def test_huge_integer_literal_runs_fused_and_scores_like_the_interpreter():
+    """The kernel computes on Python ints, so a literal beyond 2**53 needs no
+    fallback: exact-integer arithmetic on it decides the score here."""
+    body = f"(obj_info.count * {2**60} + obj_info.size) % 1000 - obj_info.count"
+    source = f"{_SIG} {{ return {body} }}"
+    trace = _workload_trace(seed=5)
+    fused_policy = _policy(source)
+    assert fused_policy._priority.backend == "vectorized"
+    fused = fused_cache_run(CacheSimulator(), fused_policy, trace, 0)
+    assert fused is not None
+    oracle_policy = _policy(source, backend="interpreter")
+    assert CacheSimulator().run(oracle_policy, trace) == fused
+    assert _state(oracle_policy) == _state(fused_policy)  # heap scores included
+    assert fused.evictions > 0
+
+
 def _assert_same_error(source):
     trace = _workload_trace()
     with pytest.raises(DslError) as fused_exc:

@@ -1,6 +1,4 @@
-"""The pluggable executor layer: registry, backend parity, async support."""
-
-import asyncio
+"""The pluggable executor layer: registry and backend parity."""
 
 import pytest
 
@@ -8,8 +6,6 @@ from repro.core.checker import StructuralChecker
 from repro.core.engine import EngineConfig, EvaluationEngine
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.executors import (
-    AsyncExecutor,
-    EvalUnit,
     Executor,
     SerialExecutor,
     available_executors,
@@ -39,18 +35,6 @@ class ConstEvaluator(Evaluator):
         return EvaluationResult(score=float(value), valid=True)
 
 
-class AsyncAwareEvaluator(ConstEvaluator):
-    """Evaluator exposing the coroutine entry point the async backend uses."""
-
-    def __init__(self):
-        self.async_calls = 0
-
-    async def evaluate_async(self, program):
-        self.async_calls += 1
-        await asyncio.sleep(0)
-        return self.evaluate(program)
-
-
 def candidates(sources):
     return [
         Candidate(candidate_id=f"c{i}", source=source, round_index=1)
@@ -71,7 +55,12 @@ def make_engine(evaluator=None, **config_kwargs):
 
 
 def test_builtin_backends_registered():
-    assert {"serial", "thread", "process", "async"} <= set(available_executors())
+    assert available_executors() == ["distributed", "process", "serial", "thread"]
+
+
+def test_async_backend_is_gone_and_rejected_by_name():
+    with pytest.raises(ValueError, match=r"unknown executor 'async'.*available: \["):
+        EngineConfig(executor="async")
 
 
 def test_engine_config_accepts_any_registered_backend():
@@ -128,7 +117,7 @@ def test_executor_must_declare_a_name():
 SOURCES = [f"def f(x) {{ return {n} }}" for n in range(6)]
 
 
-@pytest.mark.parametrize("executor", ["thread", "process", "async"])
+@pytest.mark.parametrize("executor", ["thread", "process"])
 def test_backends_match_serial(executor):
     serial = make_engine().process_batch(candidates(SOURCES))
     parallel_engine = make_engine(max_workers=3, executor=executor)
@@ -138,7 +127,7 @@ def test_backends_match_serial(executor):
     assert parallel.stats.unique_evaluations == 6
 
 
-@pytest.mark.parametrize("executor", ["thread", "async"])
+@pytest.mark.parametrize("executor", ["thread"])
 def test_backends_match_serial_under_scenario_sharding(executor):
     scenarios = [("a", ConstEvaluator()), ("b", ConstEvaluator())]
     serial = make_engine(MultiScenarioEvaluator(scenarios)).process_batch(
@@ -161,100 +150,3 @@ def test_single_worker_runs_serially_whatever_the_backend():
     assert engine._executor is not None
     assert engine._executor.name == "serial"
     engine.close()
-
-
-# -- async specifics ----------------------------------------------------------------
-
-
-def test_async_backend_uses_native_coroutine_when_available():
-    evaluator = AsyncAwareEvaluator()
-    engine = make_engine(evaluator, max_workers=2, executor="async")
-    batch = engine.process_batch(candidates(SOURCES))
-    engine.close()
-    assert evaluator.async_calls == 6
-    assert [s.score for s in batch.scored] == [float(n) for n in range(6)]
-
-
-def test_async_backend_timeout_produces_transient_failure():
-    class Stuck(ConstEvaluator):
-        async def evaluate_async(self, program):
-            await asyncio.sleep(30)
-
-    engine = make_engine(Stuck(), max_workers=2, executor="async", eval_timeout_s=0.05)
-    batch = engine.process_batch(candidates(["def f(x) { return 1 }"]))
-    engine.close()
-    evaluation = batch.scored[0].evaluation
-    assert evaluation is not None and not evaluation.valid
-    assert "timed out" in evaluation.error
-    assert evaluation.transient
-    assert batch.stats.eval_timeouts == 1
-
-
-def test_async_backend_abandons_pool_after_timeout():
-    """A hung synchronous unit occupies a pool thread forever; the backend
-    must rescue the rest of the batch on fresh threads and start the next
-    batch on a fresh pool instead of queueing behind the hung one."""
-    import threading
-
-    release = threading.Event()
-    hangs = []
-
-    class Hang(ConstEvaluator):
-        def evaluate_program(self, program):
-            # The first two calls saturate the 2-thread pool with hung work.
-            if len(hangs) < 2:
-                hangs.append(program)
-                release.wait(timeout=30)
-            return super().evaluate_program(program)
-
-    engine = make_engine(
-        Hang(), max_workers=2, executor="async", eval_timeout_s=0.2
-    )
-    batch = engine.process_batch(
-        candidates([f"def f(x) {{ return {n} }}" for n in range(5)])
-    )
-    scores = [s.score for s in batch.scored]
-    assert scores[2:] == [2.0, 3.0, 4.0]  # rescued on fresh threads
-    assert batch.stats.eval_timeouts == 2  # only the hung units
-    assert engine._executor._pool is None  # poisoned pool was discarded
-    second = engine.process_batch(candidates(["def f(x) { return 9 }"]))
-    assert second.scored[0].score == 9.0
-    release.set()
-    engine.close()
-
-
-def test_async_native_units_overlap_beyond_max_workers():
-    """evaluate_async coroutines bypass the pool: more than max_workers can
-    be in flight at once."""
-    import asyncio as aio
-
-    class Overlapping(ConstEvaluator):
-        def __init__(self):
-            self.in_flight = 0
-            self.peak = 0
-
-        async def evaluate_async(self, program):
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-            await aio.sleep(0.02)
-            self.in_flight -= 1
-            return self.evaluate(program)
-
-    evaluator = Overlapping()
-    engine = make_engine(evaluator, max_workers=2, executor="async")
-    batch = engine.process_batch(candidates(SOURCES))
-    engine.close()
-    assert evaluator.peak > 2
-    assert [s.score for s in batch.scored] == [float(n) for n in range(6)]
-
-
-def test_async_executor_direct_units():
-    executor = AsyncExecutor(EngineConfig(max_workers=2), ConstEvaluator())
-    units = [EvalUnit(program=parse(src)) for src in SOURCES]
-
-    class Stats:
-        eval_timeouts = 0
-
-    results = executor.run_units(units, Stats())
-    executor.close()
-    assert [r.score for r in results] == [float(n) for n in range(6)]

@@ -203,20 +203,6 @@ def test_run_sweep_outcomes_match_individual_runs(tmp_path):
     )
 
 
-# -- removed run_search -------------------------------------------------------------
-
-
-def test_run_search_removed_with_pointer_to_run():
-    """The one-release deprecation policy completed: run_search is gone."""
-    import repro.core
-    import repro.core.domain
-
-    with pytest.raises(AttributeError, match="run\\(RunSpec"):
-        repro.core.domain.run_search
-    with pytest.raises(AttributeError):
-        repro.core.run_search
-
-
 # -- eval_config_hash ---------------------------------------------------------------
 
 

@@ -1,8 +1,8 @@
-"""Code generation tests: round-trip, Python back end, C-like back end."""
+"""Code generation tests: round-trip and the C-like back end."""
 
 import pytest
 
-from repro.dsl import parse, to_c_like, to_python, to_source
+from repro.dsl import parse, to_c_like, to_source
 
 from tests.conftest import LISTING_1
 
@@ -38,30 +38,6 @@ def test_to_source_is_stable():
     once = to_source(program)
     twice = to_source(parse(once))
     assert once == twice
-
-
-def test_to_python_is_executable_and_equivalent(priority_env):
-    from repro.dsl import Interpreter
-
-    program = parse(LISTING_1)
-    python_source = to_python(program)
-    namespace = {}
-    exec(python_source, namespace)  # noqa: S102 - test-controlled input
-    python_fn = namespace["priority"]
-
-    interpreted = Interpreter().run(program, priority_env)
-    native = python_fn(**priority_env)
-    assert native == pytest.approx(interpreted)
-
-
-def test_to_python_simple_equivalence():
-    from repro.dsl import Interpreter
-
-    source = "def f(x) {\n s = 0\n for (i in range(6)) { s += i * x }\n return s\n}"
-    program = parse(source)
-    namespace = {}
-    exec(to_python(program), namespace)  # noqa: S102
-    assert namespace["f"](3) == Interpreter().run(program, {"x": 3})
 
 
 def test_to_c_like_output():

@@ -1,19 +1,18 @@
 """Differential tests of the vectorized lowering backend (hypothesis).
 
-The contract under test is the one the fused simulation loops rely on:
-``run_batch`` over arbitrary feature columns is *bit-identical* to evaluating
-the scalar kernel row by row, and the kernel itself agrees with the
-tree-walking interpreter oracle -- including NaN/inf propagation, rows whose
-integers exceed the float64-exact range (2**53), and rows that raise.
-Programs the lowering cannot handle must fall back down the
-``vectorized -> compiled -> interpreter`` chain, never fail.
+The contract under test is the one the hot loops rely on: the bound kernel --
+the program's body with every feature read replaced by a column local -- is
+*bit-identical* to the tree-walking interpreter oracle evaluating the
+original program against feature objects that answer with the same column
+values, including NaN/inf propagation, integers beyond the float64-exact
+range (2**53), and rows that raise.  Programs the lowering cannot handle must
+fall back down the ``vectorized -> compiled -> interpreter`` chain, never fail.
 """
 
 import math
 import random
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +22,7 @@ from repro.dsl.analysis import vectorizability
 from repro.dsl.compile import DEFAULT_BACKEND, DslCompileError, make_runner
 from repro.dsl.errors import DslError
 from repro.dsl.grammar import random_program
+from repro.dsl.interpreter import FeatureObject
 from repro.dsl.vectorize import (
     DslVectorizeError,
     KernelBinding,
@@ -67,44 +67,60 @@ def _same_float(a: float, b: float) -> bool:
     return _bits(float(a)) == _bits(float(b))
 
 
-def _oracle_rows(vp: VectorizedProgram, rows):
-    """Interpret the kernel program row by row: ("value", v) or ("error",)."""
-    interpreter = Interpreter()
-    params = vp.kernel.program.params
-    outcomes = []
-    for row in rows:
-        try:
-            outcomes.append(("value", interpreter.run(vp.kernel.program, dict(zip(params, row)))))
-        except DslError:
-            outcomes.append(("error",))
-    return outcomes
+def _same_value(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float):
+        return _same_float(a, b)
+    return type(a) is type(b) and a == b
+
+
+class _ColumnFeature(FeatureObject):
+    """A feature parameter that answers every read from one row of columns."""
+
+    def __init__(self, param, columns, row):
+        self._param = param
+        self._methods = [c for c in columns if c.kind == "method" and c.param == param]
+        self._row = row  # column key -> value
+
+    def dsl_getattr(self, attr):
+        return self._row[f"{self._param}.{attr}"]
+
+    def dsl_call(self, method, args):
+        for spec in self._methods:
+            wanted = [v if kind == "lit" else self._row[v] for kind, v in spec.args]
+            if spec.attr == method and wanted == list(args):
+                return self._row[spec.key]
+        raise AssertionError(f"no column for {self._param}.{method}{tuple(args)}")
+
+
+def _oracle_env(program, columns, row):
+    """The environment of the *original* program whose reads yield ``row``."""
+    return {
+        param: row[param] if param in row else _ColumnFeature(param, columns, row)
+        for param in program.params
+    }
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
-def test_run_batch_matches_interpreter_oracle(seed, data):
+def test_bound_kernel_matches_interpreter_oracle(seed, data):
     program = random_program(SPEC, random.Random(seed))
     report = vectorizability(program)
     assert report.ok, "grammar programs stay within the vectorizable subset"
     vp = vectorize_program(program)
 
-    n = data.draw(st.integers(min_value=1, max_value=12), label="rows")
-    rows = [
-        tuple(data.draw(_LANE_VALUE, label=f"row{i}") for _ in vp.columns)
-        for i in range(n)
-    ]
-    oracle = _oracle_rows(vp, rows)
-
-    first_error = next((i for i, o in enumerate(oracle) if o[0] == "error"), None)
-    if first_error is not None:
-        with pytest.raises(DslError):
-            vp.run_batch_rows(rows)
-        return
-    out = vp.run_batch_rows(rows)
-    assert out.dtype == np.float64 and len(out) == n
-    for i, (_tag, value) in enumerate(oracle):
-        assert _same_float(out[i], float(value)), (
-            f"row {i}: batch {out[i]!r} != oracle {value!r} for {rows[i]}"
+    interpreter = Interpreter()
+    for i in range(data.draw(st.integers(min_value=1, max_value=12), label="rows")):
+        values = [data.draw(_LANE_VALUE, label=f"row{i}") for _ in vp.columns]
+        row = {spec.key: value for spec, value in zip(vp.columns, values)}
+        try:
+            expected = interpreter.run(program, _oracle_env(program, vp.columns, row))
+        except DslError:
+            with pytest.raises(DslError):
+                vp.bound(*values)
+            continue
+        got = vp.bound(*values)
+        assert _same_value(got, expected), (
+            f"row {i}: kernel {got!r} != oracle {expected!r} for {row}"
         )
 
 
@@ -146,46 +162,6 @@ def test_vectorized_run_matches_interpreter_on_full_env(
             runner.run(env())
         return
     assert runner.run(env()) == expected
-
-
-# -- explicit edge cases -------------------------------------------------------------
-
-
-def test_batch_exact_beyond_float64_integers():
-    """Rows whose integers lose precision as float64 are recomputed exactly."""
-    vp = vectorize_program(parse("def f(a) { return a * 3 }"))
-    big = 2**53 + 1
-    out = vp.run_batch({"a": [big, 5, -big]})
-    assert _bits(out[0]) == _bits(float(3 * big))
-    assert _bits(out[0]) != _bits(float(float(big) * 3))  # the lossy answer
-    assert out[1] == 15.0
-    assert _bits(out[2]) == _bits(float(3 * -big))
-
-
-def test_batch_nan_inf_propagation():
-    vp = vectorize_program(parse("def f(a, b) { return a + b * 2 }"))
-    nan, inf = float("nan"), float("inf")
-    out = vp.run_batch({"a": [nan, inf, 1.0, inf], "b": [1.0, 2.0, nan, -inf]})
-    assert math.isnan(out[0])
-    assert out[1] == inf
-    assert math.isnan(out[2])
-    assert math.isnan(out[3])  # inf + -inf
-
-
-def test_batch_division_error_raised_in_row_order():
-    vp = vectorize_program(parse("def f(a, b) { return a / b }"))
-    with pytest.raises(DslError):
-        vp.run_batch({"a": [1.0, 2.0], "b": [2.0, 0.0]})
-    out = vp.run_batch({"a": [1.0, 9.0], "b": [2.0, 3.0]})
-    assert list(out) == [0.5, 3.0]
-
-
-def test_batch_rejects_missing_and_ragged_columns():
-    vp = vectorize_program(parse("def f(a, b) { return a + b }"))
-    with pytest.raises(DslError):
-        vp.run_batch({"a": [1.0]})
-    with pytest.raises(DslError):
-        vp.run_batch({"a": [1.0, 2.0], "b": [1.0]})
 
 
 # -- fallback chain ------------------------------------------------------------------
@@ -230,8 +206,10 @@ def test_bound_kernel_is_the_kernel_behind_the_layouts_signature():
     program = parse("def f(a, b, stats) { x = a * stats.mean()\n return x // b }")
     vp = VectorizedProgram(program, layout=_row_layout)
     assert vp.bound.python_source.startswith("def f(__colrow):\n    a = __colrow[0]\n")
+    positional = VectorizedProgram(program).bound
+    assert positional.python_source.startswith("def f(a, __col1, b):\n    x = ")
     for row in [(1, 2.5, 3), (7, 0.5, 2), (2**60, 3.0, 7)]:
-        assert vp.bound(row) == vp.kernel(*row)
+        assert vp.bound(row) == positional(*row)
     with pytest.raises(DslError, match="division by zero"):
         vp.bound((1, 1.0, 0))
 
@@ -246,11 +224,9 @@ def test_program_a_layout_cannot_serve_runs_on_the_compiled_backend():
 def test_only_the_bound_kernel_is_compiled_at_construction():
     program = parse("def f(a, stats) { return a + stats.mean() }")
     plain = vectorize_program(program)
-    assert "kernel" not in vars(plain) and "_scalar" not in vars(plain)
-    assert plain.kernel is plain.bound  # no layout: bound is the positional kernel
+    assert "_scalar" not in vars(plain)
     bound = VectorizedProgram(program, layout=_row_layout)
-    assert "kernel" not in vars(bound) and "_scalar" not in vars(bound)
-    assert bound.kernel is not bound.bound
+    assert "_scalar" not in vars(bound)
     # ... and run(env) compiles the scalar program the first time it is used.
     assert bound.run({"a": 1, "stats": StubAggregate(4)}) == plain.run(
         {"a": 1, "stats": StubAggregate(4)}

@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.traces
 from repro.traces import cloudphysics, msr
 from repro.traces.cloudphysics import cloudphysics_config
 from repro.traces.msr import msr_config
@@ -69,21 +68,6 @@ def test_corpus_count_limits():
     assert len(list(corpus_traces("cloudphysics", count=3, num_requests=300))) == 3
     assert len(list(corpus_traces("msr", count=2, num_requests=300))) == 2
     assert len(list(corpus_traces("msr", count=99, num_requests=300))) == 14
-
-
-def test_removed_loaders_point_at_the_workload_registry():
-    """The one-release deprecation policy completed: the old entry points
-    are gone, and reaching for one names its replacement."""
-    for name in (
-        "cloudphysics_trace",
-        "msr_trace",
-        "cloudphysics_corpus",
-        "msr_corpus",
-    ):
-        with pytest.raises(AttributeError, match="workloads"):
-            getattr(repro.traces, name)
-    with pytest.raises(ImportError):
-        from repro.traces.cloudphysics import cloudphysics_trace  # noqa: F401
 
 
 def test_msr_archetypes_cover_all_roles():
