@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.checker import CheckIssue, CheckResult, CompositeChecker, StructuralChecker
+from repro.core.checker import AstChecker, CheckIssue, CompositeChecker, StructuralChecker
 from repro.core.template import Template
+from repro.dsl.analysis import analyze
 from repro.dsl.ast import BinOp, Call, ForRange, Name, Number, Program, While
 from repro.dsl.codegen import expr_to_source
-from repro.dsl.errors import DslSyntaxError
-from repro.dsl.parser import parse
 
 
 def _is_guarded_divisor(expr) -> bool:
@@ -49,24 +48,13 @@ def _is_guarded_divisor(expr) -> bool:
     return False
 
 
-class KernelRuleChecker:
+class KernelRuleChecker(AstChecker):
     """The kernel-specific rules, usable standalone or inside a composite."""
 
     def __init__(self, max_nodes: int = 200):
         self.max_nodes = max_nodes
 
-    def check(self, source: str) -> CheckResult:
-        try:
-            program = parse(source)
-        except DslSyntaxError as exc:
-            return CheckResult(
-                ok=False,
-                issues=[CheckIssue("syntax-error", f"build failed: {exc}")],
-            )
-        issues = list(self._check_program(program))
-        return CheckResult(ok=not issues, program=program, issues=issues)
-
-    def _check_program(self, program: Program) -> Iterable[CheckIssue]:
+    def issues(self, program: Program) -> Iterable[CheckIssue]:
         for node in program.walk():
             if isinstance(node, Number) and isinstance(node.value, float):
                 yield CheckIssue(
@@ -96,10 +84,11 @@ class KernelRuleChecker:
                     "unbounded-loop",
                     f"for-range limit '{expr_to_source(node.limit)}' is not a constant",
                 )
-        if program.size() > self.max_nodes:
+        node_count = analyze(program).node_count
+        if node_count > self.max_nodes:
             yield CheckIssue(
                 "too-complex",
-                f"program has {program.size()} AST nodes, exceeding the verifier "
+                f"program has {node_count} AST nodes, exceeding the verifier "
                 f"budget of {self.max_nodes}",
             )
 

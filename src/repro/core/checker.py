@@ -58,7 +58,30 @@ class Checker(Protocol):
         ...
 
 
-class StructuralChecker:
+class AstChecker:
+    """A checker whose rules read the AST.
+
+    ``check`` parses the text (``parse`` serves repeated text from its memo)
+    and reports what :meth:`issues` finds in the program; a composite parses
+    once and hands the same ``Program`` to each of its parts.
+    """
+
+    def check(self, source: str) -> CheckResult:
+        try:
+            program = parse(source)
+        except DslSyntaxError as exc:
+            return CheckResult(
+                ok=False,
+                issues=[CheckIssue("syntax-error", f"build failed: {exc}")],
+            )
+        issues = list(self.issues(program))
+        return CheckResult(ok=not issues, program=program, issues=issues)
+
+    def issues(self, program: Program) -> Iterable[CheckIssue]:
+        raise NotImplementedError
+
+
+class StructuralChecker(AstChecker):
     """Baseline checker used by the caching case study.
 
     Verifies that the candidate
@@ -78,20 +101,7 @@ class StructuralChecker:
         self.allow_loops = allow_loops
         self._builtins = {"min", "max", "abs", "clamp"}
 
-    def check(self, source: str) -> CheckResult:
-        try:
-            program = parse(source)
-        except DslSyntaxError as exc:
-            return CheckResult(
-                ok=False,
-                issues=[CheckIssue("syntax-error", f"build failed: {exc}")],
-            )
-        issues = list(self._check_program(program))
-        return CheckResult(ok=not issues, program=program, issues=issues)
-
-    # -- individual rules ------------------------------------------------------
-
-    def _check_program(self, program: Program) -> Iterable[CheckIssue]:
+    def issues(self, program: Program) -> Iterable[CheckIssue]:
         spec = self.template.spec
         if program.name != spec.function_name:
             yield CheckIssue(
@@ -150,26 +160,18 @@ class StructuralChecker:
             )
 
 
-class CompositeChecker:
-    """Run several checkers in sequence, concatenating their issues.
+class CompositeChecker(AstChecker):
+    """Run several AST checkers over one parse, concatenating their issues.
 
-    The first checker that fails to even produce a program (e.g. a syntax
-    error) short-circuits the rest, because later checkers need the AST.
+    A text that does not parse is reported once, as its syntax error: the
+    parts need the AST.
     """
 
-    def __init__(self, checkers: Sequence[Checker]):
+    def __init__(self, checkers: Sequence[AstChecker]):
         if not checkers:
             raise ValueError("CompositeChecker needs at least one checker")
         self.checkers = list(checkers)
 
-    def check(self, source: str) -> CheckResult:
-        issues: List[CheckIssue] = []
-        program: Optional[Program] = None
+    def issues(self, program: Program) -> Iterable[CheckIssue]:
         for checker in self.checkers:
-            result = checker.check(source)
-            issues.extend(result.issues)
-            if result.program is None and not result.ok:
-                return CheckResult(ok=False, program=None, issues=issues)
-            if result.program is not None:
-                program = result.program
-        return CheckResult(ok=not issues, program=program, issues=issues)
+            yield from checker.issues(program)

@@ -59,7 +59,6 @@ outcome with any engine configuration and any store state.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -79,7 +78,7 @@ from repro.core.results import Candidate, ScoredCandidate
 from repro.core.scenarios import MultiScenarioEvaluator
 from repro.core.store import BoundEvalStore
 from repro.dsl.ast import Program
-from repro.dsl.codegen import to_source
+from repro.dsl.codegen import canonical_key
 from repro.dsl.compile import BACKENDS as DSL_BACKENDS
 
 
@@ -210,11 +209,6 @@ class BatchResult:
 
     scored: List[ScoredCandidate]
     stats: BatchStats
-
-
-def canonical_key(program: Program) -> str:
-    """Stable identity of a candidate: SHA-1 of its canonical source."""
-    return hashlib.sha1(to_source(program).encode("utf-8")).hexdigest()
 
 
 def _plain_key(key: str) -> str:

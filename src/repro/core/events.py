@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, ClassVar, Dict, IO, List, Optional, Union
 
@@ -53,7 +53,8 @@ class RunEvent:
     def to_dict(self) -> dict:
         """JSON-serializable form, ``{"event": kind, ...fields}``."""
         payload = {"event": self.kind}
-        payload.update(_json_safe(asdict(self)))
+        for f in fields(self):
+            payload[f.name] = _json_safe(getattr(self, f.name))
         return payload
 
 

@@ -40,7 +40,6 @@ across backends (asserted in the tests).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import shutil
 import tempfile
@@ -63,7 +62,7 @@ from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.events import TaskDispatched, TaskReclaimed, WorkerJoined
 from repro.core.scenarios import MultiScenarioEvaluator
 from repro.dsl.ast import Program
-from repro.dsl.codegen import to_source
+from repro.dsl.codegen import canonical_key, to_source
 
 
 @dataclass(frozen=True)
@@ -388,9 +387,7 @@ class DistributedExecutor(Executor):
         task_ids: List[str] = []
         for index, unit in enumerate(units):
             task_id = f"{self._nonce}-b{self._batch_seq:04d}-{index:05d}"
-            program_key = hashlib.sha1(
-                to_source(unit.program).encode("utf-8")
-            ).hexdigest()
+            program_key = canonical_key(unit.program)
             queue.enqueue(
                 task_id,
                 spool.encode_task(

@@ -12,7 +12,7 @@ Keying
 An entry is addressed by three coordinates:
 
 * the **program key** -- SHA-1 of the candidate's canonical source (the same
-  :func:`~repro.core.engine.canonical_key` the memo uses), so syntactic
+  :func:`~repro.dsl.codegen.canonical_key` the memo uses), so syntactic
   variants share one entry;
 * the **evaluation-config key** -- SHA-256 of the canonical JSON of
   everything that determines a program's score (domain name + declarative

@@ -39,7 +39,7 @@ from repro.dsl.ast import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class DivisionSite:
     """One division or modulo in the program.
 
@@ -55,7 +55,7 @@ class DivisionSite:
     divisor_repr: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ProgramFacts:
     """Everything the checkers need to know about a candidate, in one pass."""
 
@@ -92,70 +92,84 @@ class ProgramFacts:
         return {attr for _obj, attr in self.attributes_read}
 
 
-def _expression_depth(node) -> int:
-    children = list(node.children())
-    if not children:
-        return 1
-    return 1 + max(_expression_depth(child) for child in children)
-
-
 def analyze(program: Program) -> ProgramFacts:
-    """Compute :class:`ProgramFacts` for ``program`` in a single AST walk."""
+    """:class:`ProgramFacts` for ``program``, from a single AST walk.
+
+    A read-only (parsed) program is analysed once and hands every caller the
+    same record."""
+    return program.derive("facts", _analyze)
+
+
+def _analyze(program: Program) -> ProgramFacts:
     facts = ProgramFacts(
         has_return=False,
         return_count=0,
         uses_float_literal=False,
         uses_true_division=False,
     )
-    facts.node_count = program.size()
-    facts.free_names = list(program.free_names())
+    # A name is free when it is read before anything in program order binds
+    # it (parameters, assignment targets, loop variables; no block scoping).
+    assigned = set(program.params)
+    free = facts.free_names
 
-    for node in program.walk():
-        if isinstance(node, Return):
-            facts.has_return = True
-            facts.return_count += 1
-        elif isinstance(node, Number):
+    def visit(node, reads: bool = True) -> int:
+        """Record ``node``'s facts, then its children's in field order;
+        return the subtree's height.  ``reads`` is False for the name an
+        assignment or loop binds, which is no read of it."""
+        facts.node_count += 1
+        kind = type(node)
+        if kind is Name:
+            facts.names_read.add(node.id)
+            if reads and node.id not in assigned and node.id not in free:
+                free.append(node.id)
+            return 1
+        if kind is Number:
             if node.is_float():
                 facts.uses_float_literal = True
-        elif isinstance(node, Name):
-            facts.names_read.add(node.id)
-        elif isinstance(node, While):
-            facts.while_loop_count += 1
-        elif isinstance(node, ForRange):
+            return 1
+        if kind is Assign or kind is AugAssign:
+            target = node.target.id
+            height = max(visit(node.target, False), visit(node.value))
+            if kind is AugAssign and target not in assigned and target not in free:
+                free.append(target)
+            assigned.add(target)
+            return 1 + height
+        if kind is ForRange:
             facts.for_loop_count += 1
             if not isinstance(node.limit, Number):
                 facts.unbounded_for_count += 1
-        elif isinstance(node, Attribute):
+            height = max(visit(node.var, False), visit(node.limit))
+            assigned.add(node.var.id)
+            return 1 + max([height, *map(visit, node.body)])
+        if kind is Return:
+            facts.has_return = True
+            facts.return_count += 1
+        elif kind is While:
+            facts.while_loop_count += 1
+        elif kind is Attribute:
             base = node.value
-            base_name = base.id if isinstance(base, Name) else "<expr>"
-            facts.attributes_read.add((base_name, node.attr))
-        elif isinstance(node, Call):
+            facts.attributes_read.add((base.id if type(base) is Name else "<expr>", node.attr))
+        elif kind is Call:
             func = node.func
-            if isinstance(func, Attribute):
+            if type(func) is Attribute:
                 base = func.value
-                base_name = base.id if isinstance(base, Name) else "<expr>"
-                facts.methods_called.add((base_name, func.attr))
-                # A method call is not an attribute *read*; remove the entry
-                # the Attribute branch will add when it visits func.
-            elif isinstance(func, Name):
+                facts.methods_called.add((base.id if type(base) is Name else "<expr>", func.attr))
+            elif type(func) is Name:
                 facts.methods_called.add(("<builtin>", func.id))
-        elif isinstance(node, BinOp):
+        elif kind is BinOp and node.op in ("/", "//", "%"):
             if node.op == "/":
                 facts.uses_true_division = True
-            if node.op in ("/", "//", "%"):
-                divisor = node.right
-                checked = isinstance(divisor, Number) and divisor.value != 0
-                facts.division_sites.append(
-                    DivisionSite(
-                        op=node.op,
-                        checked=checked,
-                        divisor_repr=_brief_repr(divisor),
-                    )
+            divisor = node.right
+            facts.division_sites.append(
+                DivisionSite(
+                    op=node.op,
+                    checked=isinstance(divisor, Number) and divisor.value != 0,
+                    divisor_repr=_brief_repr(divisor),
                 )
-        depth = _expression_depth(node)
-        if depth > facts.max_expression_depth:
-            facts.max_expression_depth = depth
+            )
+        return 1 + max(map(visit, node.children()), default=0)
 
+    facts.max_expression_depth = visit(program)
     # Method calls also show up as attribute reads because Call.func is an
     # Attribute node; strip them so "attributes_read" means data accesses.
     facts.attributes_read -= facts.methods_called

@@ -9,17 +9,31 @@ functions (caching) and congestion-window update rules (congestion control):
 * statements: assignment, augmented assignment, ``if``/``else``, bounded
   ``for`` over ``range``, ``while``, ``return``.
 
-Nodes are plain dataclasses with structural equality, which the evolutionary
-operators rely on (two independently generated but identical candidates
-deduplicate naturally).
+Nodes are slotted dataclasses (no per-node ``__dict__``) with structural
+equality, which the evolutionary operators rely on (two independently
+generated but identical candidates deduplicate naturally).
+
+**A parsed program is read-only.**  :func:`repro.dsl.parser.parse` serves
+repeated text from a memo, so the :class:`Program` it returns is shared by
+everyone who parses that text, and what is derived from it (canonical source,
+its key, analysis facts) is remembered on ``Program.derived``.  Anything that
+edits a tree -- ``mutate``, ``crossover``, the synthetic model's injectors and
+fixers -- works on a :meth:`Node.clone`, which carries no ``derived``.
 """
 
 from __future__ import annotations
 
-import copy
-import functools
-from dataclasses import dataclass, field, fields
-from typing import Iterator, List, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+
+_PLAIN, _NODE, _NODE_LIST = 0, 1, 2
+_FIELD_KINDS = {
+    "Expr": _NODE,
+    "Stmt": _NODE,
+    "Name": _NODE,
+    "List[Expr]": _NODE_LIST,
+    "List[Stmt]": _NODE_LIST,
+}
 
 
 # --------------------------------------------------------------------------
@@ -27,38 +41,58 @@ from typing import Iterator, List, Sequence, Tuple, Union
 # --------------------------------------------------------------------------
 
 
-@functools.cache
-def _field_names(cls: type) -> Tuple[str, ...]:
-    """Field names of a node class, in declaration order -- cached, because
-    ``dataclasses.fields`` rebuilds its tuple on every call and
-    ``children()`` runs per node on every checker and lowering traversal."""
-    return tuple(f.name for f in fields(cls))
-
-
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Node:
     """Common behaviour for every AST node."""
 
-    def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes (depth 1)."""
-        for name in _field_names(type(self)):
-            value = getattr(self, name)
-            if isinstance(value, Node):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Node):
-                        yield item
+    #: ``(field name, kind)`` of the fields, in declaration order, and the
+    #: child-bearing ones among them -- sorted once per class from the
+    #: annotations, because ``children()`` and ``clone()`` run per node on
+    #: every checker, lowering and remixing traversal.
+    _fields = ()
+    _child_fields = ()
+
+    def __init_subclass__(cls) -> None:
+        annotations = cls.__dict__.get("__annotations__", {})
+        cls._fields = tuple(
+            (name, _FIELD_KINDS.get(annotation, _PLAIN))
+            for name, annotation in annotations.items()
+        )
+        cls._child_fields = tuple(
+            (name, kind == _NODE_LIST) for name, kind in cls._fields if kind != _PLAIN
+        )
+
+    def children(self) -> List["Node"]:
+        """Direct child nodes (depth 1), in field order."""
+        found: List[Node] = []
+        for name, is_list in self._child_fields:
+            if is_list:
+                found += getattr(self, name)
+            else:
+                found.append(getattr(self, name))
+        return found
 
     def walk(self) -> Iterator["Node"]:
         """Yield this node and every descendant, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node._child_fields:
+                stack.extend(reversed(node.children()))
 
     def clone(self) -> "Node":
-        """Return a deep copy of this subtree."""
-        return copy.deepcopy(self)
+        """Return a structural copy of this subtree: new nodes and lists
+        throughout, sharing only immutable leaves (strings, numbers)."""
+        values = []
+        for name, kind in self._fields:
+            value = getattr(self, name)
+            if kind == _NODE:
+                value = value.clone()
+            elif kind == _NODE_LIST:
+                value = [item.clone() for item in value]
+            values.append(value)
+        return type(self)(*values)
 
     def size(self) -> int:
         """Number of nodes in the subtree (a crude complexity measure)."""
@@ -74,7 +108,7 @@ Stmt = Node
 # --------------------------------------------------------------------------
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Number(Node):
     """A numeric literal.  ``value`` may be int or float.
 
@@ -89,14 +123,14 @@ class Number(Node):
         return isinstance(self.value, float)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Name(Node):
     """A bare variable reference (``now``, ``score``, ``cwnd``)."""
 
     id: str
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Attribute(Node):
     """Attribute access on a feature object (``obj_info.count``)."""
 
@@ -104,7 +138,7 @@ class Attribute(Node):
     attr: str
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Call(Node):
     """A call on a feature object or builtin (``sizes.percentile(0.75)``)."""
 
@@ -112,7 +146,7 @@ class Call(Node):
     args: List[Expr] = field(default_factory=list)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class UnaryOp(Node):
     """Unary operation: ``-x`` or ``not x``."""
 
@@ -120,7 +154,7 @@ class UnaryOp(Node):
     operand: Expr
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class BinOp(Node):
     """Binary arithmetic: + - * / // % min max (min/max as infix helpers)."""
 
@@ -129,7 +163,7 @@ class BinOp(Node):
     right: Expr
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Compare(Node):
     """A single comparison (no chaining): < <= > >= == !=."""
 
@@ -138,7 +172,7 @@ class Compare(Node):
     right: Expr
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class BoolOp(Node):
     """Boolean connective over two or more operands: ``and`` / ``or``."""
 
@@ -146,7 +180,7 @@ class BoolOp(Node):
     values: List[Expr] = field(default_factory=list)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Ternary(Node):
     """Conditional expression: ``cond ? a : b`` (C style in source form)."""
 
@@ -160,7 +194,7 @@ class Ternary(Node):
 # --------------------------------------------------------------------------
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Assign(Node):
     """``target = value``.  ``target`` is always a bare :class:`Name`."""
 
@@ -168,7 +202,7 @@ class Assign(Node):
     value: Expr
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class AugAssign(Node):
     """``target op= value`` for op in + - * / // %."""
 
@@ -177,7 +211,7 @@ class AugAssign(Node):
     value: Expr
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class If(Node):
     """``if (cond) { body } else { orelse }`` -- ``orelse`` may be empty."""
 
@@ -186,7 +220,7 @@ class If(Node):
     orelse: List[Stmt] = field(default_factory=list)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class ForRange(Node):
     """``for (i in range(limit)) { body }`` -- the only bounded loop form."""
 
@@ -195,7 +229,7 @@ class ForRange(Node):
     body: List[Stmt] = field(default_factory=list)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class While(Node):
     """``while (cond) { body }``.
 
@@ -207,7 +241,7 @@ class While(Node):
     body: List[Stmt] = field(default_factory=list)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Return(Node):
     """``return expr``."""
 
@@ -219,7 +253,7 @@ class Return(Node):
 # --------------------------------------------------------------------------
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Program(Node):
     """A complete candidate heuristic.
 
@@ -231,56 +265,31 @@ class Program(Node):
     name: str
     params: List[str] = field(default_factory=list)
     body: List[Stmt] = field(default_factory=list)
+    #: What has been computed from this program, by name.  ``parse`` sets it
+    #: to ``{}`` on the read-only programs it hands out; everywhere else
+    #: (fresh trees, clones, unpickled copies) it is ``None`` and nothing is
+    #: remembered.  Not part of equality.
+    derived: Optional[Dict[str, Any]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
-    def statements(self) -> Sequence[Stmt]:
-        return list(self.body)
+    def __reduce__(self):
+        return (Program, (self.name, self.params, self.body))
+
+    def clone(self) -> "Program":
+        return Program(self.name, self.params[:], [stmt.clone() for stmt in self.body])
+
+    def derive(self, what: str, compute: Callable[["Program"], Any]) -> Any:
+        """``compute(self)``, computed once per read-only program."""
+        if self.derived is None:
+            return compute(self)
+        if what not in self.derived:
+            self.derived[what] = compute(self)
+        return self.derived[what]
 
     def returns(self) -> List[Return]:
         """All return statements anywhere in the program."""
         return [node for node in self.walk() if isinstance(node, Return)]
-
-    def free_names(self) -> List[str]:
-        """Names read before ever being assigned at the top level.
-
-        Used by checkers to verify the candidate only references parameters
-        and locally-defined variables.
-        """
-        assigned = set(self.params)
-        free: List[str] = []
-
-        def visit_expr(expr: Expr) -> None:
-            for node in expr.walk():
-                if isinstance(node, Name) and node.id not in assigned:
-                    if node.id not in free:
-                        free.append(node.id)
-
-        def visit_block(stmts: Sequence[Stmt]) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, Assign):
-                    visit_expr(stmt.value)
-                    assigned.add(stmt.target.id)
-                elif isinstance(stmt, AugAssign):
-                    visit_expr(stmt.value)
-                    if stmt.target.id not in assigned:
-                        if stmt.target.id not in free:
-                            free.append(stmt.target.id)
-                    assigned.add(stmt.target.id)
-                elif isinstance(stmt, If):
-                    visit_expr(stmt.condition)
-                    visit_block(stmt.body)
-                    visit_block(stmt.orelse)
-                elif isinstance(stmt, ForRange):
-                    visit_expr(stmt.limit)
-                    assigned.add(stmt.var.id)
-                    visit_block(stmt.body)
-                elif isinstance(stmt, While):
-                    visit_expr(stmt.condition)
-                    visit_block(stmt.body)
-                elif isinstance(stmt, Return):
-                    visit_expr(stmt.value)
-
-        visit_block(self.body)
-        return free
 
 
 def iter_blocks(node: Node) -> Iterator[List[Stmt]]:
@@ -298,9 +307,3 @@ def iter_blocks(node: Node) -> Iterator[List[Stmt]]:
                 yield descendant.orelse
         elif isinstance(descendant, (ForRange, While)):
             yield descendant.body
-
-
-def expressions_of(node: Node) -> List[Expr]:
-    """Return all expression nodes in the subtree, in walk order."""
-    expr_types = (Number, Name, Attribute, Call, UnaryOp, BinOp, Compare, BoolOp, Ternary)
-    return [n for n in node.walk() if isinstance(n, expr_types)]

@@ -4,7 +4,8 @@ Two back ends:
 
 * :func:`to_source` -- canonical DSL text; ``parse(to_source(p)) == p`` holds
   for every program the parser can produce (round-trip property, tested with
-  hypothesis).
+  hypothesis).  :func:`canonical_key` is its SHA-1, a candidate's identity.
+  Both are rendered once per read-only (parsed) program and carried on it.
 * :func:`to_c_like` -- C-flavoured rendering close to the paper's Listing 1,
   used when printing discovered heuristics in experiment reports.
 
@@ -14,6 +15,7 @@ the one emitter of executable code (``to_callable_source`` for inspection).
 
 from __future__ import annotations
 
+import hashlib
 from typing import List
 
 from repro.dsl.ast import (
@@ -183,6 +185,19 @@ def _render_stmt(stmt: Stmt, indent: int) -> List[str]:
 
 def to_source(program: Program) -> str:
     """Render ``program`` as canonical DSL text (parseable by ``parse``)."""
+    return program.derive("source", _render_program)
+
+
+def canonical_key(program: Program) -> str:
+    """Stable identity of a candidate: SHA-1 of its canonical source."""
+    return program.derive("key", _source_sha1)
+
+
+def _source_sha1(program: Program) -> str:
+    return hashlib.sha1(to_source(program).encode("utf-8")).hexdigest()
+
+
+def _render_program(program: Program) -> str:
     header = f"def {program.name}({', '.join(program.params)}) {{"
     lines = [header]
     lines.extend(_render_block(program.body, 1))

@@ -17,6 +17,8 @@ class DslSyntaxError(DslError):
 
     Attributes
     ----------
+    message:
+        What went wrong, without the position ``str(exc)`` appends.
     line, column:
         1-based position of the offending token, when known.  They are kept
         on the exception so the Checker can hand structured feedback back to
@@ -24,6 +26,7 @@ class DslSyntaxError(DslError):
     """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.message = message
         self.line = line
         self.column = column
         location = ""

@@ -111,7 +111,6 @@ def mutate(
     config = config or MutationConfig()
     grammar = grammar or GrammarConfig()
     clone = program.clone()
-    assert isinstance(clone, Program)
 
     mutation_count = rng.randint(1, config.max_mutations)
     applied = 0
@@ -236,9 +235,7 @@ def crossover(
     behaviours from both parents, which is what matters for the search loop.
     """
     child = first.clone()
-    assert isinstance(child, Program)
     donor = second.clone()
-    assert isinstance(donor, Program)
 
     first_body = [s for s in child.body if not isinstance(s, Return)]
     second_body = [s for s in donor.body if not isinstance(s, Return)]

@@ -22,8 +22,11 @@ Statements are separated by newlines or semicolons; blocks use braces.
 
 from __future__ import annotations
 
+import functools
+import re
+from sys import intern
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Tuple, Union
 
 from repro.dsl.ast import (
     Assign,
@@ -63,12 +66,8 @@ KEYWORDS = {
     "false",
 }
 
-_TWO_CHAR_OPS = ("<=", ">=", "==", "!=", "+=", "-=", "*=", "//", "/=", "%=")
-_THREE_CHAR_OPS = ("//=",)
-_SINGLE_CHAR_OPS = "+-*/%<>=?:,.(){};"
 
-
-@dataclass
+@dataclass(slots=True)
 class Token:
     """A lexical token with its source position (1-based)."""
 
@@ -78,361 +77,342 @@ class Token:
     column: int
 
 
+@functools.lru_cache(maxsize=8)
+def _token_pattern(digits: str = "", alphas: str = "", alnums: str = "") -> re.Pattern:
+    """The master pattern: blanks, then exactly one token (or the end).
+
+    ``str.isdigit`` / ``isalpha`` / ``isalnum`` decide what a number or a
+    name is made of, and no ``re`` character class spells them, so the
+    non-ASCII characters of a source that satisfy each are added to the
+    ASCII classes by name (none, for nearly every candidate).
+    """
+    digit = f"[0-9{digits}]"
+    return re.compile(
+        rf"""[ \t\r]*(?:
+            (?P<op>//=|[<>=!+\-*/%]=|[-+*%<>=?:,(){{}};]|/(?!/)|\.(?!{digit}))
+          | (?P<name>[A-Za-z_{alphas}][A-Za-z0-9_{alnums}]*)
+          | (?P<number>{digit}+(?:\.{digit}+)?|\.{digit}+)
+          | (?P<newline>\n)
+          | (?P<slashes>//)
+          | (?P<comment>\#[^\n]*)
+          | (?P<end>\Z)
+        )""",
+        re.VERBOSE,
+    )
+
+
 def tokenize(source: str) -> List[Token]:
     """Split ``source`` into tokens, raising :class:`DslSyntaxError` on junk."""
+    if source.isascii():
+        match = _token_pattern().match
+    else:
+        foreign = sorted({ch for ch in source if not ch.isascii()})
+        match = _token_pattern(
+            *("".join(filter(test, foreign)) for test in (str.isdigit, str.isalpha, str.isalnum))
+        ).match
     tokens: List[Token] = []
     line = 1
-    column = 1
-    i = 0
-    length = len(source)
-
-    def add(kind: str, text: str) -> None:
-        tokens.append(Token(kind, text, line, column))
-
-    while i < length:
-        ch = source[i]
-        if ch == "\n":
-            add("newline", "\n")
-            i += 1
-            line += 1
-            column = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "#":
-            while i < length and source[i] != "\n":
-                i += 1
-                column += 1
-            continue
-        if ch == "/" and i + 1 < length and source[i + 1] == "/" and (
-            i + 2 >= length or not source[i + 2] == "="
-        ):
-            # Could be a comment ("// text") or integer division ("a // b").
-            # Heuristic: it is a comment if the previous meaningful token is
-            # not something an expression could continue from.
-            prev = tokens[-1] if tokens else None
-            expression_tail = prev is not None and (
-                prev.kind in ("number", "name")
-                or (prev.kind == "op" and prev.text in (")",))
+    line_start = 0
+    pos = 0
+    while True:
+        found = match(source, pos)
+        if found is None:
+            while source[pos] in " \t\r":
+                pos += 1
+            raise DslSyntaxError(
+                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
             )
-            if not expression_tail:
-                while i < length and source[i] != "\n":
-                    i += 1
-                    column += 1
-                continue
-        if ch.isdigit() or (ch == "." and i + 1 < length and source[i + 1].isdigit()):
-            start = i
-            start_col = column
-            seen_dot = False
-            while i < length and (source[i].isdigit() or (source[i] == "." and not seen_dot)):
-                if source[i] == ".":
-                    # Do not absorb the dot of an attribute access like "1 .foo"
-                    if i + 1 >= length or not source[i + 1].isdigit():
-                        break
-                    seen_dot = True
-                i += 1
-            text = source[start:i]
-            tokens.append(Token("number", text, line, start_col))
-            column = start_col + len(text)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_col = column
-            while i < length and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = "keyword" if text in KEYWORDS else "name"
-            tokens.append(Token(kind, text, line, start_col))
-            column = start_col + len(text)
-            continue
-        matched = None
-        for op in _THREE_CHAR_OPS:
-            if source.startswith(op, i):
-                matched = op
-                break
-        if matched is None:
-            for op in _TWO_CHAR_OPS:
-                if source.startswith(op, i):
-                    matched = op
-                    break
-        if matched is None and ch in _SINGLE_CHAR_OPS:
-            matched = ch
-        if matched is None:
-            raise DslSyntaxError(f"unexpected character {ch!r}", line, column)
-        add("op", matched)
-        i += len(matched)
-        column += len(matched)
-    tokens.append(Token("eof", "", line, column))
-    return tokens
+        kind = found.lastgroup
+        column = found.start(kind) - line_start + 1
+        pos = found.end()
+        if kind == "op" or kind == "name":
+            # Interned: a search's thousands of ASTs share one small
+            # vocabulary, and their nodes keep these strings.
+            text = intern(found[kind])
+            tokens.append(Token("keyword" if text in KEYWORDS else kind, text, line, column))
+        elif kind == "number":
+            tokens.append(Token(kind, found[kind], line, column))
+        elif kind == "newline":
+            tokens.append(Token(kind, "\n", line, column))
+            line += 1
+            line_start = pos
+        elif kind == "slashes":
+            # "//" (not "//=") is integer division after something an
+            # expression could continue from, and otherwise a comment.
+            prev = tokens[-1] if tokens else None
+            if prev is not None and (
+                prev.kind in ("number", "name") or (prev.kind == "op" and prev.text == ")")
+            ):
+                tokens.append(Token("op", "//", line, column))
+            else:
+                end = source.find("\n", pos)
+                pos = len(source) if end < 0 else end
+        elif kind == "end":
+            tokens.append(Token("eof", "", line, column))
+            return tokens
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over the token stream.
+
+    ``_tags`` holds, per token, what the grammar dispatches on: the text of
+    an operator or keyword, the kind of anything else (``"name"``,
+    ``"number"``, ``"newline"``, ``"eof"`` -- no operator or keyword is
+    spelled like a kind).  The stream ends in ``eof`` and ``_pos`` never
+    moves past it, so ``_tags[_pos]`` is always a valid read.
+    """
 
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
+        self._tags = [
+            t.text if t.kind == "op" or t.kind == "keyword" else t.kind for t in tokens
+        ]
         self._pos = 0
 
     # -- token helpers ------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.kind != "eof":
+    def _match(self, tag: str) -> bool:
+        if self._tags[self._pos] == tag:
             self._pos += 1
-        return token
+            return True
+        return False
 
-    def _check(self, kind: str, text: Optional[str] = None) -> bool:
-        token = self._peek()
-        return token.kind == kind and (text is None or token.text == text)
+    def _expect(self, tag: str) -> str:
+        """Consume a ``tag`` token and return its text."""
+        token = self._tokens[self._pos]
+        if self._tags[self._pos] != tag:
+            raise DslSyntaxError(
+                f"expected {tag!r} but found {token.text or token.kind!r}",
+                token.line,
+                token.column,
+            )
+        self._pos += 1
+        return token.text
 
-    def _match(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self._check(kind, text):
-            return self._advance()
-        return None
-
-    def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if self._check(kind, text):
-            return self._advance()
-        token = self._peek()
-        expected = text if text is not None else kind
-        raise DslSyntaxError(
-            f"expected {expected!r} but found {token.text or token.kind!r}",
-            token.line,
-            token.column,
+    def _unexpected(self, what: str) -> DslSyntaxError:
+        token = self._tokens[self._pos]
+        return DslSyntaxError(
+            f"{what} {token.text or token.kind!r}", token.line, token.column
         )
 
     def _skip_separators(self) -> None:
-        while self._check("newline") or self._check("op", ";"):
-            self._advance()
+        tags = self._tags
+        while tags[self._pos] in ("newline", ";"):
+            self._pos += 1
 
     # -- entry point --------------------------------------------------------
 
     def parse_program(self) -> Program:
         self._skip_separators()
-        self._expect("keyword", "def")
-        name = self._expect("name").text
-        self._expect("op", "(")
+        self._expect("def")
+        name = self._expect("name")
+        self._expect("(")
         params: List[str] = []
-        if not self._check("op", ")"):
-            params.append(self._expect("name").text)
-            while self._match("op", ","):
+        if self._tags[self._pos] != ")":
+            params.append(self._expect("name"))
+            while self._match(","):
                 self._skip_separators()
-                params.append(self._expect("name").text)
-        self._expect("op", ")")
+                params.append(self._expect("name"))
+        self._expect(")")
         self._skip_separators()
         body = self._parse_block()
         self._skip_separators()
-        token = self._peek()
-        if token.kind != "eof":
-            raise DslSyntaxError(
-                f"unexpected trailing input {token.text!r}", token.line, token.column
-            )
+        if self._tags[self._pos] != "eof":
+            raise self._unexpected("unexpected trailing input")
         return Program(name=name, params=params, body=body)
 
     # -- statements ---------------------------------------------------------
 
     def _parse_block(self) -> List[Stmt]:
-        self._expect("op", "{")
+        self._expect("{")
         statements: List[Stmt] = []
         self._skip_separators()
-        while not self._check("op", "}"):
+        while self._tags[self._pos] != "}":
             statements.append(self._parse_statement())
             self._skip_separators()
-        self._expect("op", "}")
+        self._pos += 1
         return statements
 
     def _parse_statement(self) -> Stmt:
-        if self._check("keyword", "return"):
-            self._advance()
-            return Return(value=self._parse_expression())
-        if self._check("keyword", "if"):
+        tag = self._tags[self._pos]
+        if tag == "name":
+            op = self._tags[self._pos + 1]
+            if op in ("=", "+=", "-=", "*=", "/=", "//=", "%="):
+                target = Name(self._tokens[self._pos].text)
+                self._pos += 2
+                value = self._parse_ternary()
+                if op == "=":
+                    return Assign(target, value)
+                return AugAssign(target, op[:-1], value)
+        elif tag == "return":
+            self._pos += 1
+            return Return(self._parse_ternary())
+        elif tag == "if":
             return self._parse_if()
-        if self._check("keyword", "for"):
+        elif tag == "for":
             return self._parse_for()
-        if self._check("keyword", "while"):
+        elif tag == "while":
             return self._parse_while()
-        if self._check("name"):
-            nxt = self._peek(1)
-            if nxt.kind == "op" and nxt.text in ("=", "+=", "-=", "*=", "/=", "//=", "%="):
-                target = Name(id=self._advance().text)
-                op_token = self._advance()
-                value = self._parse_expression()
-                if op_token.text == "=":
-                    return Assign(target=target, value=value)
-                return AugAssign(target=target, op=op_token.text[:-1], value=value)
-        token = self._peek()
-        raise DslSyntaxError(
-            f"expected a statement but found {token.text or token.kind!r}",
-            token.line,
-            token.column,
-        )
+        raise self._unexpected("expected a statement but found")
 
     def _parse_if(self) -> If:
-        self._expect("keyword", "if")
-        self._expect("op", "(")
-        condition = self._parse_expression()
-        self._expect("op", ")")
+        self._expect("if")
+        self._expect("(")
+        condition = self._parse_ternary()
+        self._expect(")")
         self._skip_separators()
         body = self._parse_block()
         orelse: List[Stmt] = []
         checkpoint = self._pos
         self._skip_separators()
-        if self._check("keyword", "else"):
-            self._advance()
+        if self._match("else"):
             self._skip_separators()
-            if self._check("keyword", "if"):
+            if self._tags[self._pos] == "if":
                 orelse = [self._parse_if()]
             else:
                 orelse = self._parse_block()
         else:
             self._pos = checkpoint
-        return If(condition=condition, body=body, orelse=orelse)
+        return If(condition, body, orelse)
 
     def _parse_for(self) -> ForRange:
-        self._expect("keyword", "for")
-        self._expect("op", "(")
-        var = Name(id=self._expect("name").text)
-        self._expect("keyword", "in")
-        self._expect("keyword", "range")
-        self._expect("op", "(")
-        limit = self._parse_expression()
-        self._expect("op", ")")
-        self._expect("op", ")")
+        self._expect("for")
+        self._expect("(")
+        var = Name(self._expect("name"))
+        self._expect("in")
+        self._expect("range")
+        self._expect("(")
+        limit = self._parse_ternary()
+        self._expect(")")
+        self._expect(")")
         self._skip_separators()
-        body = self._parse_block()
-        return ForRange(var=var, limit=limit, body=body)
+        return ForRange(var, limit, self._parse_block())
 
     def _parse_while(self) -> While:
-        self._expect("keyword", "while")
-        self._expect("op", "(")
-        condition = self._parse_expression()
-        self._expect("op", ")")
+        self._expect("while")
+        self._expect("(")
+        condition = self._parse_ternary()
+        self._expect(")")
         self._skip_separators()
-        body = self._parse_block()
-        return While(condition=condition, body=body)
+        return While(condition, self._parse_block())
 
-    # -- expressions --------------------------------------------------------
-
-    def _parse_expression(self) -> Expr:
-        return self._parse_ternary()
+    # -- expressions (lowest precedence first) ------------------------------
 
     def _parse_ternary(self) -> Expr:
         condition = self._parse_or()
-        if self._match("op", "?"):
+        if self._match("?"):
             if_true = self._parse_ternary()
-            self._expect("op", ":")
-            if_false = self._parse_ternary()
-            return Ternary(condition=condition, if_true=if_true, if_false=if_false)
+            self._expect(":")
+            return Ternary(condition, if_true, self._parse_ternary())
         return condition
 
     def _parse_or(self) -> Expr:
         left = self._parse_and()
-        values = [left]
-        while self._check("keyword", "or"):
-            self._advance()
-            values.append(self._parse_and())
-        if len(values) == 1:
+        if self._tags[self._pos] != "or":
             return left
-        return BoolOp(op="or", values=values)
+        values = [left]
+        while self._match("or"):
+            values.append(self._parse_and())
+        return BoolOp("or", values)
 
     def _parse_and(self) -> Expr:
         left = self._parse_not()
-        values = [left]
-        while self._check("keyword", "and"):
-            self._advance()
-            values.append(self._parse_not())
-        if len(values) == 1:
+        if self._tags[self._pos] != "and":
             return left
-        return BoolOp(op="and", values=values)
+        values = [left]
+        while self._match("and"):
+            values.append(self._parse_not())
+        return BoolOp("and", values)
 
     def _parse_not(self) -> Expr:
-        if self._check("keyword", "not"):
-            self._advance()
-            return UnaryOp(op="not", operand=self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> Expr:
+        if self._match("not"):
+            return UnaryOp("not", self._parse_not())
         left = self._parse_additive()
-        if self._peek().kind == "op" and self._peek().text in ("<", "<=", ">", ">=", "==", "!="):
-            op = self._advance().text
-            right = self._parse_additive()
-            return Compare(op=op, left=left, right=right)
+        op = self._tags[self._pos]
+        if op in ("<", "<=", ">", ">=", "==", "!="):
+            self._pos += 1
+            return Compare(op, left, self._parse_additive())
         return left
 
     def _parse_additive(self) -> Expr:
         left = self._parse_multiplicative()
-        while self._peek().kind == "op" and self._peek().text in ("+", "-"):
-            op = self._advance().text
-            right = self._parse_multiplicative()
-            left = BinOp(op=op, left=left, right=right)
+        tags = self._tags
+        while tags[self._pos] in ("+", "-"):
+            op = tags[self._pos]
+            self._pos += 1
+            left = BinOp(op, left, self._parse_multiplicative())
         return left
 
     def _parse_multiplicative(self) -> Expr:
         left = self._parse_unary()
-        while self._peek().kind == "op" and self._peek().text in ("*", "/", "//", "%"):
-            op = self._advance().text
-            right = self._parse_unary()
-            left = BinOp(op=op, left=left, right=right)
+        tags = self._tags
+        while tags[self._pos] in ("*", "/", "//", "%"):
+            op = tags[self._pos]
+            self._pos += 1
+            left = BinOp(op, left, self._parse_unary())
         return left
 
     def _parse_unary(self) -> Expr:
-        if self._check("op", "-"):
-            self._advance()
-            return UnaryOp(op="-", operand=self._parse_unary())
-        if self._check("op", "+"):
-            self._advance()
+        if self._match("-"):
+            return UnaryOp("-", self._parse_unary())
+        if self._match("+"):
             return self._parse_unary()
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
+        tags = self._tags
         while True:
-            if self._match("op", "."):
-                attr = self._expect("name").text
-                expr = Attribute(value=expr, attr=attr)
-            elif self._check("op", "("):
-                self._advance()
+            tag = tags[self._pos]
+            if tag == ".":
+                self._pos += 1
+                expr = Attribute(expr, self._expect("name"))
+            elif tag == "(":
+                self._pos += 1
                 args: List[Expr] = []
                 self._skip_separators()
-                if not self._check("op", ")"):
-                    args.append(self._parse_expression())
-                    while self._match("op", ","):
+                if tags[self._pos] != ")":
+                    args.append(self._parse_ternary())
+                    while self._match(","):
                         self._skip_separators()
-                        args.append(self._parse_expression())
-                self._expect("op", ")")
-                expr = Call(func=expr, args=args)
+                        args.append(self._parse_ternary())
+                self._expect(")")
+                expr = Call(expr, args)
             else:
                 return expr
 
     def _parse_primary(self) -> Expr:
-        token = self._peek()
-        if token.kind == "number":
-            self._advance()
-            if "." in token.text:
-                return Number(value=float(token.text))
-            return Number(value=int(token.text))
-        if token.kind == "keyword" and token.text in ("true", "false"):
-            self._advance()
-            return Number(value=1 if token.text == "true" else 0)
-        if token.kind == "name":
-            self._advance()
-            return Name(id=token.text)
-        if token.kind == "op" and token.text == "(":
-            self._advance()
-            expr = self._parse_expression()
-            self._expect("op", ")")
+        tag = self._tags[self._pos]
+        text = self._tokens[self._pos].text
+        if tag == "name":
+            self._pos += 1
+            return Name(text)
+        if tag == "number":
+            self._pos += 1
+            return Number(float(text) if "." in text else int(text))
+        if tag in ("true", "false"):
+            self._pos += 1
+            return Number(1 if tag == "true" else 0)
+        if tag == "(":
+            self._pos += 1
+            expr = self._parse_ternary()
+            self._expect(")")
             return expr
-        raise DslSyntaxError(
-            f"expected an expression but found {token.text or token.kind!r}",
-            token.line,
-            token.column,
-        )
+        raise self._unexpected("expected an expression but found")
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_memo(source: str) -> Union[Program, Tuple[str, int, int]]:
+    """One tokenise + parse per distinct text: the ``Program``, or what its
+    ``DslSyntaxError`` said -- as plain values, because a remembered
+    exception object would pin the frames of every raise through its
+    ``__traceback__``."""
+    try:
+        program = _Parser(tokenize(source)).parse_program()
+    except DslSyntaxError as exc:
+        return (exc.message, exc.line, exc.column)
+    program.derived = {}
+    return program
 
 
 def parse(source: str) -> Program:
@@ -440,6 +420,13 @@ def parse(source: str) -> Program:
 
     Raises :class:`DslSyntaxError` with line/column information on failure,
     which the Checker surfaces back to the Generator as feedback.
+
+    Repeated text is served from a small per-process memo (the search loop
+    parses a candidate's text in the generator's parent handling, in each
+    checker and in repair), so the program returned is shared and
+    **read-only**: ``clone()`` it before changing anything.
     """
-    tokens = tokenize(source)
-    return _Parser(tokens).parse_program()
+    parsed = _parse_memo(source)
+    if type(parsed) is tuple:
+        raise DslSyntaxError(*parsed)
+    return parsed

@@ -25,10 +25,10 @@ about:
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from repro.dsl.analysis import analyze
 from repro.dsl.ast import BinOp, Call, ForRange, Name, Number, Program, While
 from repro.dsl.codegen import to_source
 from repro.dsl.errors import DslError, DslSyntaxError
@@ -208,7 +208,7 @@ class SyntheticLLMClient:
         """
         from repro.dsl.ast import Assign
 
-        if self.spec.result_var in program.free_names():
+        if self.spec.result_var in analyze(program).free_names:
             program.body.insert(
                 0, Assign(target=Name(id=self.spec.result_var), value=Number(value=0))
             )
@@ -231,7 +231,6 @@ class SyntheticLLMClient:
             return child
         if kind == "archetype" and self._archetype_programs:
             base = self._rng.choice(self._archetype_programs).clone()
-            assert isinstance(base, Program)
             if self._rng.random() < 0.7:
                 base = mutate(base, self.spec, self._rng, self.mutation, self.grammar)
             return base
@@ -270,7 +269,6 @@ class SyntheticLLMClient:
 
     def _inject_float(self, program: Program) -> Program:
         clone = program.clone()
-        assert isinstance(clone, Program)
         numbers = [n for n in clone.walk() if isinstance(n, Number) and isinstance(n.value, int)]
         if numbers:
             target = self._rng.choice(numbers)
@@ -279,7 +277,6 @@ class SyntheticLLMClient:
 
     def _inject_unguarded_division(self, program: Program) -> Program:
         clone = program.clone()
-        assert isinstance(clone, Program)
         binops = [n for n in clone.walk() if isinstance(n, BinOp) and n.op in ("+", "-", "*")]
         sources = self.spec.numeric_sources()
         if binops and sources:
@@ -298,7 +295,6 @@ class SyntheticLLMClient:
 
     def _inject_unbounded_loop(self, program: Program) -> Program:
         clone = program.clone()
-        assert isinstance(clone, Program)
         loop = While(
             condition=Name(id=self.spec.result_var),
             body=[],
@@ -330,8 +326,6 @@ class SyntheticLLMClient:
 
     # -- repair ------------------------------------------------------------------------
 
-    _REJECTED_RE = re.compile(r"```\n(.*?)```", re.DOTALL)
-
     def _repair_response(self, user_text: str) -> str:
         blocks = extract_code_blocks(user_text)
         rejected = blocks[0] if blocks else ""
@@ -356,7 +350,6 @@ class SyntheticLLMClient:
 
     def _fix_floats(self, program: Program) -> Program:
         clone = program.clone()
-        assert isinstance(clone, Program)
         for node in clone.walk():
             if isinstance(node, Number) and isinstance(node.value, float):
                 node.value = max(1, int(round(node.value)))
@@ -366,7 +359,6 @@ class SyntheticLLMClient:
 
     def _fix_divisions(self, program: Program) -> Program:
         clone = program.clone()
-        assert isinstance(clone, Program)
         for node in clone.walk():
             if isinstance(node, BinOp) and node.op in ("/", "//", "%"):
                 divisor = node.right
@@ -378,7 +370,6 @@ class SyntheticLLMClient:
 
     def _fix_loops(self, program: Program) -> Program:
         clone = program.clone()
-        assert isinstance(clone, Program)
 
         def fix_block(stmts: list) -> list:
             fixed = []

@@ -1,4 +1,4 @@
-"""AST traversal: ``children()`` reads a per-class cache of field names."""
+"""AST traversal: ``children()`` reads a per-class tuple of child-bearing fields."""
 
 import dataclasses
 
@@ -18,7 +18,8 @@ NODE_CLASSES = sorted(
 
 
 def _reference_children(node):
-    """``children()`` as it was before the cache: ``fields()`` on every visit."""
+    """``children()`` as it was before the per-class tuples: ``fields()`` and
+    an ``isinstance`` test of every value on every visit."""
     for f in dataclasses.fields(node):
         value = getattr(node, f.name)
         if isinstance(value, Node):
@@ -29,17 +30,28 @@ def _reference_children(node):
 
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
 def test_children_order_is_field_declaration_order(cls):
-    # Every field filled with something a child could be: a node, a list of
-    # nodes, and -- for the str/number fields -- a node where none belongs,
-    # so a field the cache dropped or reordered would show.
+    # Every constructor field filled with what its annotation declares -- a
+    # node, a list of nodes, or a plain value -- each node distinct, so a
+    # child-bearing field the per-class tuple dropped, reordered or took for
+    # plain would show.
     values = {}
-    for index, f in enumerate(dataclasses.fields(cls)):
+    child_fields = 0
+    for index, f in enumerate(f for f in dataclasses.fields(cls) if f.init):
         marker = Name(id=f"{f.name}{index}")
-        values[f.name] = [marker, Number(index)] if index % 2 else marker
+        if f.type in ("List[Expr]", "List[Stmt]"):
+            values[f.name] = [marker, Number(index)]
+        elif f.type in ("Expr", "Stmt", "Name"):
+            values[f.name] = marker
+        else:
+            assert f.type in ("str", "List[str]", "Union[int, float]"), f.type
+            values[f.name] = f"{f.name}{index}"
+            continue
+        child_fields += 1
     node = cls(**values)
     children = list(node.children())
     assert children == list(_reference_children(node))
-    assert len(children) >= len(values)
+    assert len(children) >= child_fields
+    assert not hasattr(node, "__dict__")
 
 
 def test_node_classes_cover_the_language():
