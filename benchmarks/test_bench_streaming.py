@@ -6,7 +6,8 @@ The comparison isolates the simulate loop: the materialized baseline
 iterates a pre-built request list, the streaming paths re-decode (chunked
 CSV) or re-map (cached columnar sidecar) on every pass.  A generous margin
 below the 10% target guards the suite against CI noise; the exact ratio is
-recorded in ``extra_info``.
+recorded in ``extra_info``.  Every path must also simulate to the same
+result.
 """
 
 from __future__ import annotations
@@ -41,16 +42,17 @@ def _simulate(trace_like):
     return CacheSimulator().run(cache, trace_like)
 
 
-def _throughput(trace_like, repeats: int = 3) -> float:
-    """Best-of-N requests/second of the simulate loop over ``trace_like``."""
+def _throughput(trace_like, repeats: int = 3):
+    """Best-of-N requests/second of the simulate loop over ``trace_like``,
+    and the (identical) result of every pass."""
     best = float("inf")
-    requests = 0
+    results = []
     for _ in range(repeats):
         start = time.perf_counter()
-        result = _simulate(trace_like)
+        results.append(_simulate(trace_like))
         best = min(best, time.perf_counter() - start)
-        requests = result.requests
-    return requests / best
+    assert all(result == results[0] for result in results)
+    return results[0].requests / best, results[0]
 
 
 @pytest.mark.parametrize("mode", ["materialized", "csv-stream", "cached-decode"])
@@ -76,9 +78,11 @@ def test_streaming_throughput_within_tolerance(trace_csv):
     streaming = open_csv_trace(path, cache_decoded=True)
     streaming.footprint_bytes()  # build the sidecar + stats before timing
 
-    base = _throughput(materialized)
-    streamed = _throughput(streaming)
+    base, expected = _throughput(materialized)
+    streamed, result = _throughput(streaming)
     ratio = streamed / base
+    assert result.requests == 4000
+    assert result == expected
     # Target: within 10% of the materialized path.  Assert a wider bound so
     # shared-CI jitter cannot flake the suite; the measured ratio is printed
     # for the benchmark log.

@@ -11,7 +11,12 @@ signature.  Nothing but the kernel is generated per program:
 :func:`~repro.cache.layout.cache_layout` turns each feature-column read into
 a line of the kernel's prologue over those six arguments (``table`` is the
 per-run list that :func:`_kernel_table` rewrites at every aggregate
-refresh), so a priority evaluation is one Python frame.
+refresh), so a priority evaluation is one Python frame.  The columns are the
+three lists ``trace.columns()`` builds once per trace and every candidate's
+run walks as they are; an eviction leaves a plain tuple in the
+policy's history, in the field order of
+:class:`~repro.cache.features.EvictedRecord` (the one representation the
+classic loop writes too), so it enters no Python frame at all.
 
 Why eager per-row scoring and not deferred numpy batches?  Both were built
 and measured: a numpy lane evaluator was 3-4x faster than the scalar kernel
@@ -42,7 +47,6 @@ import heapq
 from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.cache.features import EvictedRecord
 from repro.cache.layout import _COUNT, _GEN, _INSERTED, _LAST, _SCORE, _SIZE
 from repro.cache.metrics import SimulationResult
 from repro.cache.policies.base import CachedObject
@@ -161,13 +165,9 @@ def _fused_loop(timestamps, keys, sizes, warmup, policy, kernel, table, refresh_
                         if victim in hrecords:
                             del hrecords[victim]
                         last = victim_entry[1]
-                        hrecords[victim] = EvictedRecord(
-                            victim,
-                            now,
-                            victim_entry[0],
-                            (now - last) if now > last else 0,
-                            victim_entry[3],
-                        )
+                        age = (now - last) if now > last else 0
+                        # EvictedRecord's field order.
+                        hrecords[victim] = (victim, now, victim_entry[0], age, victim_entry[3])
                         while len(hrecords) > hist_max:
                             hpop_oldest(last=False)
                     entry = [1, now, now, size, 0, 0.0]
@@ -181,7 +181,8 @@ def _fused_loop(timestamps, keys, sizes, warmup, policy, kernel, table, refresh_
                     value = kernel(now, key, entry, table, hrecords, hget)
                 except Exception as exc:
                     reraise_normalised(exc)
-                score = value if type(value) is float else as_score(value)
+                kind = type(value)
+                score = value if kind is float else float(value) if kind is int else as_score(value)
                 entry[5] = score
                 heappush(heap, (score, generation, key))
     measured = {
@@ -239,7 +240,7 @@ def fused_cache_run(simulator, policy, trace, warmup: int = 0) -> Optional[Simul
         return None
 
     store, heap, used, generation, refresh_since, last_push_now, admissions, measured = _fused_loop(
-        *(column.tolist() for column in columns),  # timestamps, keys, sizes
+        *columns,  # timestamps, keys, sizes
         warmup,
         policy,
         vp.bound._fn,

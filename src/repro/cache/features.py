@@ -8,7 +8,8 @@ features (§4.1.2, Table 1):
 * **Aggregates** -- percentiles over the access counts, ages and sizes of
   the objects currently in the cache (:class:`FeatureAggregates`);
 * **History** -- recently evicted objects with their access count and age at
-  eviction time (:class:`EvictionHistory`).
+  eviction time (:class:`EvictionHistory`, one plain tuple per object in
+  :class:`EvictedRecord`'s field order).
 
 All three are :class:`~repro.dsl.interpreter.FeatureObject` subclasses, so
 DSL programs can only touch the attributes/methods listed here.
@@ -18,8 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.cache.policies.base import CachedObject
 from repro.dsl.errors import DslRuntimeError
@@ -113,15 +113,29 @@ class FeatureAggregates(FeatureObject):
         return len(self._sorted)
 
 
-@dataclass(frozen=True)
-class EvictedRecord:
-    """Metadata captured for an object at the moment it was evicted."""
+class EvictedRecord(NamedTuple):
+    """Metadata captured for an object at the moment it was evicted.
+
+    A history record is stored as a plain 5-tuple in this field order -- an
+    eviction runs on two requests in three, and building a tuple is what a
+    cache hit costs.  Both simulation loops write it positionally
+    (:meth:`EvictionHistory.record`, the eviction branch of
+    :func:`repro.cache.columnar._fused_loop`) and every reader indexes it
+    through the ``_REC_*`` slots below; this class is the named view
+    :meth:`EvictionHistory.records` hands out.
+    """
 
     key: int
     evicted_at: int
     access_count: int
     age_at_eviction: int
     size: int
+
+
+#: Stored-record slots (``cache/layout.py`` reads records through them too).
+_REC_EVICTED_AT, _REC_COUNT, _REC_AGE, _REC_SIZE = map(
+    EvictedRecord._fields.index, ("evicted_at", "access_count", "age_at_eviction", "size")
+)
 
 
 class EvictionHistory(FeatureObject):
@@ -147,55 +161,48 @@ class EvictionHistory(FeatureObject):
         if max_entries <= 0:
             raise ValueError("history must keep at least one entry")
         self.max_entries = max_entries
-        self._records: "OrderedDict[int, EvictedRecord]" = OrderedDict()
+        self._records: "OrderedDict[int, tuple]" = OrderedDict()
         self._now = 0
 
     # -- maintenance (called by the cache, not by generated code) ----------------
 
     def record(self, obj: CachedObject, now: int) -> None:
-        record = EvictedRecord(
-            key=obj.key,
-            evicted_at=now,
-            access_count=obj.access_count,
-            age_at_eviction=max(0, now - obj.last_access_time),
-            size=obj.size,
-        )
-        self._records[obj.key] = record
-        self._records.move_to_end(obj.key)
-        while len(self._records) > self.max_entries:
-            self._records.popitem(last=False)
+        records = self._records
+        key = obj.key
+        # EvictedRecord's field order.
+        records[key] = (key, now, obj.access_count, max(0, now - obj.last_access_time), obj.size)
+        records.move_to_end(key)
+        while len(records) > self.max_entries:
+            records.popitem(last=False)
 
     def set_now(self, now: int) -> None:
         self._now = now
 
     def records(self) -> List[EvictedRecord]:
-        return list(self._records.values())
+        return [EvictedRecord._make(record) for record in self._records.values()]
 
     # -- methods visible to generated code -----------------------------------------
 
     def contains(self, key: int) -> bool:
         return key in self._records
 
-    def _get(self, key: int) -> Optional[EvictedRecord]:
-        return self._records.get(key)
-
     def count_of(self, key: int) -> int:
-        record = self._get(key)
-        return record.access_count if record else 0
+        record = self._records.get(key)
+        return record[_REC_COUNT] if record else 0
 
     def age_at_eviction(self, key: int) -> int:
-        record = self._get(key)
-        return record.age_at_eviction if record else 0
+        record = self._records.get(key)
+        return record[_REC_AGE] if record else 0
 
     def size_of(self, key: int) -> int:
-        record = self._get(key)
-        return record.size if record else 0
+        record = self._records.get(key)
+        return record[_REC_SIZE] if record else 0
 
     def time_since_eviction(self, key: int) -> int:
-        record = self._get(key)
+        record = self._records.get(key)
         if record is None:
             return 0
-        return max(0, self._now - record.evicted_at)
+        return max(0, self._now - record[_REC_EVICTED_AT])
 
     def length(self) -> int:
         return len(self._records)

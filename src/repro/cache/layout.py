@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.cache.features import _REC_AGE, _REC_COUNT, _REC_EVICTED_AT, _REC_SIZE
 from repro.dsl.analysis import ColumnSpec
 from repro.dsl.vectorize import KernelBinding
 
@@ -19,20 +20,21 @@ _AGG_ARITY = {"percentile": 1, "mean": 0, "minimum": 0, "maximum": 0, "count": 0
 #: :class:`EvictionHistory` methods as ``(arity, expression)``: the method
 #: bodies over the live records dict ``{h}`` and its ``get`` ``{get}`` (same
 #: reads, no method-call frames).  ``{0}`` is the method argument, ``{r}`` /
-#: ``{d}`` per-column temporaries bound by the walrus in the condition.
-#: Records are always truthy, so ``record if record else 0`` is an is-None
-#: test.  ``time_since_eviction`` uses the push-time ``now`` directly -- the
-#: classic loop's set_now(now) happens at the same instant, so
-#: ``history._now == now`` whenever it is read.
+#: ``{d}`` per-column temporaries bound by the walrus in the condition; a
+#: record is a plain tuple, indexed by the ``_REC_*`` slots.  Records are
+#: always truthy, so ``record if record else 0`` is an is-None test.
+#: ``time_since_eviction`` uses the push-time ``now`` directly -- the classic
+#: loop's set_now(now) happens at the same instant, so ``history._now == now``
+#: whenever it is read.
 _HISTORY_EXPR = {
     "contains": (1, "({0} in {h})"),
-    "count_of": (1, "({r}.access_count if ({r} := {get}({0})) else 0)"),
-    "age_at_eviction": (1, "({r}.age_at_eviction if ({r} := {get}({0})) else 0)"),
-    "size_of": (1, "({r}.size if ({r} := {get}({0})) else 0)"),
+    "count_of": (1, "({r}[%d] if ({r} := {get}({0})) else 0)" % _REC_COUNT),
+    "age_at_eviction": (1, "({r}[%d] if ({r} := {get}({0})) else 0)" % _REC_AGE),
+    "size_of": (1, "({r}[%d] if ({r} := {get}({0})) else 0)" % _REC_SIZE),
     "time_since_eviction": (
         1,
         "(0 if ({r} := {get}({0})) is None"
-        " else ({d} if ({d} := now - {r}.evicted_at) > 0 else 0))",
+        " else ({d} if ({d} := now - {r}[%d]) > 0 else 0))" % _REC_EVICTED_AT,
     ),
     "length": (0, "{len}({h})"),
 }

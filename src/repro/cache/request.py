@@ -55,7 +55,6 @@ class Trace:
         self._footprint: Optional[int] = None
         self._unique: Optional[int] = None
         self._columns: Optional[tuple] = None
-        self._columns_failed = False
 
     # -- container protocol -------------------------------------------------
 
@@ -101,26 +100,21 @@ class Trace:
             self._footprint = sum(sizes.values())
         return self._footprint
 
-    def columns(self) -> Optional[tuple]:
-        """The trace as ``(timestamps, keys, sizes)`` int64 numpy arrays.
+    def columns(self) -> tuple:
+        """The trace as ``(timestamps, keys, sizes)``, three plain lists.
 
         This is the struct-of-arrays form the fused columnar simulator
-        (:mod:`repro.cache.columnar`) iterates; it is built once and cached.
-        Returns ``None`` when any field does not fit in int64 (the fused
-        path then falls back to the per-request loop).
+        (:mod:`repro.cache.columnar`) walks as it is, with no copy per run: it
+        is built once and cached, and holds the requests' own field values,
+        so it costs three pointers a request.
         """
-        if self._columns is None and not self._columns_failed:
-            import numpy as np
-
-            n = len(self._requests)
-            try:
-                self._columns = (
-                    np.fromiter((r.timestamp for r in self._requests), np.int64, n),
-                    np.fromiter((r.key for r in self._requests), np.int64, n),
-                    np.fromiter((r.size for r in self._requests), np.int64, n),
-                )
-            except OverflowError:
-                self._columns_failed = True
+        if self._columns is None:
+            requests = self._requests
+            self._columns = (
+                [r.timestamp for r in requests],
+                [r.key for r in requests],
+                [r.size for r in requests],
+            )
         return self._columns
 
     def compulsory_miss_ratio(self) -> float:

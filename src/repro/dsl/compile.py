@@ -137,6 +137,17 @@ def _args_tuple(parts: List[str]) -> str:
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
+def _ccond(
+    expr: Expr, builtins: Dict[str, Callable[..., Any]], leaves: Mapping[int, str]
+) -> str:
+    """``expr`` rendered as a condition: inside the interpreter's truthiness
+    fold, except a comparison, whose value is already a ``bool`` (or it raised)."""
+    source = _cexpr(expr, builtins, leaves)
+    if isinstance(expr, Compare):
+        return source
+    return f"__dsl_truthy({source})"
+
+
 def _cexpr(
     expr: Expr, builtins: Dict[str, Callable[..., Any]], leaves: Mapping[int, str]
 ) -> str:
@@ -169,14 +180,12 @@ def _cexpr(
         left = _cexpr(expr.left, builtins, leaves)
         return f"({left} {expr.op} {_cexpr(expr.right, builtins, leaves)})"
     if isinstance(expr, BoolOp):
-        joined = f" {expr.op} ".join(
-            f"__dsl_truthy({_cexpr(v, builtins, leaves)})" for v in expr.values
-        )
+        joined = f" {expr.op} ".join(_ccond(v, builtins, leaves) for v in expr.values)
         return f"({joined})"
     if isinstance(expr, Ternary):
         return (
             f"({_cexpr(expr.if_true, builtins, leaves)} "
-            f"if __dsl_truthy({_cexpr(expr.condition, builtins, leaves)}) "
+            f"if {_ccond(expr.condition, builtins, leaves)} "
             f"else {_cexpr(expr.if_false, builtins, leaves)})"
         )
     raise DslCompileError(f"cannot compile expression of type {type(expr).__name__}")
@@ -198,7 +207,7 @@ def _cblock(
         elif isinstance(stmt, Return):
             lines.append(f"{pad}return {_cexpr(stmt.value, builtins, leaves)}")
         elif isinstance(stmt, If):
-            lines.append(f"{pad}if __dsl_truthy({_cexpr(stmt.condition, builtins, leaves)}):")
+            lines.append(f"{pad}if {_ccond(stmt.condition, builtins, leaves)}:")
             lines.extend(_cblock(stmt.body, indent + 1, builtins, leaves) or [f"{pad}    pass"])
             if stmt.orelse:
                 lines.append(f"{pad}else:")

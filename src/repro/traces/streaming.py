@@ -181,8 +181,9 @@ class DecodedArraySource:
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Zero-copy ``(timestamps, keys, sizes)`` int64 views of the sidecar.
 
-        The rows alias the memory-mapped array directly; the fused columnar
-        simulator iterates them without ever constructing Request objects.
+        The rows alias the memory-mapped array directly;
+        :meth:`StreamingTrace.columns` decodes them for the fused columnar
+        simulator without ever constructing Request objects.
         """
         data = self._open()
         return data[0], data[1], data[2]
@@ -276,21 +277,30 @@ class StreamingTrace:
         self.reservoir_size = reservoir_size
         self.stats_seed = stats_seed
         self._stats: Optional[TraceStats] = None
+        self._columns: Optional[tuple] = None
 
     def __iter__(self) -> Iterator[Request]:
         return iter(self.source)
 
     def columns(self) -> Optional[tuple]:
-        """Struct-of-arrays form when the source provides one, else ``None``.
+        """``(timestamps, keys, sizes)`` as lists of plain ints when the source
+        has a struct-of-arrays form, else ``None``.
 
         Only :class:`DecodedArraySource` does (its sidecar *is* the columnar
-        form, memory-mapped); plain CSV streaming returns ``None`` and the
-        simulator uses the per-request loop.
+        form, memory-mapped); it is decoded on first use and kept, so unlike
+        iteration this holds O(trace) memory, once for every candidate the
+        fused simulator runs on the trace.  Plain CSV streaming returns
+        ``None`` and the simulator uses the per-request loop.
         """
         source_columns = getattr(self.source, "columns", None)
-        if callable(source_columns):
-            return source_columns()
-        return None
+        if self._columns is None and callable(source_columns):
+            self._columns = tuple(column.tolist() for column in source_columns())
+        return self._columns
+
+    def __getstate__(self) -> dict:
+        # The decoded columns are rebuilt from the sidecar where they are next
+        # needed; a pickled trace (process pools) stays the size of its path.
+        return {**self.__dict__, "_columns": None}
 
     # -- statistics ----------------------------------------------------------------
 

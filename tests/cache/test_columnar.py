@@ -75,9 +75,11 @@ def _state(policy):
         "generation": policy._generation,
         "since_refresh": policy._requests_since_refresh,
         "heap": list(policy._heap),
-        "history": [
-            (k, r.evicted_at, r.access_count, r.age_at_eviction, r.size)
-            for k, r in policy.history._records.items()
+        # The stored tuples under their keys, and the named view over them.
+        "history": list(policy.history._records.items()),
+        "history_records": [
+            (r.key, r.evicted_at, r.access_count, r.age_at_eviction, r.size)
+            for r in policy.history.records()
         ],
         "history_now": policy.history._now,
         "aggregates": [
@@ -109,6 +111,22 @@ def test_fused_matches_classic_exactly(name, warmup):
     assert fused == classic
     assert fused_state == classic_state
     assert fused.evictions > 0, "workload too easy to exercise eviction"
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_fused_matches_classic_beyond_int64(name):
+    """Timestamps and keys past 2**63: the columns are the requests' own
+    ints, so such a trace runs the fused loop like any other (a separate
+    test so the ids above stay what they were)."""
+    rng = random.Random(1)
+    trace = make_trace(
+        [(2**63 + t, 2**64 + rng.randint(1, 40), rng.choice([50, 80, 120, 200])) for t in range(600)],
+        name="beyond-int64",
+    )
+    (fused, fused_state), (classic, classic_state) = _run_pair(PROGRAMS[name], trace, warmup=100)
+    assert fused == classic
+    assert fused_state == classic_state
+    assert fused.evictions > 0
 
 
 def test_fused_matches_classic_warmup_beyond_trace():

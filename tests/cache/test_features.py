@@ -1,8 +1,10 @@
 """Tests of the Table-1 feature view (per-object, aggregates, history)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.features import (
+    EvictedRecord,
     EvictionHistory,
     FeatureAggregates,
     ObjectInfoView,
@@ -130,3 +132,73 @@ def test_history_rerecord_moves_to_front():
 def test_history_requires_positive_capacity():
     with pytest.raises(ValueError):
         EvictionHistory(max_entries=0)
+
+
+class _ModelHistory:
+    """Plain-Python reference: named records in a list, oldest first."""
+
+    def __init__(self, max_entries):
+        self.max_entries = max_entries
+        self.rows = []
+        self.now = 0
+
+    def record(self, obj, now):
+        self.rows = [row for row in self.rows if row["key"] != obj.key]
+        self.rows.append(
+            {
+                "key": obj.key,
+                "evicted_at": now,
+                "access_count": obj.access_count,
+                "age_at_eviction": max(0, now - obj.last_access_time),
+                "size": obj.size,
+            }
+        )
+        del self.rows[: max(0, len(self.rows) - self.max_entries)]
+
+    def field(self, key, name, neutral=0):
+        return next((row[name] for row in self.rows if row["key"] == key), neutral)
+
+
+_KEYS = st.integers(min_value=0, max_value=7)
+_TIMES = st.integers(min_value=0, max_value=1_000)
+_HISTORY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), _KEYS, _TIMES, _TIMES, st.integers(1, 50), st.integers(1, 500)),
+        st.tuples(st.just("set_now"), _TIMES),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(max_entries=st.integers(min_value=1, max_value=5), ops=_HISTORY_OPS)
+def test_history_matches_a_plain_python_model(max_entries, ops):
+    history = EvictionHistory(max_entries=max_entries)
+    model = _ModelHistory(max_entries)
+    for op in ops:
+        if op[0] == "record":
+            _, key, last, now, count, size = op
+            obj = make_object(key=key, last=last, count=count, size=size)
+            history.record(obj, now)
+            model.record(obj, now)
+        else:
+            history.set_now(op[1])
+            model.now = op[1]
+
+        assert history.length() == len(model.rows) <= max_entries
+        for key in range(9):  # 8 is never recorded: always a miss
+            assert history.contains(key) == any(row["key"] == key for row in model.rows)
+            assert history.count_of(key) == model.field(key, "access_count")
+            assert history.age_at_eviction(key) == model.field(key, "age_at_eviction")
+            assert history.size_of(key) == model.field(key, "size")
+            since = max(0, model.now - model.field(key, "evicted_at", neutral=model.now))
+            assert history.time_since_eviction(key) == since
+
+        records = history.records()
+        assert [record._asdict() for record in records] == model.rows  # oldest first
+        for record, stored in zip(records, history._records.values()):
+            assert type(record) is EvictedRecord and type(stored) is tuple
+            assert record == stored and hash(record) == hash(stored)
+            assert history._records[record.key] is stored
+            with pytest.raises(AttributeError):
+                record.size = 0

@@ -60,10 +60,13 @@ def test_distributed_matches_serial_results(tmp_path, recorder):
         executor.close()
     assert [r.score for r in results] == [r.score for r in serial]
     assert executor.tasks_dispatched == len(SOURCES)
-    joined = [e for e in recorder.events if isinstance(e, WorkerJoined)]
-    assert len(joined) == 2
+    # How many of the two workers announce themselves before a five-unit
+    # batch is done is up to the scheduler; that every unit was completed
+    # exactly once, by a worker whose join was observed, is not.
+    joined = {e.worker_id for e in recorder.events if isinstance(e, WorkerJoined)}
     fabric = executor.fabric_stats()
-    assert fabric["workers_joined"] == 2
+    assert 1 <= fabric["workers_joined"] == len(joined) <= 2
+    assert set(fabric["workers"]) == joined
     assert sum(w["completed"] for w in fabric["workers"].values()) == len(SOURCES)
 
 

@@ -19,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.search import caching_feature_spec
 from repro.dsl import Interpreter, parse
 from repro.dsl.analysis import vectorizability
-from repro.dsl.compile import DEFAULT_BACKEND, DslCompileError, make_runner
-from repro.dsl.errors import DslError
+from repro.dsl.ast import BoolOp, Compare, If, Ternary
+from repro.dsl.codegen import to_source
+from repro.dsl.compile import DEFAULT_BACKEND, DslCompileError, compile_program, make_runner
+from repro.dsl.errors import DslError, DslRuntimeError
 from repro.dsl.grammar import random_program
 from repro.dsl.interpreter import FeatureObject
 from repro.dsl.vectorize import (
@@ -122,6 +124,66 @@ def test_bound_kernel_matches_interpreter_oracle(seed, data):
         assert _same_value(got, expected), (
             f"row {i}: kernel {got!r} != oracle {expected!r} for {row}"
         )
+
+
+#: What a comparison may be handed that a plain number is not: nothing, NaN,
+#: bools, and ints beside floats of the same or nearly the same magnitude.
+_COMPARED = [None, float("nan"), True, False, 0, 1, 1.0, -1, -0.0, 2.5, 409, 409.0, 2**53 + 1]
+
+#: The grammar's conditions are all comparisons; these mix in the conditions
+#: that keep the truthiness fold (a bare value, ``not``, an ``and`` / ``or``).
+_MIXED_CONDITIONS = [
+    "def f(a, b, c) { if (a) { return b } return c }",
+    "def f(a, b, c) { return (a < b and c) ? 1 : 2 }",
+    "def f(a, b, c) { if (a == b or b != c or c) { return 1 } return a >= c ? 3 : 4 }",
+    "def f(a, b, c) { x = not (a > b) ? b : c\n if (not a) { x = x + 1 } return x }",
+    "def f(a, b, c) { return ((a <= b) == c) ? (a and b) : (b or c) }",
+]
+
+
+def _conditions(program):
+    for node in program.walk():
+        if isinstance(node, (If, Ternary)):
+            yield node.condition
+        elif isinstance(node, BoolOp):
+            yield from node.values
+
+
+def test_bare_compare_conditions_match_interpreter_on_edge_rows():
+    """A comparison used as a condition is emitted without the truthiness
+    helper; on rows of ``None``, NaN, bools and mixed int/float both emitted
+    forms -- the bound kernel and the scalar program -- still give the
+    interpreter's value, or fail where it fails."""
+    programs = [random_program(SPEC, random.Random(seed)) for seed in range(500)]
+    programs += [parse(source) for source in _MIXED_CONDITIONS]
+    interpreter = Interpreter()
+    rng = random.Random(0)
+    bare = raised = 0
+    for program in programs:
+        vp = vectorize_program(program)
+        scalar = compile_program(program)
+        folded = sum(not isinstance(c, Compare) for c in _conditions(program))
+        bare += sum(isinstance(c, Compare) for c in _conditions(program))
+        for emitted in (vp.bound, scalar):
+            assert emitted.python_source.count("__dsl_truthy(") == folded
+        for _ in range(6):
+            values = [rng.choice(_COMPARED) for _ in vp.columns]
+            row = {spec.key: value for spec, value in zip(vp.columns, values)}
+            runs = (
+                lambda: vp.bound(*values),
+                lambda: scalar.run(_oracle_env(program, vp.columns, row)),
+            )
+            try:
+                expected = interpreter.run(program, _oracle_env(program, vp.columns, row))
+            except DslRuntimeError:
+                raised += 1
+                for run in runs:
+                    with pytest.raises(DslRuntimeError):
+                        run()
+                continue
+            for run in runs:
+                assert _same_value(run(), expected), (to_source(program), row)
+    assert bare > 1_500 and raised > 100  # both outcomes are exercised
 
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None)

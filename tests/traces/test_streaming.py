@@ -183,6 +183,14 @@ def test_streaming_trace_pickles_for_process_pools(tmp_path):
     streaming = open_csv_trace(path, cache_decoded=True)
     clone = pickle.loads(pickle.dumps(streaming))
     assert _request_tuples(clone) == _request_tuples(trace)
+    # The decoded columns the fused simulator keeps are not part of the
+    # pickle: it stays the size of the sidecar's path, and the clone decodes
+    # the same columns again.
+    bare = len(pickle.dumps(streaming))
+    columns = streaming.columns()
+    assert len(pickle.dumps(streaming)) == bare
+    assert streaming.columns() is columns
+    assert pickle.loads(pickle.dumps(streaming)).columns() == columns
 
 
 # -- error handling -----------------------------------------------------------------
