@@ -107,3 +107,21 @@ def bench_scale() -> dict:
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark and return its result."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+@pytest.fixture
+def evaluator_calls(monkeypatch):
+    """Every ``CachingEvaluator.evaluate_program`` call made while the test
+    runs, as the length of the trace it simulated (a ladder rung's prefix is
+    shorter than the full trace)."""
+    from repro.cache.search import CachingEvaluator
+
+    calls: list = []
+    evaluate_program = CachingEvaluator.evaluate_program
+
+    def counting(evaluator, program):
+        calls.append(len(evaluator.trace))
+        return evaluate_program(evaluator, program)
+
+    monkeypatch.setattr(CachingEvaluator, "evaluate_program", counting)
+    return calls

@@ -68,10 +68,6 @@ def make_setup(bench_scale, *, delay_s: float, pipeline: bool):
             for ref in WORKLOADS
         ],
         reducer="mean",
-        # The 4x workload and the calibration were sized for the ``compiled``
-        # backend's evaluation phase; pinned so the default backend getting
-        # faster does not shrink the phase being overlapped.
-        backend="compiled",
     )
     probe = build_search("caching", **kwargs)  # a fresh, same-seed client
     setup = build_search(

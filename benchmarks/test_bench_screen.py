@@ -78,8 +78,7 @@ def test_static_screen_overhead(benchmark, bench_records, tmp_path):
     assert screened_out == EXPECTED_SCREENED
 
     trace = build_trace("caching/zipf-hot", num_requests=TRACE_REQUESTS, num_objects=400)
-    # ``compiled``: what the tracked speedup in BENCH_engine.json was recorded on.
-    rung0 = counted(CachingEvaluator(trace, backend="compiled").at_fidelity(RUNG0_FIDELITY))
+    rung0 = counted(CachingEvaluator(trace).at_fidelity(RUNG0_FIDELITY))
 
     # Through the engine: everything but the screened candidates is evaluated,
     # looked up in the memo and the store, and written back -- once each.

@@ -2,11 +2,12 @@
 
 The persistent evaluation store turns repeated work -- sweep seeds, reruns,
 resumes -- into disk reads.  This benchmark runs the same 2-scenario
-micro-sweep twice against one store directory and gates the speedup: the
-second (warm) sweep re-generates and re-checks every candidate but serves
-every evaluation from disk, and must complete at least ``MIN_SPEEDUP``x
-faster than the cold sweep while producing byte-identical ``result.json``
-files.
+micro-sweep twice against one store directory and gates what the store is
+for, by counts: the second (warm) sweep re-generates and re-checks every
+candidate but makes no evaluator call at all -- every memory miss is a disk
+hit -- while producing byte-identical ``result.json`` files.  The cold/warm
+wall-clock ratio is printed and recorded, not gated: it divides by the cost
+of an evaluation on this box.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ import time
 from repro.core.spec import RunSpec, run_sweep
 
 from benchmarks.conftest import run_once
-
-#: Acceptance gate: warm sweep at least this many times faster than cold.
-MIN_SPEEDUP = 3.0
 
 
 def sweep_spec(bench_scale) -> RunSpec:
@@ -32,9 +30,6 @@ def sweep_spec(bench_scale) -> RunSpec:
                 {"name": "caching/scan-storm", "num_requests": requests},
             ],
             "reducer": "mean",
-            # Pinned so the cold run -- the denominator -- stays what the
-            # recorded baseline was measured against, not the default backend.
-            "backend": "compiled",
         },
         search={
             "rounds": bench_scale["search_rounds"],
@@ -44,7 +39,7 @@ def sweep_spec(bench_scale) -> RunSpec:
     )
 
 
-def test_sweep_warm_start_speedup(benchmark, bench_scale, bench_records, tmp_path):
+def test_sweep_warm_start_speedup(benchmark, bench_scale, bench_records, tmp_path, evaluator_calls):
     spec = sweep_spec(bench_scale)
     store_dir = tmp_path / "evalstore"
 
@@ -56,7 +51,9 @@ def test_sweep_warm_start_speedup(benchmark, bench_scale, bench_records, tmp_pat
         return outcome, time.perf_counter() - start
 
     cold, cold_s = timed_sweep("cold")
+    cold_calls = len(evaluator_calls)
     warm, warm_s = run_once(benchmark, timed_sweep, "warm")
+    assert 0 < cold_calls == len(evaluator_calls), "the warm sweep evaluated something"
 
     # Byte-identical per-seed results, cold vs warm.
     for cold_run, warm_run in zip(cold.outcomes, warm.outcomes):
@@ -84,8 +81,4 @@ def test_sweep_warm_start_speedup(benchmark, bench_scale, bench_records, tmp_pat
     print(
         f"\n[store] cold sweep {cold_s:.2f}s, warm sweep {warm_s:.2f}s "
         f"= {speedup:.1f}x, disk hit rate {disk_hit_rate * 100:.0f}%"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"warm-start sweep only {speedup:.1f}x faster than cold "
-        f"(gate: {MIN_SPEEDUP}x); store at {store_dir}"
     )

@@ -1,4 +1,4 @@
-"""Fused columnar fast path for the priority cache (the vectorized backend).
+"""Fused columnar fast path for the priority cache (every lowered run's loop).
 
 The classic pipeline is layered for clarity: the simulator walks the trace,
 the policy dispatches hook methods, every priority evaluation builds an
@@ -218,7 +218,7 @@ def fused_cache_run(simulator, policy, trace, warmup: int = 0) -> Optional[Simul
 
     ``None`` means "this run cannot be replicated exactly, use the classic
     loop" -- never an error.  (A program with feature columns outside the
-    Table-1 vocabulary never resolves to the vectorized backend at all.)
+    Table-1 vocabulary never gets a :class:`VectorizedProgram` runner at all.)
     """
     if simulator.check_invariants_every:
         return None

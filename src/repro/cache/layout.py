@@ -55,7 +55,7 @@ def cache_layout(
     prologue calls with its per-row argument.
 
     ``None`` when a column falls outside the Table-1 vocabulary: the program
-    then runs on the compiled backend and fails with the usual errors.
+    then runs as the scalar compiled program, with the usual errors.
     """
     entry, table, hrecords, hget, length = (
         f"{prefix}{name}" for name in ("entry", "table", "hrecords", "hget", "len")

@@ -55,13 +55,12 @@ def as_score(value) -> float:
 class DslPriorityFunction:
     """Adapts a DSL :class:`Program` to the priority-function interface.
 
-    ``backend`` selects the execution strategy: ``"vectorized"`` (the
-    default) compiles the program's kernel behind the call signature of the
-    fused simulation loop (:mod:`repro.cache.columnar`), ``"compiled"``
-    turns the program into a native Python callable -- roughly an order of
-    magnitude faster per invocation than ``"interpreter"``, the tree-walking
-    oracle.  A program one backend cannot lower falls back to the next
-    (``self.backend`` is the one in use).
+    ``backend`` is ``"vectorized"`` (the default) or its other spelling
+    ``"compiled"`` -- the program lowered to a Python callable, its kernel
+    compiled behind the call signature of the fused simulation loop
+    (:mod:`repro.cache.columnar`) -- or ``"interpreter"``, the tree-walking
+    oracle.  A program that cannot bind a kernel falls back to the scalar
+    callable, then the interpreter (``self.backend`` is the one in use).
     """
 
     def __init__(
@@ -135,11 +134,10 @@ class PriorityFunctionCache(EvictionPolicy):
         Number of evicted objects remembered in the history feature.
     backend:
         DSL execution backend for ``priority`` when it is a
-        :class:`~repro.dsl.ast.Program`: ``"vectorized"`` (default: a fresh
-        policy on a columnar trace is simulated by the fused loop of
-        :mod:`repro.cache.columnar`, one Python frame per evaluation),
-        ``"compiled"`` (one native callable per program behind the classic
-        hook-by-hook loop) or ``"interpreter"`` (the oracle / fallback).
+        :class:`~repro.dsl.ast.Program`: ``"vectorized"`` (default) or
+        ``"compiled"``, alike (a fresh policy on a columnar trace is
+        simulated by the fused loop of :mod:`repro.cache.columnar`, one
+        Python frame per evaluation), or ``"interpreter"`` (the oracle).
     """
 
     policy_name = "PolicySmith"

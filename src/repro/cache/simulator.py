@@ -59,7 +59,7 @@ class CacheSimulator:
         usual methodology for short traces.
 
         When ``policy`` is a :class:`~repro.cache.priority_cache.
-        PriorityFunctionCache` running a vectorized DSL program, the
+        PriorityFunctionCache` whose DSL program bound a kernel, the
         simulation is delegated to the fused columnar loop
         (:func:`repro.cache.columnar.fused_cache_run`), which produces an
         identical result and identical final policy state, just faster; it

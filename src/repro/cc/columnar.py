@@ -1,4 +1,4 @@
-"""Zero-layer scoring fast path for vectorized DSL congestion controllers.
+"""Zero-layer scoring fast path for lowered DSL congestion controllers.
 
 The classic invocation path builds a fresh environment dict and a
 :class:`~repro.cc.signals.HistoryView` (which copies and reverses the
@@ -22,9 +22,9 @@ Exactness: the kernel computes bit-identical values to the classic path --
 same clamping (``max(0, rtt)``), same bounds-clamped history indexing, same
 ``int()`` truncation of method arguments.  It is used opportunistically: a
 program with any feature column outside the cong_control Template
-vocabulary runs on the compiled backend instead, and a call that raises is
-re-run through the classic path so errors surface with their usual
-normalised types and messages.
+vocabulary runs as the scalar compiled program instead, and a call that
+raises is re-run through the classic path so errors surface with their
+usual normalised types and messages.
 """
 
 from __future__ import annotations

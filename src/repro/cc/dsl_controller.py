@@ -10,6 +10,7 @@ from repro.cc.template import CC_TEMPLATE_PARAMS
 from repro.dsl.ast import Program
 from repro.dsl.compile import DEFAULT_BACKEND, make_runner
 from repro.dsl.errors import DslError
+from repro.dsl.vectorize import VectorizedProgram
 from repro.netsim.flow import CCSignals
 
 
@@ -26,14 +27,13 @@ class DslCongestionController:
     failing score -- while non-strict mode freezes the window, which is how a
     deployed fallback would behave.
 
-    ``backend`` selects the execution strategy: ``"vectorized"`` (default:
-    the program's kernel compiled as a function of the signals object by
-    :mod:`repro.cc.columnar`, which skips the environment dict and
-    :class:`HistoryView` construction entirely), ``"compiled"`` (one native
-    callable per program via :func:`~repro.dsl.compile.compile_program`
-    behind the classic environment), or ``"interpreter"`` (the
-    tree-walking oracle).  Vectorization and compilation failures fall back
-    down the chain; all backends produce bit-identical cwnd decisions.
+    ``backend`` is ``"vectorized"`` (default) or its other spelling
+    ``"compiled"`` -- the program's kernel compiled as a function of the
+    signals object by :mod:`repro.cc.columnar`, which skips the environment
+    dict and :class:`HistoryView` construction entirely -- or
+    ``"interpreter"`` (the tree-walking oracle).  A program that cannot bind
+    a kernel falls back to the scalar callable behind the classic
+    environment, then the interpreter; cwnd decisions are bit-identical.
     """
 
     def __init__(
@@ -53,7 +53,7 @@ class DslCongestionController:
         self.initial_window = initial_window
         self.strict = strict
         self._runner, self.backend = make_runner(program, backend, max_steps, cc_layout)
-        self._fast = self._runner.bound._fn if self.backend == "vectorized" else None
+        self._fast = self._runner.bound._fn if isinstance(self._runner, VectorizedProgram) else None
         self.invocations = 0
         self.runtime_errors = 0
         self.last_error: Optional[str] = None

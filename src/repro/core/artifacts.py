@@ -292,10 +292,10 @@ def finalize_run_dir(
     ``metadata.json`` only: like wall time, it describes *this* execution,
     not the spec.  ``fidelity`` (optional) is the run's live ladder record
     (schedule + rung counters), stored the same way.  ``dsl_backend``
-    (optional) records which DSL execution backend was requested and how
-    evaluations actually resolved (``make_runner`` falls back down the chain
-    for unvectorizable programs); it never touches ``result.json`` because
-    backends are score-identical by contract.  ``pipeline`` (optional) is
+    (optional) records which DSL execution backend was requested and what
+    ``make_runner`` reported per evaluation (the requested name for a bound
+    kernel, ``compiled`` / ``interpreter`` for its fallbacks); it stays out
+    of ``result.json``: scores are backend-independent.  ``pipeline`` (optional) is
     the run's live generation/evaluation overlap record (summed phase
     timings) -- wall-clock telemetry, metadata only, for the same reason.
     ``distributed`` (optional) is the run's work-queue fabric record --

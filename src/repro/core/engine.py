@@ -99,15 +99,15 @@ class EngineConfig:
     store tier, which is a persistent memo).
 
     ``dsl_backend`` selects how candidate DSL programs execute during
-    evaluation (``"interpreter"`` / ``"compiled"`` / ``"vectorized"``); it is
-    injected as the domain's ``backend`` kwarg by
+    evaluation (``"interpreter"``, or lowered: ``"vectorized"``, also spelled
+    ``"compiled"``); it is injected as the domain's ``backend`` kwarg by
     :func:`~repro.core.domain.build_search` unless the caller already set one
     explicitly.  ``None`` (the default) keeps the domain's own default,
     which is ``"vectorized"`` (:data:`repro.dsl.compile.DEFAULT_BACKEND`):
     each program's kernel compiled behind the call signature of its
-    simulator's hot loop, falling back per program to ``"compiled"`` and then
-    ``"interpreter"``.  All backends produce bit-identical scores -- pin one
-    of the other two to cross-check a result, never to change it.
+    simulator's hot loop, falling back per program to the scalar callable and
+    then the interpreter.  Scores are bit-identical either way -- pin
+    ``"interpreter"`` to cross-check a result, never to change it.
 
     ``static_screen`` turns on rung "-1" below the fidelity ladder: every
     evaluable candidate is first run through the interval abstract

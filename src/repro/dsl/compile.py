@@ -338,7 +338,7 @@ class _InterpreterRunner:
         return self._interpreter.run(self.program, env)
 
 
-#: Backends accepted by :func:`make_runner`, in fallback order.
+#: Names :func:`make_runner` accepts and reports (the first two ask alike).
 BACKENDS = ("vectorized", "compiled", "interpreter")
 
 #: What runs unless ``engine.dsl_backend`` / ``--backend`` names another.
@@ -353,28 +353,29 @@ def make_runner(
 ):
     """Build a ``run(env)`` executor for ``program``.
 
-    Returns ``(runner, effective_backend)``.  ``backend="vectorized"`` (the
-    default) lowers the program with :mod:`repro.dsl.vectorize`: its
-    ``run(env)`` is the compiled scalar program, and a hot loop that passes
-    its ``layout`` (see :class:`~repro.dsl.vectorize.KernelBinding`) gets
-    ``runner.bound``, the kernel compiled behind the loop's own call
-    signature.  Programs the lowering or the layout rejects degrade to
-    ``"compiled"`` -- a native Python callable per program -- and programs
-    the compiler rejects (loops, Python-keyword identifiers, ...) to
-    ``"interpreter"``, the oracle, which can also be forced.  This is the
-    single place hot-loop adapters get their execution strategy from.
+    Returns ``(runner, effective_backend)``.  A program is either lowered
+    by this module's emitter or walked by ``"interpreter"``, the oracle,
+    which can also be forced.  ``"vectorized"`` (the default) and
+    ``"compiled"`` are two spellings of the lowered request, reported back
+    as asked: a :class:`~repro.dsl.vectorize.VectorizedProgram` whose
+    ``run(env)`` is the compiled scalar program and whose ``bound`` is the
+    kernel compiled behind the call signature of the hot loop that passed
+    its ``layout`` -- a loop takes its fast path by that type, never by the
+    name.  Programs the lowering or the layout rejects degrade to a scalar
+    :class:`CompiledProgram`, reported as ``"compiled"``, and programs the
+    compiler rejects (loops, Python-keyword identifiers, ...) to
+    ``"interpreter"``.  This is the single place hot-loop adapters get
+    their execution strategy from.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "vectorized":
+    if backend != "interpreter":
         from repro.dsl.vectorize import VectorizedProgram
 
         try:
-            return VectorizedProgram(program, max_steps=max_steps, layout=layout), "vectorized"
+            return VectorizedProgram(program, max_steps=max_steps, layout=layout), backend
         except DslError:
             pass
-        backend = "compiled"
-    if backend == "compiled":
         try:
             return compile_program(program, max_steps=max_steps), "compiled"
         except DslError:

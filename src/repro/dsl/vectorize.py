@@ -1,4 +1,4 @@
-"""Column-bound kernels for DSL programs (the vectorized backend).
+"""Column-bound kernels for DSL programs (what a lowered run executes).
 
 A candidate reads its inputs through feature objects -- ``obj_info.count``,
 ``ages.percentile(0.75)``, ``history.contains(obj_id)`` -- and on the scalar
@@ -27,8 +27,8 @@ overflowing float -- are those of the scalar backends by construction.
 
 Programs outside the column vocabulary are rejected up front by
 ``vectorizability``, or by a layout returning ``None``;
-:func:`repro.dsl.compile.make_runner` then falls back to the compiled or
-interpreter backend, so ``backend="vectorized"`` is always safe to request.
+:func:`repro.dsl.compile.make_runner` then falls back to the scalar compiled
+program or the interpreter, so a lowered run is always safe to request.
 """
 
 from __future__ import annotations

@@ -4,8 +4,13 @@ The fused loop (:func:`repro.cache.columnar.fused_cache_run`) must be an
 *exact* replacement for the classic simulator loop: identical
 :class:`SimulationResult`, identical final policy state (resident objects,
 heap, eviction history, counters), identical exceptions -- for the same
-vectorized kernel.  When exact replication is not guaranteed it must decline
+bound kernel, under either spelling of a lowered run (``vectorized`` or
+``compiled``).  When exact replication is not guaranteed it must decline
 (return ``None``) so the classic loop runs instead.
+
+A reference here must not be able to take the fused loop itself: it is the
+classic loop forced by a never-firing invariant check (:func:`_classic`), or
+the interpreter, whose runner has no kernel to bind.
 """
 
 import random
@@ -88,28 +93,43 @@ def _state(policy):
     }
 
 
+#: The two spellings of a lowered run; both take the fused loop.
+LOWERED = ("vectorized", "compiled")
+
+
+def _classic(policy, trace, warmup=0):
+    """``policy`` run by the classic loop whatever its runner could bind: a
+    never-firing invariant check makes ``fused_cache_run`` decline, so the
+    scores come from ``run(env)`` -- a pure control oracle."""
+    return CacheSimulator(check_invariants_every=10**9).run(policy, trace, warmup=warmup)
+
+
 def _run_pair(source, trace, warmup=0, capacity=1_000, **kwargs):
-    """(fused result+state, classic result+state) for the same kernel."""
+    """(fused result+state, classic result+state) for the same program."""
     fused_policy = _policy(source, capacity, **kwargs)
     fused = fused_cache_run(CacheSimulator(), fused_policy, trace, warmup)
     assert fused is not None, "expected the fused loop to take this run"
-    # A never-firing invariant check forces the classic loop with the *same*
-    # vectorized kernel: a pure control oracle.
     classic_policy = _policy(source, capacity, **kwargs)
-    classic = CacheSimulator(check_invariants_every=10**9).run(
-        classic_policy, trace, warmup=warmup
-    )
+    classic = _classic(classic_policy, trace, warmup)
     return (fused, _state(fused_policy)), (classic, _state(classic_policy))
+
+
+def _assert_exact(source, trace, **kwargs):
+    """The fused run equals the classic one, result and full policy state,
+    under both spellings; returns the (one) fused result."""
+    for backend in LOWERED:
+        (fused, fused_state), (classic, classic_state) = _run_pair(
+            source, trace, backend=backend, **kwargs
+        )
+        assert fused == classic, backend
+        assert fused_state == classic_state, backend
+    return fused
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 @pytest.mark.parametrize("warmup", [0, 100])
 def test_fused_matches_classic_exactly(name, warmup):
-    (fused, fused_state), (classic, classic_state) = _run_pair(
-        PROGRAMS[name], _workload_trace(), warmup=warmup
-    )
-    assert fused == classic
-    assert fused_state == classic_state
+    fused = _assert_exact(PROGRAMS[name], _workload_trace(), warmup=warmup)
     assert fused.evictions > 0, "workload too easy to exercise eviction"
 
 
@@ -123,20 +143,12 @@ def test_fused_matches_classic_beyond_int64(name):
         [(2**63 + t, 2**64 + rng.randint(1, 40), rng.choice([50, 80, 120, 200])) for t in range(600)],
         name="beyond-int64",
     )
-    (fused, fused_state), (classic, classic_state) = _run_pair(PROGRAMS[name], trace, warmup=100)
-    assert fused == classic
-    assert fused_state == classic_state
-    assert fused.evictions > 0
+    assert _assert_exact(PROGRAMS[name], trace, warmup=100).evictions > 0
 
 
 def test_fused_matches_classic_warmup_beyond_trace():
     trace = _workload_trace(n=50)
-    (fused, fused_state), (classic, classic_state) = _run_pair(
-        PROGRAMS["lru-like"], trace, warmup=500
-    )
-    assert fused == classic
-    assert fused.requests == 0
-    assert fused_state == classic_state
+    assert _assert_exact(PROGRAMS["lru-like"], trace, warmup=500).requests == 0
 
 
 @pytest.mark.parametrize("name", ["lru-like", "aggregates"])
@@ -149,39 +161,42 @@ def test_fused_refreshes_where_the_classic_loop_does(name, n, warmup, interval):
     snapshots the kernel never reads: the aggregates and the refresh
     countdown must still end where the classic loop leaves them, wherever
     the trace end and the warmup boundary fall relative to a refresh."""
-    (fused, fused_state), (classic, classic_state) = _run_pair(
-        PROGRAMS[name], _workload_trace(n=n), warmup=warmup, refresh_interval=interval
-    )
-    assert fused == classic
-    assert fused_state == classic_state
+    _assert_exact(PROGRAMS[name], _workload_trace(n=n), warmup=warmup, refresh_interval=interval)
 
 
 def test_fused_matches_compiled_backend_scores():
-    """Cross-backend contract: compiled-backend classic run, same result."""
+    """Cross-backend contract: the scalar compiled program behind the classic
+    loop (``run(env)``, what a ``compiled`` run was before it could bind) and
+    the interpreter give the fused run's result."""
     trace = _workload_trace(seed=3)
-    fused_policy = _policy(PROGRAMS["aggregates"])
-    fused = fused_cache_run(CacheSimulator(), fused_policy, trace, 0)
-    compiled = CacheSimulator().run(_policy(PROGRAMS["aggregates"], backend="compiled"), trace)
-    assert fused == compiled
+    for name in ("aggregates", "history"):
+        fused = fused_cache_run(CacheSimulator(), _policy(PROGRAMS[name]), trace, 0)
+        assert fused is not None and fused.evictions > 0
+        assert fused == _classic(_policy(PROGRAMS[name], backend="compiled"), trace)
+        assert fused == CacheSimulator().run(_policy(PROGRAMS[name], backend="interpreter"), trace)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_every_backend_simulates_grammar_programs_identically(seed):
-    """What the search relies on: whatever the generator writes, the default
-    (fused) run, the compiled classic run and the interpreter oracle end in
-    the same result and policy state, or in the same error."""
+    """What the search relies on: whatever the generator writes, a run under
+    either lowered spelling (fused where the program binds), the same
+    lowering behind the classic loop and the interpreter oracle end in the
+    same result and policy state, or in the same error."""
     program = random_program(caching_feature_spec(), random.Random(seed))
     trace = _workload_trace(seed=seed % 7, n=300)
-    outcomes = {}
-    for backend in ("vectorized", "compiled", "interpreter"):
+
+    def outcome(backend, run=CacheSimulator().run):
         policy = PriorityFunctionCache(1_000, program, name="candidate", backend=backend)
         try:
-            result = CacheSimulator().run(policy, trace, warmup=20)
-            outcomes[backend] = ("ok", result, _state(policy))
+            return "ok", run(policy, trace, warmup=20), _state(policy)
         except DslError as exc:
-            outcomes[backend] = ("error", type(exc), str(exc))
-    assert outcomes["vectorized"] == outcomes["compiled"] == outcomes["interpreter"]
+            return "error", type(exc), str(exc)
+
+    reference = outcome("interpreter")
+    assert outcome("vectorized") == reference
+    assert outcome("compiled") == reference
+    assert outcome("compiled", _classic) == reference
 
 
 def test_huge_integer_literal_runs_fused_and_scores_like_the_interpreter():
@@ -202,12 +217,11 @@ def test_huge_integer_literal_runs_fused_and_scores_like_the_interpreter():
 
 def _assert_same_error(source):
     trace = _workload_trace()
-    with pytest.raises(DslError) as fused_exc:
-        fused_cache_run(CacheSimulator(), _policy(source), trace, 0)
-    for backend in ("vectorized", "compiled"):
+    for backend in LOWERED:
+        with pytest.raises(DslError) as fused_exc:
+            fused_cache_run(CacheSimulator(), _policy(source, backend=backend), trace, 0)
         with pytest.raises(DslError) as classic_exc:
-            classic = CacheSimulator(check_invariants_every=10**9)
-            classic.run(_policy(source, backend=backend), trace)
+            _classic(_policy(source, backend=backend), trace)
         assert type(fused_exc.value) is type(classic_exc.value)
         assert str(fused_exc.value) == str(classic_exc.value)
 
@@ -264,18 +278,30 @@ def test_vectorized_is_the_default_backend():
     assert fused_cache_run(CacheSimulator(), policy, _workload_trace(), 0) is not None
 
 
-def test_declines_non_vectorized_backend():
-    policy = _policy(PROGRAMS["lru-like"], backend="compiled")
-    assert fused_cache_run(CacheSimulator(), policy, _workload_trace(), 0) is None
+def test_both_lowered_spellings_take_the_fused_loop():
+    """The gate reads what the runner is, never the name it was asked by."""
+    trace = _workload_trace()
+    taken = {}
+    for backend in LOWERED:
+        policy = _policy(PROGRAMS["lru-like"], backend=backend)
+        assert policy._priority.backend == backend
+        taken[backend] = fused_cache_run(CacheSimulator(), policy, trace, 0)
+        assert taken[backend] is not None
+    assert taken["compiled"] == taken["vectorized"]
+    oracle = _policy(PROGRAMS["lru-like"], backend="interpreter")
+    assert fused_cache_run(CacheSimulator(), oracle, trace, 0) is None
+    assert CacheSimulator().run(oracle, trace) == taken["compiled"]
 
 
 def test_declines_unvectorizable_program():
-    # Expression method-arg: make_runner resolves to "compiled", so the
-    # policy reports a non-vectorized backend and the gate declines.
+    # Expression method-arg: outside the layout's vocabulary, so make_runner
+    # hands back the scalar callable, reported as "compiled" under either
+    # spelling, and the gate declines.
     source = f"{_SIG} {{ return counts.percentile(now % 1) }}"
-    policy = _policy(source)
-    assert policy._priority.backend == "compiled"
-    assert fused_cache_run(CacheSimulator(), policy, _workload_trace(), 0) is None
+    for backend in LOWERED:
+        policy = _policy(source, backend=backend)
+        assert policy._priority.backend == "compiled"
+        assert fused_cache_run(CacheSimulator(), policy, _workload_trace(), 0) is None
 
 
 def test_declines_used_policy():

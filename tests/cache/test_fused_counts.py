@@ -23,13 +23,8 @@ from tests.cache.test_columnar import PROGRAMS, _policy, _workload_trace
 ROOMY, TIGHT = 10**6, 400
 
 
-def _frames_entered(capacity):
-    """(Python frames entered, evictions, misses) of one fused run at ``capacity``."""
-    trace = _workload_trace()
-    policy = _policy(PROGRAMS["history"], capacity)
-    runner = policy._priority._runner
-    args = (*trace.columns(), 0, policy, runner.bound._fn)
-    args += _kernel_table(runner.binding.plan, policy)
+def frames_entered(fn):
+    """(Python frames entered while it ran, what it returned) of ``fn()``."""
     entered = 0
 
     def profiler(_frame, event, _arg):
@@ -43,11 +38,22 @@ def _frames_entered(capacity):
     gc.disable()
     sys.setprofile(profiler)
     try:
-        outcome = _fused_loop(*args)
+        outcome = fn()
     finally:
         sys.setprofile(profiling)
         if collecting:
             gc.enable()
+    return entered, outcome
+
+
+def _frames_entered(capacity):
+    """(Python frames entered, evictions, misses) of one fused run at ``capacity``."""
+    trace = _workload_trace()
+    policy = _policy(PROGRAMS["history"], capacity)
+    runner = policy._priority._runner
+    args = (*trace.columns(), 0, policy, runner.bound._fn)
+    args += _kernel_table(runner.binding.plan, policy)
+    entered, outcome = frames_entered(lambda: _fused_loop(*args))
     measured = outcome[-1]
     assert measured["bypassed"] == 0
     return entered, measured["evictions"], measured["misses"]

@@ -5,7 +5,11 @@ classic ``signals_environment`` + ``HistoryView`` path -- same clamping, same
 history-index semantics, same errors -- and the layout must return ``None``
 for any program outside the Template vocabulary so the controller keeps the
 classic path.  Scenario-level decisions must be identical across all three
-backends.
+backend names.
+
+``vectorized`` and ``compiled`` both build the fast scorer, so neither can be
+the other's reference: that is :func:`_classic_controller` (the controller's
+own scalar ``run(signals_environment(signals))`` branch) or the interpreter.
 """
 
 import pytest
@@ -86,35 +90,53 @@ _SIGNALS = [
 ]
 
 
+#: The two spellings of a lowered controller; both build the fast scorer.
+LOWERED = ("vectorized", "compiled")
+
+
+def _fast_controller(program, backend, **kwargs):
+    ctl = DslCongestionController(program, backend=backend, **kwargs)
+    assert ctl.backend == backend
+    assert ctl._fast is not None, "expected the zero-layer scorer"
+    return ctl
+
+
+def _classic_controller(program, **kwargs):
+    """The same lowering with the fast scorer taken away: every update goes
+    through ``runner.run(signals_environment(signals))``, the branch a raising
+    fast call falls back to."""
+    ctl = DslCongestionController(program, backend="compiled", **kwargs)
+    ctl._fast = None
+    return ctl
+
+
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_fast_scorer_matches_classic_controller(name):
     program = parse(PROGRAMS[name])
-    fast_ctl = DslCongestionController(program, backend="vectorized")
-    assert fast_ctl.backend == "vectorized"
-    assert fast_ctl._fast is not None, "expected the zero-layer scorer"
-    classic_ctl = DslCongestionController(program, backend="compiled")
-    interp_ctl = DslCongestionController(program, backend="interpreter")
+    controllers = {backend: _fast_controller(program, backend) for backend in LOWERED}
+    controllers["classic"] = _classic_controller(program)
+    controllers["interpreter"] = DslCongestionController(program, backend="interpreter")
+    seen = set()
     for signals in _SIGNALS:
-        decisions = {
-            "vectorized": fast_ctl.on_ack(signals),
-            "compiled": classic_ctl.on_ack(signals),
-            "interpreter": interp_ctl.on_ack(signals),
-        }
+        decisions = {label: ctl.on_ack(signals) for label, ctl in controllers.items()}
         assert len(set(decisions.values())) == 1, decisions
+        seen.update(decisions.values())
+    assert len(seen) > 1, "signals too uniform to tell a misread field"
 
 
 def test_fast_scorer_error_matches_classic():
     program = parse(f"{CC_SIG} {{ return cwnd // losses }}")
-    fast_ctl = DslCongestionController(program, backend="vectorized", strict=True)
-    classic_ctl = DslCongestionController(program, backend="compiled", strict=True)
     signals = make_signals(losses=0)
-    with pytest.raises(DslError) as fast_exc:
-        fast_ctl.on_ack(signals)
+    classic_ctl = _classic_controller(program, strict=True)
     with pytest.raises(DslError) as classic_exc:
         classic_ctl.on_ack(signals)
-    assert type(fast_exc.value) is type(classic_exc.value)
-    assert str(fast_exc.value) == str(classic_exc.value)
-    assert fast_ctl.runtime_errors == classic_ctl.runtime_errors == 1
+    for backend in LOWERED:
+        fast_ctl = _fast_controller(program, backend, strict=True)
+        with pytest.raises(DslError) as fast_exc:
+            fast_ctl.on_ack(signals)
+        assert type(fast_exc.value) is type(classic_exc.value)
+        assert str(fast_exc.value) == str(classic_exc.value)
+        assert fast_ctl.runtime_errors == classic_ctl.runtime_errors == 1
 
 
 #: Raising updates that read every kind of column the layout serves: a
@@ -138,16 +160,17 @@ def test_fast_scorer_error_matches_classic_whatever_columns_the_update_reads(nam
     program = parse(f"{CC_SIG} {{ {body} }}")
     signals = make_signals(history=_HISTORY, **overrides)
     errors = {}
-    for backend in ("vectorized", "compiled"):
-        strict = DslCongestionController(program, backend=backend, strict=True)
-        assert strict.backend == backend
+    for label in (*LOWERED, "classic"):
+        if label == "classic":
+            strict, lenient = (_classic_controller(program, strict=s) for s in (True, False))
+        else:
+            strict, lenient = (_fast_controller(program, label, strict=s) for s in (True, False))
         with pytest.raises(DslError) as exc:
             strict.on_ack(signals)
-        lenient = DslCongestionController(program, backend=backend, strict=False)
         assert lenient.on_ack(signals) == signals.cwnd_pkts
         assert strict.runtime_errors == lenient.runtime_errors == 1
-        errors[backend] = (type(exc.value), str(exc.value), strict.last_error, lenient.last_error)
-    assert errors["vectorized"] == errors["compiled"]
+        errors[label] = (type(exc.value), str(exc.value), strict.last_error, lenient.last_error)
+    assert errors["vectorized"] == errors["compiled"] == errors["classic"]
 
 
 def test_fast_scorer_non_strict_freezes_window_on_error():
@@ -160,18 +183,22 @@ def test_fast_scorer_non_strict_freezes_window_on_error():
 def test_build_cc_fast_declines_out_of_vocabulary_columns():
     # ``history.delivered_at(history.length())`` nests a method call as the
     # index argument -- vectorizable programs never produce that shape here,
-    # but an expression argument is: it is unvectorizable, so the controller
-    # resolves to "compiled" and never builds a fast scorer.
+    # but an expression argument is: it is unvectorizable, so under either
+    # spelling the controller reports "compiled" and never builds a fast scorer.
     program = parse(f"{CC_SIG} {{ return cwnd + history.delivered_at(cwnd % 1) }}")
-    ctl = DslCongestionController(program, backend="vectorized")
-    assert ctl.backend == "compiled"
-    assert ctl._fast is None
+    for backend in LOWERED:
+        ctl = DslCongestionController(program, backend=backend)
+        assert ctl.backend == "compiled"
+        assert ctl._fast is None
 
 
-def test_fast_scorer_only_built_for_vectorized_backend():
+def test_fast_scorer_built_for_both_lowered_spellings():
+    """What the runner is decides, never the name it was asked by."""
     program = parse(PROGRAMS["aimd"])
-    assert DslCongestionController(program, backend="compiled")._fast is None
-    assert DslCongestionController(program, backend="interpreter")._fast is None
+    for backend in LOWERED:
+        _fast_controller(program, backend)
+    oracle = DslCongestionController(program, backend="interpreter")
+    assert oracle.backend == "interpreter" and oracle._fast is None
 
 
 def test_build_cc_fast_literal_history_index_clamps():
