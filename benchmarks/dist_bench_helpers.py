@@ -30,7 +30,10 @@ class SleepyEvaluator(Evaluator):
     def evaluate_program(self, program):
         time.sleep(self.sleep_s)
         value = Interpreter().run(program, {"x": 1})
-        return EvaluationResult(score=float(value), valid=True)
+        # Who evaluated it: the benchmark asserts where the work ran.
+        return EvaluationResult(
+            score=float(value), valid=True, details={"pid": float(os.getpid())}
+        )
 
 
 class SleepyCrashOnceEvaluator(SleepyEvaluator):

@@ -3,10 +3,8 @@
 Two families:
 
 * **Candidate throughput** -- candidates/second through the full search
-  pipeline (generate -> check/repair -> evaluate), comparing the legacy
-  configuration (serial evaluation, tree-walking interpreter, no caching)
-  against the engine's fast path (parallel workers, compiled DSL, dedup +
-  memoization).
+  pipeline (generate -> check/repair -> evaluate), serial on the
+  tree-walking interpreter against parallel workers on the lowered DSL.
 * **Simulator throughput** -- requests/second of the priority-queue
   Template cache under the interpreter vs the compiled backend (the
   evaluation hot loop itself).
@@ -39,7 +37,7 @@ def engine_trace():
 SEARCH_VARIANTS = {
     "serial-interpreted": dict(
         backend="interpreter",
-        engine_config=EngineConfig(max_workers=1, dedup=False, memoize=False),
+        engine_config=EngineConfig(max_workers=1),
     ),
     "parallel-compiled": dict(
         backend="compiled",

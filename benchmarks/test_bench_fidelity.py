@@ -77,13 +77,13 @@ def test_fidelity_ladder_speedup(benchmark, bench_scale, bench_records, evaluato
     # elimination decision can cover a whole dedup group, so the candidate
     # count is at least the decision count).
     engine = ladder.setup.engine
-    assert engine.rung_eliminations > 0
+    assert engine.totals.rung_eliminations > 0
     screened = sum(
         1
         for c in ladder.result.candidates
         if c.evaluation is not None and not c.evaluation.full_fidelity
     )
-    assert screened >= engine.rung_eliminations
+    assert screened >= engine.totals.rung_eliminations
 
     total = full.result.total_candidates
     full_cps = total / full_s

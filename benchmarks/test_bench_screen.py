@@ -96,7 +96,7 @@ def test_static_screen_overhead(benchmark, bench_records, tmp_path):
     assert batch.stats.screened == EXPECTED_SCREENED
     assert rung0.calls == survivors
     assert batch.stats.eval_cache_lookups == survivors
-    assert engine.store_lookups == engine.store_writes == survivors
+    assert engine.totals.store_lookups == engine.store_writes == survivors
 
     start = time.perf_counter()
     for program in programs:

@@ -63,8 +63,8 @@ def test_sweep_warm_start_speedup(benchmark, bench_scale, bench_records, tmp_pat
         )
 
     # The warm sweep really ran from disk: every memory miss was a store hit.
-    lookups = sum(o.setup.engine.store_lookups for o in warm.outcomes)
-    hits = sum(o.setup.engine.store_hits for o in warm.outcomes)
+    lookups = sum(o.setup.engine.totals.store_lookups for o in warm.outcomes)
+    hits = sum(o.setup.engine.totals.store_hits for o in warm.outcomes)
     assert lookups > 0 and hits == lookups
 
     speedup = cold_s / warm_s

@@ -35,7 +35,13 @@ from repro.core.archive import (
     scored_candidate_to_dict,
 )
 from repro.core.events import read_event_log
-from repro.core.results import RoundSummary, ScoredCandidate, SearchResult
+from repro.core.results import (
+    BUDGET_FIELDS,
+    RoundSummary,
+    ScoredCandidate,
+    SearchResult,
+    budget_kwargs,
+)
 
 #: Version of the run-directory layout (bump on breaking changes).
 ARTIFACT_VERSION = 1
@@ -61,42 +67,30 @@ def _write_json(path: Path, data: Any) -> None:
 # -- SearchResult <-> dict ----------------------------------------------------------
 
 
-def _strip_volatile_round(data: dict) -> dict:
-    """Zero a round dictionary's store and fidelity-rung counters.
+#: The budget counters, zeroed: how a deterministic file records them.
+_ZERO_BUDGET = dict.fromkeys(BUDGET_FIELDS, 0)
 
-    The store counters depend on what the attached evaluation store happened
-    to contain; the rung counters describe how the fidelity ladder budgeted
-    evaluation, not what the search found (and a shadow-mode ladder run must
-    stay byte-identical to a ladder-disabled one).  The static-screen
-    counters likewise describe budgeting (and a run in which nothing screens
-    must stay byte-identical with the knob off).  The phase timings are
-    wall-clock (and a pipelined run must stay byte-identical to a serial
-    one).  All are execution telemetry: live values go to ``metadata.json``.
+
+def _strip_volatile_round(data: dict) -> dict:
+    """Zero a round dictionary's execution telemetry.
+
+    The budget counters (see :class:`~repro.core.results.BudgetCounters`)
+    describe how evaluation was budgeted, not what the search found; the
+    phase timings are wall-clock (and a pipelined run must stay
+    byte-identical to a serial one).  Live values go to ``metadata.json``.
     """
-    return dict(
-        data,
-        store_lookups=0,
-        store_hits=0,
-        rung_evaluations=0,
-        rung_promotions=0,
-        rung_eliminations=0,
-        screen_checks=0,
-        screened=0,
-        generation_s=0.0,
-        evaluation_s=0.0,
-        overlap_s=0.0,
-    )
+    return dict(data, **_ZERO_BUDGET, generation_s=0.0, evaluation_s=0.0, overlap_s=0.0)
 
 
 def search_result_to_dict(result: SearchResult, include_timing: bool = False) -> dict:
     """JSON form of a whole :class:`SearchResult`.
 
     With ``include_timing=False`` (the artifact-store default) per-candidate
-    and total wall-clock fields are zeroed -- and so are the evaluation-store
-    hit counters, which depend on the store's state rather than the spec --
+    and total wall-clock fields are zeroed -- and so are the budget
+    counters, which depend on execution state rather than the spec --
     so the dictionary -- and therefore ``result.json`` -- is a pure function
     of the spec: rerunning an identical spec yields byte-identical output,
-    with the store cold, warm or disabled.  Timing and live store statistics
+    with the store cold, warm or disabled.  Timing and live budget counters
     go to ``metadata.json``, which is allowed to differ between reruns.
     """
     candidates = []
@@ -123,13 +117,7 @@ def search_result_to_dict(result: SearchResult, include_timing: bool = False) ->
         "estimated_cost_usd": result.estimated_cost_usd,
         "eval_cache_lookups": result.eval_cache_lookups,
         "eval_cache_hits": result.eval_cache_hits,
-        "store_lookups": result.store_lookups if include_timing else 0,
-        "store_hits": result.store_hits if include_timing else 0,
-        "rung_evaluations": result.rung_evaluations if include_timing else 0,
-        "rung_promotions": result.rung_promotions if include_timing else 0,
-        "rung_eliminations": result.rung_eliminations if include_timing else 0,
-        "screen_checks": result.screen_checks if include_timing else 0,
-        "screened": result.screened if include_timing else 0,
+        **(result.budget() if include_timing else _ZERO_BUDGET),
     }
 
 
@@ -161,13 +149,7 @@ def search_result_from_dict(data: dict) -> SearchResult:
         estimated_cost_usd=float(data.get("estimated_cost_usd", 0.0)),
         eval_cache_lookups=int(data.get("eval_cache_lookups", 0)),
         eval_cache_hits=int(data.get("eval_cache_hits", 0)),
-        store_lookups=int(data.get("store_lookups", 0)),
-        store_hits=int(data.get("store_hits", 0)),
-        rung_evaluations=int(data.get("rung_evaluations", 0)),
-        rung_promotions=int(data.get("rung_promotions", 0)),
-        rung_eliminations=int(data.get("rung_eliminations", 0)),
-        screen_checks=int(data.get("screen_checks", 0)),
-        screened=int(data.get("screened", 0)),
+        **budget_kwargs(data),
     )
 
 

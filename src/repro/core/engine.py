@@ -1,49 +1,46 @@
-"""Batched candidate-evaluation engine (dedup, memo tiers, pluggable fan-out).
+"""Batched candidate-evaluation engine: one path from a candidate to its score.
 
-The evolutionary search used to validate and evaluate candidates one at a
-time, straight through the tree-walking interpreter.  This module is the
-shared execution substrate that replaces that loop for every domain:
+Every candidate of every search domain goes through
+:meth:`EvaluationEngine.process_batch` -- step 1, then
+:meth:`~EvaluationEngine.process_scored`, a straight sequence of steps each
+taking what the previous one left unresolved:
 
-* **Check/repair phase** -- candidates are checked (and optionally repaired
-  through the Generator) serially, in submission order.  This phase is cheap
-  and must stay ordered: the synthetic LLM client is a seeded RNG, so the
-  sequence of repair calls is part of the reproducible search trajectory.
-* **Dedup** -- candidates that check out are keyed by the SHA-1 of their
-  *canonical* source (the parsed program re-rendered by ``to_source``), so
-  syntactic duplicates -- which LLMs re-emit constantly -- collapse to one
-  evaluation per batch.
-* **Memo tiers** -- evaluation is served from the cheapest tier that has the
-  answer: the in-memory memo (cross-round, same process), then -- when a
-  :class:`~repro.core.store.BoundEvalStore` is attached -- the persistent
-  content-addressed disk store (cross-*process*: sweep seeds, ``repro
-  resume`` and repeated runs warm-start from it), and only then a fresh
-  evaluation, whose result back-fills both tiers.
-* **Pluggable fan-out** -- unique units of work run on a registered
-  :class:`~repro.core.executors.Executor` backend (``serial`` / ``thread`` /
-  ``process`` / ``distributed``), selected by :class:`EngineConfig`, with
-  optional per-unit timeouts and crash isolation.
-* **Scenario sharding** -- when the evaluator is a
-  :class:`~repro.core.scenarios.MultiScenarioEvaluator` and a parallel
-  backend is configured, the unit of work becomes one (candidate, scenario)
-  pair: every scenario of every unique candidate is its own executor task
-  (with its own timeout and crash isolation), and per-candidate results are
-  recombined with the same ``combine`` the serial path uses.
-* **Multi-fidelity screening** -- with a
-  :class:`~repro.core.fidelity.FidelitySchedule` attached, the batch's
-  fresh unique programs walk a successive-halving budget ladder: everyone
-  is evaluated at the cheapest rung (a trace prefix / shortened netsim
-  run), only the top ``1/eta`` fraction is promoted, and the final
-  surviving pool runs at full fidelity.  Rung results are memoized and
-  persisted under fidelity-qualified keys; ranking and selection only ever
-  consume full-fidelity scores.
-
-* **Static screening** -- with ``static_screen`` on and an evaluator that
-  declares input intervals, rung "-1" below the ladder runs every evaluable
-  candidate through the interval abstract interpreter
-  (:mod:`repro.dsl.abstract`) and rejects the provably degenerate ones --
-  constant output, input-independent output, or output pinned to the
-  evaluator's clamp -- with a sentinel failure result at zero evaluator
-  cost.
+1. **Check/repair** -- candidates are checked (and optionally repaired
+   through the Generator) serially, in submission order.  This phase is cheap
+   and must stay ordered: the synthetic LLM client is a seeded RNG, so the
+   sequence of repair calls is part of the reproducible search trajectory.
+2. **Static screen** (rung "-1", ``static_screen`` on and an evaluator that
+   declares input intervals) -- the interval abstract interpreter
+   (:mod:`repro.dsl.abstract`) rejects the provably degenerate candidates --
+   constant output, input-independent output, or output pinned to the
+   evaluator's clamp -- with a sentinel failure result at zero evaluator
+   cost.
+3. **Canonical-key memo** -- a candidate's key is always the SHA-1 of its
+   *canonical* source (the parsed program re-rendered by ``to_source``).  A
+   key already in the in-memory memo (cross-round, same process) or already
+   seen in this batch -- syntactic duplicates, which LLMs re-emit
+   constantly -- is a ``"memory"`` hit; each remaining first occurrence is
+   one unit of work.
+4. **Fidelity ladder** (a no-op without a
+   :class:`~repro.core.fidelity.FidelitySchedule`) -- the batch's units walk
+   a successive-halving budget ladder: everyone is evaluated at the cheapest
+   rung (a trace prefix / shortened netsim run), only the top ``1/eta``
+   fraction is promoted, and the surviving pool goes on to full fidelity.
+   Rung results are memoized and persisted under fidelity-qualified keys;
+   ranking and selection only ever consume full-fidelity scores.
+5. **Disk tier** (a :class:`~repro.core.store.BoundEvalStore` attached) --
+   whatever is still due a full-fidelity evaluation is looked up, in this
+   one place, in the persistent content-addressed store (cross-*process*:
+   sweep seeds, ``repro resume`` and repeated runs warm-start from it).  It
+   is asked after the ladder, so the ladder's pool never depends on what the
+   store happens to contain.
+6. **Fan-out** -- the rest runs on a registered
+   :class:`~repro.core.executors.Executor` backend (``serial`` / ``thread`` /
+   ``process`` / ``distributed``), selected by :class:`EngineConfig`, with
+   optional per-unit timeouts and crash isolation, and back-fills both memo
+   tiers.  Under a :class:`~repro.core.scenarios.MultiScenarioEvaluator` and
+   a parallel backend the unit of work is one (candidate, scenario) pair
+   (see :meth:`EvaluationEngine._evaluate_many_sharded`).
 
 Each candidate that receives an evaluation result is announced as a
 :class:`~repro.core.events.CandidateEvaluated` event on the engine's
@@ -74,7 +71,7 @@ from repro.core.events import (
 from repro.core.executors import EvalUnit, available_executors, create_executor
 from repro.core.fidelity import FidelitySchedule
 from repro.core.generator import Generator
-from repro.core.results import Candidate, ScoredCandidate
+from repro.core.results import BudgetCounters, Candidate, ScoredCandidate
 from repro.core.scenarios import MultiScenarioEvaluator
 from repro.core.store import BoundEvalStore
 from repro.dsl.ast import Program
@@ -84,7 +81,8 @@ from repro.dsl.compile import BACKENDS as DSL_BACKENDS
 
 @dataclass
 class EngineConfig:
-    """Execution knobs of the evaluation engine.
+    """Where and how the engine's work runs; the path a candidate takes (see
+    the module docstring) is fixed, and no field here changes a score.
 
     ``max_workers=1`` (the default) keeps evaluation serial and in-process;
     anything larger fans unique candidates out over the ``executor`` backend
@@ -94,9 +92,7 @@ class EngineConfig:
     abandoned (threads cannot be killed; the DSL step budget still bounds the
     stray work).  Timeouts and crash isolation require a worker pool: with
     ``max_workers=1`` or ``executor="serial"`` evaluation runs in-process and
-    ``eval_timeout_s`` has no effect.  ``dedup`` collapses canonical duplicates within a batch;
-    ``memoize`` reuses evaluation results across batches (and gates the disk
-    store tier, which is a persistent memo).
+    ``eval_timeout_s`` has no effect.
 
     ``dsl_backend`` selects how candidate DSL programs execute during
     evaluation (``"interpreter"``, or lowered: ``"vectorized"``, also spelled
@@ -109,21 +105,12 @@ class EngineConfig:
     then the interpreter.  Scores are bit-identical either way -- pin
     ``"interpreter"`` to cross-check a result, never to change it.
 
-    ``static_screen`` turns on rung "-1" below the fidelity ladder: every
-    evaluable candidate is first run through the interval abstract
-    interpreter (:mod:`repro.dsl.abstract`), and candidates it proves
-    degenerate -- constant output, input-independent output, or a return
-    provably pinned to the evaluator's output clamp -- receive a sentinel
-    failure result without ever touching the memo, the store or an
-    executor.  A no-op when the evaluator declares no input intervals.
-    Off by default; with it on, a fixed-seed run in which nothing screens
-    is byte-identical to the same run with it off.
-
-    ``pipeline`` asks the search loop to stream generated candidates into
-    the engine as they arrive (and speculatively overlap the next round's
-    generation with this round's tail evaluation) instead of barriering on
-    the full batch; see :meth:`~repro.core.search.EvolutionarySearch`.
-    Off by default -- it changes wall-clock scheduling only, never results.
+    ``static_screen`` turns on the static screen (step 2 of the module
+    docstring): a candidate it proves degenerate receives a sentinel failure
+    result without ever touching the memo, the store or an executor.  A
+    no-op when the evaluator declares no input intervals.  Off by default;
+    with it on, a fixed-seed run in which nothing screens is byte-identical
+    to the same run with it off.
 
     The remaining three knobs configure the ``distributed`` executor only
     (others ignore them).  ``queue_dir`` places the spool queue at a fixed
@@ -139,11 +126,8 @@ class EngineConfig:
     max_workers: int = 1
     executor: str = "thread"  # any registered backend; see core/executors.py
     eval_timeout_s: Optional[float] = None
-    dedup: bool = True
-    memoize: bool = True
     dsl_backend: Optional[str] = None
     static_screen: bool = False
-    pipeline: bool = False
     queue_dir: Optional[str] = None
     worker_count: Optional[int] = None
     lease_ttl_s: float = 5.0
@@ -170,14 +154,13 @@ class EngineConfig:
 
 
 @dataclass
-class BatchStats:
+class BatchStats(BudgetCounters):
     """What happened while processing one batch of candidates.
 
-    ``store_lookups`` counts unique programs that missed the in-memory tier
-    while a disk store was attached; ``store_hits`` how many of those were
-    served from disk instead of a fresh evaluation.  ``unique_evaluations``
-    counts memory-tier misses whether they were then satisfied from disk or
-    evaluated fresh, so it is independent of the store's state.
+    ``unique_evaluations`` counts memory-tier misses whether they were then
+    screened out by the ladder, satisfied from disk or evaluated fresh, so
+    it is independent of the ladder's and the store's state; the inherited
+    :class:`~repro.core.results.BudgetCounters` say which of those happened.
     """
 
     checked: int = 0
@@ -188,19 +171,6 @@ class BatchStats:
     eval_cache_hits: int = 0
     unique_evaluations: int = 0
     eval_timeouts: int = 0
-    store_lookups: int = 0
-    store_hits: int = 0
-    #: Fidelity-ladder traffic (0 without a schedule): fresh sub-full-rung
-    #: evaluations, and how many promotion/elimination decisions the ladder
-    #: took (in ``shadow`` mode these are would-be decisions).
-    rung_evaluations: int = 0
-    rung_promotions: int = 0
-    rung_eliminations: int = 0
-    #: Static-screening traffic (0 with ``static_screen`` off or no declared
-    #: input intervals): candidates run through the abstract interpreter and
-    #: how many it rejected before any evaluation.
-    screen_checks: int = 0
-    screened: int = 0
 
 
 @dataclass
@@ -209,11 +179,6 @@ class BatchResult:
 
     scored: List[ScoredCandidate]
     stats: BatchStats
-
-
-def _plain_key(key: str) -> str:
-    """Strip the dedup-disabled ``#copy-`` suffix off a batch key."""
-    return key.split("#copy-")[0]
 
 
 class EvaluationEngine:
@@ -239,27 +204,23 @@ class EvaluationEngine:
         self.store = store
         self.fidelity: Optional[FidelitySchedule] = None
         self._memo: Dict[str, EvaluationResult] = {}
-        self._executor = None  # lazily-created backend, reused across batches
         self._scaled_evaluators: Dict[float, Evaluator] = {}
-        self._rung_executors: Dict[float, object] = {}
+        # fidelity -> lazily-created backend, reused across batches (1.0 runs
+        # the engine's own evaluator, a rung its scaled one).
+        self._executors: Dict[float, object] = {}
         # Static screener (rung "-1"): built lazily from the evaluator's
         # declared input intervals; verdicts cached by canonical key so a
         # re-emitted duplicate is only analysed once per engine lifetime.
         self._screener = None
         self._screener_ready = False
         self._screen_verdicts: Dict[str, object] = {}
-        # Cumulative counters across the engine's lifetime.
+        # Cumulative counters across the engine's lifetime (``totals``: the
+        # budget counters, summed over every batch).
         self.cache_lookups = 0
         self.cache_hits = 0
         self.unique_evaluations = 0
-        self.store_lookups = 0
-        self.store_hits = 0
         self.store_writes = 0
-        self.rung_evaluations = 0
-        self.rung_promotions = 0
-        self.rung_eliminations = 0
-        self.screen_checks = 0
-        self.screened = 0
+        self.totals = BudgetCounters()
         #: Fabric counters harvested from ``distributed`` executors (one
         #: merged record across the main and rung executors); ``None`` when
         #: no distributed work happened.  Read by spec.run() for metadata.
@@ -289,7 +250,7 @@ class EvaluationEngine:
         fails here rather than mid-search.
         """
         self._scaled_evaluators = {}
-        self._close_rung_executors()
+        self.close()  # rung executors hold the old schedule's evaluators
         self.fidelity = fidelity
         if fidelity is not None and fidelity.screening_rungs:
             try:
@@ -373,8 +334,7 @@ class EvaluationEngine:
 
         This is the streaming entry point: the pipelined round checks
         candidates as they come off the generator and feeds the engine one
-        chunk at a time.  Under the default ``dedup``+``memoize``
-        configuration, splitting a batch into chunks preserves every
+        chunk at a time.  Splitting a batch into chunks preserves every
         statistic a serial :meth:`process_batch` would report (a cross-chunk
         duplicate becomes a memo hit instead of a group join -- both count
         as ``eval_cache_hits`` with tier ``"memory"``).
@@ -428,118 +388,60 @@ class EvaluationEngine:
                         )
                     )
 
-        # Group evaluable candidates by canonical key; memory-tier hits
-        # resolve immediately, disk-tier hits next, the rest evaluate once
-        # per unique key.  The disk tier only engages under the default
-        # dedup+memoize configuration: with either disabled the engine is
-        # deliberately re-evaluating copies (ablation mode), and a persistent
-        # memo would defeat that.
-        use_store = self.store is not None and self.config.dedup and self.config.memoize
+        # Group evaluable candidates by canonical key: a key the memo holds
+        # or an earlier candidate of this batch already claimed is a memory
+        # hit; each first occurrence is one unit of work for the steps below.
         pending: Dict[str, List[ScoredCandidate]] = {}
         order: List[Tuple[str, Program]] = []
-        fallback_id = 0
         for item in scored:
             if not item.check_ok or item.program is None:
                 continue
             if item.evaluation is not None:
                 continue  # statically screened: never costs a cache lookup
-            candidate_id = item.candidate.candidate_id
             stats.eval_cache_lookups += 1
-            if self.config.dedup or self.config.memoize:
-                key = canonical_key(item.program)
-            else:
-                fallback_id += 1
-                key = f"#nodedup-{fallback_id}"
-            if self.config.memoize and key in self._memo:
+            key = canonical_key(item.program)
+            if key in self._memo:
                 item.evaluation = self._memo[key]
-                stats.eval_cache_hits += 1
-                tiers[candidate_id] = "memory"
-                continue
-            group = pending.get(key)
-            if group is not None and self.config.dedup:
-                group.append(item)
-                stats.eval_cache_hits += 1
-                tiers[candidate_id] = "memory"
-                continue
-            if use_store and not key.startswith("#") and not self._ladder_active():
-                # This key is about to cost a fresh evaluation: try the disk
-                # tier first.  ``store_lookups``/``unique_evaluations`` count
-                # the memory-tier miss either way, so the eval-cache
-                # statistics are identical whatever the store contains.
-                # (With a fidelity ladder attached the disk lookup is
-                # deferred until after screening -- see below -- so the
-                # ladder's pool cannot depend on the store's state.)
-                stats.store_lookups += 1
-                stats.unique_evaluations += 1
-                stored = self.store.get(key)
-                if stored is not None:
-                    self._memo[key] = stored
-                    item.evaluation = stored
-                    stats.store_hits += 1
-                    tiers[candidate_id] = "disk"
-                    continue
-            if group is None:
+            elif key in pending:
+                pending[key].append(item)
+            else:
                 pending[key] = [item]
-            else:  # dedup disabled but memoize on: evaluate each copy
-                fallback_id += 1
-                key = f"{key}#copy-{fallback_id}"
-                pending[key] = [item]
-            order.append((key, item.program))
-            tiers[candidate_id] = "fresh"
+                order.append((key, item.program))
+                tiers[item.candidate.candidate_id] = "fresh"
+                continue
+            stats.eval_cache_hits += 1
+            tiers[item.candidate.candidate_id] = "memory"
+        # Every memory miss counts, however the steps below serve it, so the
+        # eval-cache statistics are identical whatever the store contains.
+        stats.unique_evaluations = len(order)
 
         # The fidelity ladder (when attached) screens the fresh unique
-        # programs at cheap rungs first; only the promoted pool reaches the
-        # full-fidelity evaluation below.  ``screened`` carries the rung
-        # results that become screened-out candidates' recorded evaluations
-        # (empty in shadow mode, where everyone is still evaluated in full).
-        final_order, screened, ladder_events = self._screen_ladder(order, pending, stats)
-        if self._ladder_active():
-            # The ladder pool was every memory-tier miss (the plain-key disk
-            # lookup was deferred so the screening decisions are independent
-            # of the store's state); resolve the promoted pool against the
-            # disk tier now.
-            stats.unique_evaluations = len(order)
-            if use_store:
-                final_order = self._resolve_from_store(
-                    final_order, pending, tiers, stats
-                )
+        # programs at cheap rungs first; only the promoted pool goes on to
+        # full fidelity (in shadow mode everyone does).
+        final_order, ladder_events = self._screen_ladder(order, pending, stats)
+        # The disk tier is asked here and nowhere else: after the ladder, so
+        # the ladder's pool cannot depend on the store's state.
+        if self.store is not None:
+            final_order = self._resolve_from_store(final_order, pending, tiers, stats)
 
         results = self._evaluate_many([program for _key, program in final_order], stats)
         for (key, _program), result in zip(final_order, results):
             # Transient failures (timeouts, dead workers) are not the
             # candidate's fault; never memoize or persist them.
-            if self.config.memoize and not key.startswith("#") and not result.transient:
-                base_key = _plain_key(key)
-                self._memo[base_key] = result
-                if use_store and self.store.put(base_key, result):
+            if not result.transient:
+                self._memo[key] = result
+                if self.store is not None and self.store.put(key, result):
                     self.store_writes += 1
             for item in pending[key]:
                 item.evaluation = result
-        for key, result in screened:
-            # A screened-out candidate's recorded result is its highest-rung
-            # evaluation (fidelity < 1.0); it never enters the plain-key memo
-            # or store, so it can never masquerade as a full-fidelity score.
-            for item in pending[key]:
-                item.evaluation = result
-        if not use_store:
-            # Without a disk tier every memory miss evaluates fresh.
-            stats.unique_evaluations = len(order)
 
         self.cache_lookups += stats.eval_cache_lookups
         self.cache_hits += stats.eval_cache_hits
         self.unique_evaluations += stats.unique_evaluations
-        self.store_lookups += stats.store_lookups
-        self.store_hits += stats.store_hits
-        self.rung_evaluations += stats.rung_evaluations
-        self.rung_promotions += stats.rung_promotions
-        self.rung_eliminations += stats.rung_eliminations
-        self.screen_checks += stats.screen_checks
-        self.screened += stats.screened
+        self.totals.add(stats)
 
         if self.events:
-            for event in screen_events:
-                self.events.emit(event)
-            for event in ladder_events:
+            for event in (*screen_events, *ladder_events):
                 self.events.emit(event)
             for item in scored:
                 if item.evaluation is None:
@@ -561,73 +463,36 @@ class EvaluationEngine:
 
     # -- fidelity ladder ----------------------------------------------------------
 
-    def _ladder_active(self) -> bool:
-        return self.fidelity is not None and bool(self.fidelity.screening_rungs)
-
-    def _resolve_from_store(
-        self,
-        order: List[Tuple[str, Program]],
-        pending: Dict[str, List[ScoredCandidate]],
-        tiers: Dict[str, str],
-        stats: BatchStats,
-    ) -> List[Tuple[str, Program]]:
-        """Serve ladder-promoted programs from the full-fidelity disk tier.
-
-        Mirrors the inline lookup the non-ladder path does before
-        evaluation; only called under ``use_store`` (dedup+memoize on, so
-        every key is a plain canonical hash).
-        """
-        still_fresh: List[Tuple[str, Program]] = []
-        for key, program in order:
-            stats.store_lookups += 1
-            stored = self.store.get(key)
-            if stored is None:
-                still_fresh.append((key, program))
-                continue
-            self._memo[key] = stored
-            stats.store_hits += 1
-            for position, item in enumerate(pending[key]):
-                item.evaluation = stored
-                if position == 0:
-                    # Duplicates that joined the group keep their "memory"
-                    # tier, exactly as on the non-ladder path.
-                    tiers[item.candidate.candidate_id] = "disk"
-        return still_fresh
-
     def _screen_ladder(
         self,
         order: List[Tuple[str, Program]],
         pending: Dict[str, List[ScoredCandidate]],
         stats: BatchStats,
-    ) -> Tuple[
-        List[Tuple[str, Program]],
-        List[Tuple[str, EvaluationResult]],
-        List[object],
-    ]:
+    ) -> Tuple[List[Tuple[str, Program]], List[object]]:
         """Successive halving over the batch's fresh unique programs.
 
         Walks the schedule's screening rungs: evaluate the surviving pool at
         the rung's fidelity, keep the top ``keep_count`` (score descending,
-        submission order breaking ties), repeat.  Returns the
-        ``(key, program)`` pairs still due a full-fidelity evaluation, the
-        rung results assigned to screened-out keys, and the
-        promotion/elimination events to publish.  In ``shadow`` mode the
-        decisions (and their telemetry) are identical but every program is
-        returned for full evaluation and nothing is screened out.
+        submission order breaking ties), repeat.  A screened-out candidate's
+        recorded result is its highest-rung evaluation (fidelity < 1.0); it
+        never enters the plain-key memo or store, so it can never masquerade
+        as a full-fidelity score.  Returns the ``(key, program)`` pairs still
+        due a full-fidelity evaluation and the promotion/elimination events
+        to publish.  In ``shadow`` mode the decisions (and their telemetry)
+        are identical but every program is returned for full evaluation and
+        nothing is screened out.
         """
         schedule = self.fidelity
         if schedule is None or not schedule.screening_rungs or len(order) <= 1:
-            return order, [], []
-        use_store = self.store is not None and self.config.dedup and self.config.memoize
+            return order, []
         pool = list(range(len(order)))
-        screened: List[Tuple[str, EvaluationResult]] = []
         events: List[object] = []
         # plan() owns the rung-skip rule (a rung that cannot eliminate is
         # pure overhead, in shadow mode too); the final full-fidelity step
         # is ours to execute below, not here.
         for rung_index, fraction, _pool_size in schedule.plan(len(order))[:-1]:
             rung_results = self._evaluate_rung(
-                fraction, [order[index] for index in pool], stats, use_store
+                fraction, [order[index] for index in pool], stats
             )
             scores = [result.score for result in rung_results]
             survivors = set(schedule.select_survivors(scores))
@@ -653,18 +518,18 @@ class EvaluationEngine:
                 if promoted:
                     next_pool.append(order_index)
                 elif schedule.mode == "screen":
-                    screened.append((key, rung_results[position]))
+                    for item in pending[key]:
+                        item.evaluation = rung_results[position]
             pool = next_pool
         if schedule.mode == "shadow":
-            return order, [], events
-        return [order[index] for index in pool], screened, events
+            return order, events
+        return [order[index] for index in pool], events
 
     def _evaluate_rung(
         self,
         fraction: float,
         subset: List[Tuple[str, Program]],
         stats: BatchStats,
-        use_store: bool,
     ) -> List[EvaluationResult]:
         """Evaluate ``subset`` at one screening rung, through the memo tiers.
 
@@ -674,61 +539,84 @@ class EvaluationEngine:
         scores are reused across rounds and processes exactly like full ones
         without ever colliding with them.
         """
-        evaluator = self._scaled_evaluator(fraction)
-        rung_store = self.store.at_fidelity(fraction) if use_store else None
+        rung_store = self._store_at(fraction)
         results: List[Optional[EvaluationResult]] = [None] * len(subset)
         fresh: List[int] = []
         for position, (key, _program) in enumerate(subset):
-            memo_key = self._rung_memo_key(key, fraction)
-            if memo_key is not None and memo_key in self._memo:
+            memo_key = f"{key}@f={fraction!r}"
+            if memo_key in self._memo:
                 results[position] = self._memo[memo_key]
                 continue
-            if memo_key is not None and rung_store is not None:
-                stored = rung_store.get(_plain_key(key))
+            if rung_store is not None:
+                stored = rung_store.get(key)
                 if stored is not None:
                     self._memo[memo_key] = stored
                     results[position] = stored
                     continue
             fresh.append(position)
         fresh_results = self._evaluate_many(
-            [subset[position][1] for position in fresh],
-            stats,
-            evaluator=evaluator,
-            fraction=fraction,
+            [subset[position][1] for position in fresh], stats, fraction
         )
         stats.rung_evaluations += len(fresh)
         for position, result in zip(fresh, fresh_results):
             result.fidelity = fraction
-            memo_key = self._rung_memo_key(subset[position][0], fraction)
-            if memo_key is not None and not result.transient:
-                self._memo[memo_key] = result
-                if rung_store is not None and rung_store.put(
-                    _plain_key(subset[position][0]), result
-                ):
+            key = subset[position][0]
+            if not result.transient:
+                self._memo[f"{key}@f={fraction!r}"] = result
+                if rung_store is not None and rung_store.put(key, result):
                     self.store_writes += 1
             results[position] = result
         return results
 
-    def _rung_memo_key(self, key: str, fraction: float) -> Optional[str]:
-        if key.startswith("#") or not self.config.memoize:
-            return None
-        return f"{_plain_key(key)}@f={fraction!r}"
+    # -- disk tier ----------------------------------------------------------------
+
+    def _resolve_from_store(
+        self,
+        order: List[Tuple[str, Program]],
+        pending: Dict[str, List[ScoredCandidate]],
+        tiers: Dict[str, str],
+        stats: BatchStats,
+    ) -> List[Tuple[str, Program]]:
+        """Serve programs still due a full evaluation from the disk tier.
+
+        ``order`` is what the ladder left (every memory miss without one);
+        returns the pairs the store could not serve.
+        """
+        still_fresh: List[Tuple[str, Program]] = []
+        for key, program in order:
+            stats.store_lookups += 1
+            stored = self.store.get(key)
+            if stored is None:
+                still_fresh.append((key, program))
+                continue
+            self._memo[key] = stored
+            stats.store_hits += 1
+            for item in pending[key]:
+                item.evaluation = stored
+            # Only the first occurrence cost the lookup; duplicates that
+            # joined its group keep their "memory" tier.
+            tiers[pending[key][0].candidate.candidate_id] = "disk"
+        return still_fresh
+
+    def _store_at(self, fraction: float) -> Optional[BoundEvalStore]:
+        """The attached store's view at ``fraction`` fidelity (``None`` without one)."""
+        if self.store is None or fraction == 1.0:
+            return self.store
+        return self.store.at_fidelity(fraction)
 
     # -- executors ----------------------------------------------------------------
 
     def close(self) -> None:
         """Shut down the executor backends (recreated lazily on next use)."""
-        if self._executor is not None:
-            self._harvest(self._executor)
-            self._executor.close()
-            self._executor = None
-        self._close_rung_executors()
+        # Full fidelity first: the merged fabric record reports the queue of
+        # the first distributed executor harvested.
+        for fraction in sorted(self._executors, reverse=True):
+            self._discard_executor(fraction)
 
-    def _close_rung_executors(self) -> None:
-        for executor in self._rung_executors.values():
-            self._harvest(executor)
-            executor.close()
-        self._rung_executors = {}
+    def _discard_executor(self, fraction: float) -> None:
+        executor = self._executors.pop(fraction)
+        self._harvest(executor)
+        executor.close()
 
     def _harvest(self, executor) -> None:
         """Fold a distributed executor's fabric counters into the engine.
@@ -762,60 +650,41 @@ class EvaluationEngine:
             return "serial"
         return self.config.executor
 
-    def _ensure_executor(self, backend: str):
-        if self._executor is not None and self._executor.name != backend:
-            self._harvest(self._executor)
-            self._executor.close()
-            self._executor = None
-        if self._executor is None:
-            self._executor = create_executor(backend, self.config, self.evaluator)
-        return self._executor
+    def _ensure_executor(self, backend: str, fraction: float, evaluator: Evaluator):
+        """The ``fraction`` fidelity's executor, (re)created on ``backend``.
 
-    def _ensure_rung_executor(self, backend: str, fraction: float, evaluator: Evaluator):
-        executor = self._rung_executors.get(fraction)
+        One executor per fidelity, so e.g. a process pool ships each scaled
+        evaluator to its workers once.
+        """
+        executor = self._executors.get(fraction)
         if executor is not None and executor.name != backend:
-            self._harvest(executor)
-            executor.close()
+            self._discard_executor(fraction)
             executor = None
         if executor is None:
             executor = create_executor(backend, self.config, evaluator)
-            self._rung_executors[fraction] = executor
+            self._executors[fraction] = executor
         return executor
 
     def _evaluate_many(
         self,
         programs: List[Program],
         stats: BatchStats,
-        evaluator: Optional[Evaluator] = None,
         fraction: float = 1.0,
     ) -> List[EvaluationResult]:
-        """Evaluate ``programs`` on the configured backend.
-
-        ``evaluator`` overrides the engine's evaluator for fidelity-rung
-        evaluation (``fraction`` keys the rung's dedicated executor, so e.g.
-        a process pool ships each scaled evaluator to its workers once).
-        """
+        """Evaluate ``programs`` at ``fraction`` fidelity on the configured
+        backend (a rung runs its scaled evaluator on its own executor)."""
         if not programs:
             return []
         backend = self._backend_name()
-        if evaluator is None:
-            evaluator = self.evaluator
-            executor = self._ensure_executor(backend)
-        else:
-            executor = self._ensure_rung_executor(backend, fraction, evaluator)
+        evaluator = self.evaluator if fraction == 1.0 else self._scaled_evaluator(fraction)
+        executor = self._ensure_executor(backend, fraction, evaluator)
         # Wire the run's event bus and the store view matching this
         # executor's evaluator: the distributed backend publishes fabric
         # events on the former and shares whole-candidate results through
         # the latter (workers warm-start each other); pool backends ignore
         # both.
         executor.events = self.events if self.events else None
-        use_store = self.store is not None and self.config.dedup and self.config.memoize
-        if not use_store:
-            executor.bound_store = None
-        elif fraction == 1.0:
-            executor.bound_store = self.store
-        else:
-            executor.bound_store = self.store.at_fidelity(fraction)
+        executor.bound_store = self._store_at(fraction)
         # Note: single-program batches still go through the configured
         # backend -- a serial shortcut would silently drop the timeout and
         # crash isolation.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.core.checker import CheckIssue
@@ -57,45 +57,76 @@ class ScoredCandidate:
         return self.candidate.source
 
 
+@dataclass(kw_only=True)
+class BudgetCounters:
+    """How evaluation was *budgeted* -- not what the search found.
+
+    Declared once: :class:`~repro.core.engine.BatchStats`,
+    :class:`RoundSummary` and :class:`SearchResult` inherit it, the engine's
+    lifetime totals are one, everything sums it with :meth:`add`, and the
+    artifact writer zeroes and parses exactly :data:`BUDGET_FIELDS`.
+
+    ``store_lookups`` / ``store_hits``: unique programs still due a fresh
+    evaluation that were looked up in an attached disk store, and how many
+    it served.  ``rung_evaluations`` / ``rung_promotions`` /
+    ``rung_eliminations``: the fidelity ladder's fresh sub-full-rung
+    evaluations and its decisions (would-be decisions in ``shadow`` mode).
+    ``screen_checks`` / ``screened``: candidates the static screener
+    analysed, and rejected before any evaluation.
+
+    All depend on execution state (what the store held, whether a ladder or
+    the screener was attached), not on the spec, so ``result.json`` /
+    ``rounds.jsonl`` carry them zeroed and the live values land in
+    ``metadata.json`` -- which is what keeps a fixed-seed run byte-identical
+    with the store cold, warm or absent, under a shadow ladder, and with the
+    screener on when nothing screens (a run that *does* screen differs
+    exactly by the screened candidates' sentinel entries: the feature).
+    """
+
+    store_lookups: int = 0
+    store_hits: int = 0
+    rung_evaluations: int = 0
+    rung_promotions: int = 0
+    rung_eliminations: int = 0
+    screen_checks: int = 0
+    screened: int = 0
+
+    def add(self, other: "BudgetCounters") -> None:
+        """Sum ``other``'s budget counters into this record."""
+        for name in BUDGET_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def budget(self) -> Dict[str, int]:
+        """The budget counters alone, by name."""
+        return {name: getattr(self, name) for name in BUDGET_FIELDS}
+
+
+#: Names of the budget counters, derived from the record.
+BUDGET_FIELDS = tuple(f.name for f in fields(BudgetCounters))
+
+
+def budget_kwargs(data: dict) -> Dict[str, int]:
+    """The budget counters stored in ``data`` (0 where a file predates one)."""
+    return {name: int(data.get(name, 0)) for name in BUDGET_FIELDS}
+
+
 @dataclass
-class RoundSummary:
+class RoundSummary(BudgetCounters):
     """Aggregates for one round of the search (used in reports and tests).
 
     ``eval_cache_lookups`` counts candidates that reached the evaluation
     stage; ``eval_cache_hits`` how many of those were satisfied from the
-    engine's dedup/memoization cache instead of a fresh simulation, and
+    engine's canonical-key memo instead of a fresh simulation, and
     ``unique_evaluations`` the unique programs that missed the in-memory
-    tier (``store_hits`` of those were then served by the persistent
-    evaluation store rather than simulated).  ``store_lookups`` /
-    ``store_hits`` are volatile -- they depend on what an attached store
-    happens to contain -- so the artifact writer zeroes them in
-    ``result.json`` / ``rounds.jsonl``; live values land in
-    ``metadata.json``.  Under multi-scenario fitness, ``scenario_best`` maps
+    tier.  The inherited :class:`BudgetCounters` say how those misses were
+    then served.  Under multi-scenario fitness, ``scenario_best`` maps
     each workload scenario to the best per-scenario score any valid
     candidate of this round achieved (empty for single-scenario runs).
-
-    ``rung_evaluations`` / ``rung_promotions`` / ``rung_eliminations`` count
-    the fidelity ladder's traffic this round (0 without a schedule).  Like
-    the store counters they describe how evaluation was *budgeted*, not what
-    the search found, so the artifact writer zeroes them in ``result.json``
-    / ``rounds.jsonl`` (live values land in ``metadata.json``) -- which is
-    what keeps a shadow-mode ladder run byte-identical to a ladder-disabled
-    one.
-
-    ``screen_checks`` / ``screened`` count the static screener's traffic
-    this round (0 with ``engine.static_screen`` off).  They are volatile in
-    the same sense as the store counters -- rejecting a degenerate candidate
-    before evaluation is a budgeting decision, not a search finding -- so
-    the artifact writer zeroes them too (live values land in
-    ``metadata.json["static_screen"]``), which is what keeps a run in which
-    nothing screens byte-identical with the knob on or off.  (A run that
-    *does* screen differs exactly by the screened candidates' sentinel
-    entries -- that divergence is the feature.)
 
     ``generation_s`` / ``evaluation_s`` / ``overlap_s`` time the round's two
     phases and how much of them ran concurrently (always 0 on the serial
     path).  They are wall-clock, hence volatile: the artifact writer zeroes
-    them like the store counters (summed live values land in
+    them like the budget counters (summed live values land in
     ``metadata.json["pipeline"]``), which is what keeps a pipelined run
     byte-identical to a serial one.
     """
@@ -111,14 +142,7 @@ class RoundSummary:
     eval_cache_lookups: int = 0
     eval_cache_hits: int = 0
     unique_evaluations: int = 0
-    store_lookups: int = 0
-    store_hits: int = 0
     scenario_best: Dict[str, float] = field(default_factory=dict)
-    rung_evaluations: int = 0
-    rung_promotions: int = 0
-    rung_eliminations: int = 0
-    screen_checks: int = 0
-    screened: int = 0
     generation_s: float = 0.0
     evaluation_s: float = 0.0
     overlap_s: float = 0.0
@@ -131,8 +155,8 @@ class RoundSummary:
 
 
 @dataclass
-class SearchResult:
-    """Everything a search run produced."""
+class SearchResult(BudgetCounters):
+    """Everything a search run produced (budget counters: run totals)."""
 
     best: Optional[ScoredCandidate]
     candidates: List[ScoredCandidate]
@@ -146,13 +170,6 @@ class SearchResult:
     estimated_cost_usd: float = 0.0
     eval_cache_lookups: int = 0
     eval_cache_hits: int = 0
-    store_lookups: int = 0
-    store_hits: int = 0
-    rung_evaluations: int = 0
-    rung_promotions: int = 0
-    rung_eliminations: int = 0
-    screen_checks: int = 0
-    screened: int = 0
 
     def best_source(self) -> str:
         if self.best is None:

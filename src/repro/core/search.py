@@ -52,7 +52,14 @@ from repro.core.events import (
     RunStarted,
 )
 from repro.core.generator import Generator
-from repro.core.results import Candidate, RoundSummary, ScoredCandidate, SearchResult
+from repro.core.results import (
+    BudgetCounters,
+    Candidate,
+    RoundSummary,
+    ScoredCandidate,
+    SearchResult,
+    budget_kwargs,
+)
 from repro.core.template import Template
 from repro.dsl.codegen import to_source
 
@@ -68,8 +75,9 @@ class SearchConfig:
     synthetic client, a fixed-seed run produces a byte-identical
     ``result.json`` pipelined or not.  The search silently falls back to
     the serial round loop for configurations where the equivalence cannot
-    hold (dedup or memoization disabled, a screening fidelity ladder, or a
-    generator without the chunked-generation API).
+    hold (a screening fidelity ladder, or a generator without the
+    chunked-generation API); :attr:`EvolutionarySearch.pipelined` says which
+    loop runs, and ``metadata.json`` records it.
     """
 
     rounds: int = 20
@@ -171,17 +179,9 @@ class EvolutionarySearch:
         population: List[ScoredCandidate] = []
         rounds: List[RoundSummary] = []
         counter = 0
-        seed_stats: Dict[str, int] = {
-            "lookups": 0,
-            "hits": 0,
-            "store_lookups": 0,
-            "store_hits": 0,
-            "rung_evaluations": 0,
-            "rung_promotions": 0,
-            "rung_eliminations": 0,
-            "screen_checks": 0,
-            "screened": 0,
-        }
+        # The seed batch's eval-cache and budget counters, in checkpoint form:
+        # no round owns them, so they ride beside the rounds to the totals.
+        seed_stats: Dict[str, int] = {}
 
         checkpoint = self._load_checkpoint()
         self.events.emit(
@@ -197,7 +197,7 @@ class EvolutionarySearch:
             population = list(checkpoint.population)
             rounds = list(checkpoint.rounds)
             counter = checkpoint.counter
-            seed_stats.update(checkpoint.seed_stats)
+            seed_stats = dict(checkpoint.seed_stats)
             self.engine.restore_memo(checkpoint.memo)
             self._restore_generator_state(checkpoint.generator_state)
         elif self.config.include_seeds:
@@ -214,19 +214,13 @@ class EvolutionarySearch:
                 )
             batch = self.engine.process_batch(seeds)
             population.extend(batch.scored)
-            seed_stats["lookups"] = batch.stats.eval_cache_lookups
-            seed_stats["hits"] = batch.stats.eval_cache_hits
-            seed_stats["store_lookups"] = batch.stats.store_lookups
-            seed_stats["store_hits"] = batch.stats.store_hits
-            seed_stats["rung_evaluations"] = batch.stats.rung_evaluations
-            seed_stats["rung_promotions"] = batch.stats.rung_promotions
-            seed_stats["rung_eliminations"] = batch.stats.rung_eliminations
-            seed_stats["screen_checks"] = batch.stats.screen_checks
-            seed_stats["screened"] = batch.stats.screened
+            seed_stats = {
+                "lookups": batch.stats.eval_cache_lookups,
+                "hits": batch.stats.eval_cache_hits,
+                **batch.stats.budget(),
+            }
 
-        run_round = (
-            self._run_round_pipelined if self._pipeline_enabled() else self._run_round
-        )
+        run_round = self._run_round_pipelined if self.pipelined else self._run_round
         for round_index in range(len(rounds) + 1, self.config.rounds + 1):
             summary = run_round(round_index, population, counter)
             counter += summary.generated
@@ -266,25 +260,13 @@ class EvolutionarySearch:
             template_name=self.template.name,
             total_candidates=len(population),
             wall_time_s=time.perf_counter() - start,
-            eval_cache_lookups=seed_stats["lookups"]
+            eval_cache_lookups=seed_stats.get("lookups", 0)
             + sum(r.eval_cache_lookups for r in rounds),
-            eval_cache_hits=seed_stats["hits"]
+            eval_cache_hits=seed_stats.get("hits", 0)
             + sum(r.eval_cache_hits for r in rounds),
-            store_lookups=seed_stats.get("store_lookups", 0)
-            + sum(r.store_lookups for r in rounds),
-            store_hits=seed_stats.get("store_hits", 0)
-            + sum(r.store_hits for r in rounds),
-            rung_evaluations=seed_stats.get("rung_evaluations", 0)
-            + sum(r.rung_evaluations for r in rounds),
-            rung_promotions=seed_stats.get("rung_promotions", 0)
-            + sum(r.rung_promotions for r in rounds),
-            rung_eliminations=seed_stats.get("rung_eliminations", 0)
-            + sum(r.rung_eliminations for r in rounds),
-            screen_checks=seed_stats.get("screen_checks", 0)
-            + sum(r.screen_checks for r in rounds),
-            screened=seed_stats.get("screened", 0)
-            + sum(r.screened for r in rounds),
         )
+        for budget in (BudgetCounters(**budget_kwargs(seed_stats)), *rounds):
+            result.add(budget)
         usage = getattr(self.generator, "usage", None)
         if usage is not None:
             result.prompt_tokens = usage.prompt_tokens
@@ -404,22 +386,17 @@ class EvolutionarySearch:
 
     # -- pipelined rounds ------------------------------------------------------------
 
-    def _pipeline_enabled(self) -> bool:
-        """Whether the pipelined round loop can replace the serial one.
+    @property
+    def pipelined(self) -> bool:
+        """Whether the pipelined round loop replaces the serial one.
 
-        The pipeline is opt-in (``SearchConfig.pipeline`` or
-        ``EngineConfig.pipeline``) and silently falls back to the serial
-        path for configurations where chunked batches are not
-        statistics-equivalent to one serial batch: with dedup or memoization
-        disabled the engine deliberately re-evaluates copies (and a
-        cross-chunk duplicate would not be), and a *screening* fidelity
+        The pipeline is opt-in (``SearchConfig.pipeline``) and silently
+        falls back to the serial path where chunked batches are not
+        statistics-equivalent to one serial batch: a *screening* fidelity
         ladder sizes its rungs per batch, so chunking would change which
         candidates are screened out.
         """
-        requested = self.config.pipeline or self.engine.config.pipeline
-        if not requested:
-            return False
-        if not (self.engine.config.dedup and self.engine.config.memoize):
+        if not self.config.pipeline:
             return False
         fidelity = self.engine.fidelity
         if fidelity is not None and fidelity.screening_rungs:
@@ -661,10 +638,9 @@ class EvolutionarySearch:
     def _merge_stats(batches: List[BatchResult]) -> BatchStats:
         """Sum chunk statistics into one round-level BatchStats.
 
-        Under dedup+memoize (the pipeline's precondition) the sums equal
-        what one serial batch reports: a cross-chunk duplicate is a memo hit
-        instead of a within-batch group join, and both count as one
-        ``eval_cache_hits``.
+        The sums equal what one serial batch reports: a cross-chunk
+        duplicate is a memo hit instead of a within-batch group join, and
+        both count as one ``eval_cache_hits``.
         """
         stats = BatchStats()
         for batch in batches:
@@ -678,13 +654,7 @@ class EvolutionarySearch:
             stats.eval_cache_hits += other.eval_cache_hits
             stats.unique_evaluations += other.unique_evaluations
             stats.eval_timeouts += other.eval_timeouts
-            stats.store_lookups += other.store_lookups
-            stats.store_hits += other.store_hits
-            stats.rung_evaluations += other.rung_evaluations
-            stats.rung_promotions += other.rung_promotions
-            stats.rung_eliminations += other.rung_eliminations
-            stats.screen_checks += other.screen_checks
-            stats.screened += other.screened
+            stats.add(other)
         return stats
 
     @staticmethod
@@ -696,13 +666,7 @@ class EvolutionarySearch:
         summary.eval_cache_lookups = stats.eval_cache_lookups
         summary.eval_cache_hits = stats.eval_cache_hits
         summary.unique_evaluations = stats.unique_evaluations
-        summary.store_lookups = stats.store_lookups
-        summary.store_hits = stats.store_hits
-        summary.rung_evaluations = stats.rung_evaluations
-        summary.rung_promotions = stats.rung_promotions
-        summary.rung_eliminations = stats.rung_eliminations
-        summary.screen_checks = stats.screen_checks
-        summary.screened = stats.screened
+        summary.add(stats)
 
     # -- checkpointing ---------------------------------------------------------------
 

@@ -53,6 +53,13 @@ SEARCH_FIELDS = frozenset(
     f.name for f in fields(SearchConfig) if f.name != "cost_model"
 )
 ENGINE_FIELDS = frozenset(f.name for f in fields(EngineConfig))
+#: ``engine`` keys that stopped being options, and what a spec naming one
+#: should do instead (they are rejected like any unknown key).
+REMOVED_ENGINE_KEYS = {
+    "dedup": "always on since PR 24",
+    "memoize": "always on since PR 24",
+    "pipeline": "use `search.pipeline`",
+}
 #: ``llm`` overrides map onto :class:`SyntheticLLMConfig` fields, plus the
 #: ``"provider"`` block (a :class:`~repro.llm.client.ProviderConfig`
 #: reference: retries, timeouts, batch size, prompt cache) which configures
@@ -67,12 +74,18 @@ _NAME_OK = frozenset(
 )
 
 
-def _check_overrides(label: str, overrides: Dict[str, Any], allowed: frozenset) -> None:
-    unknown = set(overrides) - allowed
+def _check_overrides(
+    label: str,
+    overrides: Dict[str, Any],
+    allowed: frozenset,
+    removed: Optional[Dict[str, str]] = None,
+) -> None:
+    unknown = sorted(set(overrides) - allowed)
     if unknown:
+        gone = [f"{key!r}: {removed[key]}" for key in unknown if removed and key in removed]
         raise ValueError(
-            f"unknown {label} override(s) {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
+            f"unknown {label} override(s) {unknown}; allowed: {sorted(allowed)}"
+            + (f"; removed -- {'; '.join(gone)}" if gone else "")
         )
 
 
@@ -114,7 +127,7 @@ class RunSpec:
                 "(it becomes a directory name)"
             )
         _check_overrides("search", self.search, SEARCH_FIELDS)
-        _check_overrides("engine", self.engine, ENGINE_FIELDS)
+        _check_overrides("engine", self.engine, ENGINE_FIELDS, REMOVED_ENGINE_KEYS)
         _check_overrides("llm", self.llm, LLM_FIELDS)
         # Validate (and normalise) the provider block early, exactly like the
         # fidelity block: a typoed provider name or unknown key fails at spec
@@ -572,8 +585,8 @@ def run(
             eval_store_record = {
                 "path": str(evaluation_store.root),
                 "eval_config_hash": effective_spec.eval_config_hash(),
-                "lookups": setup.engine.store_lookups,
-                "hits": setup.engine.store_hits,
+                "lookups": setup.engine.totals.store_lookups,
+                "hits": setup.engine.totals.store_hits,
                 "writes": setup.engine.store_writes,
             }
         fidelity_record = None
@@ -581,9 +594,9 @@ def run(
         if schedule is not None and setup.engine is not None:
             fidelity_record = {
                 "schedule": schedule.to_ref(),
-                "rung_evaluations": setup.engine.rung_evaluations,
-                "rung_promotions": setup.engine.rung_promotions,
-                "rung_eliminations": setup.engine.rung_eliminations,
+                "rung_evaluations": setup.engine.totals.rung_evaluations,
+                "rung_promotions": setup.engine.totals.rung_promotions,
+                "rung_eliminations": setup.engine.totals.rung_eliminations,
             }
         backend_record = None
         backend_stats = getattr(setup.evaluator, "backend_stats", None)
@@ -600,13 +613,10 @@ def run(
         # Round-phase timings are volatile (wall-clock), so they are zeroed
         # in result.json; the live sums land here instead, alongside the
         # prompt-cache counters when a caching provider is attached.
-        search_cfg = setup.search.config
-        engine_cfg = setup.engine.config if setup.engine is not None else None
         pipeline_record: Dict[str, Any] = {
-            "enabled": bool(
-                search_cfg.pipeline
-                or (engine_cfg is not None and engine_cfg.pipeline)
-            ),
+            # Which round loop ran, not which was asked for: a pipeline
+            # request falls back to the serial loop under a screening ladder.
+            "enabled": setup.search.pipelined,
             "generation_s": round(
                 sum(r.generation_s for r in result.rounds), 6
             ),
@@ -635,18 +645,14 @@ def run(
         # was budgeted), so like the store/rung counters it goes to
         # metadata.json only.
         screen_record = None
-        if (
-            setup.engine is not None
-            and engine_cfg is not None
-            and engine_cfg.static_screen
-        ):
-            checks = setup.engine.screen_checks
+        if setup.engine is not None and setup.engine.config.static_screen:
+            checks = setup.engine.totals.screen_checks
             screen_record = {
                 "enabled": True,
                 "checks": checks,
-                "screened": setup.engine.screened,
+                "screened": setup.engine.totals.screened,
                 "screen_rate": (
-                    setup.engine.screened / checks if checks else 0.0
+                    setup.engine.totals.screened / checks if checks else 0.0
                 ),
             }
         artifact_store.finalize_run_dir(

@@ -7,6 +7,8 @@ Every user mistake must exit 2 with a one-line ``error:`` message on stderr
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -81,6 +83,24 @@ def test_run_unknown_executor_exits_2_listing_names(capsys):
     for name in ("serial", "thread", "process", "distributed"):
         assert name in err
     assert "async" not in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key,replacement",
+    [
+        ("dedup", "always on since PR 24"),
+        ("memoize", "always on since PR 24"),
+        ("pipeline", "use `search.pipeline`"),
+    ],
+)
+def test_run_spec_naming_a_removed_engine_option_exits_2(capsys, tmp_path, key, replacement):
+    data = json.loads(SMOKE_SPEC.read_text(encoding="utf-8"))
+    data.update(engine={key: True}, checkpoint=False)  # nothing else can exit 2
+    code, _out, err = run_cli(capsys, "run", write_spec(tmp_path, data), "--no-artifacts", "--quiet")
+    assert code == 2
+    assert f"unknown engine override(s) ['{key}']" in err
+    assert f"'{key}': {replacement}" in err
     assert "Traceback" not in err
 
 

@@ -1,9 +1,13 @@
 """Artifact store: layout, serialization round-trip, byte-identical reruns."""
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from repro.core.archive import SearchCheckpoint
 from repro.core.artifacts import (
     ARTIFACT_VERSION,
     ArtifactStore,
@@ -11,8 +15,11 @@ from repro.core.artifacts import (
     search_result_from_dict,
     search_result_to_dict,
 )
+from repro.core.results import BUDGET_FIELDS, RoundSummary
 from repro.core.spec import RunSpec, run
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+GOLDEN = REPO_ROOT / "tests" / "golden"
 TRACE_REF = {"dataset": "cloudphysics", "index": 89, "num_requests": 800}
 
 
@@ -147,3 +154,63 @@ def test_run_artifact_rejects_future_version(tmp_path):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="artifact format"):
         RunArtifact(outcome.artifact_dir).metadata
+
+
+# -- the budget record --------------------------------------------------------------
+
+
+def test_every_budget_counter_is_zero_on_disk_and_live_in_metadata(tmp_path):
+    """The record's fields are what the writer zeroes: a run in which all of
+    them are non-zero (warm store, shadow ladder, static screen) still writes
+    zeros to result.json / rounds.jsonl, and the live values to metadata."""
+    search = {"rounds": 2, "candidates_per_round": 8}
+    run(tiny_spec(search=search), store=tmp_path / "fill", eval_store=tmp_path / "evalstore")
+    outcome = run(
+        tiny_spec(
+            search=search,
+            engine={"static_screen": True},
+            fidelity={"rungs": [0.25, 1.0], "mode": "shadow"},
+        ),
+        store=tmp_path / "warm",
+        eval_store=tmp_path / "evalstore",
+    )
+    live = outcome.result.budget()
+    assert tuple(live) == BUDGET_FIELDS and all(count > 0 for count in live.values()), live
+
+    result = json.loads((outcome.artifact_dir / "result.json").read_text())
+    lines = (outcome.artifact_dir / "rounds.jsonl").read_text().splitlines()
+    for record in (result, *result["rounds"], *map(json.loads, lines)):
+        assert {name: record[name] for name in BUDGET_FIELDS} == dict.fromkeys(BUDGET_FIELDS, 0)
+
+    metadata = json.loads((outcome.artifact_dir / "metadata.json").read_text())
+    assert metadata["eval_store"]["lookups"] == live["store_lookups"]
+    assert metadata["eval_store"]["hits"] == live["store_hits"]
+    for name in ("rung_evaluations", "rung_promotions", "rung_eliminations"):
+        assert metadata["fidelity"][name] == live[name]
+    assert metadata["static_screen"]["checks"] == live["screen_checks"]
+    assert metadata["static_screen"]["screened"] == live["screened"]
+
+
+def test_files_written_at_f91d7f8_still_load_and_resume(tmp_path):
+    """``rounds_f91d7f8.jsonl`` / ``checkpoint_f91d7f8.json`` were written by
+    the parent of the PR that moved the counters into one record (round 1 of
+    ``smoke_caching`` with a cold store): field for field they still parse,
+    and the checkpoint resumes to the golden ``result.json``."""
+    line = json.loads((GOLDEN / "rounds_f91d7f8.jsonl").read_text().splitlines()[0])
+    summary = RoundSummary(**line)
+    assert (summary.round_index, summary.unique_evaluations) == (1, 4)
+
+    checkpoint = SearchCheckpoint.load(GOLDEN / "checkpoint_f91d7f8.json")
+    assert checkpoint.seed_stats["store_lookups"] == 2
+    assert checkpoint.rounds[0].store_lookups == 4
+
+    run_dir = tmp_path / "resumed"
+    run_dir.mkdir()
+    shutil.copy(GOLDEN / "checkpoint_f91d7f8.json", run_dir / "checkpoint.json")
+    spec = RunSpec.from_file(REPO_ROOT / "examples" / "specs" / "smoke_caching.json")
+    outcome = run(spec, run_dir=run_dir, eval_store=None)
+    # Seed batch + round 1 as recorded; round 2 ran here without a store.
+    assert outcome.result.store_lookups == 2 + 4
+    digest = hashlib.sha256((run_dir / "result.json").read_bytes()).hexdigest()
+    golden = json.loads((GOLDEN / "result_sha256.json").read_text())["specs"]
+    assert digest == golden["smoke_caching"]["default"]

@@ -25,11 +25,18 @@ def make_template():
 
 
 class CountingEvaluator(Evaluator):
-    """Scores a program by its returned constant; counts evaluations."""
+    """Scores a program by its returned constant; counts evaluations.
+
+    Scales trivially (a rung scores like the full run, on its own counter),
+    so a fidelity ladder can be attached.
+    """
 
     def __init__(self, delay_s: float = 0.0):
         self.calls = 0
         self.delay_s = delay_s
+
+    def at_fidelity(self, fraction):
+        return CountingEvaluator()
 
     def evaluate_program(self, program):
         self.calls += 1
@@ -86,14 +93,6 @@ def test_memoization_spans_batches():
     assert engine.cache_hits == 1 and engine.cache_lookups == 2
 
 
-def test_dedup_and_memoization_can_be_disabled():
-    evaluator = CountingEvaluator()
-    engine = make_engine(evaluator, dedup=False, memoize=False)
-    engine.process_batch(candidates(["def f(x) { return 7 }"] * 3))
-    engine.process_batch(candidates(["def f(x) { return 7 }"]))
-    assert evaluator.calls == 4
-
-
 def test_check_failures_are_counted_not_evaluated():
     evaluator = CountingEvaluator()
     engine = make_engine(evaluator)
@@ -146,14 +145,14 @@ def test_timeouts_are_not_memoized():
 def test_executor_is_reused_across_batches():
     engine = make_engine(CountingEvaluator(), max_workers=2, executor="thread")
     engine.process_batch(candidates(["def f(x) { return 1 }", "def f(x) { return 2 }"]))
-    executor = engine._executor
-    assert executor is not None and executor.name == "thread"
+    executor = engine._executors[1.0]
+    assert executor.name == "thread"
     pool = executor._pool
     assert pool is not None
     engine.process_batch(candidates(["def f(x) { return 3 }", "def f(x) { return 4 }"]))
-    assert engine._executor is executor and executor._pool is pool
+    assert engine._executors[1.0] is executor and executor._pool is pool
     engine.close()
-    assert engine._executor is None
+    assert engine._executors == {}
 
 
 def test_engine_config_validation():
@@ -203,7 +202,7 @@ def test_static_screen_rejects_degenerates_at_zero_evaluator_cost():
     assert "constant" in constant.evaluation.error
     assert "pinned-max" in pinned.evaluation.error
     assert live.evaluation.valid and live.score == 0.0
-    assert engine.screen_checks == 3 and engine.screened == 2
+    assert engine.totals.screen_checks == 3 and engine.totals.screened == 2
 
 
 def test_static_screen_is_off_by_default():
@@ -263,7 +262,7 @@ def test_static_screen_verdicts_cached_across_batches():
     batch = engine.process_batch(candidates(["def f(x) { return 5 }"]))
     assert calls["n"] == 0  # verdict served from the canonical-key cache
     assert batch.stats.screened == 1  # but still counted per batch
-    assert engine.screened == 2
+    assert engine.totals.screened == 2
 
 
 def test_static_screen_never_touches_store(tmp_path):
@@ -273,17 +272,35 @@ def test_static_screen_never_touches_store(tmp_path):
     engine.attach_store(EvaluationStore(tmp_path / "evalstore").bind("k" * 64))
     batch = engine.process_batch(candidates(["def f(x) { return 5 }"]))
     assert batch.stats.screened == 1
-    assert engine.store_lookups == 0 and engine.store_writes == 0
+    assert engine.totals.store_lookups == 0 and engine.store_writes == 0
 
 
 # -- the disk memo tier -------------------------------------------------------------
 
 
-def make_store_engine(tmp_path, evaluator=None, **config_kwargs):
+EVAL_KEY = "k" * 64
+
+#: The disk tier is asked in one place whatever ladder is attached: none
+#: (the tests' ``ladder=None`` default), a shadow ladder whose rung runs
+#: (min_keep=1: one of two programs would go), and a screening ladder whose
+#: pool of two is too small to eliminate from.
+LADDERS = pytest.mark.parametrize(
+    "ladder",
+    [
+        {"rungs": [0.5, 1.0], "min_keep": 1, "mode": "shadow"},
+        {"rungs": [0.5, 1.0], "min_keep": 2, "mode": "screen"},
+    ],
+    ids=["shadow", "screen-small-pool"],
+)
+
+
+def make_store_engine(tmp_path, evaluator=None, ladder=None, **config_kwargs):
+    from repro.core.fidelity import FidelitySchedule
     from repro.core.store import EvaluationStore
 
     engine = make_engine(evaluator, **config_kwargs)
-    engine.attach_store(EvaluationStore(tmp_path / "evalstore").bind("k" * 64))
+    engine.attach_store(EvaluationStore(tmp_path / "evalstore").bind(EVAL_KEY))
+    engine.attach_fidelity(FidelitySchedule.from_ref(ladder))
     return engine
 
 
@@ -315,11 +332,13 @@ def test_disk_hit_fills_memory_tier(tmp_path):
     assert batch.stats.eval_cache_hits == 1
 
 
-def test_cache_tier_events(tmp_path):
+def test_cache_tier_events(tmp_path, ladder=None):
     from repro.core.events import CandidateEvaluated
 
-    make_store_engine(tmp_path).process_batch(candidates(["def f(x) { return 7 }"]))
-    engine = make_store_engine(tmp_path)
+    make_store_engine(tmp_path, ladder=ladder).process_batch(
+        candidates(["def f(x) { return 7 }"])
+    )
+    engine = make_store_engine(tmp_path, ladder=ladder)
     events = []
     engine.events.subscribe(events.append)
     engine.process_batch(
@@ -337,22 +356,83 @@ def test_cache_tier_events(tmp_path):
     assert cached == [True, True, False]
 
 
-def test_eval_cache_stats_identical_with_and_without_store(tmp_path):
-    """The store must not perturb the deterministic round statistics."""
+@LADDERS
+def test_cache_tier_events_under_a_ladder(tmp_path, ladder):
+    test_cache_tier_events(tmp_path, ladder)
+
+
+def test_eval_cache_stats_identical_with_and_without_store(tmp_path, ladder=None):
+    """The store must not perturb the deterministic round statistics -- nor
+    the ladder's decisions, whose pool is every memory miss, warm or cold."""
+    from repro.core.fidelity import FidelitySchedule
+
     sources = [
         "def f(x) { return 7 }",
         "def f(x) {  return 7 }",
         "def f(x) { return 8 }",
     ]
-    plain = make_engine().process_batch(candidates(list(sources)))
-    cold = make_store_engine(tmp_path).process_batch(candidates(list(sources)))
-    warm = make_store_engine(tmp_path).process_batch(candidates(list(sources)))
+    plain_engine = make_engine()
+    plain_engine.attach_fidelity(FidelitySchedule.from_ref(ladder))
+    plain = plain_engine.process_batch(candidates(list(sources)))
+    cold = make_store_engine(tmp_path, ladder=ladder).process_batch(candidates(list(sources)))
+    warm = make_store_engine(tmp_path, ladder=ladder).process_batch(candidates(list(sources)))
     for batch in (cold, warm):
         assert batch.stats.eval_cache_lookups == plain.stats.eval_cache_lookups
         assert batch.stats.eval_cache_hits == plain.stats.eval_cache_hits
         assert batch.stats.unique_evaluations == plain.stats.unique_evaluations
+        assert batch.stats.rung_promotions == plain.stats.rung_promotions
+        assert batch.stats.rung_eliminations == plain.stats.rung_eliminations
+        assert batch.stats.store_lookups == 2
+    assert plain.stats.rung_eliminations == (1 if ladder and ladder["mode"] == "shadow" else 0)
     assert cold.stats.store_hits == 0
     assert warm.stats.store_hits == 2
+
+
+@LADDERS
+def test_eval_cache_stats_identical_under_a_ladder(tmp_path, ladder):
+    test_eval_cache_stats_identical_with_and_without_store(tmp_path, ladder)
+
+
+def test_store_get_is_called_once_per_program_still_due_a_full_evaluation(tmp_path, monkeypatch):
+    """Counts, in the style of ``tests/integration/test_frontend_counts.py``:
+    one ``EvaluationStore.get`` per first-occurrence memory miss, none for an
+    in-batch repeat or a memory hit, none for a candidate the ladder
+    eliminated."""
+    from repro.core.store import EvaluationStore, fidelity_eval_key
+    from repro.dsl.codegen import canonical_key
+
+    asked = []
+    original = EvaluationStore.get
+
+    def counting_get(self, eval_key, program_key):
+        asked.append((eval_key, program_key))
+        return original(self, eval_key, program_key)
+
+    monkeypatch.setattr(EvaluationStore, "get", counting_get)
+
+    def full_fidelity_gets():
+        return [program_key for eval_key, program_key in asked if eval_key == EVAL_KEY]
+
+    sources = [f"def f(x) {{ return {n} }}" for n in (1, 2, 3, 4, 5, 6)]
+    sources.insert(1, "def f(x) {  return 1 }")  # in-batch repeat of the first
+
+    engine = make_store_engine(tmp_path / "plain")
+    batch = engine.process_batch(candidates(sources))
+    assert len(full_fidelity_gets()) == len(set(full_fidelity_gets())) == 6
+    assert batch.stats.store_lookups == batch.stats.unique_evaluations == 6
+    asked.clear()
+    engine.process_batch(candidates(sources))  # all memory hits now
+    assert asked == []
+
+    # eta=3 keeps 2 of 6 after the 0.5 rung: only those two reach the disk tier.
+    engine = make_store_engine(tmp_path / "ladder", ladder=[0.5, 1.0])
+    batch = engine.process_batch(candidates(sources))
+    assert batch.stats.rung_eliminations == 4 and batch.stats.unique_evaluations == 6
+    kept = [canonical_key(s.program) for s in batch.scored if s.evaluation.full_fidelity]
+    assert len(kept) == 2 and sorted(full_fidelity_gets()) == sorted(kept)
+    assert batch.stats.store_lookups == 2
+    rung_gets = [key for eval_key, key in asked if eval_key == fidelity_eval_key(EVAL_KEY, 0.5)]
+    assert len(rung_gets) == len(set(rung_gets)) == 6
 
 
 def test_transient_failures_not_written_to_store(tmp_path):
@@ -367,12 +447,6 @@ def test_transient_failures_not_written_to_store(tmp_path):
     batch = fresh.process_batch(candidates(["def f(x) { return 1 }"]))
     assert batch.scored[0].evaluation.valid
     assert batch.scored[0].score == 1.0
-
-
-def test_store_ignored_when_memoization_disabled(tmp_path):
-    engine = make_store_engine(tmp_path, memoize=False)
-    engine.process_batch(candidates(["def f(x) { return 7 }"]))
-    assert engine.store_lookups == 0 and engine.store_writes == 0
 
 
 def test_memo_snapshot_roundtrip():

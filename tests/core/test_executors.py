@@ -147,6 +147,5 @@ def test_backends_match_serial_under_scenario_sharding(executor):
 def test_single_worker_runs_serially_whatever_the_backend():
     engine = make_engine(max_workers=1, executor="process")
     engine.process_batch(candidates(["def f(x) { return 1 }"]))
-    assert engine._executor is not None
-    assert engine._executor.name == "serial"
+    assert engine._executors[1.0].name == "serial"
     engine.close()

@@ -5,11 +5,8 @@ SearchResult the serial round loop produces -- same candidates, same
 scores, same token usage -- while overlapping generation with evaluation.
 """
 
-import pytest
-
 from repro.core.artifacts import search_result_to_dict
 from repro.core.domain import build_search
-from repro.core.engine import EngineConfig
 from repro.core.events import (
     EventBus,
     GenerationCompleted,
@@ -41,6 +38,7 @@ def test_pipelined_result_equals_serial(small_synthetic_trace):
     serial_setup = build(small_synthetic_trace, pipeline=False)
     serial = serial_setup.search.run()
     piped_setup = build(small_synthetic_trace, pipeline=True)
+    assert piped_setup.search.pipelined
     piped = piped_setup.search.run()
 
     assert search_result_to_dict(piped) == search_result_to_dict(serial)
@@ -57,15 +55,6 @@ def test_pipelined_equivalence_with_batch_size_hints(small_synthetic_trace):
         setup = build(small_synthetic_trace, pipeline=True)
         setup.generator.batch_size = batch_size
         assert search_result_to_dict(setup.search.run()) == reference, batch_size
-
-
-def test_engine_pipeline_flag_also_enables(small_synthetic_trace):
-    reference = search_result_to_dict(build(small_synthetic_trace).search.run())
-    setup = build(
-        small_synthetic_trace, engine_config=EngineConfig(pipeline=True)
-    )
-    assert setup.search._pipeline_enabled()
-    assert search_result_to_dict(setup.search.run()) == reference
 
 
 # -- chunk planning -----------------------------------------------------------------
@@ -100,25 +89,13 @@ def test_chunk_plan_honours_batch_size(small_synthetic_trace):
 
 
 def test_pipeline_disabled_without_request(small_synthetic_trace):
-    assert not build(small_synthetic_trace).search._pipeline_enabled()
-
-
-@pytest.mark.parametrize(
-    "engine_config",
-    [EngineConfig(dedup=False), EngineConfig(memoize=False)],
-    ids=["dedup-off", "memoize-off"],
-)
-def test_pipeline_falls_back_without_memo_tiers(small_synthetic_trace, engine_config):
-    setup = build(small_synthetic_trace, pipeline=True, engine_config=engine_config)
-    assert not setup.search._pipeline_enabled()
-    # The run still works -- it just takes the serial path.
-    assert setup.search.run().total_candidates > 0
+    assert not build(small_synthetic_trace).search.pipelined
 
 
 def test_pipeline_falls_back_under_screening_ladder(small_synthetic_trace):
     setup = build(small_synthetic_trace, pipeline=True)
     setup.engine.attach_fidelity(FidelitySchedule.from_ref([0.25, 1.0]))
-    assert not setup.search._pipeline_enabled()
+    assert not setup.search.pipelined
 
 
 def test_pipeline_falls_back_for_foreign_generators(small_synthetic_trace):
@@ -134,7 +111,7 @@ def test_pipeline_falls_back_for_foreign_generators(small_synthetic_trace):
             return None
 
     setup.search.generator = Scripted()
-    assert not setup.search._pipeline_enabled()
+    assert not setup.search.pipelined
 
 
 # -- telemetry ----------------------------------------------------------------------

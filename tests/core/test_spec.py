@@ -1,6 +1,7 @@
 """RunSpec: JSON round-trip, config layering, run()/run_sweep() semantics."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,19 @@ def test_unknown_override_keys_rejected():
         tiny_spec(llm={"hallucinate": True})
 
 
+@pytest.mark.parametrize(
+    "key,replacement",
+    [
+        ("dedup", "always on since PR 24"),
+        ("memoize", "always on since PR 24"),
+        ("pipeline", "use `search.pipeline`"),
+    ],
+)
+def test_removed_engine_options_are_unknown_keys_that_name_their_replacement(key, replacement):
+    with pytest.raises(ValueError, match=f"engine override.*'{key}': {replacement}"):
+        tiny_spec(engine={key: True})
+
+
 def test_unknown_top_level_field_rejected():
     data = tiny_spec().to_dict()
     data["rounds"] = 5
@@ -83,6 +97,20 @@ def test_unsupported_version_rejected():
 def test_name_must_be_path_safe():
     with pytest.raises(ValueError, match="directory name"):
         tiny_spec(name="no/slashes")
+
+
+@pytest.mark.parametrize(
+    "spec_name,recorded",
+    [
+        ("smoke_caching", "b44885c72754c08e4c35627e75c449ee053aa1efb7a54073b09211bf85beb0d2"),
+        ("smoke_matrix", "5643f2edb49783163148d677bc3d11842ea06843982597b936f520992dd0669a"),
+        ("matrix_cc", "1c21236b714c70145d9b11fc0205bf6f3a4fb202abc21eb5c7a01e82be81a967"),
+    ],
+)
+def test_config_hash_of_the_golden_specs_is_the_one_recorded_at_f91d7f8(spec_name, recorded):
+    """Removing engine options must not rename any run that never named them."""
+    path = Path(__file__).resolve().parents[2] / "examples" / "specs" / f"{spec_name}.json"
+    assert RunSpec.from_file(path).config_hash() == recorded
 
 
 def test_config_hash_stable_and_sensitive():

@@ -58,8 +58,8 @@ def test_shadow_ladder_is_byte_identical_to_ladder_off(base, tmp_path):
     )
     assert result_bytes(off) == result_bytes(shadow)
     # The ladder really ran: rung decisions were taken and recorded live.
-    assert shadow.setup.engine.rung_evaluations > 0
-    assert shadow.setup.engine.rung_eliminations > 0
+    assert shadow.setup.engine.totals.rung_evaluations > 0
+    assert shadow.setup.engine.totals.rung_eliminations > 0
 
 
 @DOMAINS
@@ -72,8 +72,8 @@ def test_screen_ladder_is_byte_identical_across_store_states(base, tmp_path):
     assert result_bytes(disabled) == result_bytes(cold) == result_bytes(warm)
     # The warm run re-ran no rung evaluations: every rung score and every
     # promoted full evaluation was served from the store.
-    assert warm.setup.engine.rung_evaluations == 0
-    assert warm.setup.engine.store_hits == warm.setup.engine.store_lookups > 0
+    assert warm.setup.engine.totals.rung_evaluations == 0
+    assert warm.setup.engine.totals.store_hits == warm.setup.engine.totals.store_lookups > 0
 
 
 @DOMAINS

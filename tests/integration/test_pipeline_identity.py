@@ -36,8 +36,8 @@ CC_SPEC = dict(
 )
 
 
-def result_bytes(base, tmp_path, tag, *, pipeline=False, provider=None):
-    spec_dict = dict(base)
+def result_bytes(base, tmp_path, tag, *, pipeline=False, provider=None, fidelity=None):
+    spec_dict = dict(base, fidelity=fidelity)
     if pipeline:
         spec_dict["search"] = {**spec_dict["search"], "pipeline": True}
     if provider is not None:
@@ -80,6 +80,19 @@ def test_result_json_identical_across_scheduling(base, tmp_path):
     # Same seed, same calls: the warm run replays entirely from disk.
     assert warm_cache["misses"] == 0
     assert warm_cache["hits"] == cold_cache["misses"]
+
+
+def test_metadata_records_the_round_loop_that_ran_not_the_request(tmp_path):
+    """A pipeline request under a screening ladder falls back to the serial
+    loop (chunking would resize the rungs), and metadata.json says so."""
+    ladder = {"rungs": [0.25, 1.0], "mode": "screen"}
+    serial, _ = result_bytes(CACHING_SPEC, tmp_path, "ladder", fidelity=ladder)
+    asked, asked_meta = result_bytes(
+        CACHING_SPEC, tmp_path, "ladder-piped", pipeline=True, fidelity=ladder
+    )
+    assert asked == serial
+    assert asked_meta["pipeline"]["enabled"] is False
+    assert asked_meta["pipeline"]["overlap_s"] == 0.0
 
 
 def test_round_timings_are_zeroed_in_result_json(tmp_path):

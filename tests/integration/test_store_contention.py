@@ -80,5 +80,5 @@ def test_concurrent_runs_share_one_store_tree(tmp_path):
         store=tmp_path / "warm",
         eval_store=shared,
     )
-    assert warm.setup.engine.store_hits == warm.setup.engine.store_lookups > 0
+    assert warm.setup.engine.totals.store_hits == warm.setup.engine.totals.store_lookups > 0
     assert (warm.artifact_dir / "result.json").read_bytes() == isolated[0]

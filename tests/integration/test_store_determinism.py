@@ -64,8 +64,8 @@ def test_result_json_identical_across_store_modes_and_executors(base, tmp_path):
         }
         assert blobs["disabled"] == blobs["cold"] == blobs["warm"]
         # The warm run really did come from disk.
-        assert warm_outcome.setup.engine.store_hits > 0
-        assert warm_outcome.setup.engine.store_hits == warm_outcome.setup.engine.store_lookups
+        assert warm_outcome.setup.engine.totals.store_hits > 0
+        assert warm_outcome.setup.engine.totals.store_hits == warm_outcome.setup.engine.totals.store_lookups
         results[index] = blobs["disabled"]
     # ... and the executors agree with each other.
     assert results[0] == results[1] == results[2]
@@ -77,12 +77,12 @@ def test_sweep_seeds_share_the_store(tmp_path):
 
     spec = RunSpec(**CACHING_SPEC, seeds=[0, 1])
     sweep = run_sweep(spec, store=tmp_path, max_parallel=1)
-    hits = sum(o.setup.engine.store_hits for o in sweep.outcomes)
+    hits = sum(o.setup.engine.totals.store_hits for o in sweep.outcomes)
     assert hits > 0  # the seeds share candidates (same seed programs at least)
     # Re-running the whole sweep over the populated store is all disk hits.
     again = run_sweep(spec, store=tmp_path, max_parallel=1)
     for first, second in zip(sweep.outcomes, again.outcomes):
-        assert second.setup.engine.store_hits == second.setup.engine.store_lookups
+        assert second.setup.engine.totals.store_hits == second.setup.engine.totals.store_lookups
         assert (
             (first.artifact_dir / "result.json").read_bytes()
             == (second.artifact_dir / "result.json").read_bytes()
@@ -91,7 +91,7 @@ def test_sweep_seeds_share_the_store(tmp_path):
     # the sweep populated at the artifact root, not plant one in the sweep.
     seed_dir = sweep.outcomes[0].artifact_dir
     redone = run(spec.for_seed(0), run_dir=seed_dir)
-    assert redone.setup.engine.store_hits == redone.setup.engine.store_lookups > 0
+    assert redone.setup.engine.totals.store_hits == redone.setup.engine.totals.store_lookups > 0
     assert not (seed_dir.parent / "evalstore").exists()
 
 
@@ -109,8 +109,8 @@ def test_resume_warm_starts_from_the_store(tmp_path):
     first_result = (first.artifact_dir / "result.json").read_bytes()
     (first.artifact_dir / "checkpoint.json").unlink()  # simulate the crash
     resumed = run(spec, run_dir=first.artifact_dir)
-    assert resumed.setup.engine.store_hits == resumed.setup.engine.store_lookups
-    assert resumed.setup.engine.store_hits > 0
+    assert resumed.setup.engine.totals.store_hits == resumed.setup.engine.totals.store_lookups
+    assert resumed.setup.engine.totals.store_hits > 0
     assert first_result == (resumed.artifact_dir / "result.json").read_bytes()
 
 
