@@ -21,9 +21,9 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     # numpy is a *core* dependency, not a dev extra: the synthetic trace
-    # generators, the trace sidecar decode (traces/streaming.py), the
-    # columnar Trace form and the evaluation store import it at runtime (the
-    # DSL backends do not).  1.24 is the tested minimum; the suite is
+    # generators, the trace sidecar decode (traces/streaming.py) and the
+    # columnar Trace form import it at runtime (the DSL backends and the
+    # evaluation store do not).  1.24 is the tested minimum; the suite is
     # routinely exercised against numpy 2.x (2.4.6 in CI).
     install_requires=["numpy>=1.24"],
     extras_require={

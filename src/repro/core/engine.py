@@ -425,15 +425,17 @@ class EvaluationEngine:
             final_order = self._resolve_from_store(final_order, pending, tiers, stats)
 
         results = self._evaluate_many([program for _key, program in final_order], stats)
-        for (key, _program), result in zip(final_order, results):
+        fresh = [(key, result) for (key, _program), result in zip(final_order, results)]
+        for key, result in fresh:
             # Transient failures (timeouts, dead workers) are not the
-            # candidate's fault; never memoize or persist them.
+            # candidate's fault; never memoize or persist them (the store
+            # skips them itself).
             if not result.transient:
                 self._memo[key] = result
-                if self.store is not None and self.store.put(key, result):
-                    self.store_writes += 1
             for item in pending[key]:
                 item.evaluation = result
+        if self.store is not None:
+            self.store_writes += self.store.put_many(fresh)
 
         self.cache_lookups += stats.eval_cache_lookups
         self.cache_hits += stats.eval_cache_hits
@@ -560,12 +562,13 @@ class EvaluationEngine:
         stats.rung_evaluations += len(fresh)
         for position, result in zip(fresh, fresh_results):
             result.fidelity = fraction
-            key = subset[position][0]
             if not result.transient:
-                self._memo[f"{key}@f={fraction!r}"] = result
-                if rung_store is not None and rung_store.put(key, result):
-                    self.store_writes += 1
+                self._memo[f"{subset[position][0]}@f={fraction!r}"] = result
             results[position] = result
+        if rung_store is not None:
+            self.store_writes += rung_store.put_many(
+                [(subset[position][0], results[position]) for position in fresh]
+            )
         return results
 
     # -- disk tier ----------------------------------------------------------------

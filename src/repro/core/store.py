@@ -21,15 +21,23 @@ An entry is addressed by three coordinates:
 * the **store schema version** -- bumped when the payload layout changes;
   entries written by another schema are ignored, never misread.
 
-Layout: ``<root>/v<schema>/<eval key prefix>/<eval key>/<program key>.json``
-(plus an ``.npz`` sidecar for wide scenario matrices).  Everything about the
-store is defensive: writes are atomic (temp file + ``os.replace``) so
-concurrent processes sharing one directory can never observe a torn entry;
-reads treat *any* malformed entry -- truncated JSON, a missing or corrupt
-npz sidecar, a schema mismatch -- as a miss and fall back to fresh
-evaluation (wrong scores are impossible, only wasted work).  A hit touches
-the entry's mtime, which is what makes :meth:`EvaluationStore.gc`'s
-oldest-first eviction an LRU.
+Layout: ``<root>/v<schema>/<eval key prefix>/<eval key>/<pack>.json``.  A
+*pack* is one evaluated batch -- ``{"schema_version", "eval_key",
+"entries": {program key: result}}`` -- written once and never modified,
+named by the SHA-1 of its payload, so a batch costs one file however many
+results it holds.  Everything about the store is defensive: writes are
+atomic (temp file + ``os.replace``; two writers of the same batch replace
+each other harmlessly) so concurrent processes sharing one directory can
+never observe a torn pack; reads treat *any* malformed pack -- truncated
+JSON, a schema or eval-key mismatch -- as a miss and fall back to fresh
+evaluation (wrong scores are impossible, only wasted work).  Each store
+object indexes the packs it has read or written in memory and re-lists an
+eval key's directory only on a miss after the directory's mtime moved, so
+another process's pack becomes visible at the first miss after it lands
+(one written in the same mtime tick as a listing may stay hidden until the
+next write: a re-evaluation, never a wrong score).  A hit touches the
+pack's mtime, which is what makes :meth:`EvaluationStore.gc`'s oldest-first
+eviction an LRU over packs.
 """
 
 from __future__ import annotations
@@ -43,24 +51,23 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.archive import evaluation_from_dict, evaluation_to_dict
 from repro.core.evaluator import EvaluationResult
 
-#: Version of the on-disk entry payload; readers ignore entries written by
-#: any other schema (bump on breaking changes to the payload layout).
-STORE_SCHEMA_VERSION = 1
+#: Version of the on-disk payload; readers ignore packs written by any
+#: other schema (bump on breaking changes to the payload layout).  2: one
+#: pack per batch replaced one file (plus ``.npz`` sidecar) per result.
+STORE_SCHEMA_VERSION = 2
 
-#: Entries whose per-scenario score/detail maps exceed this many values keep
-#: the float payload in a binary ``.npz`` sidecar instead of inline JSON
-#: (compact and fast to decode for wide scenario matrices).
-NPZ_THRESHOLD = 32
+#: A temp file older than this (seconds) is an orphan -- its writer died
+#: between ``mkstemp`` and ``os.replace`` -- and :meth:`ContentAddressedStore.gc`
+#: removes it; a younger one may be a write in flight.
+STALE_TMP_AGE_S = 3600.0
 
 _ENTRY_SUFFIX = ".json"
-_SIDECAR_SUFFIX = ".npz"
+_TMP_SUFFIX = ".tmp"
 
 #: Schema trees are the only directories gc/clear may remove wholesale.
 _SCHEMA_DIR_RE = re.compile(r"v\d+")
@@ -125,8 +132,9 @@ class ContentAddressedStore:
 
     ``max_entries`` / ``max_bytes`` (optional) bound the store: every
     ``gc_interval`` writes the store garbage-collects itself down to the
-    bounds, evicting least-recently-*used* entries first.  An unbounded
-    store only collects when :meth:`gc` is called explicitly (the
+    bounds, evicting least-recently-*used* files first.  ``max_entries``
+    counts what the files hold (:meth:`_entry_count`), not files.  An
+    unbounded store only collects when :meth:`gc` is called explicitly (the
     ``repro store gc`` command).
     """
 
@@ -154,6 +162,7 @@ class ContentAddressedStore:
         # Diagnostics (per-process, best effort under concurrency).
         self.corrupt_reads = 0
         self.write_errors = 0
+        self._forget()
 
     # -- addressing ---------------------------------------------------------------
 
@@ -230,7 +239,7 @@ class ContentAddressedStore:
 
     @staticmethod
     def _atomic_write_text(path: Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=_TMP_SUFFIX)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -244,33 +253,48 @@ class ContentAddressedStore:
 
     # -- maintenance --------------------------------------------------------------
 
-    def _entries(self) -> List[Tuple[Path, float, int]]:
-        """Every entry as ``(json path, mtime, bytes incl. sidecar)``."""
-        found = []
+    def _forget(self) -> None:
+        """Drop what this object remembers of the tree (on init, gc, clear)."""
+
+    def _entry_count(self, path: Path) -> int:
+        """How many entries the file at ``path`` holds (one per file here)."""
+        return 1
+
+    def _scan(self) -> Tuple[List[Tuple[Path, float, int, int]], List[Tuple[Path, int]]]:
+        """The schema tree's files: entries and garbage.
+
+        Entries come as ``(path, mtime, bytes, entries held)``; garbage as
+        ``(path, bytes)`` -- every other file, except a temp file younger
+        than :data:`STALE_TMP_AGE_S` (a write that may still be in flight).
+        """
+        entries: List[Tuple[Path, float, int, int]] = []
+        garbage: List[Tuple[Path, int]] = []
         if not self.schema_root.exists():
-            return found
-        for path in self.schema_root.rglob(f"*{_ENTRY_SUFFIX}"):
+            return entries, garbage
+        stale_before = time.time() - STALE_TMP_AGE_S
+        for path in self.schema_root.rglob("*"):
             try:
+                if not path.is_file():
+                    continue
                 stat = path.stat()
-                size = stat.st_size
-                sidecar = path.with_suffix(_SIDECAR_SUFFIX)
-                if sidecar.exists():
-                    size += sidecar.stat().st_size
-                found.append((path, stat.st_mtime, size))
+                if path.suffix == _ENTRY_SUFFIX:
+                    count = self._entry_count(path)
+                    entries.append((path, stat.st_mtime, stat.st_size, count))
+                elif path.suffix != _TMP_SUFFIX or stat.st_mtime < stale_before:
+                    garbage.append((path, stat.st_size))
             except OSError:  # racing a concurrent GC/clear
                 continue
-        return found
+        return entries, garbage
 
     def stats(self) -> StoreStats:
-        entries = self._entries()
-        configs = {path.parent for path, _mtime, _size in entries}
+        entries, _garbage = self._scan()
         writer_records = self.writer_records()
         return StoreStats(
             root=str(self.root),
             schema_version=self.schema_version,
-            entries=len(entries),
-            total_bytes=sum(size for _path, _mtime, size in entries),
-            eval_configs=len(configs),
+            entries=sum(count for *_rest, count in entries),
+            total_bytes=sum(size for _path, _mtime, size, _count in entries),
+            eval_configs=len({path.parent for path, *_rest in entries}),
             writers=len(writer_records),
             writer_records=tuple(writer_records),
         )
@@ -280,11 +304,12 @@ class ContentAddressedStore:
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ) -> GcOutcome:
-        """Evict least-recently-used entries until within the given bounds.
+        """Evict least-recently-used files until within the given bounds.
 
         Bounds default to the store's configured ``max_entries`` /
-        ``max_bytes``; with neither set anywhere, GC only removes dangling
-        sidecars and entries from other schema versions.
+        ``max_bytes``; with neither set anywhere, GC only removes garbage
+        (see :meth:`_scan`; its bytes count in ``freed_bytes``) and trees of
+        other schema versions.
         """
         max_entries = self.max_entries if max_entries is None else max_entries
         max_bytes = self.max_bytes if max_bytes is None else max_bytes
@@ -304,21 +329,24 @@ class ContentAddressedStore:
                     removed_c, freed_c = self._remove_tree(child)
                     removed += removed_c
                     freed += freed_c
-        entries = self._entries()
+        entries, garbage = self._scan()
+        for path, size in garbage:
+            if self._unlink(path):
+                freed += size
         entries.sort(key=lambda item: item[1])  # oldest mtime first
-        live = len(entries)
-        live_bytes = sum(size for _path, _mtime, size in entries)
-        for path, _mtime, size in entries:
+        live = sum(count for *_rest, count in entries)
+        live_bytes = sum(size for _path, _mtime, size, _count in entries)
+        for path, _mtime, size, count in entries:
             over_entries = max_entries is not None and live > max_entries
             over_bytes = max_bytes is not None and live_bytes > max_bytes
             if not (over_entries or over_bytes):
                 break
-            if self._remove_entry(path):
-                removed += 1
+            if self._unlink(path):
+                removed += count
                 freed += size
-                live -= 1
+                live -= count
                 live_bytes -= size
-        self._remove_dangling_sidecars()
+        self._forget()
         return GcOutcome(
             removed_entries=removed,
             freed_bytes=freed,
@@ -343,42 +371,23 @@ class ContentAddressedStore:
         # retires them too (gc, by contrast, leaves them alone).
         if self.writers_root.is_dir():
             for path in self.writers_root.glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+                self._unlink(path)
             try:
                 self.writers_root.rmdir()
             except OSError:
                 pass
+        self._forget()
         return removed
 
     @staticmethod
-    def _remove_entry(path: Path) -> bool:
-        ok = False
+    def _unlink(path: Path) -> bool:
         try:
             path.unlink()
-            ok = True
+            return True
         except OSError:
-            pass
-        try:
-            path.with_suffix(_SIDECAR_SUFFIX).unlink()
-        except OSError:
-            pass
-        return ok
+            return False
 
-    def _remove_dangling_sidecars(self) -> None:
-        if not self.schema_root.exists():
-            return
-        for sidecar in self.schema_root.rglob(f"*{_SIDECAR_SUFFIX}"):
-            if not sidecar.with_suffix(_ENTRY_SUFFIX).exists():
-                try:
-                    sidecar.unlink()
-                except OSError:
-                    pass
-
-    @staticmethod
-    def _remove_tree(root: Path) -> Tuple[int, int]:
+    def _remove_tree(self, root: Path) -> Tuple[int, int]:
         """Remove a directory tree; returns (entries removed, bytes freed)."""
         removed = 0
         freed = 0
@@ -388,11 +397,10 @@ class ContentAddressedStore:
                     path.rmdir()
                     continue
                 size = path.stat().st_size
-                entry = path.suffix == _ENTRY_SUFFIX
+                count = self._entry_count(path) if path.suffix == _ENTRY_SUFFIX else 0
                 path.unlink()
                 freed += size
-                if entry:
-                    removed += 1
+                removed += count
             except OSError:
                 continue
         try:
@@ -402,131 +410,156 @@ class ContentAddressedStore:
         return removed, freed
 
 
+class _Listing:
+    """What one store object knows of one eval key's directory."""
+
+    __slots__ = ("directory", "mtime_ns", "packs", "results")
+
+    def __init__(self, directory: Path):
+        self.directory = directory
+        self.mtime_ns: Optional[int] = None  # directory mtime at the last listing
+        self.packs: Set[str] = set()  # pack file names read or written
+        self.results: Dict[str, Tuple[Path, dict]] = {}  # program key -> (pack, result)
+
+
 class EvaluationStore(ContentAddressedStore):
-    """Disk-backed evaluation results under one root directory."""
+    """Disk-backed evaluation results under one root directory.
+
+    Results are written a batch at a time (:meth:`put_many`), each batch as
+    one immutable pack; reads go through a per-object in-memory index of
+    the packs seen so far (see the module docstring for when other
+    processes' packs become visible).
+    """
 
     schema_version = STORE_SCHEMA_VERSION
 
+    def _forget(self) -> None:
+        self._index: Dict[str, _Listing] = {}
+
     # -- addressing ---------------------------------------------------------------
 
-    def entry_path(self, eval_key: str, program_key: str) -> Path:
-        if not eval_key or not program_key:
-            raise ValueError("store entries need non-empty eval and program keys")
-        return self.schema_root / eval_key[:2] / eval_key / f"{program_key}{_ENTRY_SUFFIX}"
+    def eval_dir(self, eval_key: str) -> Path:
+        if not eval_key:
+            raise ValueError("store packs need a non-empty eval key")
+        return self.schema_root / eval_key[:2] / eval_key
+
+    def entry_path(self, eval_key: str, name: str) -> Path:
+        """Where the pack ``name`` (the SHA-1 of its payload) of ``eval_key`` lives."""
+        if not name:
+            raise ValueError("store packs need a non-empty name")
+        return self.eval_dir(eval_key) / f"{name}{_ENTRY_SUFFIX}"
 
     def bind(self, eval_key: str) -> "BoundEvalStore":
         """A view of the store pinned to one evaluation configuration."""
         return BoundEvalStore(self, eval_key)
 
+    def _listing(self, eval_key: str) -> _Listing:
+        # A sweep's seed threads share one store object; setdefault keeps them
+        # on one listing (other races cost a re-evaluation, never a wrong score).
+        listing = self._index.get(eval_key)
+        return listing or self._index.setdefault(eval_key, _Listing(self.eval_dir(eval_key)))
+
     # -- reads --------------------------------------------------------------------
 
     def get(self, eval_key: str, program_key: str) -> Optional[EvaluationResult]:
-        """The stored result, or ``None`` on miss *or any* malformed entry."""
-        path = self.entry_path(eval_key, program_key)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
+        """The stored result, or ``None`` on miss *or any* malformed pack."""
+        listing = self._listing(eval_key)
+        if program_key not in listing.results:
+            self._relist(eval_key, listing)
+        hit = listing.results.get(program_key)
+        if hit is None:
             return None
-        except (OSError, ValueError):
-            self.corrupt_reads += 1
-            return None
+        path, data = hit
         try:
-            if payload["schema_version"] != self.schema_version:
-                return None
-            if payload["eval_key"] != eval_key or payload["program_key"] != program_key:
-                # A moved/renamed file must not resurface under the wrong key.
-                self.corrupt_reads += 1
-                return None
-            data = payload["result"]
-            if payload.get("sidecar"):
-                data = dict(data)
-                sidecar = self._read_sidecar(path, data)
-                data.update(sidecar)
             result = evaluation_from_dict(data)
         except Exception:  # noqa: BLE001 - any malformed entry is a miss
             self.corrupt_reads += 1
+            listing.results.pop(program_key, None)
             return None
         self._touch(path)
         return result
 
-    def _read_sidecar(self, entry_path: Path, data: dict) -> Dict[str, dict]:
-        """Rebuild the float maps whose values live in the ``.npz`` sidecar."""
-        with np.load(entry_path.with_suffix(_SIDECAR_SUFFIX)) as arrays:
-            return {
-                field: dict(
-                    zip(data[f"{field}_keys"], arrays[field].tolist())
-                )
-                for field in ("details", "scenario_scores")
-            }
+    def _relist(self, eval_key: str, listing: _Listing) -> None:
+        """Read the packs of ``eval_key`` not seen yet, if its directory moved."""
+        try:
+            mtime_ns = os.stat(listing.directory).st_mtime_ns
+            if mtime_ns == listing.mtime_ns:
+                return
+            # Taken before listing: a pack landing meanwhile moves the mtime
+            # again, so the next miss looks once more.
+            listing.mtime_ns = mtime_ns
+            names = os.listdir(listing.directory)
+        except OSError:  # no such directory (yet), or not one
+            return
+        for name in names:
+            if name.endswith(_ENTRY_SUFFIX) and name not in listing.packs:
+                self._read_pack(eval_key, listing, name)
+
+    def _read_pack(self, eval_key: str, listing: _Listing, name: str) -> None:
+        path = listing.directory / name
+        listing.packs.add(name)
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            if payload["schema_version"] != self.schema_version:
+                return
+            if payload["eval_key"] != eval_key:
+                # A moved/copied pack must not resurface under the wrong key.
+                raise ValueError("pack of another eval key")
+            for program_key, data in payload["entries"].items():
+                listing.results.setdefault(program_key, (path, data))
+        except FileNotFoundError:  # evicted by a concurrent gc
+            listing.packs.discard(name)
+        except Exception:  # noqa: BLE001 - any malformed pack is a miss
+            self.corrupt_reads += 1
+
+    def _entry_count(self, path: Path) -> int:
+        try:
+            return len(json.loads(path.read_text(encoding="utf-8"))["entries"])
+        except Exception:  # noqa: BLE001 - not a readable pack: one file, one entry
+            return 1
 
     # -- writes -------------------------------------------------------------------
 
     def put(self, eval_key: str, program_key: str, result: EvaluationResult) -> bool:
-        """Persist ``result``; returns False when nothing was stored.
+        """Persist one result (a pack of one); returns False when nothing was stored."""
+        return self.put_many(eval_key, [(program_key, result)]) == 1
+
+    def put_many(
+        self, eval_key: str, items: Iterable[Tuple[str, EvaluationResult]]
+    ) -> int:
+        """Persist ``(program key, result)`` pairs as one pack; returns how many.
 
         Transient failures (timeouts, dead workers) describe the execution
         environment, not the program -- persisting them would replay the
-        failure forever.  Deterministic failures (a program that always
-        crashes) are stored like any other outcome.  A write that fails at
-        the filesystem level (read-only directory, disk full, quota) also
-        returns False: the store's contract is "at worst wasted work", so a
-        broken store must never abort a running search.
+        failure forever -- so they are skipped.  Deterministic failures (a
+        program that always crashes) are stored like any other outcome.  A
+        write that fails at the filesystem level (read-only directory, disk
+        full, quota) stores nothing and returns 0: the store's contract is
+        "at worst wasted work", so a broken store must never abort a
+        running search.
         """
-        if result.transient:
-            return False
-        path = self.entry_path(eval_key, program_key)
-        data = evaluation_to_dict(result)
-        sidecar = len(data["details"]) + len(data["scenario_scores"]) > NPZ_THRESHOLD
+        entries = {
+            program_key: evaluation_to_dict(result)
+            for program_key, result in items
+            if not result.transient
+        }
+        if not entries:
+            return 0
+        listing = self._listing(eval_key)
+        payload = {"schema_version": self.schema_version, "eval_key": eval_key, "entries": entries}
+        text = json.dumps(payload, sort_keys=True)
+        path = self.entry_path(eval_key, hashlib.sha1(text.encode("utf-8")).hexdigest())
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if sidecar:
-                data = self._split_sidecar(path, data)
-            payload = {
-                "schema_version": self.schema_version,
-                "eval_key": eval_key,
-                "program_key": program_key,
-                "sidecar": sidecar,
-                "result": data,
-            }
-            self._atomic_write_text(path, json.dumps(payload, sort_keys=True))
+            listing.directory.mkdir(parents=True, exist_ok=True)
+            self._atomic_write_text(path, text)
         except OSError:
             self.write_errors += 1
-            return False
+            return 0
+        listing.packs.add(path.name)
+        for program_key, data in entries.items():
+            listing.results[program_key] = (path, data)
         self._note_put()
-        return True
-
-    def _split_sidecar(self, entry_path: Path, data: dict) -> dict:
-        """Move the float maps' values into an ``.npz`` next to the entry.
-
-        The JSON keeps the (ordered) key lists; the sidecar holds one float
-        array per map.  Written *before* the JSON entry so a crash between
-        the two leaves a dangling sidecar (garbage-collected later) rather
-        than an entry pointing at nothing.
-        """
-        slim = dict(data)
-        arrays = {}
-        for field in ("details", "scenario_scores"):
-            items: List[Tuple[str, float]] = list(data[field].items())
-            slim[f"{field}_keys"] = [key for key, _value in items]
-            arrays[field] = np.array(
-                [float(value) for _key, value in items], dtype=np.float64
-            )
-            del slim[field]
-        sidecar_path = entry_path.with_suffix(_SIDECAR_SUFFIX)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(entry_path.parent), suffix=_SIDECAR_SUFFIX + ".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **arrays)
-            os.replace(tmp, sidecar_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return slim
+        return len(entries)
 
 
 def fidelity_eval_key(eval_key: str, fraction: float) -> str:
@@ -564,6 +597,9 @@ class BoundEvalStore:
 
     def put(self, program_key: str, result: EvaluationResult) -> bool:
         return self.store.put(self.eval_key, program_key, result)
+
+    def put_many(self, items: Iterable[Tuple[str, EvaluationResult]]) -> int:
+        return self.store.put_many(self.eval_key, items)
 
     def at_fidelity(self, fraction: float) -> "BoundEvalStore":
         """A view keyed for one fidelity rung (see :func:`fidelity_eval_key`)."""

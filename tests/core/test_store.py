@@ -1,20 +1,28 @@
 """The persistent evaluation store: addressing, robustness, GC, contention.
 
-The store's contract is "never wrong, at worst slow": any malformed entry --
-truncated JSON, a corrupt or missing npz sidecar, another schema version, a
-key mismatch -- must read as a miss (falling back to fresh evaluation), and
-concurrent processes sharing one directory must never observe a torn entry.
+The store's contract is "never wrong, at worst slow": any malformed pack --
+truncated JSON, garbage, another schema version, another eval key's pack --
+must read as a miss (falling back to fresh evaluation), and concurrent
+processes sharing one directory must never observe a torn pack.
 """
 
 import json
 import os
+import shutil
+import sys
+import tempfile
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.evaluator import EvaluationResult
 from repro.core.store import (
-    NPZ_THRESHOLD,
+    STALE_TMP_AGE_S,
     STORE_SCHEMA_VERSION,
     EvaluationStore,
 )
@@ -29,6 +37,10 @@ def result_for(score: float, **kwargs) -> EvaluationResult:
 
 def store_in(tmp_path, **kwargs) -> EvaluationStore:
     return EvaluationStore(tmp_path / "evalstore", **kwargs)
+
+
+def packs(store, eval_key=EVAL_KEY):
+    return sorted(store.eval_dir(eval_key).glob("*.json"))
 
 
 # -- round-trip ---------------------------------------------------------------------
@@ -101,41 +113,32 @@ def test_transient_results_are_never_persisted(tmp_path):
     assert store.stats().entries == 0
 
 
-# -- npz sidecar --------------------------------------------------------------------
+# -- packs ------------------------------------------------------------------------
 
 
-def wide_result() -> EvaluationResult:
-    scores = {f"scenario-{i:03d}": -i / 100 for i in range(NPZ_THRESHOLD + 4)}
-    return EvaluationResult(score=-0.5, valid=True, scenario_scores=scores)
-
-
-def test_wide_scenario_maps_use_npz_sidecar(tmp_path):
+def test_put_many_writes_one_pack_and_skips_transient_results(tmp_path):
     store = store_in(tmp_path)
-    original = wide_result()
-    store.put(EVAL_KEY, "wide", original)
-    entry = store.entry_path(EVAL_KEY, "wide")
-    assert entry.with_suffix(".npz").exists()
-    payload = json.loads(entry.read_text())
-    assert payload["sidecar"] is True
-    assert "scenario_scores" not in payload["result"]
-    loaded = store.get(EVAL_KEY, "wide")
-    assert loaded.scenario_scores == original.scenario_scores
+    timeout = EvaluationResult.failure("timed out", -1.0, transient=True)
+    items = [("a", result_for(1.0)), ("slow", timeout), ("b", result_for(2.0))]
+    assert store.put_many(EVAL_KEY, items) == 2
+    (pack,) = packs(store)
+    payload = json.loads(pack.read_text())
+    assert sorted(payload["entries"]) == ["a", "b"]
+    assert payload["eval_key"] == EVAL_KEY
+    assert store.put_many(EVAL_KEY, [("slow", timeout)]) == 0
+    assert len(packs(store)) == 1
+    reader = store_in(tmp_path)
+    assert reader.get(EVAL_KEY, "b").score == 2.0
+    assert reader.get(EVAL_KEY, "slow") is None
 
 
-def test_truncated_npz_sidecar_degrades_to_miss(tmp_path):
+def test_wide_scenario_maps_round_trip_inline(tmp_path):
     store = store_in(tmp_path)
-    store.put(EVAL_KEY, "wide", wide_result())
-    sidecar = store.entry_path(EVAL_KEY, "wide").with_suffix(".npz")
-    sidecar.write_bytes(sidecar.read_bytes()[:10])
-    assert store.get(EVAL_KEY, "wide") is None
-    assert store.corrupt_reads == 1
-
-
-def test_missing_npz_sidecar_degrades_to_miss(tmp_path):
-    store = store_in(tmp_path)
-    store.put(EVAL_KEY, "wide", wide_result())
-    store.entry_path(EVAL_KEY, "wide").with_suffix(".npz").unlink()
-    assert store.get(EVAL_KEY, "wide") is None
+    scores = {f"scenario-{i:03d}": -i / 100 for i in range(64)}
+    store.put(EVAL_KEY, "wide", EvaluationResult(score=-0.5, valid=True, scenario_scores=scores))
+    files = [path for path in store.schema_root.rglob("*") if path.is_file()]
+    assert [path.suffix for path in files] == [".json"]
+    assert store_in(tmp_path).get(EVAL_KEY, "wide").scenario_scores == scores
 
 
 # -- corruption / schema tolerance --------------------------------------------------
@@ -143,11 +146,13 @@ def test_missing_npz_sidecar_degrades_to_miss(tmp_path):
 
 def test_truncated_json_entry_degrades_to_miss(tmp_path):
     store = store_in(tmp_path)
-    store.put(EVAL_KEY, "prog", result_for(1.0))
-    entry = store.entry_path(EVAL_KEY, "prog")
-    entry.write_text(entry.read_text()[:20])
-    assert store.get(EVAL_KEY, "prog") is None
-    assert store.corrupt_reads == 1
+    store.put_many(EVAL_KEY, [("prog", result_for(1.0)), ("other", result_for(2.0))])
+    (pack,) = packs(store)
+    pack.write_text(pack.read_text()[:20])
+    reader = store_in(tmp_path)
+    assert reader.get(EVAL_KEY, "prog") is None
+    assert reader.get(EVAL_KEY, "other") is None
+    assert reader.corrupt_reads == 1  # one damaged pack, read once
 
 
 def test_garbage_entry_degrades_to_miss(tmp_path):
@@ -162,24 +167,27 @@ def test_schema_version_mismatch_is_a_silent_miss(tmp_path):
     """A future (or past) payload schema must be ignored, never misread."""
     store = store_in(tmp_path)
     store.put(EVAL_KEY, "prog", result_for(1.0))
-    entry = store.entry_path(EVAL_KEY, "prog")
-    payload = json.loads(entry.read_text())
+    (pack,) = packs(store)
+    payload = json.loads(pack.read_text())
     payload["schema_version"] = STORE_SCHEMA_VERSION + 1
-    entry.write_text(json.dumps(payload))
-    assert store.get(EVAL_KEY, "prog") is None
+    pack.write_text(json.dumps(payload))
+    reader = store_in(tmp_path)
+    assert reader.get(EVAL_KEY, "prog") is None
     # Not corruption -- a cleanly-written foreign schema.
-    assert store.corrupt_reads == 0
+    assert reader.corrupt_reads == 0
 
 
 def test_key_mismatch_inside_payload_is_a_miss(tmp_path):
-    """A copied/renamed file cannot resurface under the wrong address."""
+    """A pack copied into another eval key's directory cannot resurface there."""
     store = store_in(tmp_path)
     store.put(EVAL_KEY, "prog", result_for(1.0))
-    src = store.entry_path(EVAL_KEY, "prog")
-    dst = store.entry_path(EVAL_KEY, "other")
-    dst.write_text(src.read_text())
-    assert store.get(EVAL_KEY, "other") is None
-    assert store.corrupt_reads == 1
+    (pack,) = packs(store)
+    store.eval_dir(OTHER_EVAL_KEY).mkdir(parents=True)
+    shutil.copy(pack, store.eval_dir(OTHER_EVAL_KEY) / pack.name)
+    reader = store_in(tmp_path)
+    assert reader.get(OTHER_EVAL_KEY, "prog") is None
+    assert reader.corrupt_reads == 1
+    assert reader.get(EVAL_KEY, "prog").score == 1.0
 
 
 # -- stats / gc / clear -------------------------------------------------------------
@@ -187,11 +195,13 @@ def test_key_mismatch_inside_payload_is_a_miss(tmp_path):
 
 def test_stats_counts_entries_and_bytes(tmp_path):
     store = store_in(tmp_path)
-    for i in range(5):
+    store.put_many(EVAL_KEY, [(f"prog{i}", result_for(float(i))) for i in range(3)])
+    for i in range(3, 5):
         store.put(EVAL_KEY, f"prog{i}", result_for(float(i)))
     stats = store.stats()
-    assert stats.entries == 5
-    assert stats.total_bytes > 0
+    assert len(packs(store)) == 3
+    assert stats.entries == 5  # results, not files
+    assert stats.total_bytes == sum(path.stat().st_size for path in packs(store))
     assert stats.eval_configs == 1
     assert stats.schema_version == STORE_SCHEMA_VERSION
 
@@ -199,19 +209,22 @@ def test_stats_counts_entries_and_bytes(tmp_path):
 def test_gc_evicts_least_recently_used_first(tmp_path):
     store = store_in(tmp_path)
     for i in range(4):
-        store.put(EVAL_KEY, f"prog{i}", result_for(float(i)))
+        before = set(packs(store))
+        store.put_many(EVAL_KEY, [(f"prog{i}{half}", result_for(float(i))) for half in "ab"])
+        (pack,) = set(packs(store)) - before
         # Distinct mtimes even on coarse-grained filesystems.
-        entry = store.entry_path(EVAL_KEY, f"prog{i}")
-        os.utime(entry, (1_000_000 + i, 1_000_000 + i))
-    # Touch prog0 (a hit refreshes recency) so prog1 becomes the LRU victim.
-    os.utime(store.entry_path(EVAL_KEY, "prog0"), (2_000_000, 2_000_000))
-    outcome = store.gc(max_entries=2)
-    assert outcome.removed_entries == 2
-    assert outcome.remaining_entries == 2
-    assert store.get(EVAL_KEY, "prog1") is None
-    assert store.get(EVAL_KEY, "prog2") is None
-    assert store.get(EVAL_KEY, "prog0") is not None
-    assert store.get(EVAL_KEY, "prog3") is not None
+        os.utime(pack, (1_000_000 + i, 1_000_000 + i))
+    # A hit refreshes its pack's recency, so batch 1 becomes the LRU victim.
+    assert store_in(tmp_path).get(EVAL_KEY, "prog0a") is not None
+    outcome = store.gc(max_entries=5)
+    # Eviction is per pack: batches 1 and 2 go whole, 4 results for 2 packs.
+    assert outcome.removed_entries == 4
+    assert outcome.remaining_entries == 4
+    reader = store_in(tmp_path)
+    for key in ("prog1a", "prog1b", "prog2a", "prog2b"):
+        assert reader.get(EVAL_KEY, key) is None
+    for key in ("prog0a", "prog0b", "prog3a", "prog3b"):
+        assert reader.get(EVAL_KEY, key) is not None
 
 
 def test_gc_byte_bound(tmp_path):
@@ -275,17 +288,16 @@ def test_gc_on_empty_or_missing_store_is_a_no_op(tmp_path):
 
 def test_gc_max_bytes_zero_evicts_every_entry(tmp_path):
     store = store_in(tmp_path)
-    wide = {f"scenario-{i}": float(i) for i in range(NPZ_THRESHOLD + 1)}
+    wide = {f"scenario-{i}": float(i) for i in range(33)}
     store.put(EVAL_KEY, "plain", result_for(1.0))
     store.put(EVAL_KEY, "wide", result_for(2.0, scenario_scores=wide))
     total = store.stats().total_bytes
     outcome = store.gc(max_bytes=0)
     assert outcome.removed_entries == 2
-    assert outcome.freed_bytes == total  # npz sidecar bytes counted too
+    assert outcome.freed_bytes == total
     assert outcome.remaining_entries == 0 and outcome.remaining_bytes == 0
     assert store.get(EVAL_KEY, "plain") is None
-    # The sidecar did not survive its entry.
-    assert not list(store.schema_root.rglob("*.npz"))
+    assert not list(store.schema_root.rglob("*.json"))
 
 
 def test_gc_collects_a_sidecar_only_store(tmp_path):
@@ -310,6 +322,70 @@ def test_clear_removes_everything(tmp_path):
     assert store.clear() == 3
     assert store.stats().entries == 0
     assert store.get(EVAL_KEY, "prog0") is None
+
+
+def test_clear_and_gc_empty_the_in_memory_index(tmp_path):
+    """What an object wrote or read is served from memory until clear/gc."""
+    store = store_in(tmp_path)
+    store.put_many(EVAL_KEY, [("a", result_for(1.0)), ("b", result_for(2.0))])
+    assert store.get(EVAL_KEY, "a").score == 1.0
+    assert store.clear() == 2
+    assert store.get(EVAL_KEY, "a") is None and store.get(EVAL_KEY, "b") is None
+    store.put(EVAL_KEY, "c", result_for(3.0))
+    store.gc(max_entries=0)
+    assert store.get(EVAL_KEY, "c") is None
+
+
+def test_gc_removes_stale_temp_files(tmp_path):
+    """A writer killed between mkstemp and os.replace leaves a ``.tmp``
+    behind: gc removes it once it is older than any write in flight."""
+    store = store_in(tmp_path)
+    store.put(EVAL_KEY, "prog", result_for(1.0))
+    directory = store.eval_dir(EVAL_KEY)
+    stale = directory / "tmpdead.tmp"
+    stale.write_text("x" * 100)
+    old = time.time() - STALE_TMP_AGE_S - 60
+    os.utime(stale, (old, old))
+    fresh = directory / "tmpbusy.tmp"
+    fresh.write_text("partial")
+    outcome = store.gc()
+    assert not stale.exists()
+    assert fresh.exists()
+    assert outcome.freed_bytes == 100
+    assert outcome.removed_entries == 0 and outcome.remaining_entries == 1
+    assert store_in(tmp_path).get(EVAL_KEY, "prog").score == 1.0
+
+
+def test_a_v1_tree_reads_as_misses_and_gc_removes_it(tmp_path):
+    """A store written before packs (one file + ``.npz`` per result) is
+    ignored, never misread, and gc removes it: an upgrade starts cold once."""
+    fixture = Path(__file__).resolve().parents[1] / "golden" / "evalstore_5e31b47"
+    shutil.copytree(fixture, tmp_path / "evalstore")
+    store = store_in(tmp_path)
+    old_files = [path for path in (store.root / "v1").rglob("*") if path.is_file()]
+    assert len(old_files) == 3
+    for program_key in ("a" * 40, "b" * 40):
+        assert store.get(EVAL_KEY, program_key) is None
+    assert store.corrupt_reads == 0
+    assert store.stats().entries == 0
+    old_bytes = sum(path.stat().st_size for path in old_files)
+    outcome = store.gc()
+    assert not (store.root / "v1").exists()
+    assert outcome.removed_entries == 2
+    assert outcome.freed_bytes == old_bytes
+
+
+def test_a_second_store_object_sees_packs_written_after_its_first_miss(tmp_path):
+    writer, reader = store_in(tmp_path), store_in(tmp_path)
+    writer.put(EVAL_KEY, "first", result_for(1.0))
+    # Date the directory back, so the reader's listing below cannot share
+    # an mtime tick with the write after it.
+    os.utime(reader.eval_dir(EVAL_KEY), ns=(1, 1))
+    assert reader.get(EVAL_KEY, "second") is None
+    writer.put_many(EVAL_KEY, [("second", result_for(2.0)), ("third", result_for(3.0))])
+    assert reader.get(EVAL_KEY, "second").score == 2.0
+    assert reader.get(EVAL_KEY, "third").score == 3.0
+    assert reader.get(EVAL_KEY, "first").score == 1.0
 
 
 def test_store_validation():
@@ -358,3 +434,121 @@ def test_two_processes_share_one_store_directory(tmp_path):
     assert store.stats().entries == 10
     for i in range(10):
         assert store.get(EVAL_KEY, f"prog{i}").score == float(i)
+
+
+def test_threads_sharing_one_store_object_read_their_own_writes(tmp_path):
+    """A sweep's seed threads share one store object and so its index:
+    under forced thread switches, every thread reads back what it wrote."""
+    store = store_in(tmp_path)
+    failures = []
+
+    def worker(thread):
+        for i in range(30):
+            keys = [f"t{thread}-{i}-{j}" for j in range(3)] + [f"shared-{i}"]
+            store.put_many(EVAL_KEY, [(key, result_for(float(len(key)))) for key in keys])
+            for key in keys:
+                loaded = store.get(EVAL_KEY, key)
+                if loaded is None or loaded.score != float(len(key)):
+                    failures.append((key, loaded))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert store_in(tmp_path).stats().entries >= 4 * 30 * 3
+
+
+# -- model-based: two objects, one directory, one damaged pack ----------------------
+
+PROGRAM_KEYS = [f"prog{i}" for i in range(5)]
+
+
+def model_result(eval_key: str, program_key: str) -> EvaluationResult:
+    """The one result each (eval key, program key) ever has."""
+    offset = 0.0 if eval_key == EVAL_KEY else 100.0
+    index = float(PROGRAM_KEYS.index(program_key))
+    return result_for(offset + index, details={"index": index}, scenario_scores={"s": -index})
+
+
+GARBAGE = [
+    "not json at all {{{",
+    "[1, 2, 3]",
+    json.dumps({"schema_version": STORE_SCHEMA_VERSION, "eval_key": EVAL_KEY,
+                "entries": {"prog0": 5, "prog1": {"score": "x", "valid": True}}}),
+]
+
+STORE_OPS = st.one_of(
+    st.tuples(st.just("put_many"), st.lists(st.sampled_from(PROGRAM_KEYS), max_size=4)),
+    st.tuples(st.just("put"), st.sampled_from(PROGRAM_KEYS)),
+    st.tuples(st.just("get"), st.sampled_from(PROGRAM_KEYS)),
+    st.tuples(st.just("gc"), st.integers(0, 6)),
+    st.tuples(st.just("clear"), st.none()),
+)
+
+
+def _damage(root: Path, pick: int, how: int) -> None:
+    """Truncate a pack, copy one into the other eval key's directory, or drop
+    a garbage one into an eval key (``how`` -1, -2, or a :data:`GARBAGE` index)."""
+    store = EvaluationStore(root)
+    found = sorted(store.schema_root.rglob("*.json"))
+    if found and how < 0:
+        pack = found[pick % len(found)]
+        if how == -1:
+            pack.write_text(pack.read_text()[: pick % 40])
+            return
+        other = OTHER_EVAL_KEY if pack.parent.name == EVAL_KEY else EVAL_KEY
+        store.eval_dir(other).mkdir(parents=True, exist_ok=True)
+        shutil.copy(pack, store.eval_dir(other) / pack.name)
+        return
+    directory = store.eval_dir(EVAL_KEY)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{'0' * 39}{pick % 10}.json").write_text(GARBAGE[how % len(GARBAGE)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from([EVAL_KEY, OTHER_EVAL_KEY]), STORE_OPS),
+        max_size=24,
+    ),
+    damage_at=st.integers(0, 24),
+    pick=st.integers(0, 1000),
+    how=st.integers(-2, len(GARBAGE) - 1),
+)
+def test_two_objects_never_read_a_result_other_than_the_one_written(
+    steps, damage_at, pick, how
+):
+    with tempfile.TemporaryDirectory() as root:
+        stores = [EvaluationStore(root), EvaluationStore(root)]
+        for step, (who, eval_key, (op, arg)) in enumerate(steps):
+            if step == damage_at:
+                _damage(Path(root), pick, how)
+            store = stores[who]
+            if op == "put_many":
+                items = [(key, model_result(eval_key, key)) for key in arg]
+                assert store.put_many(eval_key, items) == len(set(arg))
+            elif op == "put":
+                assert store.put(eval_key, arg, model_result(eval_key, arg))
+            elif op == "get":
+                loaded = store.get(eval_key, arg)
+                assert loaded is None or loaded == model_result(eval_key, arg)
+            elif op == "gc":
+                store.gc(max_entries=arg)
+            else:
+                store.clear()
+        if damage_at >= len(steps):
+            _damage(Path(root), pick, how)
+        # Whatever survived reads back as written, through a fresh object too.
+        for store in (*stores, EvaluationStore(root)):
+            for eval_key in (EVAL_KEY, OTHER_EVAL_KEY):
+                for key in PROGRAM_KEYS:
+                    loaded = store.get(eval_key, key)
+                    assert loaded is None or loaded == model_result(eval_key, key)

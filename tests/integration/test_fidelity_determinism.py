@@ -11,11 +11,15 @@ Three properties, each asserted on fixed-seed runs with a 3-rung ladder:
 * at these configurations screen mode reaches **equal final quality**: the
   same best candidate at the same full-fidelity score as the ladder-disabled
   run, while evaluating strictly fewer candidates in full.
+
+Beside them, a count: a screen-mode run writes one store file per batch of
+results, not one per result.
 """
 
 import pytest
 
 from repro.core.spec import RunSpec, run
+from repro.core.store import EvaluationStore
 
 LADDER = {"rungs": [0.1, 0.3, 1.0], "eta": 3.0, "min_keep": 3}
 
@@ -108,3 +112,31 @@ def test_screen_ladder_reaches_equal_final_quality(base, tmp_path):
     )
     assert metadata["fidelity"]["schedule"]["rungs"] == [0.1, 0.3, 1.0]
     assert metadata["fidelity"]["rung_eliminations"] == len(screened) > 0
+
+
+def test_screen_ladder_writes_one_store_file_per_saved_batch(tmp_path, monkeypatch):
+    """No wall-clock: every ``put_many`` that saved a result -- one per
+    evaluated result set, full fidelity and each screening rung -- created
+    exactly one file, and those files hold every result the engine wrote."""
+    saved = []
+    put_many = EvaluationStore.put_many
+
+    def counting(self, eval_key, items):
+        written = put_many(self, eval_key, items)
+        if written:
+            saved.append((eval_key, written))
+        return written
+
+    monkeypatch.setattr(EvaluationStore, "put_many", counting)
+    outcome = run(
+        RunSpec(**CACHING_SPEC, fidelity=dict(LADDER)),
+        store=tmp_path / "runs",
+        eval_store=tmp_path / "store",
+    )
+    files = [p for p in EvaluationStore(tmp_path / "store").schema_root.rglob("*") if p.is_file()]
+    assert len(files) == len(saved)
+    # Full fidelity and at least the first rung (a rung that cannot
+    # eliminate is skipped) each saved under their own eval key.
+    assert len({eval_key for eval_key, _written in saved}) >= 2
+    assert sum(written for _key, written in saved) == outcome.setup.engine.store_writes
+    assert outcome.setup.engine.store_writes > 2 * len(files)
