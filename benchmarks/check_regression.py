@@ -51,10 +51,8 @@ TRACKED_SUFFIXES = ("_per_sec",) + RELATIVE_SUFFIXES
 
 #: Explicitly untracked suffixes (documented above); anything numeric that is
 #: neither tracked nor listed here is reported as "untracked" so a new
-#: benchmark metric cannot slip past review unnoticed.  ``_reclaimed`` and
-#: ``workers`` are the distributed-fanout benchmark's context counters (how
-#: many leases the crash cost, the fan-out width) -- shape, not speed.
-UNTRACKED_SUFFIXES = ("_s", "_out", "_full", "_reclaimed", "workers")
+#: benchmark metric cannot slip past review unnoticed.
+UNTRACKED_SUFFIXES = ("_s", "_out", "_full")
 
 
 def flatten(data: dict, prefix: str = "") -> Iterator[Tuple[str, object]]:

@@ -30,14 +30,8 @@ Commands
     on ``run``/``sweep``/``resume`` redirect or disable it.  With
     ``--prompt-cache`` the same subcommands maintain the on-disk LLM prompt
     cache (default ``<artifact root>/promptcache``) instead.  ``stats``
-    reports the distinct registered ``writers`` (runs, sweep seeds,
-    distributed workers) that have shared the tree.
-``worker <queue dir>``
-    Join a distributed search as a worker process: claim tasks from the
-    coordinator's spool queue (see ``--executor distributed`` and the
-    engine's ``queue_dir``), evaluate them, and write results back --
-    through the shared evaluation store when the coordinator attached one.
-    Run it on any host that can reach the queue directory.
+    reports the distinct registered ``writers`` (runs and sweep seeds) that
+    have shared the tree.
 ``report <run dir>``
     Re-render a stored run's report from its artifacts, byte-identical to
     the original ``run`` output, without re-running anything.
@@ -142,8 +136,6 @@ def _engine_overrides(args: argparse.Namespace) -> Dict[str, Any]:
         overrides["max_workers"] = args.max_workers
     if getattr(args, "backend", None) is not None:
         overrides["dsl_backend"] = args.backend
-    if getattr(args, "queue_dir", None) is not None:
-        overrides["queue_dir"] = args.queue_dir
     if getattr(args, "static_screen", False):
         overrides["static_screen"] = True
     return overrides
@@ -510,26 +502,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.core.queue import run_worker
-
-    queue_dir = Path(args.queue_dir)
-    if args.poll_s is not None and args.poll_s <= 0:
-        raise CliError("--poll-s must be positive")
-    if args.max_idle_s is not None and args.max_idle_s <= 0:
-        raise CliError("--max-idle-s must be positive")
-    run_worker(
-        queue_dir,
-        worker_id=args.worker_id,
-        poll_s=args.poll_s if args.poll_s is not None else 0.05,
-        max_idle_s=args.max_idle_s,
-        once=args.once,
-        stop_file=Path(args.stop_file) if args.stop_file else None,
-        quiet=args.quiet,
-    )
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.run_dir)
     if artifacts.is_sweep_dir(path):
@@ -701,14 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="override the spec's engine worker count",
         )
         p.add_argument(
-            "--queue-dir",
-            default=None,
-            metavar="PATH",
-            help="distributed executor: place the spool queue at a fixed "
-            "path (e.g. a shared mount) so `repro worker` processes on "
-            "other hosts can join",
-        )
-        p.add_argument(
             "--backend",
             default=None,
             choices=DSL_BACKENDS,
@@ -820,48 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--domain", default=None, help="restrict the listing to one domain"
     )
     p_wl.set_defaults(func=_cmd_workloads)
-
-    p_worker = sub.add_parser(
-        "worker",
-        help="join a distributed search: claim and evaluate tasks from a "
-        "coordinator's spool queue (run on any host sharing the path)",
-    )
-    p_worker.add_argument(
-        "queue_dir", help="spool-queue directory (the coordinator's queue_dir)"
-    )
-    p_worker.add_argument(
-        "--worker-id",
-        default=None,
-        help="stable worker identity (default: <hostname>-<pid>)",
-    )
-    p_worker.add_argument(
-        "--poll-s",
-        type=float,
-        default=None,
-        help="idle sleep between queue polls (default: 0.05)",
-    )
-    p_worker.add_argument(
-        "--max-idle-s",
-        type=float,
-        default=None,
-        help="exit after this long without claiming a task (default: run forever)",
-    )
-    p_worker.add_argument(
-        "--once",
-        action="store_true",
-        help="process at most the currently-pending tasks, then exit",
-    )
-    p_worker.add_argument(
-        "--stop-file",
-        default=None,
-        metavar="PATH",
-        help="also exit when this file appears (used by coordinator-spawned "
-        "workers; the queue's own 'stop' sentinel always applies)",
-    )
-    p_worker.add_argument(
-        "--quiet", action="store_true", help="no join/progress lines on stderr"
-    )
-    p_worker.set_defaults(func=_cmd_worker)
 
     p_report = sub.add_parser(
         "report", help="re-render a stored run's report without re-running"

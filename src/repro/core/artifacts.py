@@ -263,7 +263,6 @@ def finalize_run_dir(
     fidelity: Optional[Dict[str, Any]] = None,
     dsl_backend: Optional[Dict[str, Any]] = None,
     pipeline: Optional[Dict[str, Any]] = None,
-    distributed: Optional[Dict[str, Any]] = None,
     static_screen: Optional[Dict[str, Any]] = None,
     certification: Optional[Dict[str, Any]] = None,
 ) -> Path:
@@ -280,12 +279,8 @@ def finalize_run_dir(
     of ``result.json``: scores are backend-independent.  ``pipeline`` (optional) is
     the run's live generation/evaluation overlap record (summed phase
     timings) -- wall-clock telemetry, metadata only, for the same reason.
-    ``distributed`` (optional) is the run's work-queue fabric record --
-    queue path, dispatch/reclaim/rescue counters, per-worker completions --
-    which is volatile by nature (worker pids, who won which task) and so
-    also lives in ``metadata.json`` only.  ``static_screen`` (optional) is
-    the run's live screening record (knob state + check/screen counters),
-    metadata only like the rung counters.  ``certification`` (optional) is
+    ``static_screen`` (optional) is the run's live screening record (knob
+    state + check/screen counters), metadata only like the rung counters.  ``certification`` (optional) is
     the winner's interval certificate -- a pure function of the winning
     program and the evaluator's declared input intervals, independent of the
     screening knob -- so it *does* go into ``result.json``.
@@ -319,8 +314,6 @@ def finalize_run_dir(
         metadata["dsl_backend"] = dsl_backend
     if pipeline is not None:
         metadata["pipeline"] = pipeline
-    if distributed is not None:
-        metadata["distributed"] = distributed
     if static_screen is not None:
         metadata["static_screen"] = static_screen
     _write_json(path / METADATA_FILE, metadata)

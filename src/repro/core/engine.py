@@ -36,7 +36,7 @@ taking what the previous one left unresolved:
    store happens to contain.
 6. **Fan-out** -- the rest runs on a registered
    :class:`~repro.core.executors.Executor` backend (``serial`` / ``thread`` /
-   ``process`` / ``distributed``), selected by :class:`EngineConfig`, with
+   ``process``), selected by :class:`EngineConfig`, with
    optional per-unit timeouts and crash isolation, and back-fills both memo
    tiers.  Under a :class:`~repro.core.scenarios.MultiScenarioEvaluator` and
    a parallel backend the unit of work is one (candidate, scenario) pair
@@ -111,16 +111,6 @@ class EngineConfig:
     no-op when the evaluator declares no input intervals.  Off by default;
     with it on, a fixed-seed run in which nothing screens is byte-identical
     to the same run with it off.
-
-    The remaining three knobs configure the ``distributed`` executor only
-    (others ignore them).  ``queue_dir`` places the spool queue at a fixed
-    path -- typically on a shared mount -- so externally-launched ``python
-    -m repro worker`` processes (other hosts) can join; ``None`` uses a
-    private temp directory.  ``worker_count`` is how many local worker
-    processes the coordinator spawns (``None`` -> ``max_workers``; ``0`` ->
-    none, rely entirely on external workers).  ``lease_ttl_s`` is how long a
-    claimed task may go without a heartbeat before the coordinator reclaims
-    it from a presumed-dead worker.
     """
 
     max_workers: int = 1
@@ -128,9 +118,6 @@ class EngineConfig:
     eval_timeout_s: Optional[float] = None
     dsl_backend: Optional[str] = None
     static_screen: bool = False
-    queue_dir: Optional[str] = None
-    worker_count: Optional[int] = None
-    lease_ttl_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_workers <= 0:
@@ -147,10 +134,6 @@ class EngineConfig:
                 f"unknown dsl_backend {self.dsl_backend!r}; "
                 f"available: {sorted(DSL_BACKENDS)}"
             )
-        if self.worker_count is not None and self.worker_count < 0:
-            raise ValueError("worker_count must be >= 0")
-        if self.lease_ttl_s <= 0:
-            raise ValueError("lease_ttl_s must be positive")
 
 
 @dataclass
@@ -221,10 +204,6 @@ class EvaluationEngine:
         self.unique_evaluations = 0
         self.store_writes = 0
         self.totals = BudgetCounters()
-        #: Fabric counters harvested from ``distributed`` executors (one
-        #: merged record across the main and rung executors); ``None`` when
-        #: no distributed work happened.  Read by spec.run() for metadata.
-        self.distributed: Optional[dict] = None
         if fidelity is not None:
             self.attach_fidelity(fidelity)
 
@@ -611,47 +590,14 @@ class EvaluationEngine:
 
     def close(self) -> None:
         """Shut down the executor backends (recreated lazily on next use)."""
-        # Full fidelity first: the merged fabric record reports the queue of
-        # the first distributed executor harvested.
-        for fraction in sorted(self._executors, reverse=True):
-            self._discard_executor(fraction)
-
-    def _discard_executor(self, fraction: float) -> None:
-        executor = self._executors.pop(fraction)
-        self._harvest(executor)
-        executor.close()
-
-    def _harvest(self, executor) -> None:
-        """Fold a distributed executor's fabric counters into the engine.
-
-        Called before any executor is closed or discarded so the run's
-        metadata record survives executor churn (backend switches, rung
-        executors, engine close).
-        """
-        fabric = getattr(executor, "fabric_stats", None)
-        if fabric is None:
-            return
-        record = fabric()
-        if record is None:
-            return
-        if self.distributed is None:
-            self.distributed = record
-            return
-        merged = self.distributed
-        for key in ("tasks_dispatched", "tasks_reclaimed", "tasks_rescued"):
-            merged[key] += record[key]
-        merged["workers"].update(record["workers"])
-        merged["workers_joined"] = len(merged["workers"])
+        for fraction in list(self._executors):
+            self._executors.pop(fraction).close()
 
     def _backend_name(self) -> str:
         # A single worker cannot fan out: run serially whatever the backend,
         # which also keeps the legacy max_workers=1 behaviour (no timeout,
-        # no pool startup cost).  The distributed backend is the exception:
-        # one worker process is a meaningful (and testable) deployment, and
-        # external workers may join regardless of max_workers.
-        if self.config.max_workers <= 1 and self.config.executor != "distributed":
-            return "serial"
-        return self.config.executor
+        # no pool startup cost).
+        return "serial" if self.config.max_workers <= 1 else self.config.executor
 
     def _ensure_executor(self, backend: str, fraction: float, evaluator: Evaluator):
         """The ``fraction`` fidelity's executor, (re)created on ``backend``.
@@ -661,7 +607,7 @@ class EvaluationEngine:
         """
         executor = self._executors.get(fraction)
         if executor is not None and executor.name != backend:
-            self._discard_executor(fraction)
+            self._executors.pop(fraction).close()
             executor = None
         if executor is None:
             executor = create_executor(backend, self.config, evaluator)
@@ -681,13 +627,6 @@ class EvaluationEngine:
         backend = self._backend_name()
         evaluator = self.evaluator if fraction == 1.0 else self._scaled_evaluator(fraction)
         executor = self._ensure_executor(backend, fraction, evaluator)
-        # Wire the run's event bus and the store view matching this
-        # executor's evaluator: the distributed backend publishes fabric
-        # events on the former and shares whole-candidate results through
-        # the latter (workers warm-start each other); pool backends ignore
-        # both.
-        executor.events = self.events if self.events else None
-        executor.bound_store = self._store_at(fraction)
         # Note: single-program batches still go through the configured
         # backend -- a serial shortcut would silently drop the timeout and
         # crash isolation.

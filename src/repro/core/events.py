@@ -214,56 +214,6 @@ class RoundCompleted(RunEvent):
 
 
 @dataclass(frozen=True)
-class WorkerJoined(RunEvent):
-    """A distributed-queue worker registered with the run's work queue.
-
-    Emitted by the coordinator the first time it observes a worker's
-    registration file -- coordinator-spawned and externally-launched
-    (``python -m repro worker``) workers alike.
-    """
-
-    kind: ClassVar[str] = "worker_joined"
-
-    worker_id: str = ""
-    host: str = ""
-    pid: int = 0
-
-
-@dataclass(frozen=True)
-class TaskDispatched(RunEvent):
-    """One evaluation unit was enqueued on the distributed work queue.
-
-    ``scenario`` is ``None`` for a whole-candidate unit; ``program_key`` is
-    the candidate's canonical SHA-1 (the same key the memo/store tiers use).
-    Telemetry only: dispatch order equals submission order by construction.
-    """
-
-    kind: ClassVar[str] = "task_dispatched"
-
-    task_id: str = ""
-    program_key: str = ""
-    scenario: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class TaskReclaimed(RunEvent):
-    """A dispatched task's lease expired and the task went back to pending.
-
-    ``worker_id`` is the presumed-dead holder (empty when the lease carried
-    no claim yet); ``attempt`` counts reclaims of this task so far.  The
-    task is re-claimed by a surviving worker -- or, past the coordinator's
-    retry budget, evaluated inline -- so a crash costs latency, never
-    results.
-    """
-
-    kind: ClassVar[str] = "task_reclaimed"
-
-    task_id: str = ""
-    worker_id: str = ""
-    attempt: int = 1
-
-
-@dataclass(frozen=True)
 class CheckpointWritten(RunEvent):
     """Search state was persisted to disk."""
 
@@ -405,21 +355,6 @@ class ProgressPrinter:
                     f"({event.fraction:.0%} fidelity, score {event.score:.4f}, "
                     f"kept {event.kept}/{event.pool})"
                 )
-        elif isinstance(event, WorkerJoined):
-            self._line(
-                f"  worker {event.worker_id} joined ({event.host}, pid {event.pid})"
-            )
-        elif isinstance(event, TaskReclaimed):
-            self._line(
-                f"  task {event.task_id} reclaimed from {event.worker_id or '<unclaimed>'} "
-                f"(attempt {event.attempt})"
-            )
-        elif isinstance(event, TaskDispatched):
-            if self.verbose:
-                scenario = (
-                    f" scenario {event.scenario}" if event.scenario is not None else ""
-                )
-                self._line(f"  dispatched {event.task_id}{scenario}")
         elif isinstance(event, RoundCompleted):
             disk = (
                 f", disk {event.store_hits}/{event.store_lookups}"

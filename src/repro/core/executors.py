@@ -22,16 +22,6 @@ without touching the engine:
     evaluator pickled once into each worker.  True parallelism plus hard
     crash isolation: a worker that dies takes neither the pool's results nor
     the search down.
-``distributed``
-    A spool-directory work queue (see :mod:`repro.core.queue`): the
-    coordinator serializes units into ``<queue>/pending/``, worker
-    *processes* -- spawned locally and/or launched on any host that shares
-    the queue path via ``python -m repro worker`` -- claim them atomically
-    with heartbeated leases, and results flow back through the queue (and
-    the shared evaluation store, so concurrent runs warm-start each other).
-    A SIGKILL'd worker's tasks are reclaimed on lease expiry; a queue with
-    no live workers falls back to inline evaluation, so the search always
-    terminates.
 
 Every backend returns results in submission order and reuses the engine's
 failure/timeout conventions, which is what keeps a fixed seed byte-identical
@@ -40,11 +30,6 @@ across backends (asserted in the tests).
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
-import time
-import uuid
 from abc import ABC, abstractmethod
 from concurrent.futures import (
     BrokenExecutor,
@@ -54,15 +39,11 @@ from concurrent.futures import (
     TimeoutError as FutureTimeoutError,
 )
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Type
 
-from repro.core import queue as spool
 from repro.core.evaluator import EvaluationResult, Evaluator
-from repro.core.events import TaskDispatched, TaskReclaimed, WorkerJoined
 from repro.core.scenarios import MultiScenarioEvaluator
 from repro.dsl.ast import Program
-from repro.dsl.codegen import canonical_key, to_source
 
 
 @dataclass(frozen=True)
@@ -121,13 +102,6 @@ class Executor(ABC):
     def __init__(self, config, evaluator: Evaluator):
         self.config = config
         self.evaluator = evaluator
-        #: Wired by the engine before each batch: the run's EventBus (or
-        #: ``None``) and the store view matching this executor's evaluator
-        #: (full-fidelity or rung-qualified).  Backends may ignore both; the
-        #: distributed backend uses them for worker/task telemetry and
-        #: cross-run result sharing.
-        self.events = None
-        self.bound_store = None
 
     @abstractmethod
     def run_units(self, units: List[EvalUnit], stats) -> List[EvaluationResult]:
@@ -272,272 +246,6 @@ class ProcessExecutor(_PoolExecutor):
         return pool.submit(_evaluate_scenario_in_worker, unit.program, unit.scenario)
 
 
-class DistributedExecutor(Executor):
-    """Multi-host fan-out over a spool-directory work queue.
-
-    The coordinator (this object) enqueues serialized units on a
-    :class:`~repro.core.queue.SpoolQueue`, spawns ``worker_count`` local
-    worker processes (``None`` -> ``max_workers``; ``0`` -> rely entirely on
-    externally-launched ``python -m repro worker`` processes pointed at
-    ``queue_dir``), and gathers results in submission order.  Fault model:
-
-    * a worker that dies mid-task stops heartbeating; after ``lease_ttl_s``
-      the coordinator renames the lease back into ``pending/`` (one
-      :class:`~repro.core.events.TaskReclaimed` per reclaim) where a
-      surviving worker re-claims it, and a coordinator-spawned worker is
-      respawned;
-    * a task reclaimed :data:`RESCUE_ATTEMPTS` times -- or any task while
-      the queue has no live workers at all -- is evaluated inline by the
-      coordinator, so the batch always completes;
-    * ``eval_timeout_s`` (when set) is enforced coordinator-side from the
-      task's first observed claim, producing the same transient timeout
-      failure the pool backends produce.
-
-    Without an explicit ``queue_dir`` the queue lives in a private temp
-    directory torn down on :meth:`close`; an explicit path (typically on a
-    shared mount, under the artifacts tree) is what lets other hosts join.
-    """
-
-    name = "distributed"
-
-    #: Reclaims of one task before the coordinator evaluates it inline.
-    RESCUE_ATTEMPTS = 3
-
-    def __init__(self, config, evaluator: Evaluator):
-        super().__init__(config, evaluator)
-        self._queue: Optional[spool.SpoolQueue] = None
-        self._pool: Optional[spool.LocalWorkerPool] = None
-        self._private_root: Optional[Path] = None
-        self._evaluator_id: Optional[str] = None
-        self._nonce = uuid.uuid4().hex[:8]
-        self._batch_seq = 0
-        self._seen_workers: Dict[str, dict] = {}
-        self._completed_by: Dict[str, int] = {}
-        self.tasks_dispatched = 0
-        self.tasks_reclaimed = 0
-        self.tasks_rescued = 0
-
-    # -- queue lifecycle ----------------------------------------------------------
-
-    def _worker_count(self) -> int:
-        count = getattr(self.config, "worker_count", None)
-        return self.config.max_workers if count is None else count
-
-    def _ensure_queue(self) -> spool.SpoolQueue:
-        if self._queue is None:
-            queue_dir = getattr(self.config, "queue_dir", None)
-            if queue_dir is None:
-                self._private_root = Path(tempfile.mkdtemp(prefix="repro-queue-"))
-                root = self._private_root
-            else:
-                root = Path(queue_dir)
-            ttl = getattr(self.config, "lease_ttl_s", spool.DEFAULT_LEASE_TTL_S)
-            self._queue = spool.SpoolQueue(root, lease_ttl_s=ttl)
-            self._queue.write_config()
-            count = self._worker_count()
-            if count > 0:
-                self._pool = spool.LocalWorkerPool(self._queue, count, self._nonce)
-        if self._evaluator_id is None:
-            self._evaluator_id = self._queue.publish_evaluator(self.evaluator)
-        return self._queue
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.stop()
-            self._pool = None
-        if self._private_root is not None:
-            shutil.rmtree(self._private_root, ignore_errors=True)
-            self._private_root = None
-        self._queue = None
-        self._evaluator_id = None
-
-    def fabric_stats(self) -> Optional[dict]:
-        """Counters for the run's metadata record (``None`` before first use)."""
-        if not self.tasks_dispatched:
-            return None
-        workers = {}
-        for worker_id, info in sorted(self._seen_workers.items()):
-            workers[worker_id] = {
-                "host": info.get("host", ""),
-                "pid": info.get("pid", 0),
-                "completed": self._completed_by.get(worker_id, 0),
-            }
-        return {
-            "queue": str(self._queue.root) if self._queue is not None else None,
-            "tasks_dispatched": self.tasks_dispatched,
-            "tasks_reclaimed": self.tasks_reclaimed,
-            "tasks_rescued": self.tasks_rescued,
-            "workers_joined": len(self._seen_workers),
-            "workers": workers,
-        }
-
-    # -- dispatch/gather ----------------------------------------------------------
-
-    def run_units(self, units: List[EvalUnit], stats) -> List[EvaluationResult]:
-        if not units:
-            return []
-        queue = self._ensure_queue()
-        self._batch_seq += 1
-        store_ref = None
-        if self.bound_store is not None:
-            store_ref = {
-                "root": str(self.bound_store.store.root),
-                "eval_key": self.bound_store.eval_key,
-            }
-        task_ids: List[str] = []
-        for index, unit in enumerate(units):
-            task_id = f"{self._nonce}-b{self._batch_seq:04d}-{index:05d}"
-            program_key = canonical_key(unit.program)
-            queue.enqueue(
-                task_id,
-                spool.encode_task(
-                    task_id,
-                    unit.program,
-                    evaluator_id=self._evaluator_id,
-                    scenario=unit.scenario,
-                    failure_score=unit.failure_score,
-                    program_key=program_key,
-                    source=to_source(unit.program),
-                    store=store_ref if unit.scenario is None else None,
-                ),
-            )
-            task_ids.append(task_id)
-            self.tasks_dispatched += 1
-            if self.events:
-                self.events.emit(
-                    TaskDispatched(
-                        task_id=task_id,
-                        program_key=program_key,
-                        scenario=unit.scenario,
-                    )
-                )
-        return self._gather(queue, units, task_ids, stats)
-
-    def _gather(
-        self,
-        queue: spool.SpoolQueue,
-        units: List[EvalUnit],
-        task_ids: List[str],
-        stats,
-    ) -> List[EvaluationResult]:
-        index_of = {task_id: i for i, task_id in enumerate(task_ids)}
-        results: List[Optional[EvaluationResult]] = [None] * len(units)
-        outstanding = set(task_ids)
-        attempts = {task_id: 0 for task_id in task_ids}
-        first_claim: Dict[str, float] = {}
-        timeout = self.config.eval_timeout_s
-        stall_grace = max(2.0 * queue.lease_ttl_s, 2.0)
-        poll = 0.005
-        last_progress = time.monotonic()
-        while outstanding:
-            progressed = False
-            for task_id, payload in queue.collect(outstanding):
-                results[index_of[task_id]] = spool.decode_result(payload)
-                worker = payload.get("worker_id", "")
-                self._completed_by[worker] = self._completed_by.get(worker, 0) + 1
-                outstanding.discard(task_id)
-                progressed = True
-            # Poll registrations before the exit check: a fast worker can
-            # register, claim and complete between two coordinator polls,
-            # and its join must still be observed (events, fabric stats).
-            self._poll_workers(queue)
-            if not outstanding:
-                break
-            if self._pool is not None:
-                self._pool.maintain()
-            for task_id, holder in queue.reclaim_expired():
-                if task_id not in outstanding:
-                    continue
-                attempts[task_id] += 1
-                self.tasks_reclaimed += 1
-                first_claim.pop(task_id, None)
-                progressed = True
-                if self.events:
-                    self.events.emit(
-                        TaskReclaimed(
-                            task_id=task_id,
-                            worker_id=holder,
-                            attempt=attempts[task_id],
-                        )
-                    )
-            now = time.monotonic()
-            if timeout is not None:
-                for task_id in queue.leased_tasks():
-                    if task_id in outstanding and task_id not in first_claim:
-                        first_claim[task_id] = now
-                for task_id, since in list(first_claim.items()):
-                    if task_id in outstanding and now - since > timeout:
-                        stats.eval_timeouts += 1
-                        index = index_of[task_id]
-                        results[index] = EvaluationResult.failure(
-                            f"evaluation timed out after {timeout}s",
-                            units[index].failure_score,
-                            transient=True,
-                        )
-                        outstanding.discard(task_id)
-                        queue.forget(task_id)
-                        progressed = True
-            rescue_ids = [
-                task_id
-                for task_id in outstanding
-                if attempts[task_id] >= self.RESCUE_ATTEMPTS
-            ]
-            if (
-                not rescue_ids
-                and self._no_live_workers(queue)
-                and now - last_progress > stall_grace
-            ):
-                # Nobody left to do the work (and nobody joining): finish the
-                # batch inline rather than hanging the search.
-                rescue_ids = list(outstanding)
-            for task_id in sorted(rescue_ids):
-                if not self._claim_for_rescue(queue, task_id):
-                    continue  # a worker beat us to it; let it run
-                index = index_of[task_id]
-                results[index] = self._run_inline(units[index])
-                self.tasks_rescued += 1
-                queue.forget(task_id)
-                outstanding.discard(task_id)
-                progressed = True
-            if progressed:
-                last_progress = time.monotonic()
-                poll = 0.005
-            else:
-                time.sleep(poll)
-                poll = min(poll * 2, 0.05)
-        return results  # type: ignore[return-value]
-
-    def _poll_workers(self, queue: spool.SpoolQueue) -> None:
-        for worker_id, info in queue.worker_records().items():
-            if worker_id in self._seen_workers:
-                continue
-            self._seen_workers[worker_id] = info
-            if self.events:
-                self.events.emit(
-                    WorkerJoined(
-                        worker_id=worker_id,
-                        host=str(info.get("host", "")),
-                        pid=int(info.get("pid", 0) or 0),
-                    )
-                )
-
-    def _no_live_workers(self, queue: spool.SpoolQueue) -> bool:
-        if self._pool is not None and self._pool.alive() > 0:
-            return False
-        return not queue.live_workers()
-
-    @staticmethod
-    def _claim_for_rescue(queue: spool.SpoolQueue, task_id: str) -> bool:
-        try:
-            os.replace(
-                queue.pending_dir / f"{task_id}.json",
-                queue.leases_dir / f"{task_id}.json",
-            )
-            return True
-        except OSError:
-            return False
-
-
 # -- registry -----------------------------------------------------------------------
 
 _EXECUTORS: Dict[str, Type[Executor]] = {}
@@ -567,5 +275,5 @@ def create_executor(name: str, config, evaluator: Evaluator) -> Executor:
     return cls(config, evaluator)
 
 
-for _cls in (SerialExecutor, ThreadExecutor, ProcessExecutor, DistributedExecutor):
+for _cls in (SerialExecutor, ThreadExecutor, ProcessExecutor):
     register_executor(_cls)

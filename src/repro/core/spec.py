@@ -59,6 +59,9 @@ REMOVED_ENGINE_KEYS = {
     "dedup": "always on since PR 24",
     "memoize": "always on since PR 24",
     "pipeline": "use `search.pipeline`",
+    "queue_dir": "the distributed executor was removed; use `executor: process`",
+    "worker_count": "the distributed executor was removed; use `executor: process`",
+    "lease_ttl_s": "the distributed executor was removed; use `executor: process`",
 }
 #: ``llm`` overrides map onto :class:`SyntheticLLMConfig` fields, plus the
 #: ``"provider"`` block (a :class:`~repro.llm.client.ProviderConfig`
@@ -634,13 +637,6 @@ def run(
                 "misses": generator_client.misses,
                 "corrupt_reads": cache.corrupt_reads,
             }
-        # The distributed fabric record (queue path, dispatch/reclaim/rescue
-        # counters, per-worker completions) is volatile -- pids, hostnames,
-        # who won which task -- so it lands in metadata.json, never
-        # result.json.
-        distributed_record = (
-            setup.engine.distributed if setup.engine is not None else None
-        )
         # The live screening record is volatile telemetry (how evaluation
         # was budgeted), so like the store/rung counters it goes to
         # metadata.json only.
@@ -665,7 +661,6 @@ def run(
             fidelity=fidelity_record,
             dsl_backend=backend_record,
             pipeline=pipeline_record,
-            distributed=distributed_record,
             static_screen=screen_record,
             certification=certification_record,
         )

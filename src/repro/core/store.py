@@ -81,8 +81,8 @@ _WRITERS_DIRNAME = "writers"
 class StoreStats:
     """What ``repro store stats`` reports.
 
-    ``writers`` counts the distinct registered writers -- runs, sweep seeds
-    and distributed workers that announced themselves via
+    ``writers`` counts the distinct registered writers -- runs and sweep
+    seeds that announced themselves via
     :meth:`ContentAddressedStore.register_writer` -- so operators can see
     how many concurrent producers have shared this tree.  ``writer_records``
     carries their registration payloads (host, pid, label, start time).

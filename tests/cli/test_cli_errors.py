@@ -13,6 +13,7 @@ from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SMOKE_SPEC = REPO_ROOT / "examples" / "specs" / "smoke_caching.json"
+REMOVED_DISTRIBUTED = "the distributed executor was removed; use `executor: process`"
 
 
 def run_cli(capsys, *argv):
@@ -80,10 +81,15 @@ def test_run_unknown_executor_exits_2_listing_names(capsys):
     )
     assert code == 2
     assert "unknown executor 'quantum'" in err
-    for name in ("serial", "thread", "process", "distributed"):
+    for name in ("serial", "thread", "process"):
         assert name in err
-    assert "async" not in err
+    assert "async" not in err and "distributed" not in err
     assert "Traceback" not in err
+    code, _out, err = run_cli(
+        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--executor", "distributed"
+    )
+    assert code == 2
+    assert "unknown executor 'distributed'" in err
 
 
 @pytest.mark.parametrize(
@@ -92,6 +98,9 @@ def test_run_unknown_executor_exits_2_listing_names(capsys):
         ("dedup", "always on since PR 24"),
         ("memoize", "always on since PR 24"),
         ("pipeline", "use `search.pipeline`"),
+        ("queue_dir", REMOVED_DISTRIBUTED),
+        ("worker_count", REMOVED_DISTRIBUTED),
+        ("lease_ttl_s", REMOVED_DISTRIBUTED),
     ],
 )
 def test_run_spec_naming_a_removed_engine_option_exits_2(capsys, tmp_path, key, replacement):
@@ -104,19 +113,13 @@ def test_run_spec_naming_a_removed_engine_option_exits_2(capsys, tmp_path, key, 
     assert "Traceback" not in err
 
 
-def test_worker_rejects_nonpositive_poll(capsys, tmp_path):
-    code, _out, err = run_cli(capsys, "worker", str(tmp_path), "--poll-s", "0")
-    assert code == 2
-    assert "--poll-s" in err
+def test_worker_verb_is_gone_and_exits_2(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["worker", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "invalid choice: 'worker'" in err
     assert "Traceback" not in err
-
-
-def test_worker_once_on_an_empty_queue_exits_0(capsys, tmp_path):
-    # --once drains whatever is pending (here: nothing) and returns cleanly.
-    code, _out, _err = run_cli(
-        capsys, "worker", str(tmp_path / "queue"), "--once", "--quiet"
-    )
-    assert code == 0
 
 
 # -- the --fidelity override --------------------------------------------------------

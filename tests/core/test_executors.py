@@ -1,12 +1,18 @@
-"""The pluggable executor layer: registry and backend parity."""
+"""The pluggable executor layer: registry, backend parity, crash rescue."""
+
+import os
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
+from pool_helpers import CrashOnceEvaluator, InterpEvaluator
 from repro.core.checker import StructuralChecker
-from repro.core.engine import EngineConfig, EvaluationEngine
+from repro.core.engine import BatchStats, EngineConfig, EvaluationEngine
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.executors import (
+    EvalUnit,
     Executor,
+    ProcessExecutor,
     SerialExecutor,
     available_executors,
     create_executor,
@@ -55,7 +61,7 @@ def make_engine(evaluator=None, **config_kwargs):
 
 
 def test_builtin_backends_registered():
-    assert available_executors() == ["distributed", "process", "serial", "thread"]
+    assert available_executors() == ["process", "serial", "thread"]
 
 
 def test_async_backend_is_gone_and_rejected_by_name():
@@ -149,3 +155,90 @@ def test_single_worker_runs_serially_whatever_the_backend():
     engine.process_batch(candidates(["def f(x) { return 1 }"]))
     assert engine._executors[1.0].name == "serial"
     engine.close()
+
+
+# -- crash rescue -------------------------------------------------------------------
+
+#: Unit 1 hard-kills its worker; the others are ordinary.
+CRASH_SOURCES = [f"def f(x) {{ return {n} }}" for n in (3, 1000, 7, 13, 21, 40, 55, 68)]
+TRIGGER = 1000.0
+
+
+def crash_units(sharded):
+    programs = [parse(source) for source in CRASH_SOURCES]
+    if not sharded:
+        return [EvalUnit(program=program) for program in programs]
+    return [
+        EvalUnit(program=program, scenario=index)
+        for program in programs
+        for index in range(2)
+    ]
+
+
+def crash_evaluators(marker, sharded):
+    """(evaluator whose worker dies on the trigger, crash-free reference)."""
+    crashing = CrashOnceEvaluator(marker, TRIGGER)
+    if not sharded:
+        return crashing, InterpEvaluator()
+    return (
+        MultiScenarioEvaluator([("a", InterpEvaluator()), ("b", crashing)]),
+        MultiScenarioEvaluator([("a", InterpEvaluator()), ("b", InterpEvaluator())]),
+    )
+
+
+def record_submissions(monkeypatch):
+    """Every ``(pool, future)`` the process executor submits, in order."""
+    submitted = []
+    submit = ProcessExecutor._submit
+
+    def spy(self, pool, unit):
+        future = submit(self, pool, unit)
+        submitted.append((pool, future))
+        return future
+
+    monkeypatch.setattr(ProcessExecutor, "_submit", spy)
+    return submitted
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["whole", "sharded"])
+def test_killed_process_worker_costs_time_never_a_score(tmp_path, monkeypatch, sharded):
+    """A worker that dies mid-unit breaks the pool: the unit it held and
+    every unit still queued are evaluated inline by the coordinator, with
+    the scores a serial run gives, and the next batch gets a fresh pool."""
+    marker = tmp_path / "crashed-once"
+    evaluator, reference = crash_evaluators(marker, sharded)
+    units = crash_units(sharded)
+    serial = SerialExecutor(EngineConfig(), reference).run_units(units, BatchStats())
+    submitted = record_submissions(monkeypatch)
+    executor = create_executor(
+        "process", EngineConfig(executor="process", max_workers=2), evaluator
+    )
+    stats = BatchStats()
+    try:
+        results = executor.run_units(units, stats)
+        first = submitted[:]
+        again = executor.run_units(units, BatchStats())
+    finally:
+        executor.close()
+
+    assert marker.exists()  # a worker really died
+    assert [r.score for r in results] == [r.score for r in serial]
+    assert all(r.valid and not r.transient for r in results)
+    assert stats.eval_timeouts == 0
+    coordinator = float(os.getpid())
+    crashed = 3 if sharded else 1  # the trigger program's crashing unit
+    futures = [future for _pool, future in first]
+    assert isinstance(futures[crashed].exception(), BrokenExecutor)
+    for result, future in zip(results, futures):
+        lost = future.cancelled() or isinstance(future.exception(), BrokenExecutor)
+        assert (result.details["pid"] == coordinator) == lost
+
+    # The broken pool was discarded: the second batch ran on a new one,
+    # entirely in workers, with the same scores.
+    broken = first[0][0]
+    assert all(pool is broken for pool, _future in first)
+    fresh = submitted[len(first)][0]
+    assert fresh is not broken
+    assert all(pool is fresh for pool, _future in submitted[len(first):])
+    assert [r.score for r in again] == [r.score for r in serial]
+    assert coordinator not in {r.details["pid"] for r in again}

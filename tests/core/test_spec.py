@@ -73,6 +73,9 @@ def test_unknown_override_keys_rejected():
         ("dedup", "always on since PR 24"),
         ("memoize", "always on since PR 24"),
         ("pipeline", "use `search.pipeline`"),
+        ("queue_dir", "the distributed executor was removed; use `executor: process`"),
+        ("worker_count", "the distributed executor was removed; use `executor: process`"),
+        ("lease_ttl_s", "the distributed executor was removed; use `executor: process`"),
     ],
 )
 def test_removed_engine_options_are_unknown_keys_that_name_their_replacement(key, replacement):

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.cache.search import caching_feature_spec
 from repro.cc.template import cc_feature_spec
-from repro.core import queue as spool
 from repro.dsl.analysis import analyze
 from repro.dsl.ast import Node, Program
 from repro.dsl.codegen import to_source
@@ -189,13 +188,6 @@ def test_nodes_have_no_dict_and_survive_pickle():
     with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
         echoed = list(pool.map(_echo, programs, timeout=120))
     assert echoed == [(program, to_source(program)) for program in programs]
-
-    for program in programs:
-        task = spool.decode_task(
-            spool.encode_task("t-1", program, evaluator_id="e", source=to_source(program))
-        )
-        assert task["program"] == program
-        assert to_source(task["program"]) == task["source"]
 
 
 def _echo(program: Program):
