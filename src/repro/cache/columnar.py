@@ -33,7 +33,11 @@ Exactness contract: the fused run must be observationally identical to the
 classic loop -- the returned :class:`SimulationResult`, every policy counter,
 the final object table (including ``ps_gen``/``ps_score``), the heap, the
 aggregates and the eviction history all match field-for-field, so tests and
-downstream search code cannot tell which loop ran.  Scores are bit-identical
+downstream search code cannot tell which loop ran.  Only the object table is
+deferred: the policy keeps the loop's final store and builds its
+``CachedObject`` table from it on first read
+(``PriorityFunctionCache.__getattr__``), so scoring a candidate, which
+reads only the returned result, builds none.  Scores are bit-identical
 (the kernel body is the one the compiled backend runs, and raises what it
 would), heap pushes/pops happen in the classic order (even NaN scores leave
 the heap in the same deterministic layout), and the kernel reads the policy's *real*
@@ -47,9 +51,7 @@ import heapq
 from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.cache.layout import _COUNT, _GEN, _INSERTED, _LAST, _SCORE, _SIZE
 from repro.cache.metrics import SimulationResult
-from repro.cache.policies.base import CachedObject
 from repro.cache.priority_cache import DslPriorityFunction, PriorityFunctionCache, as_score
 from repro.dsl.compile import reraise_normalised
 from repro.dsl.vectorize import VectorizedProgram
@@ -254,19 +256,11 @@ def fused_cache_run(simulator, policy, trace, warmup: int = 0) -> Optional[Simul
         policy=policy.policy_name, trace=trace.name, cache_size=policy.capacity, **measured
     )
 
-    # Write the fused state back so the policy object is indistinguishable
-    # from one that ran the classic loop (tests poke at all of these).
-    objects: Dict[int, CachedObject] = {}
-    for key, entry in store.items():
-        objects[key] = CachedObject(
-            key=key,
-            size=entry[_SIZE],
-            insert_time=entry[_INSERTED],
-            last_access_time=entry[_LAST],
-            access_count=entry[_COUNT],
-            extra={"ps_gen": entry[_GEN], "ps_score": entry[_SCORE]},
-        )
-    policy._objects = objects
+    # Leave the fused state on the policy so it is indistinguishable from one
+    # that ran the classic loop (tests poke at all of these); the object table
+    # stays the loop's store until someone reads it, which scoring never does.
+    del policy._objects
+    policy._fused_store = store
     policy._used = used
     policy.eviction_count = measured["evictions"]
     policy.admission_count = admissions

@@ -22,7 +22,7 @@ import heapq
 from typing import Callable, List, Optional, Protocol, Tuple, Union
 
 from repro.cache.features import EvictionHistory, FeatureAggregates, ObjectInfoView
-from repro.cache.layout import cache_layout
+from repro.cache.layout import _COUNT, _GEN, _INSERTED, _LAST, _SCORE, _SIZE, cache_layout
 from repro.cache.policies.base import CachedObject, EvictionPolicy
 from repro.cache.request import Request
 from repro.dsl.ast import Program
@@ -233,6 +233,25 @@ class PriorityFunctionCache(EvictionPolicy):
                 continue
             return key
         return None
+
+    def __getattr__(self, name: str):
+        """Only for a missing attribute: the object table a fused run
+        (:mod:`repro.cache.columnar`) left as its store is built on first read."""
+        store = self.__dict__.pop("_fused_store", None) if name == "_objects" else None
+        if store is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._objects = {
+            key: CachedObject(
+                key=key,
+                size=entry[_SIZE],
+                insert_time=entry[_INSERTED],
+                last_access_time=entry[_LAST],
+                access_count=entry[_COUNT],
+                extra={"ps_gen": entry[_GEN], "ps_score": entry[_SCORE]},
+            )
+            for key, entry in store.items()
+        }
+        return self._objects
 
     # -- introspection -----------------------------------------------------------------
 

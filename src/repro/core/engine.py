@@ -68,7 +68,7 @@ from repro.core.events import (
     CandidateScreened,
     EventBus,
 )
-from repro.core.executors import EvalUnit, available_executors, create_executor
+from repro.core.executors import EvalUnit, available_executors, create_executor, evaluator_at
 from repro.core.fidelity import FidelitySchedule
 from repro.core.generator import Generator
 from repro.core.results import BudgetCounters, Candidate, ScoredCandidate
@@ -86,13 +86,16 @@ class EngineConfig:
 
     ``max_workers=1`` (the default) keeps evaluation serial and in-process;
     anything larger fans unique candidates out over the ``executor`` backend
-    (any name in :func:`~repro.core.executors.available_executors`).
-    ``eval_timeout_s`` bounds how long the engine waits for one candidate's
-    evaluation; a timed-out candidate gets a failure result and its worker is
-    abandoned (threads cannot be killed; the DSL step budget still bounds the
-    stray work).  Timeouts and crash isolation require a worker pool: with
-    ``max_workers=1`` or ``executor="serial"`` evaluation runs in-process and
-    ``eval_timeout_s`` has no effect.
+    (any name in :func:`~repro.core.executors.available_executors`; the
+    default, ``"process"``, is the one that parallelises CPU-bound
+    simulation), one pool per engine for every fidelity, a few tasks per
+    batch.  ``eval_timeout_s`` bounds how long the engine waits for one
+    unit's evaluation (each unit then is a task of its own); a timed-out
+    unit gets a failure result and its worker is abandoned (threads cannot
+    be killed; the DSL step budget still bounds the stray work).  Timeouts
+    and crash isolation require a worker pool: with ``max_workers=1`` or
+    ``executor="serial"`` evaluation runs in-process and ``eval_timeout_s``
+    has no effect.
 
     ``dsl_backend`` selects how candidate DSL programs execute during
     evaluation (``"interpreter"``, or lowered: ``"vectorized"``, also spelled
@@ -114,7 +117,7 @@ class EngineConfig:
     """
 
     max_workers: int = 1
-    executor: str = "thread"  # any registered backend; see core/executors.py
+    executor: str = "process"  # any registered backend; see core/executors.py
     eval_timeout_s: Optional[float] = None
     dsl_backend: Optional[str] = None
     static_screen: bool = False
@@ -188,9 +191,9 @@ class EvaluationEngine:
         self.fidelity: Optional[FidelitySchedule] = None
         self._memo: Dict[str, EvaluationResult] = {}
         self._scaled_evaluators: Dict[float, Evaluator] = {}
-        # fidelity -> lazily-created backend, reused across batches (1.0 runs
-        # the engine's own evaluator, a rung its scaled one).
-        self._executors: Dict[float, object] = {}
+        # The lazily-created backend, reused across batches; units carry
+        # their fidelity, so one executor (one pool) serves every rung.
+        self._executor = None
         # Static screener (rung "-1"): built lazily from the evaluator's
         # declared input intervals; verdicts cached by canonical key so a
         # re-emitted duplicate is only analysed once per engine lifetime.
@@ -228,8 +231,6 @@ class EvaluationEngine:
         rung needs an ``at_fidelity`` evaluator), so a misconfigured ladder
         fails here rather than mid-search.
         """
-        self._scaled_evaluators = {}
-        self.close()  # rung executors hold the old schedule's evaluators
         self.fidelity = fidelity
         if fidelity is not None and fidelity.screening_rungs:
             try:
@@ -241,9 +242,7 @@ class EvaluationEngine:
                 ) from exc
 
     def _scaled_evaluator(self, fraction: float) -> Evaluator:
-        if fraction not in self._scaled_evaluators:
-            self._scaled_evaluators[fraction] = self.evaluator.at_fidelity(fraction)
-        return self._scaled_evaluators[fraction]
+        return evaluator_at(self.evaluator, self._scaled_evaluators, fraction)
 
     def _static_screener(self):
         """The interval screener, or ``None`` without declared intervals."""
@@ -589,30 +588,16 @@ class EvaluationEngine:
     # -- executors ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the executor backends (recreated lazily on next use)."""
-        for fraction in list(self._executors):
-            self._executors.pop(fraction).close()
+        """Shut down the executor backend (recreated lazily on next use)."""
+        if self._executor is not None:
+            self._executor.close()
+            self._executor = None
 
     def _backend_name(self) -> str:
         # A single worker cannot fan out: run serially whatever the backend,
         # which also keeps the legacy max_workers=1 behaviour (no timeout,
         # no pool startup cost).
         return "serial" if self.config.max_workers <= 1 else self.config.executor
-
-    def _ensure_executor(self, backend: str, fraction: float, evaluator: Evaluator):
-        """The ``fraction`` fidelity's executor, (re)created on ``backend``.
-
-        One executor per fidelity, so e.g. a process pool ships each scaled
-        evaluator to its workers once.
-        """
-        executor = self._executors.get(fraction)
-        if executor is not None and executor.name != backend:
-            self._executors.pop(fraction).close()
-            executor = None
-        if executor is None:
-            executor = create_executor(backend, self.config, evaluator)
-            self._executors[fraction] = executor
-        return executor
 
     def _evaluate_many(
         self,
@@ -621,19 +606,24 @@ class EvaluationEngine:
         fraction: float = 1.0,
     ) -> List[EvaluationResult]:
         """Evaluate ``programs`` at ``fraction`` fidelity on the configured
-        backend (a rung runs its scaled evaluator on its own executor)."""
+        backend (a rung's units run its scaled evaluator)."""
         if not programs:
             return []
         backend = self._backend_name()
-        evaluator = self.evaluator if fraction == 1.0 else self._scaled_evaluator(fraction)
-        executor = self._ensure_executor(backend, fraction, evaluator)
+        evaluator = self._scaled_evaluator(fraction)
+        if self._executor is None or self._executor.name != backend:
+            self.close()
+            self._executor = create_executor(
+                backend, self.config, self.evaluator, self._scaled_evaluators
+            )
+        executor = self._executor
         # Note: single-program batches still go through the configured
         # backend -- a serial shortcut would silently drop the timeout and
         # crash isolation.
         if backend != "serial" and isinstance(evaluator, MultiScenarioEvaluator):
-            return self._evaluate_many_sharded(programs, evaluator, executor, stats)
+            return self._evaluate_many_sharded(programs, evaluator, executor, stats, fraction)
         units = [
-            EvalUnit(program=program, failure_score=evaluator.failure_score)
+            EvalUnit(program=program, failure_score=evaluator.failure_score, fidelity=fraction)
             for program in programs
         ]
         return executor.run_units(units, stats)
@@ -644,6 +634,7 @@ class EvaluationEngine:
         evaluator: MultiScenarioEvaluator,
         executor,
         stats: BatchStats,
+        fraction: float,
     ) -> List[EvaluationResult]:
         """Fan candidate x scenario units over the executor, then recombine.
 
@@ -659,6 +650,7 @@ class EvaluationEngine:
                 program=programs[program_index],
                 scenario=scenario_index,
                 failure_score=evaluator.scenario_failure_score(scenario_index),
+                fidelity=fraction,
             )
             for program_index in range(len(programs))
             for scenario_index in range(evaluator.scenario_count)

@@ -13,23 +13,27 @@ import sys
 
 from repro.cache import columnar
 from repro.cache.columnar import _fused_loop, _kernel_table, fused_cache_run
+from repro.cache.policies.base import CachedObject
+from repro.cache.search import CachingEvaluator
 from repro.cache.simulator import CacheSimulator
+from repro.dsl.parser import parse
 from repro.traces.streaming import StreamingTrace
 
-from tests.cache.test_columnar import PROGRAMS, _policy, _workload_trace
+from tests.cache.test_columnar import PROGRAMS, _classic, _policy, _state, _workload_trace
 
 #: Sizes in the workload trace are 50..200, so nothing is ever bypassed and
 #: both capacities score every request: the kernel is entered equally often.
 ROOMY, TIGHT = 10**6, 400
 
 
-def frames_entered(fn):
-    """(Python frames entered while it ran, what it returned) of ``fn()``."""
+def frames_entered(fn, code=None):
+    """(Python frames entered while it ran, what it returned) of ``fn()``;
+    with ``code``, only the frames that run that code object."""
     entered = 0
 
-    def profiler(_frame, event, _arg):
+    def profiler(frame, event, _arg):
         nonlocal entered
-        if event == "call":
+        if event == "call" and (code is None or frame.f_code is code):
             entered += 1
 
     # A collection mid-run would enter whatever ``gc.callbacks`` the test
@@ -118,3 +122,32 @@ def test_the_loop_walks_the_traces_own_columns(monkeypatch):
     assert all(type(column) is list for column in kept)
     for columns in handed:
         assert all(ours is theirs for ours, theirs in zip(columns, kept))
+
+
+class _RecordingSimulator(CacheSimulator):
+    def __init__(self):
+        super().__init__()
+        self.policies = []
+
+    def run(self, policy, trace, warmup=0):
+        self.policies.append(policy)
+        return super().run(policy, trace, warmup)
+
+
+def test_scoring_a_candidate_builds_no_object_table():
+    """A lowered ``CachingEvaluator.evaluate_program`` constructs no
+    ``CachedObject``; reading its policy afterwards builds the table the
+    classic loop leaves, field for field."""
+    trace = _workload_trace()
+    evaluator = CachingEvaluator(trace, cache_size=TIGHT)
+    evaluator._simulator = simulator = _RecordingSimulator()
+    program = parse(PROGRAMS["history"])
+    built, result = frames_entered(
+        lambda: evaluator.evaluate_program(program), code=CachedObject.__init__.__code__
+    )
+    assert result.valid and result.details["evictions"] > 0
+    assert built == 0
+    (policy,) = simulator.policies
+    classic = _policy(PROGRAMS["history"], TIGHT)
+    _classic(classic, trace)
+    assert _state(policy) == _state(classic)

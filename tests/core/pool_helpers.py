@@ -5,6 +5,7 @@ unpickle them by module path whatever the multiprocessing start method.
 """
 
 import os
+import time
 
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.dsl import Interpreter
@@ -22,6 +23,24 @@ class InterpEvaluator(Evaluator):
         return EvaluationResult(
             score=float(value), valid=True, details={"pid": float(os.getpid())}
         )
+
+
+class HangingEvaluator(InterpEvaluator):
+    """Hangs on the trigger until the release file appears (at most a minute),
+    so a test can outwait a timeout without leaving a worker asleep."""
+
+    def __init__(self, release_path, trigger_score):
+        self.release_path = str(release_path)
+        self.trigger_score = trigger_score
+
+    def evaluate_program(self, program):
+        result = super().evaluate_program(program)
+        deadline = time.monotonic() + 60.0
+        while result.score == self.trigger_score and time.monotonic() < deadline:
+            if os.path.exists(self.release_path):
+                break
+            time.sleep(0.01)
+        return result
 
 
 class CrashOnceEvaluator(InterpEvaluator):

@@ -67,7 +67,7 @@ def test_worker_pool_released_after_run(small_synthetic_trace):
         engine_config=EngineConfig(max_workers=2, executor="thread"),
     )
     setup.search.run()
-    assert setup.engine._executors == {}
+    assert setup.engine._executor is None
 
 
 def test_search_config_overrides_apply():

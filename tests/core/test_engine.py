@@ -145,14 +145,14 @@ def test_timeouts_are_not_memoized():
 def test_executor_is_reused_across_batches():
     engine = make_engine(CountingEvaluator(), max_workers=2, executor="thread")
     engine.process_batch(candidates(["def f(x) { return 1 }", "def f(x) { return 2 }"]))
-    executor = engine._executors[1.0]
+    executor = engine._executor
     assert executor.name == "thread"
     pool = executor._pool
     assert pool is not None
     engine.process_batch(candidates(["def f(x) { return 3 }", "def f(x) { return 4 }"]))
-    assert engine._executors[1.0] is executor and executor._pool is pool
+    assert engine._executor is executor and executor._pool is pool
     engine.close()
-    assert engine._executors == {}
+    assert engine._executor is None
 
 
 def test_engine_config_validation():

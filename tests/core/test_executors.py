@@ -5,7 +5,7 @@ from concurrent.futures import BrokenExecutor
 
 import pytest
 
-from pool_helpers import CrashOnceEvaluator, InterpEvaluator
+from pool_helpers import CrashOnceEvaluator, HangingEvaluator, InterpEvaluator
 from repro.core.checker import StructuralChecker
 from repro.core.engine import BatchStats, EngineConfig, EvaluationEngine
 from repro.core.evaluator import EvaluationResult, Evaluator
@@ -153,14 +153,15 @@ def test_backends_match_serial_under_scenario_sharding(executor):
 def test_single_worker_runs_serially_whatever_the_backend():
     engine = make_engine(max_workers=1, executor="process")
     engine.process_batch(candidates(["def f(x) { return 1 }"]))
-    assert engine._executors[1.0].name == "serial"
+    assert engine._executor.name == "serial"
     engine.close()
 
 
 # -- crash rescue -------------------------------------------------------------------
 
-#: Unit 1 hard-kills its worker; the others are ordinary.
-CRASH_SOURCES = [f"def f(x) {{ return {n} }}" for n in (3, 1000, 7, 13, 21, 40, 55, 68)]
+#: Unit 1 hard-kills its worker; the others are ordinary.  Enough programs
+#: that each of the 4 x max_workers chunks holds several units.
+CRASH_SOURCES = [f"def f(x) {{ return {n} }}" for n in (3, 1000, *range(7, 205, 11))]
 TRIGGER = 1000.0
 
 
@@ -187,13 +188,13 @@ def crash_evaluators(marker, sharded):
 
 
 def record_submissions(monkeypatch):
-    """Every ``(pool, future)`` the process executor submits, in order."""
+    """Every ``(pool, chunk, future)`` the process executor submits, in order."""
     submitted = []
     submit = ProcessExecutor._submit
 
-    def spy(self, pool, unit):
-        future = submit(self, pool, unit)
-        submitted.append((pool, future))
+    def spy(self, pool, chunk):
+        future = submit(self, pool, chunk)
+        submitted.append((pool, chunk, future))
         return future
 
     monkeypatch.setattr(ProcessExecutor, "_submit", spy)
@@ -202,9 +203,10 @@ def record_submissions(monkeypatch):
 
 @pytest.mark.parametrize("sharded", [False, True], ids=["whole", "sharded"])
 def test_killed_process_worker_costs_time_never_a_score(tmp_path, monkeypatch, sharded):
-    """A worker that dies mid-unit breaks the pool: the unit it held and
-    every unit still queued are evaluated inline by the coordinator, with
-    the scores a serial run gives, and the next batch gets a fresh pool."""
+    """A worker that dies mid-chunk breaks the pool: every unit of the chunk
+    it held and of every chunk still queued is evaluated inline by the
+    coordinator, with the scores a serial run gives, and the next batch gets
+    a fresh pool."""
     marker = tmp_path / "crashed-once"
     evaluator, reference = crash_evaluators(marker, sharded)
     units = crash_units(sharded)
@@ -225,20 +227,60 @@ def test_killed_process_worker_costs_time_never_a_score(tmp_path, monkeypatch, s
     assert [r.score for r in results] == [r.score for r in serial]
     assert all(r.valid and not r.transient for r in results)
     assert stats.eval_timeouts == 0
+    # A few strided chunks of several units each, covering every unit once.
+    position = {id(unit): index for index, unit in enumerate(units)}
+    future_of = {
+        position[id(unit)]: future for _pool, chunk, future in first for unit in chunk
+    }
+    assert len(first) == 8 and min(len(chunk) for _pool, chunk, _future in first) >= 2
+    assert sorted(future_of) == list(range(len(units)))
     coordinator = float(os.getpid())
     crashed = 3 if sharded else 1  # the trigger program's crashing unit
-    futures = [future for _pool, future in first]
-    assert isinstance(futures[crashed].exception(), BrokenExecutor)
-    for result, future in zip(results, futures):
+    assert isinstance(future_of[crashed].exception(), BrokenExecutor)
+    for index, result in enumerate(results):
+        future = future_of[index]
         lost = future.cancelled() or isinstance(future.exception(), BrokenExecutor)
         assert (result.details["pid"] == coordinator) == lost
 
     # The broken pool was discarded: the second batch ran on a new one,
     # entirely in workers, with the same scores.
     broken = first[0][0]
-    assert all(pool is broken for pool, _future in first)
+    assert all(pool is broken for pool, _chunk, _future in first)
     fresh = submitted[len(first)][0]
     assert fresh is not broken
-    assert all(pool is fresh for pool, _future in submitted[len(first):])
+    assert all(pool is fresh for pool, _chunk, _future in submitted[len(first):])
     assert [r.score for r in again] == [r.score for r in serial]
     assert coordinator not in {r.details["pid"] for r in again}
+
+
+# -- timeouts -----------------------------------------------------------------------
+
+
+def test_process_timeout_costs_only_the_hung_unit(tmp_path, monkeypatch):
+    """With ``eval_timeout_s`` set each unit is a task of its own: one hung
+    unit times out alone, and its batch-mates score as a serial run does."""
+    release = tmp_path / "release"
+    units = [EvalUnit(program=parse(source), failure_score=-1.0) for source in SOURCES]
+    serial = SerialExecutor(EngineConfig(), InterpEvaluator()).run_units(units, BatchStats())
+    executor = create_executor(
+        "process",
+        EngineConfig(max_workers=2, eval_timeout_s=2.0),
+        HangingEvaluator(release, trigger_score=3.0),
+    )
+    try:
+        executor.run_units(units[:2], BatchStats())  # the pool is up before any wait
+        submitted = record_submissions(monkeypatch)
+        stats = BatchStats()
+        results = executor.run_units(units, stats)
+    finally:
+        release.touch()
+        executor.close()
+
+    assert [len(chunk) for _pool, chunk, _future in submitted] == [1] * len(units)
+    assert stats.eval_timeouts == 1
+    hung = results.pop(3)
+    assert not hung.valid and hung.transient and "timed out" in hung.error
+    assert hung.score == -1.0
+    del serial[3]
+    assert [r.score for r in results] == [r.score for r in serial]
+    assert all(r.valid and not r.transient for r in results)
