@@ -25,7 +25,7 @@ Package map
                         / resume / experiments list / report)
 
 Start with ``examples/quickstart.py``, ``python -m repro experiments list``,
-or DESIGN.md.
+or README.md.
 """
 
 __version__ = "1.1.0"

@@ -9,8 +9,7 @@ Commands
     versioned artifact directory, and print the report.  ``--executor`` /
     ``--max-workers`` override the spec's engine parallelism and
     ``--backend`` its DSL execution backend without editing the JSON;
-    ``--pipeline`` turns on generation/evaluation overlap and ``--provider``
-    layers an LLM provider block (retries, timeouts, batch size, prompt
+    ``--provider`` layers an LLM provider block (retries, timeouts, prompt
     cache) onto the spec -- none of which change the run's results.
 ``sweep <spec.json>``
     Run the spec once per seed (``--seeds`` overrides the spec's list),
@@ -152,35 +151,27 @@ def _apply_engine_overrides(spec: RunSpec, args: argparse.Namespace) -> RunSpec:
     return RunSpec.from_dict(data)
 
 
-def _apply_pipeline_overrides(spec: RunSpec, args: argparse.Namespace) -> RunSpec:
-    """Layer ``--pipeline`` / ``--provider`` onto a spec without editing the
-    JSON.
+def _apply_provider_override(spec: RunSpec, args: argparse.Namespace) -> RunSpec:
+    """Layer ``--provider`` onto a spec without editing the JSON.
 
     ``--provider`` accepts a bare provider name (``synthetic``) or a JSON
-    object (``{"name": "synthetic", "retries": 2, "batch_size": 4,
-    "prompt_cache": "runs/promptcache"}``); it lands in the spec's
-    ``llm["provider"]`` block and is validated by
-    :class:`~repro.llm.client.ProviderConfig`.
+    object (``{"name": "synthetic", "retries": 2, "prompt_cache":
+    "runs/promptcache"}``); it lands in the spec's ``llm["provider"]`` block
+    and is validated by :class:`~repro.llm.client.ProviderConfig`.
     """
-    data: Optional[Dict[str, Any]] = None
-    if getattr(args, "pipeline", False):
-        data = spec.to_dict()
-        data["search"] = {**data["search"], "pipeline": True}
     raw = getattr(args, "provider", None)
-    if raw is not None:
-        try:
-            ref: Any = json.loads(raw)
-        except json.JSONDecodeError:
-            ref = raw  # a bare provider name
-        if not isinstance(ref, (str, dict)):
-            raise CliError(
-                f"--provider expects a provider name or a JSON object, got {raw!r}"
-            )
-        if data is None:
-            data = spec.to_dict()
-        data["llm"] = {**data["llm"], "provider": ref}
-    if data is None:
+    if raw is None:
         return spec
+    try:
+        ref: Any = json.loads(raw)
+    except json.JSONDecodeError:
+        ref = raw  # a bare provider name
+    if not isinstance(ref, (str, dict)):
+        raise CliError(
+            f"--provider expects a provider name or a JSON object, got {raw!r}"
+        )
+    data = spec.to_dict()
+    data["llm"] = {**data["llm"], "provider": ref}
     return RunSpec.from_dict(data)
 
 
@@ -271,7 +262,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             spec = spec.for_seed(args.seed)
         spec = _apply_engine_overrides(spec, args)
         spec = _apply_fidelity_override(spec, args)
-        spec = _apply_pipeline_overrides(spec, args)
+        spec = _apply_provider_override(spec, args)
         outcome = run(
             spec,
             store=store,
@@ -294,10 +285,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "--fidelity applies to RunSpec runs; registered experiments "
             "do not use the multi-fidelity scheduler"
         )
-    if getattr(args, "pipeline", False) or getattr(args, "provider", None) is not None:
+    if getattr(args, "provider", None) is not None:
         raise CliError(
-            "--pipeline/--provider apply to RunSpec runs; registered "
-            "experiments do not use the pipelined round scheduler"
+            "--provider applies to RunSpec runs; registered experiments "
+            "build their own LLM client"
         )
     if getattr(args, "eval_store", None) is not None or getattr(
         args, "no_eval_store", False
@@ -345,7 +336,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = RunSpec.from_dict({**spec.to_dict(), "seeds": seeds})
     spec = _apply_engine_overrides(spec, args)
     spec = _apply_fidelity_override(spec, args)
-    spec = _apply_pipeline_overrides(spec, args)
+    spec = _apply_provider_override(spec, args)
     # Progress printing only when seeds run one at a time: concurrent seeds
     # would interleave unattributed lines through one shared printer.
     serial = args.parallel == 1 or len(spec.seed_list) == 1
@@ -694,19 +685,15 @@ def build_parser() -> argparse.ArgumentParser:
             "input-independent or clamp-pinned output) with the interval "
             "abstract interpreter before any evaluation",
         )
-        p.add_argument(
-            "--pipeline",
-            action="store_true",
-            help="overlap candidate generation with evaluation (results are "
-            "byte-identical to the serial schedule)",
-        )
+        # Kept only to reject it by name (see main()).
+        p.add_argument("--pipeline", action="store_true", help=argparse.SUPPRESS)
         p.add_argument(
             "--provider",
             default=None,
             metavar="NAME|JSON",
             help="LLM provider block: a bare name ('synthetic') or a JSON "
             'object (e.g. {"name": "synthetic", "retries": 2, '
-            '"batch_size": 4, "prompt_cache": "runs/promptcache"})',
+            '"prompt_cache": "runs/promptcache"})',
         )
 
     p_run = sub.add_parser("run", help="run an experiment by name or a RunSpec file")
@@ -816,6 +803,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "pipeline", False):
+            raise CliError(
+                "--pipeline was removed along with the pipeline scheduler; "
+                "every round generates, then evaluates"
+            )
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

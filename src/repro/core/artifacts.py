@@ -76,8 +76,7 @@ def _strip_volatile_round(data: dict) -> dict:
 
     The budget counters (see :class:`~repro.core.results.BudgetCounters`)
     describe how evaluation was budgeted, not what the search found; the
-    phase timings are wall-clock (and a pipelined run must stay
-    byte-identical to a serial one).  Live values go to ``metadata.json``.
+    phase timings are wall-clock.  Live values go to ``metadata.json``.
     """
     return dict(data, **_ZERO_BUDGET, generation_s=0.0, evaluation_s=0.0, overlap_s=0.0)
 

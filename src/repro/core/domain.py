@@ -227,10 +227,9 @@ def build_search(
     ``provider`` (a :class:`~repro.llm.client.ProviderConfig`) layers the
     provider's resilience/caching adapters around the client --
     retries/timeouts via :class:`~repro.llm.client.ResilientClient`, an
-    on-disk prompt cache via :class:`~repro.llm.cache.CachingClient` -- and
-    sets the generator's preferred per-call ``batch_size`` for pipelined
-    rounds.  None of those adapters change what the client returns, only how
-    the calls are made.
+    on-disk prompt cache via :class:`~repro.llm.cache.CachingClient`.  None
+    of those adapters change what the client returns, only how the calls
+    are made.
 
     ``workloads`` declares a *scenario matrix*: a list of workload references
     (registry names, ``{"name": ..., **overrides}`` dictionaries or
@@ -315,12 +314,7 @@ def build_search(
         llm = domain.prepare_llm_config(llm_config or domain.default_llm_config())
         client = domain.build_client(template, llm, seed)
     client = wrap_client(client, provider)
-    generator = LLMGenerator(
-        template,
-        client,
-        context_description=context.describe(),
-        batch_size=provider.batch_size if provider is not None else None,
-    )
+    generator = LLMGenerator(template, client, context_description=context.describe())
     checker = checker or domain.build_checker(template)
     if evaluator is None:
         if workload_specs is not None:

@@ -123,12 +123,22 @@ class EngineConfig:
     static_screen: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_workers, int):
+            raise ValueError(
+                "engine.max_workers must be an integer, "
+                f"got {type(self.max_workers).__name__} {self.max_workers!r}"
+            )
         if self.max_workers <= 0:
             raise ValueError("max_workers must be positive")
         if self.executor not in available_executors():
             raise ValueError(
                 f"unknown executor {self.executor!r}; "
                 f"available: {available_executors()}"
+            )
+        if self.eval_timeout_s is not None and not isinstance(self.eval_timeout_s, (int, float)):
+            raise ValueError(
+                "engine.eval_timeout_s must be a number, "
+                f"got {type(self.eval_timeout_s).__name__} {self.eval_timeout_s!r}"
             )
         if self.eval_timeout_s is not None and self.eval_timeout_s <= 0:
             raise ValueError("eval_timeout_s must be positive")
@@ -282,23 +292,6 @@ class EvaluationEngine:
             check_issues=issues if not check.ok else [],
         )
 
-    def precheck_candidate(self, candidate: Candidate) -> ScoredCandidate:
-        """Check one candidate *without* the repair loop.
-
-        Pure with respect to the generator: the pipelined round uses this to
-        classify streamed candidates immediately, deferring every repair --
-        each of which consumes the shared LLM client's RNG stream -- to a
-        single ordered phase that replays the serial path's client-call
-        sequence exactly.
-        """
-        check = self.checker.check(candidate.source)
-        return ScoredCandidate(
-            candidate=candidate,
-            program=check.program if check.ok else None,
-            check_ok=check.ok,
-            check_issues=list(check.issues) if not check.ok else [],
-        )
-
     # -- evaluation phase ---------------------------------------------------------
 
     def process_batch(self, candidates: List[Candidate]) -> BatchResult:
@@ -308,15 +301,7 @@ class EvaluationEngine:
         )
 
     def process_scored(self, scored: List[ScoredCandidate]) -> BatchResult:
-        """Run the evaluation pipeline over already-checked candidates.
-
-        This is the streaming entry point: the pipelined round checks
-        candidates as they come off the generator and feeds the engine one
-        chunk at a time.  Splitting a batch into chunks preserves every
-        statistic a serial :meth:`process_batch` would report (a cross-chunk
-        duplicate becomes a memo hit instead of a group join -- both count
-        as ``eval_cache_hits`` with tier ``"memory"``).
-        """
+        """Run the evaluation pipeline over already-checked candidates."""
         stats = BatchStats(checked=len(scored))
         for item in scored:
             if item.check_ok and not item.candidate.repaired:

@@ -76,9 +76,8 @@ class RunStarted(RunEvent):
 class GenerationStarted(RunEvent):
     """The round's candidate generation is about to run.
 
-    Emitted before the first client call of the round (serial and pipelined
-    paths alike), so a frontend can show generation progress instead of
-    going silent between round summaries.
+    Emitted before the round's client call, so a frontend can show
+    generation progress instead of going silent between round summaries.
     """
 
     kind: ClassVar[str] = "generation_started"
@@ -95,9 +94,8 @@ class GenerationCompleted(RunEvent):
     """The round's candidate generation finished.
 
     ``generated`` can fall short of ``requested`` when completions carry no
-    code block; ``chunks`` is the number of client calls the round streamed
-    the prompt through (1 on the serial path).  ``wall_time_s`` is telemetry
-    only -- it never enters result.json.
+    code block.  ``wall_time_s`` is telemetry only -- it never enters
+    result.json.
     """
 
     kind: ClassVar[str] = "generation_completed"
@@ -105,7 +103,6 @@ class GenerationCompleted(RunEvent):
     round_index: int = 0
     requested: int = 0
     generated: int = 0
-    chunks: int = 1
     wall_time_s: float = 0.0
 
 
@@ -329,9 +326,8 @@ class ProgressPrinter:
             )
         elif isinstance(event, GenerationCompleted):
             if self.verbose:
-                chunks = f" in {event.chunks} chunk(s)" if event.chunks > 1 else ""
                 self._line(
-                    f"  generated {event.generated}/{event.requested}{chunks} "
+                    f"  generated {event.generated}/{event.requested} "
                     f"({event.wall_time_s:.1f}s)"
                 )
         elif isinstance(event, CandidateEvaluated):

@@ -48,16 +48,10 @@ class LLMGenerator:
         client: LLMClient,
         context_description: str = "",
         temperature: float = 1.0,
-        batch_size: Optional[int] = None,
     ):
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         self.template = template
         self.client = client
         self.temperature = temperature
-        #: Preferred completions per client call when the round is streamed
-        #: (``None``: the pipelined search picks its own chunk size).
-        self.batch_size = batch_size
         self.prompts = PromptBuilder(template, context_description)
         self.usage = UsageTracker()
 
@@ -72,28 +66,10 @@ class LLMGenerator:
         """
         if num_candidates <= 0:
             return []
-        messages = self.generation_messages(parents, num_candidates)
-        return self.generate_chunk(messages, num_candidates)
-
-    # -- streaming (pipelined rounds) ----------------------------------------------
-
-    def generation_messages(self, parents: ParentExamples, num_candidates: int):
-        """The generation prompt for one round.
-
-        Exposed separately so the pipelined round can build the prompt
-        *once* -- with the round's full candidate budget embedded in the
-        text -- and then pull completions off it in chunks: for the seeded
-        synthetic client, ``complete(msgs, n=k)`` and sequential
-        ``complete(msgs, n=c_i)`` with the same ``msgs`` and ``sum(c_i)=k``
-        consume the identical RNG stream.
-        """
-        return self.prompts.generation_prompt(list(parents), num_candidates)
-
-    def generate_chunk(self, messages, n: int) -> List[str]:
-        """Pull ``n`` completions off an already-built generation prompt."""
-        if n <= 0:
-            return []
-        responses = self.client.complete(messages, n=n, temperature=self.temperature)
+        messages = self.prompts.generation_prompt(list(parents), num_candidates)
+        responses = self.client.complete(
+            messages, n=num_candidates, temperature=self.temperature
+        )
         sources: List[str] = []
         for response in responses:
             self.usage.record(response.prompt_tokens, response.completion_tokens)

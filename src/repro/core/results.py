@@ -123,12 +123,13 @@ class RoundSummary(BudgetCounters):
     each workload scenario to the best per-scenario score any valid
     candidate of this round achieved (empty for single-scenario runs).
 
-    ``generation_s`` / ``evaluation_s`` / ``overlap_s`` time the round's two
-    phases and how much of them ran concurrently (always 0 on the serial
-    path).  They are wall-clock, hence volatile: the artifact writer zeroes
-    them like the budget counters (summed live values land in
-    ``metadata.json["pipeline"]``), which is what keeps a pipelined run
-    byte-identical to a serial one.
+    ``generation_s`` / ``evaluation_s`` time the round's two phases.  They
+    are wall-clock, hence volatile: the artifact writer zeroes them like the
+    budget counters (summed live values land in
+    ``metadata.json["pipeline"]``).  ``overlap_s`` is always 0.0: the two
+    phases run one after the other, and the field stays only so that
+    ``result.json``, ``rounds.jsonl`` and checkpoints keep their schema
+    until the phase timings leave it.
     """
 
     round_index: int

@@ -28,18 +28,16 @@ with LRU and LFU.
 
 from __future__ import annotations
 
-import asyncio
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.archive import SearchCheckpoint
 from repro.core.checker import Checker
 from repro.core.context import Context
 from repro.core.cost import GPT_4O_MINI_PRICING, CostModel
-from repro.core.engine import BatchResult, BatchStats, EngineConfig, EvaluationEngine
+from repro.core.engine import BatchStats, EngineConfig, EvaluationEngine
 from repro.core.evaluator import Evaluator
 from repro.core.fidelity import FidelitySchedule
 from repro.core.events import (
@@ -66,19 +64,7 @@ from repro.dsl.codegen import to_source
 
 @dataclass
 class SearchConfig:
-    """Tunables of the evolutionary search.
-
-    ``pipeline`` streams each round's generated candidates into the engine
-    as they arrive (and speculatively overlaps the next round's generation
-    with the current round's tail evaluation) instead of barriering on the
-    full batch.  It changes wall-clock scheduling only: with the seeded
-    synthetic client, a fixed-seed run produces a byte-identical
-    ``result.json`` pipelined or not.  The search silently falls back to
-    the serial round loop for configurations where the equivalence cannot
-    hold (a screening fidelity ladder, or a generator without the
-    chunked-generation API); :attr:`EvolutionarySearch.pipelined` says which
-    loop runs, and ``metadata.json`` records it.
-    """
+    """Tunables of the evolutionary search."""
 
     rounds: int = 20
     candidates_per_round: int = 25
@@ -86,9 +72,14 @@ class SearchConfig:
     repair_attempts: int = 1
     include_seeds: bool = True
     cost_model: CostModel = GPT_4O_MINI_PRICING
-    pipeline: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("rounds", "candidates_per_round", "top_k_parents", "repair_attempts"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ValueError(
+                    f"search.{name} must be an integer, got {type(value).__name__} {value!r}"
+                )
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
         if self.candidates_per_round <= 0:
@@ -154,9 +145,6 @@ class EvolutionarySearch:
         if checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive")
         self.checkpoint_every = checkpoint_every
-        # Speculative next-round generation produced by a pipelined round:
-        # ``{"round", "examples", "sources", "snapshot", "chunk"}`` or None.
-        self._prefetch: Optional[Dict[str, Any]] = None
 
     # -- public API -----------------------------------------------------------------
 
@@ -220,9 +208,8 @@ class EvolutionarySearch:
                 **batch.stats.budget(),
             }
 
-        run_round = self._run_round_pipelined if self.pipelined else self._run_round
         for round_index in range(len(rounds) + 1, self.config.rounds + 1):
-            summary = run_round(round_index, population, counter)
+            summary = self._run_round(round_index, population, counter)
             counter += summary.generated
             rounds.append(summary)
             self.events.emit(
@@ -313,10 +300,6 @@ class EvolutionarySearch:
         population: List[ScoredCandidate],
         id_offset: int,
     ) -> RoundSummary:
-        # A serial round never consumes speculative generation (a prefetch
-        # can only be pending after a mid-run fallback or resume): roll the
-        # client back so the round replays the canonical call sequence.
-        self._discard_prefetch()
         summary = RoundSummary(round_index=round_index)
         parents = self._parents_of(population)
         parent_examples = [(c.source, c.score) for c in parents]
@@ -339,7 +322,6 @@ class EvolutionarySearch:
                 round_index=round_index,
                 requested=self.config.candidates_per_round,
                 generated=len(sources),
-                chunks=1,
                 wall_time_s=summary.generation_s,
             )
         )
@@ -383,279 +365,6 @@ class EvolutionarySearch:
 
         best = self._best_of(population)
         summary.best_overall_score = best.score if best else float("-inf")
-
-    # -- pipelined rounds ------------------------------------------------------------
-
-    @property
-    def pipelined(self) -> bool:
-        """Whether the pipelined round loop replaces the serial one.
-
-        The pipeline is opt-in (``SearchConfig.pipeline``) and silently
-        falls back to the serial path where chunked batches are not
-        statistics-equivalent to one serial batch: a *screening* fidelity
-        ladder sizes its rungs per batch, so chunking would change which
-        candidates are screened out.
-        """
-        if not self.config.pipeline:
-            return False
-        fidelity = self.engine.fidelity
-        if fidelity is not None and fidelity.screening_rungs:
-            return False
-        return hasattr(self.generator, "generation_messages") and hasattr(
-            self.generator, "generate_chunk"
-        )
-
-    def _chunk_plan(self, total: int) -> List[int]:
-        """Chunk sizes for streaming ``total`` completions off one prompt.
-
-        Honours the generator's ``batch_size`` hint; otherwise aims for four
-        chunks so evaluation of the first quarter overlaps generation of the
-        rest.  Every chunk is >= 1: the synthetic client treats ``n=0`` as
-        ``n=1``, so a zero-sized chunk would desynchronise the RNG stream.
-        """
-        size = getattr(self.generator, "batch_size", None)
-        if not size or size <= 0:
-            size = max(1, math.ceil(total / 4))
-        return [min(size, total - start) for start in range(0, total, size)]
-
-    def _run_round_pipelined(
-        self,
-        round_index: int,
-        population: List[ScoredCandidate],
-        id_offset: int,
-    ) -> RoundSummary:
-        """One round with generation streamed into the engine as it arrives.
-
-        Result-equivalent to :meth:`_run_round` by construction:
-
-        * the generation prompt is built once with the round's full budget,
-          and chunked ``complete(msgs, n=c_i)`` calls consume the same RNG
-          stream as one ``complete(msgs, n=total)``;
-        * streamed candidates are *pre*-checked only (no client calls);
-          every repair is deferred to one ordered phase after the last
-          generation chunk, replaying the serial path's client-call
-          sequence exactly;
-        * chunks reach :meth:`~repro.core.engine.EvaluationEngine.process_scored`
-          in submission order through a single consumer, so the memo tiers
-          fill in the same order as one serial batch;
-        * after the round's last client call, the *next* round's first chunk
-          is generated speculatively while the evaluation tail drains,
-          against the parents predicted from results so far; the client
-          state is snapshotted first and rolled back if the prediction
-          misses, so a misprediction costs time, never determinism.
-        """
-        self._discard_prefetch_if_stale(round_index)
-        summary = RoundSummary(round_index=round_index)
-        parents = self._parents_of(population)
-        parent_examples = [(c.source, c.score) for c in parents]
-        parent_ids = [c.candidate.candidate_id for c in parents]
-        total = self.config.candidates_per_round
-        self.events.emit(
-            GenerationStarted(
-                round_index=round_index, requested=total, parents=len(parent_examples)
-            )
-        )
-        round_start = time.perf_counter()
-        ordered, batches, gen_s, eval_s, chunks = asyncio.run(
-            self._pipeline_round(
-                round_index, parent_examples, parent_ids, id_offset, total, population
-            )
-        )
-        round_wall = time.perf_counter() - round_start
-        summary.generated = len(ordered)
-        self.events.emit(
-            GenerationCompleted(
-                round_index=round_index,
-                requested=total,
-                generated=len(ordered),
-                chunks=chunks,
-                wall_time_s=gen_s,
-            )
-        )
-        self._fold_stats(summary, self._merge_stats(batches))
-        self._fold_scored(summary, ordered, population)
-        summary.generation_s = gen_s
-        summary.evaluation_s = eval_s
-        summary.overlap_s = max(0.0, gen_s + eval_s - round_wall)
-        return summary
-
-    async def _pipeline_round(
-        self,
-        round_index: int,
-        parent_examples: List[Tuple[str, float]],
-        parent_ids: List[str],
-        id_offset: int,
-        total: int,
-        population: List[ScoredCandidate],
-    ) -> Tuple[List[ScoredCandidate], List[BatchResult], float, float, int]:
-        loop = asyncio.get_running_loop()
-        queue: asyncio.Queue = asyncio.Queue()
-        batches: List[BatchResult] = []
-        eval_s = 0.0
-
-        async def consume() -> None:
-            # Single consumer: engine calls stay serialized (the memo and
-            # the event bus are not thread-safe) and chunks are evaluated
-            # in submission order.
-            nonlocal eval_s
-            while True:
-                chunk = await queue.get()
-                if chunk is None:
-                    return
-                started = time.perf_counter()
-                batches.append(
-                    await loop.run_in_executor(None, self.engine.process_scored, chunk)
-                )
-                eval_s += time.perf_counter() - started
-
-        consumer = asyncio.create_task(consume())
-        gen_s = 0.0
-        chunks_used = 0
-        ordered: List[ScoredCandidate] = []
-        deferred: List[int] = []  # ordered[] positions awaiting repair
-        prefetched = self._consume_prefetch(round_index, parent_examples)
-        messages = self.generator.generation_messages(parent_examples, total)
-        try:
-            for chunk_index, chunk_size in enumerate(self._chunk_plan(total)):
-                started = time.perf_counter()
-                if chunk_index == 0 and prefetched is not None:
-                    sources = prefetched
-                else:
-                    sources = await loop.run_in_executor(
-                        None, self.generator.generate_chunk, messages, chunk_size
-                    )
-                gen_s += time.perf_counter() - started
-                chunks_used += 1
-                passing: List[ScoredCandidate] = []
-                for source in sources:
-                    candidate = Candidate(
-                        candidate_id=f"r{round_index}-c{id_offset + len(ordered) + 1}",
-                        source=source,
-                        round_index=round_index,
-                        parent_ids=list(parent_ids),
-                    )
-                    pre = self.engine.precheck_candidate(candidate)
-                    if pre.check_ok:
-                        passing.append(pre)
-                    else:
-                        deferred.append(len(ordered))
-                    ordered.append(pre)
-                if passing:
-                    await queue.put(passing)
-
-            if deferred:
-                # Deferred repair phase: each repair consumes the shared
-                # client's RNG stream, so they run once, in submission
-                # order -- the exact sequence the serial path produces.
-                started = time.perf_counter()
-                repaired: List[ScoredCandidate] = []
-                for position in deferred:
-                    redone = await loop.run_in_executor(
-                        None, self.engine.check_candidate, ordered[position].candidate
-                    )
-                    ordered[position] = redone
-                    repaired.append(redone)
-                gen_s += time.perf_counter() - started
-                # Still-failing candidates ride along so the engine counts
-                # their failure codes, exactly as in one serial batch.
-                await queue.put(repaired)
-
-            if round_index < self.config.rounds:
-                gen_s += await self._speculate(loop, round_index, population, ordered)
-        finally:
-            await queue.put(None)
-            await consumer
-        return ordered, batches, gen_s, eval_s, chunks_used
-
-    async def _speculate(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        round_index: int,
-        population: List[ScoredCandidate],
-        ordered: List[ScoredCandidate],
-    ) -> float:
-        """Generate the next round's first chunk while evaluation drains.
-
-        Parents are predicted from every result available right now (the
-        consumer may still be evaluating the tail).  The client state is
-        snapshotted before the speculative call; the next round verifies the
-        prediction against its actual parents and rolls the client back on a
-        miss, so the speculation can never alter the search trajectory.
-        """
-        snapshot = self._capture_generator_state_now()
-        settled = [item for item in ordered if item.evaluation is not None]
-        predicted = self._parents_of(list(population) + settled)
-        examples = [(c.source, c.score) for c in predicted]
-        total = self.config.candidates_per_round
-        chunk_size = self._chunk_plan(total)[0]
-        messages = self.generator.generation_messages(examples, total)
-        started = time.perf_counter()
-        sources = await loop.run_in_executor(
-            None, self.generator.generate_chunk, messages, chunk_size
-        )
-        elapsed = time.perf_counter() - started
-        self._prefetch = {
-            "round": round_index + 1,
-            "examples": examples,
-            "sources": sources,
-            "snapshot": snapshot,
-            "chunk": chunk_size,
-        }
-        return elapsed
-
-    def _consume_prefetch(
-        self, round_index: int, parent_examples: List[Tuple[str, float]]
-    ) -> Optional[List[str]]:
-        """The speculatively-generated first chunk, if the prediction held.
-
-        On a parent mismatch the client is rolled back to its
-        pre-speculation snapshot and the round generates normally: the
-        chunk-1 client call replays with the correct prompt.
-        """
-        prefetch = self._prefetch
-        if prefetch is None:
-            return None
-        self._prefetch = None
-        if (
-            prefetch["round"] == round_index
-            and prefetch["examples"] == parent_examples
-            and prefetch["chunk"] == self._chunk_plan(self.config.candidates_per_round)[0]
-        ):
-            return prefetch["sources"]
-        self._restore_generator_state(prefetch["snapshot"])
-        return None
-
-    def _discard_prefetch(self) -> None:
-        if self._prefetch is not None:
-            self._restore_generator_state(self._prefetch["snapshot"])
-            self._prefetch = None
-
-    def _discard_prefetch_if_stale(self, round_index: int) -> None:
-        if self._prefetch is not None and self._prefetch["round"] != round_index:
-            self._discard_prefetch()
-
-    @staticmethod
-    def _merge_stats(batches: List[BatchResult]) -> BatchStats:
-        """Sum chunk statistics into one round-level BatchStats.
-
-        The sums equal what one serial batch reports: a cross-chunk
-        duplicate is a memo hit instead of a within-batch group join, and
-        both count as one ``eval_cache_hits``.
-        """
-        stats = BatchStats()
-        for batch in batches:
-            other = batch.stats
-            stats.checked += other.checked
-            stats.passed_check += other.passed_check
-            stats.passed_after_repair += other.passed_after_repair
-            for code, count in other.failure_codes.items():
-                stats.failure_codes[code] = stats.failure_codes.get(code, 0) + count
-            stats.eval_cache_lookups += other.eval_cache_lookups
-            stats.eval_cache_hits += other.eval_cache_hits
-            stats.unique_evaluations += other.unique_evaluations
-            stats.eval_timeouts += other.eval_timeouts
-            stats.add(other)
-        return stats
 
     @staticmethod
     def _fold_stats(summary: RoundSummary, stats: BatchStats) -> None:
@@ -721,19 +430,6 @@ class EvolutionarySearch:
         checkpoint.save(self.checkpoint_path)
 
     def _capture_generator_state(self) -> Optional[Dict[str, Any]]:
-        """Generator/client state as a checkpoint should record it.
-
-        While a speculative prefetch is pending, the client has already
-        consumed part of the *next* round's RNG stream; a checkpoint must
-        record the pre-speculation snapshot instead, because a resumed run
-        (which lost the prefetched sources) regenerates that round from the
-        start.
-        """
-        if self._prefetch is not None:
-            return self._prefetch["snapshot"]
-        return self._capture_generator_state_now()
-
-    def _capture_generator_state_now(self) -> Optional[Dict[str, Any]]:
         client = getattr(self.generator, "client", None)
         state: Dict[str, Any] = {}
         if client is not None and hasattr(client, "get_state"):

@@ -53,21 +53,28 @@ SEARCH_FIELDS = frozenset(
     f.name for f in fields(SearchConfig) if f.name != "cost_model"
 )
 ENGINE_FIELDS = frozenset(f.name for f in fields(EngineConfig))
-#: ``engine`` keys that stopped being options, and what a spec naming one
+_NO_PIPELINE = "the pipeline scheduler was removed; every round generates, then evaluates"
+_NO_DISTRIBUTED = "the distributed executor was removed; use `executor: process`"
+#: Keys that stopped being options, per block, and what a spec naming one
 #: should do instead (they are rejected like any unknown key).
-REMOVED_ENGINE_KEYS = {
-    "dedup": "always on since PR 24",
-    "memoize": "always on since PR 24",
-    "pipeline": "use `search.pipeline`",
-    "queue_dir": "the distributed executor was removed; use `executor: process`",
-    "worker_count": "the distributed executor was removed; use `executor: process`",
-    "lease_ttl_s": "the distributed executor was removed; use `executor: process`",
+REMOVED_KEYS = {
+    "search": {"pipeline": _NO_PIPELINE},
+    "engine": {
+        "dedup": "always on since PR 24",
+        "memoize": "always on since PR 24",
+        "pipeline": _NO_PIPELINE,
+        "queue_dir": _NO_DISTRIBUTED,
+        "worker_count": _NO_DISTRIBUTED,
+        "lease_ttl_s": _NO_DISTRIBUTED,
+    },
+    "provider": {"batch_size": _NO_PIPELINE},
 }
 #: ``llm`` overrides map onto :class:`SyntheticLLMConfig` fields, plus the
 #: ``"provider"`` block (a :class:`~repro.llm.client.ProviderConfig`
-#: reference: retries, timeouts, batch size, prompt cache) which configures
-#: the client *adapter* stack rather than the synthetic model itself.
+#: reference: retries, timeouts, prompt cache) which configures the client
+#: *adapter* stack rather than the synthetic model itself.
 PROVIDER_KEY = "provider"
+PROVIDER_FIELDS = frozenset(f.name for f in fields(ProviderConfig))
 LLM_FIELDS = frozenset(
     {f.name for f in fields(SyntheticLLMConfig)} | {PROVIDER_KEY}
 )
@@ -129,9 +136,13 @@ class RunSpec:
                 f"spec name {self.name!r} may only contain [A-Za-z0-9._-] "
                 "(it becomes a directory name)"
             )
-        _check_overrides("search", self.search, SEARCH_FIELDS)
-        _check_overrides("engine", self.engine, ENGINE_FIELDS, REMOVED_ENGINE_KEYS)
+        _check_overrides("search", self.search, SEARCH_FIELDS, REMOVED_KEYS["search"])
+        _check_overrides("engine", self.engine, ENGINE_FIELDS, REMOVED_KEYS["engine"])
         _check_overrides("llm", self.llm, LLM_FIELDS)
+        if isinstance(self.llm.get(PROVIDER_KEY), dict):
+            _check_overrides(
+                "provider", self.llm[PROVIDER_KEY], PROVIDER_FIELDS, REMOVED_KEYS["provider"]
+            )
         # Validate (and normalise) the provider block early, exactly like the
         # fidelity block: a typoed provider name or unknown key fails at spec
         # construction, and the canonical dict form keeps config hashes
@@ -617,16 +628,12 @@ def run(
         # in result.json; the live sums land here instead, alongside the
         # prompt-cache counters when a caching provider is attached.
         pipeline_record: Dict[str, Any] = {
-            # Which round loop ran, not which was asked for: a pipeline
-            # request falls back to the serial loop under a screening ladder.
-            "enabled": setup.search.pipelined,
             "generation_s": round(
                 sum(r.generation_s for r in result.rounds), 6
             ),
             "evaluation_s": round(
                 sum(r.evaluation_s for r in result.rounds), 6
             ),
-            "overlap_s": round(sum(r.overlap_s for r in result.rounds), 6),
         }
         generator_client = setup.search.generator.client
         cache = getattr(generator_client, "cache", None)

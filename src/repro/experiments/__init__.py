@@ -5,8 +5,7 @@ registers itself in the experiment registry
 (:mod:`repro.experiments.registry`) as a named spec + reducer, so the unified
 CLI runs it (``python -m repro run <name>``), stores its payload as an
 artifact, and re-renders the report offline (``python -m repro report``).
-See DESIGN.md §3 for the experiment index and EXPERIMENTS.md for recorded
-paper-vs-measured outcomes.
+README.md ("The ``repro`` CLI") shows how to run and re-render them.
 
 Quick map:
 
@@ -19,7 +18,7 @@ Table 2                   ``table2``        :mod:`repro.experiments.table2`
 §4.2.6 cost accounting    ``cost-accounting`` :mod:`repro.experiments.cost_accounting`
 §5.0.3 compile rates      ``cc-compilation``  :mod:`repro.experiments.cc_compilation`
 §5.0.3 behaviour spread   ``cc-behaviour``    :mod:`repro.experiments.cc_behaviour`
-Ablations (design §4)     ``ablations``     :mod:`repro.experiments.ablations`
+Ablations                 ``ablations``     :mod:`repro.experiments.ablations`
 ========================  ================  ===================================
 """
 

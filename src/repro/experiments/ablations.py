@@ -1,4 +1,4 @@
-"""Ablations of the search-design choices called out in DESIGN.md.
+"""Ablations of the search's design choices.
 
 Three ablations, each answering "did this design choice matter?":
 

@@ -22,7 +22,7 @@ from repro.cache.simulator import simulate_many
 from repro.workloads.cache import corpus_traces
 
 #: Default trace scaling for the full experiment (kept modest so that the
-#: whole corpus runs in minutes on a laptop; see DESIGN.md).
+#: whole corpus runs in minutes on a laptop).
 DEFAULT_NUM_REQUESTS = {"cloudphysics": 6000, "msr": 8000}
 
 

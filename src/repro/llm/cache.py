@@ -225,17 +225,3 @@ class CachingClient:
         state_after = self.inner.get_state() if stateful else None
         self.cache.put(key, responses, state_after)
         return responses
-
-    def complete_batch(
-        self,
-        prompts: Sequence[Sequence[ChatMessage]],
-        n: int = 1,
-        temperature: float = 1.0,
-    ) -> List[List[CompletionResponse]]:
-        # Per-prompt so each prompt caches (and hits) independently.
-        return [self.complete(prompt, n=n, temperature=temperature) for prompt in prompts]
-
-    async def complete_async(
-        self, messages: Sequence[ChatMessage], n: int = 1, temperature: float = 1.0
-    ) -> List[CompletionResponse]:
-        return self.complete(messages, n=n, temperature=temperature)

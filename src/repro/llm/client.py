@@ -3,10 +3,8 @@
 The protocol is deliberately minimal -- chat messages in, text completions
 out, with token counts attached -- so that the framework does not care
 whether the completions come from the offline synthetic generator, the
-OpenAI API, or anything else.  On top of the one required ``complete()``
-method the protocol grows two conveniences with default implementations
-(``complete_batch`` for many prompts at once, ``complete_async`` for event
-loops), a declarative :class:`ProviderConfig` block carried by
+OpenAI API, or anything else.  Beside the one ``complete()`` method sit a
+declarative :class:`ProviderConfig` block carried by
 ``RunSpec.llm["provider"]``, and :class:`ResilientClient` -- the wrapper a
 real network provider is expected to live behind (bounded retries with
 exponential backoff, optional per-call timeouts).
@@ -23,7 +21,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     TimeoutError as _FutureTimeoutError,
 )
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, List, Optional, Protocol, Sequence
 
 
@@ -62,14 +60,7 @@ class LLMTimeoutError(LLMError):
 
 
 class LLMClient(Protocol):
-    """Anything that can produce completions for a chat prompt.
-
-    Only :meth:`complete` is required; the batch and async forms have
-    default implementations that delegate to it, so a minimal client (the
-    synthetic one, a test fake) satisfies the full protocol while a real
-    provider may override them with genuinely batched / non-blocking
-    transport.
-    """
+    """Anything that can produce completions for a chat prompt."""
 
     #: Model identifier reported in responses / cost accounting.
     model: str
@@ -79,48 +70,6 @@ class LLMClient(Protocol):
     ) -> List[CompletionResponse]:
         """Return ``n`` independent completions for the same prompt."""
         ...  # pragma: no cover - protocol
-
-    def complete_batch(
-        self,
-        prompts: Sequence[Sequence[ChatMessage]],
-        n: int = 1,
-        temperature: float = 1.0,
-    ) -> List[List[CompletionResponse]]:
-        """Completions for many prompts; one response list per prompt."""
-        return [self.complete(prompt, n=n, temperature=temperature) for prompt in prompts]
-
-    async def complete_async(
-        self, messages: Sequence[ChatMessage], n: int = 1, temperature: float = 1.0
-    ) -> List[CompletionResponse]:
-        """Awaitable form of :meth:`complete` (default: synchronous call)."""
-        return self.complete(messages, n=n, temperature=temperature)
-
-
-def complete_batch(
-    client: "LLMClient",
-    prompts: Sequence[Sequence[ChatMessage]],
-    n: int = 1,
-    temperature: float = 1.0,
-) -> List[List[CompletionResponse]]:
-    """Batch-complete through ``client``, whether or not it implements
-    :meth:`LLMClient.complete_batch` (structural clients may predate it)."""
-    native = getattr(client, "complete_batch", None)
-    if native is not None:
-        return native(prompts, n=n, temperature=temperature)
-    return [client.complete(prompt, n=n, temperature=temperature) for prompt in prompts]
-
-
-async def complete_async(
-    client: "LLMClient",
-    messages: Sequence[ChatMessage],
-    n: int = 1,
-    temperature: float = 1.0,
-) -> List[CompletionResponse]:
-    """Async-complete through ``client``, falling back to the sync call."""
-    native = getattr(client, "complete_async", None)
-    if native is not None:
-        return await native(messages, n=n, temperature=temperature)
-    return client.complete(messages, n=n, temperature=temperature)
 
 
 # -- provider configuration ---------------------------------------------------------
@@ -137,16 +86,13 @@ class ProviderConfig:
 
     ``name`` selects the provider (only ``"synthetic"`` ships offline);
     ``retries`` / ``timeout_s`` configure the :class:`ResilientClient`
-    wrapper; ``batch_size`` caps how many completions one client call asks
-    for (the pipelined search round streams generation in chunks of this
-    size); ``prompt_cache`` is the on-disk prompt->completion cache
+    wrapper; ``prompt_cache`` is the on-disk prompt->completion cache
     directory (``None`` disables caching).
     """
 
     name: str = "synthetic"
     retries: int = 0
     timeout_s: Optional[float] = None
-    batch_size: Optional[int] = None
     prompt_cache: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -155,12 +101,25 @@ class ProviderConfig:
                 f"unknown LLM provider {self.name!r}; "
                 f"available: {sorted(KNOWN_PROVIDERS)}"
             )
+        if not isinstance(self.retries, int):
+            raise ValueError(
+                "provider retries must be an integer, "
+                f"got {type(self.retries).__name__} {self.retries!r}"
+            )
         if self.retries < 0:
             raise ValueError("provider retries cannot be negative")
+        if self.timeout_s is not None and not isinstance(self.timeout_s, (int, float)):
+            raise ValueError(
+                "provider timeout_s must be a number, "
+                f"got {type(self.timeout_s).__name__} {self.timeout_s!r}"
+            )
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("provider timeout_s must be positive")
-        if self.batch_size is not None and self.batch_size <= 0:
-            raise ValueError("provider batch_size must be positive")
+        if self.prompt_cache is not None and not isinstance(self.prompt_cache, str):
+            raise ValueError(
+                "provider prompt_cache must be a directory path, "
+                f"got {type(self.prompt_cache).__name__} {self.prompt_cache!r}"
+            )
 
     @classmethod
     def from_ref(cls, ref: Any) -> Optional["ProviderConfig"]:
@@ -173,7 +132,7 @@ class ProviderConfig:
         if isinstance(ref, str):
             return cls(name=ref)
         if isinstance(ref, dict):
-            known = {"name", "retries", "timeout_s", "batch_size", "prompt_cache"}
+            known = {f.name for f in fields(cls)}
             unknown = set(ref) - known
             if unknown:
                 raise ValueError(
@@ -190,7 +149,6 @@ class ProviderConfig:
             "name": self.name,
             "retries": self.retries,
             "timeout_s": self.timeout_s,
-            "batch_size": self.batch_size,
             "prompt_cache": self.prompt_cache,
         }
 
@@ -265,21 +223,6 @@ class ResilientClient:
             f"client call failed after {self.retries + 1} attempt(s): "
             f"{type(last_error).__name__}: {last_error}"
         ) from last_error
-
-    def complete_batch(
-        self,
-        prompts: Sequence[Sequence[ChatMessage]],
-        n: int = 1,
-        temperature: float = 1.0,
-    ) -> List[List[CompletionResponse]]:
-        # Per-prompt retry granularity: one flaky prompt must not force the
-        # whole batch to be re-requested.
-        return [self.complete(prompt, n=n, temperature=temperature) for prompt in prompts]
-
-    async def complete_async(
-        self, messages: Sequence[ChatMessage], n: int = 1, temperature: float = 1.0
-    ) -> List[CompletionResponse]:
-        return self.complete(messages, n=n, temperature=temperature)
 
     def _attempt(
         self, messages: Sequence[ChatMessage], n: int, temperature: float

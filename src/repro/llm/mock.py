@@ -1,9 +1,8 @@
 """Offline synthetic LLM client.
 
 ``SyntheticLLMClient`` replaces the paper's GPT-4o-mini Generator so the full
-PolicySmith pipeline runs without network access (see DESIGN.md,
-"Substitutions").  It behaves like an LLM in the ways the framework cares
-about:
+PolicySmith pipeline runs without network access (see README.md, "LLM
+providers").  It behaves like an LLM in the ways the framework cares about:
 
 * it reads the same prompts the real client would receive and extracts the
   parent examples embedded in them -- candidate quality therefore improves
@@ -150,21 +149,6 @@ class SyntheticLLMClient:
                 )
             )
         return responses
-
-    def complete_batch(
-        self,
-        prompts: Sequence[Sequence[ChatMessage]],
-        n: int = 1,
-        temperature: float = 1.0,
-    ) -> List[List[CompletionResponse]]:
-        # Sequential on purpose: the RNG stream must advance prompt by
-        # prompt, exactly as repeated complete() calls would.
-        return [self.complete(prompt, n=n, temperature=temperature) for prompt in prompts]
-
-    async def complete_async(
-        self, messages: Sequence[ChatMessage], n: int = 1, temperature: float = 1.0
-    ) -> List[CompletionResponse]:
-        return self.complete(messages, n=n, temperature=temperature)
 
     # -- generation ---------------------------------------------------------------------
 

@@ -10,7 +10,8 @@ crucially for instance-optimality experiments -- *diversity across traces*
 within a corpus, so that different traces favour different eviction
 policies.
 
-See DESIGN.md ("Substitutions") for the full rationale.
+README.md ("Workload subsystem") lists the generators and the registered
+traces built on them.
 """
 
 from repro.traces.synthetic import (

@@ -14,6 +14,7 @@ from repro.cli import main
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SMOKE_SPEC = REPO_ROOT / "examples" / "specs" / "smoke_caching.json"
 REMOVED_DISTRIBUTED = "the distributed executor was removed; use `executor: process`"
+REMOVED_PIPELINE = "the pipeline scheduler was removed; every round generates, then evaluates"
 
 
 def run_cli(capsys, *argv):
@@ -97,7 +98,7 @@ def test_run_unknown_executor_exits_2_listing_names(capsys):
     [
         ("dedup", "always on since PR 24"),
         ("memoize", "always on since PR 24"),
-        ("pipeline", "use `search.pipeline`"),
+        ("pipeline", REMOVED_PIPELINE),
         ("queue_dir", REMOVED_DISTRIBUTED),
         ("worker_count", REMOVED_DISTRIBUTED),
         ("lease_ttl_s", REMOVED_DISTRIBUTED),
@@ -110,6 +111,71 @@ def test_run_spec_naming_a_removed_engine_option_exits_2(capsys, tmp_path, key, 
     assert code == 2
     assert f"unknown engine override(s) ['{key}']" in err
     assert f"'{key}': {replacement}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "block,key",
+    [("search", "pipeline"), ("provider", "batch_size")],
+)
+def test_run_spec_naming_a_pipeline_scheduler_key_exits_2(capsys, tmp_path, block, key):
+    data = json.loads(SMOKE_SPEC.read_text(encoding="utf-8"))
+    data["checkpoint"] = False
+    if block == "search":
+        data["search"] = {**data["search"], key: True}
+    else:
+        data["llm"] = {"provider": {"name": "synthetic", key: 2}}
+    spec = write_spec(tmp_path, data)
+    code, _out, err = run_cli(capsys, "run", spec, "--no-artifacts", "--quiet")
+    assert code == 2
+    assert f"unknown {block} override(s) ['{key}']" in err
+    assert f"'{key}': {REMOVED_PIPELINE}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_pipeline_flag_is_gone_and_exits_2(capsys, tmp_path, command):
+    code, _out, err = run_cli(
+        capsys, command, str(SMOKE_SPEC), "--no-artifacts", "--quiet", "--pipeline"
+    )
+    assert code == 2
+    assert "--pipeline was removed along with the pipeline scheduler" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "block,override,message",
+    [
+        ("search", {"rounds": "3"}, "search.rounds must be an integer, got str '3'"),
+        ("engine", {"max_workers": "2"}, "engine.max_workers must be an integer, got str '2'"),
+        ("engine", {"eval_timeout_s": "1"}, "engine.eval_timeout_s must be a number, got str '1'"),
+        ("provider", {"retries": "2"}, "provider retries must be an integer, got str '2'"),
+        ("provider", {"prompt_cache": 5}, "provider prompt_cache must be a directory path"),
+    ],
+    ids=["search.rounds", "engine.max_workers", "engine.eval_timeout_s", "provider.retries",
+         "provider.prompt_cache"],
+)
+def test_run_spec_field_of_the_wrong_json_type_exits_2(capsys, tmp_path, block, override, message):
+    data = json.loads(SMOKE_SPEC.read_text(encoding="utf-8"))
+    data["checkpoint"] = False
+    if block == "provider":
+        data["llm"] = {"provider": {"name": "synthetic", **override}}
+    else:
+        data[block] = {**data[block], **override}
+    spec = write_spec(tmp_path, data)
+    code, _out, err = run_cli(capsys, "run", spec, "--no-artifacts", "--quiet")
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_provider_flag_of_the_wrong_json_type_exits_2(capsys):
+    code, _out, err = run_cli(
+        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--quiet",
+        "--provider", '{"name": "synthetic", "retries": "2"}',
+    )
+    assert code == 2
+    assert "provider retries must be an integer, got str '2'" in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,5 @@
-"""CLI surface of the pipelined scheduler: ``--pipeline`` / ``--provider``
-on run/sweep, and ``repro store --prompt-cache`` maintenance."""
+"""CLI surface of the LLM provider block: ``--provider`` on run/sweep, and
+``repro store --prompt-cache`` maintenance."""
 
 import json
 from pathlib import Path
@@ -16,34 +16,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_pipeline_flag_keeps_report_identical(capsys, tmp_path):
-    code, serial_out, _ = run_cli(
-        capsys, "run", str(SMOKE_SPEC), "--artifacts", str(tmp_path / "a"), "--quiet"
-    )
-    assert code == 0
-    code, piped_out, _ = run_cli(
-        capsys,
-        "run", str(SMOKE_SPEC),
-        "--artifacts", str(tmp_path / "b"),
-        "--quiet",
-        "--pipeline",
-    )
-    assert code == 0
-    assert piped_out == serial_out
-
-
 def test_provider_flag_and_prompt_cache_store_commands(capsys, tmp_path):
     cache_dir = tmp_path / "pc"
     provider = json.dumps(
-        {"name": "synthetic", "retries": 1, "batch_size": 2,
-         "prompt_cache": str(cache_dir)}
+        {"name": "synthetic", "retries": 1, "prompt_cache": str(cache_dir)}
     )
     code, _out, _err = run_cli(
         capsys,
         "run", str(SMOKE_SPEC),
         "--artifacts", str(tmp_path / "runs"),
         "--quiet", "--no-eval-store",
-        "--pipeline", "--provider", provider,
+        "--provider", provider,
     )
     assert code == 0
     assert cache_dir.exists()
@@ -105,27 +88,22 @@ def test_malformed_provider_json_is_a_clean_error(capsys):
     assert "--provider expects" in err
 
 
-def test_pipeline_flags_rejected_for_experiments(capsys):
-    code, _out, err = run_cli(capsys, "run", "caching-search", "--pipeline")
-    assert code == 2
-    assert "--pipeline/--provider apply to RunSpec runs" in err
-
+def test_provider_flag_rejected_for_experiments(capsys):
     code, _out, err = run_cli(
         capsys, "run", "caching-search", "--provider", "synthetic"
     )
     assert code == 2
-    assert "--pipeline/--provider apply to RunSpec runs" in err
+    assert "--provider applies to RunSpec runs" in err
 
 
-def test_sweep_accepts_pipeline_flags(capsys, tmp_path):
+def test_sweep_accepts_provider_flag(capsys, tmp_path):
     code, out, _err = run_cli(
         capsys,
         "sweep", str(SMOKE_SPEC),
         "--seeds", "3", "4",
         "--artifacts", str(tmp_path),
         "--quiet", "--no-eval-store",
-        "--pipeline",
-        "--provider", json.dumps({"name": "synthetic", "batch_size": 2}),
+        "--provider", json.dumps({"name": "synthetic", "retries": 1}),
     )
     assert code == 0
     assert "seed" in out

@@ -214,3 +214,37 @@ def test_files_written_at_f91d7f8_still_load_and_resume(tmp_path):
     digest = hashlib.sha256((run_dir / "result.json").read_bytes()).hexdigest()
     golden = json.loads((GOLDEN / "result_sha256.json").read_text())["specs"]
     assert digest == golden["smoke_caching"]["default"]
+
+
+def test_round_timings_are_zeroed_in_result_json(tmp_path):
+    outcome = run(tiny_spec(), store=tmp_path, eval_store=None)
+    result = json.loads((outcome.artifact_dir / "result.json").read_text())
+    for round_record in result["rounds"]:
+        assert round_record["generation_s"] == 0.0
+        assert round_record["evaluation_s"] == 0.0
+        assert round_record["overlap_s"] == 0.0
+    # The live sums made it to metadata instead.
+    metadata = json.loads((outcome.artifact_dir / "metadata.json").read_text())
+    assert sorted(metadata["pipeline"]) == ["evaluation_s", "generation_s"]
+    assert metadata["pipeline"]["generation_s"] > 0
+
+
+def test_pipelined_checkpoint_written_at_0441c95_resumes_to_the_golden_bytes(tmp_path):
+    """``checkpoint_pipelined_0441c95.json`` was written by ``smoke_caching``
+    with ``search.pipeline: true`` on the last commit that had the pipelined
+    scheduler, after round 1.  Its speculative prefetch of round 2 was still
+    pending then, so the file records the client state from before the
+    speculation.  The one round loop, on the spec without the key, resumes
+    it to the golden ``result.json``."""
+    checkpoint = SearchCheckpoint.load(GOLDEN / "checkpoint_pipelined_0441c95.json")
+    assert checkpoint.completed_rounds == 1
+    assert checkpoint.rounds[0].overlap_s > 0
+
+    run_dir = tmp_path / "resumed"
+    run_dir.mkdir()
+    shutil.copy(GOLDEN / "checkpoint_pipelined_0441c95.json", run_dir / "checkpoint.json")
+    spec = RunSpec.from_file(REPO_ROOT / "examples" / "specs" / "smoke_caching.json")
+    run(spec, run_dir=run_dir, eval_store=None)
+    digest = hashlib.sha256((run_dir / "result.json").read_bytes()).hexdigest()
+    golden = json.loads((GOLDEN / "result_sha256.json").read_text())["specs"]
+    assert digest == golden["smoke_caching"]["default"]

@@ -72,7 +72,7 @@ def test_unknown_override_keys_rejected():
     [
         ("dedup", "always on since PR 24"),
         ("memoize", "always on since PR 24"),
-        ("pipeline", "use `search.pipeline`"),
+        ("pipeline", "the pipeline scheduler was removed; every round generates, then evaluates"),
         ("queue_dir", "the distributed executor was removed; use `executor: process`"),
         ("worker_count", "the distributed executor was removed; use `executor: process`"),
         ("lease_ttl_s", "the distributed executor was removed; use `executor: process`"),
@@ -81,6 +81,21 @@ def test_unknown_override_keys_rejected():
 def test_removed_engine_options_are_unknown_keys_that_name_their_replacement(key, replacement):
     with pytest.raises(ValueError, match=f"engine override.*'{key}': {replacement}"):
         tiny_spec(engine={key: True})
+
+
+@pytest.mark.parametrize(
+    "overrides,block,key",
+    [
+        ({"search": {"rounds": 1, "pipeline": True}}, "search", "pipeline"),
+        ({"llm": {"provider": {"name": "synthetic", "batch_size": 4}}}, "provider", "batch_size"),
+    ],
+    ids=["search.pipeline", "provider.batch_size"],
+)
+def test_pipeline_scheduler_keys_are_removed_keys(overrides, block, key):
+    with pytest.raises(
+        ValueError, match=f"{block} override.*'{key}': the pipeline scheduler was removed"
+    ):
+        tiny_spec(**overrides)
 
 
 def test_unknown_top_level_field_rejected():

@@ -39,10 +39,10 @@ def test_provider_block_is_validated_and_normalised():
 def test_provider_block_rejects_bad_values():
     with pytest.raises(ValueError, match="unknown LLM provider"):
         RunSpec(**spec_dict(provider="openai"))
-    with pytest.raises(ValueError, match="unknown provider key"):
+    with pytest.raises(ValueError, match="unknown provider override"):
         RunSpec(**spec_dict(provider={"name": "synthetic", "retry": 3}))
-    with pytest.raises(ValueError, match="batch_size must be positive"):
-        RunSpec(**spec_dict(provider={"batch_size": 0}))
+    with pytest.raises(ValueError, match="retries cannot be negative"):
+        RunSpec(**spec_dict(provider={"retries": -1}))
 
 
 def test_llm_overrides_still_validated_alongside_provider():
@@ -76,7 +76,6 @@ def test_build_from_spec_wires_provider_stack(tmp_path):
             provider={
                 "name": "synthetic",
                 "retries": 2,
-                "batch_size": 3,
                 "prompt_cache": str(tmp_path / "pc"),
             }
         )
@@ -85,9 +84,7 @@ def test_build_from_spec_wires_provider_stack(tmp_path):
     client = setup.search.generator.client
     assert isinstance(client, CachingClient)
     assert isinstance(client.inner, ResilientClient)
-    assert setup.generator.batch_size == 3
 
     # Without a provider block the client passes through unwrapped.
     bare = build_from_spec(RunSpec(**spec_dict()))
     assert not isinstance(bare.search.generator.client, (CachingClient, ResilientClient))
-    assert bare.generator.batch_size is None

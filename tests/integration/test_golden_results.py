@@ -5,8 +5,9 @@
 is asserted here, so a change to any layer a candidate passes through --
 tokenizer, parser, AST, analysis, renderer, checker, engine, simulators,
 artifact writer -- is pinned by bytes, under every DSL backend, rather than
-by one-knob-at-a-time diffs alone.  Regenerate only for an intended change of
-what a search finds or of the artifact schema.
+by one-knob-at-a-time diffs alone.  The default column must also hold with a
+prompt cache attached, cold and then warm.  Regenerate only for an intended
+change of what a search finds or of the artifact schema.
 """
 
 import hashlib
@@ -32,3 +33,18 @@ def test_result_json_matches_the_recorded_sha256(spec_name, backend, tmp_path):
     outcome = run(RunSpec.from_dict(data), store=tmp_path, eval_store=None)
     digest = hashlib.sha256((outcome.artifact_dir / "result.json").read_bytes()).hexdigest()
     assert digest == GOLDEN[spec_name][backend]
+
+
+@pytest.mark.parametrize("spec_name", sorted(GOLDEN))
+def test_result_json_matches_the_recorded_sha256_with_the_prompt_cache_cold_and_warm(
+    spec_name, tmp_path
+):
+    data = RunSpec.from_file(REPO_ROOT / "examples" / "specs" / f"{spec_name}.json").to_dict()
+    provider = {"name": "synthetic", "prompt_cache": str(tmp_path / "pc")}
+    data["llm"] = {**data["llm"], "provider": provider}
+    for state in ("cold", "warm"):
+        outcome = run(RunSpec.from_dict(data), store=tmp_path / state, eval_store=None)
+        digest = hashlib.sha256((outcome.artifact_dir / "result.json").read_bytes()).hexdigest()
+        assert digest == GOLDEN[spec_name]["default"], state
+    # The warm run generated nothing: every completion came from the cache.
+    assert outcome.setup.search.generator.client.misses == 0

@@ -7,7 +7,10 @@ warm-cache and cache-disabled runs produce the identical completion stream.
 
 import json
 
+import pytest
+
 from repro.cache.search import caching_archetypes, caching_template
+from repro.core.spec import RunSpec, run
 from repro.llm.cache import (
     CachingClient,
     PROMPT_CACHE_SCHEMA_VERSION,
@@ -231,3 +234,55 @@ def test_stateless_client_hits_across_instances(tmp_path):
     assert [r.text for r in second.complete(PROMPT)] == ["call-1"]
     assert second.inner.calls == 0
     assert (second.hits, second.misses) == (1, 0)
+
+
+# -- end to end: result.json ---------------------------------------------------------
+
+
+CACHING_SPEC = dict(
+    domain="caching",
+    name="promptcache-caching",
+    domain_kwargs={
+        "workloads": [
+            {"name": "caching/zipf-hot", "num_requests": 400, "num_objects": 120},
+            {"name": "caching/scan-storm", "num_requests": 400, "num_objects": 120},
+        ],
+        "reducer": "mean",
+    },
+    search={"rounds": 2, "candidates_per_round": 4},
+)
+
+CC_SPEC = dict(
+    domain="cc",
+    name="promptcache-cc",
+    domain_kwargs={"duration_s": 0.3},
+    search={"rounds": 2, "candidates_per_round": 4},
+)
+
+
+def result_bytes(base, tmp_path, tag, provider=None):
+    spec_dict = dict(base)
+    if provider is not None:
+        spec_dict["llm"] = {"provider": provider}
+    outcome = run(RunSpec(**spec_dict), store=tmp_path / tag, eval_store=None)
+    metadata = json.loads((outcome.artifact_dir / "metadata.json").read_text())
+    return (outcome.artifact_dir / "result.json").read_bytes(), metadata
+
+
+@pytest.mark.parametrize("base", [CACHING_SPEC, CC_SPEC], ids=["caching", "cc"])
+def test_result_json_identical_with_prompt_cache_absent_cold_warm(base, tmp_path):
+    provider = {"name": "synthetic", "prompt_cache": str(tmp_path / "promptcache")}
+
+    absent, absent_meta = result_bytes(base, tmp_path, "absent")
+    cold, cold_meta = result_bytes(base, tmp_path, "cold", provider)
+    warm, warm_meta = result_bytes(base, tmp_path, "warm", provider)
+
+    assert cold == absent
+    assert warm == absent
+    assert "prompt_cache" not in absent_meta["pipeline"]
+    cold_cache = cold_meta["pipeline"]["prompt_cache"]
+    warm_cache = warm_meta["pipeline"]["prompt_cache"]
+    assert cold_cache["hits"] == 0 and cold_cache["misses"] > 0
+    # Same seed, same calls: the warm run replays entirely from disk.
+    assert warm_cache["misses"] == 0
+    assert warm_cache["hits"] == cold_cache["misses"]

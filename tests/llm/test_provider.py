@@ -12,8 +12,6 @@ from repro.llm.client import (
     LLMTimeoutError,
     ProviderConfig,
     ResilientClient,
-    complete_async,
-    complete_batch,
     wrap_client,
 )
 
@@ -119,42 +117,6 @@ def test_timeout_then_success_within_retries():
     assert client.failures == 1
 
 
-def test_batch_retries_per_prompt():
-    # One transient failure mid-batch must only re-request that prompt.
-    inner = FlakyClient(failures=0)
-    calls = {"n": 0}
-
-    def flaky_second(messages, n=1, temperature=1.0):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise RuntimeError("transient")
-        return [response(f"ok-{calls['n']}")]
-
-    inner.complete = flaky_second
-    client = ResilientClient(inner, retries=1, sleep=lambda _s: None)
-    replies = client.complete_batch([PROMPT, PROMPT, PROMPT])
-    assert [r[0].text for r in replies] == ["ok-1", "ok-3", "ok-4"]
-    assert client.failures == 1
-
-
-def test_module_level_batch_and_async_helpers():
-    class Minimal:
-        """No batch/async methods: the helpers must fall back to complete()."""
-
-        model = "minimal"
-
-        def complete(self, messages, n=1, temperature=1.0):
-            return [response("one") for _ in range(n)]
-
-    minimal = Minimal()
-    replies = complete_batch(minimal, [PROMPT, PROMPT], n=2)
-    assert [len(r) for r in replies] == [2, 2]
-
-    import asyncio
-
-    assert asyncio.run(complete_async(minimal, PROMPT))[0].text == "one"
-
-
 def test_state_passthrough():
     class Stateful(FlakyClient):
         def get_state(self):
@@ -173,9 +135,9 @@ def test_provider_config_from_ref_forms():
     assert ProviderConfig.from_ref(None) is None
     assert ProviderConfig.from_ref("synthetic").name == "synthetic"
     config = ProviderConfig.from_ref(
-        {"name": "synthetic", "retries": 3, "batch_size": 4}
+        {"name": "synthetic", "retries": 3, "timeout_s": 4}
     )
-    assert (config.retries, config.batch_size) == (3, 4)
+    assert (config.retries, config.timeout_s) == (3, 4)
     assert ProviderConfig.from_ref(config) is config
     # Round-trip: the canonical ref rebuilds an equal config.
     assert ProviderConfig.from_ref(config.to_ref()) == config
@@ -188,7 +150,10 @@ def test_provider_config_from_ref_forms():
         ({"name": "synthetic", "retry": 1}, "unknown provider key"),
         ({"retries": -1}, "retries cannot be negative"),
         ({"timeout_s": 0}, "timeout_s must be positive"),
-        ({"batch_size": 0}, "batch_size must be positive"),
+        ({"batch_size": 4}, "unknown provider key"),
+        ({"retries": "2"}, "retries must be an integer"),
+        ({"timeout_s": "30"}, "timeout_s must be a number"),
+        ({"prompt_cache": 5}, "prompt_cache must be a directory path"),
         (42, "must be a name or a mapping"),
     ],
 )
