@@ -5,8 +5,6 @@ from typing import List, Optional
 import pytest
 
 from repro.core.checker import StructuralChecker
-from repro.core.domain import build_search
-from repro.core.events import EventBus, GenerationCompleted, GenerationStarted, RoundCompleted
 from repro.core.evaluator import EvaluationResult, Evaluator, FunctionEvaluator
 from repro.core.search import EvolutionarySearch, SearchConfig
 from repro.core.template import Template
@@ -182,31 +180,3 @@ def test_search_config_validation():
         SearchConfig(repair_attempts=-1)
     with pytest.raises(ValueError, match="search.rounds must be an integer, got str '3'"):
         SearchConfig(rounds="3")
-
-
-def test_generation_events_and_round_timings(small_synthetic_trace):
-    seen = []
-    setup = build_search(
-        "caching",
-        rounds=2,
-        candidates_per_round=6,
-        seed=11,
-        trace=small_synthetic_trace,
-        events=EventBus([seen.append]),
-    )
-    result = setup.search.run()
-
-    started = [e for e in seen if isinstance(e, GenerationStarted)]
-    completed = [e for e in seen if isinstance(e, GenerationCompleted)]
-    assert [e.round_index for e in started] == [1, 2]
-    assert [e.round_index for e in completed] == [1, 2]
-    assert all(e.requested == 6 for e in started)
-    for summary, event in zip(result.rounds, completed):
-        assert summary.generated == event.generated
-        assert summary.generation_s > 0
-        assert summary.evaluation_s > 0
-        # Generation and evaluation run one after the other.
-        assert summary.overlap_s == 0.0
-    # Ordering per round: generation starts before the round completes.
-    kinds = [type(e).__name__ for e in seen if isinstance(e, (GenerationStarted, RoundCompleted))]
-    assert kinds == ["GenerationStarted", "RoundCompleted"] * 2
