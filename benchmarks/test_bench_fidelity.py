@@ -38,6 +38,7 @@ def fidelity_spec(bench_scale, ladder=None) -> RunSpec:
             "candidates_per_round": bench_scale["search_candidates"],
         },
         fidelity=ladder,
+        engine={"max_workers": 1},  # evaluator_calls counts in-process calls
     )
 
 

@@ -83,7 +83,9 @@ def test_static_screen_overhead(benchmark, bench_records, tmp_path):
     # Through the engine: everything but the screened candidates is evaluated,
     # looked up in the memo and the store, and written back -- once each.
     engine = EvaluationEngine(
-        StructuralChecker(caching_template()), rung0, config=EngineConfig(static_screen=True)
+        StructuralChecker(caching_template()),
+        rung0,
+        config=EngineConfig(max_workers=1, static_screen=True),  # rung0.calls is in-process
     )
     engine.attach_store(EvaluationStore(tmp_path / "evalstore").bind("k" * 64))
     sources = [to_source(program) for program in programs]

@@ -36,6 +36,7 @@ def sweep_spec(bench_scale) -> RunSpec:
             "candidates_per_round": bench_scale["search_candidates"],
         },
         seeds=[0, 1],
+        engine={"max_workers": 1},  # evaluator_calls counts in-process calls
     )
 
 

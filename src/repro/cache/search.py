@@ -18,7 +18,7 @@ This module wires the framework to the cache substrate:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.cache.metrics import SimulationResult
 from repro.cache.priority_cache import PriorityFunctionCache, TEMPLATE_PARAMS
@@ -27,7 +27,7 @@ from repro.cache.simulator import CacheSimulator, cache_size_for
 from repro.core.checker import StructuralChecker
 from repro.core.context import Context
 from repro.core.domain import SearchDomain, SearchSetup, build_search, register_domain
-from repro.core.evaluator import EvaluationResult, Evaluator
+from repro.core.evaluator import RUNTIME_ERRORS, EvaluationResult, Evaluator
 from repro.core.search import SearchConfig
 from repro.core.template import Template
 from repro.dsl.ast import Program
@@ -244,12 +244,6 @@ class CachingEvaluator(Evaluator):
         self.backend = backend
         self._simulator = CacheSimulator()
         self.evaluations = 0
-        #: Evaluations by *resolved* backend (``make_runner`` falls back down
-        #: the chain for unvectorizable/uncompilable programs, so the
-        #: resolved backend can differ from the requested one).  Shared with
-        #: ``at_fidelity`` copies; with a process-pool executor the counters
-        #: only reflect in-process evaluations.
-        self.backend_stats: Dict[str, Any] = {"requested": backend, "resolved": {}}
 
     def evaluate_program(self, program: Program) -> EvaluationResult:
         cache = PriorityFunctionCache(
@@ -259,9 +253,14 @@ class CachingEvaluator(Evaluator):
             name="candidate",
             backend=self.backend,
         )
-        resolved = self.backend_stats["resolved"]
-        resolved[cache._priority.backend] = resolved.get(cache._priority.backend, 0) + 1
-        result: SimulationResult = self._simulator.run(cache, self.trace, warmup=self.warmup)
+        # make_runner falls back down the chain for programs it cannot lower,
+        # so the resolved backend can differ from the requested one.
+        backends = {cache._priority.backend: 1}
+        try:
+            result: SimulationResult = self._simulator.run(cache, self.trace, warmup=self.warmup)
+        except RUNTIME_ERRORS as exc:
+            exc.backends = backends  # see EvaluationResult.backends
+            raise
         self.evaluations += 1
         return EvaluationResult(
             score=-result.miss_ratio,
@@ -271,6 +270,7 @@ class CachingEvaluator(Evaluator):
                 "byte_miss_ratio": result.byte_miss_ratio,
                 "evictions": float(result.evictions),
             },
+            backends=backends,
         )
 
     def input_intervals(self):
@@ -288,15 +288,13 @@ class CachingEvaluator(Evaluator):
         """
         if fraction == 1.0:
             return self
-        scaled = CachingEvaluator(
+        return CachingEvaluator(
             prefix_trace(self.trace, fraction),
             cache_size=self.cache_size,
             warmup=int(self.warmup * fraction),
             refresh_interval=self.refresh_interval,
             backend=self.backend,
         )
-        scaled.backend_stats = self.backend_stats  # rung evaluations count too
-        return scaled
 
 
 class CachingDomain(SearchDomain):

@@ -11,10 +11,10 @@ the objective when the scenario weights them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cc.dsl_controller import DslCongestionController
-from repro.core.evaluator import EvaluationResult, Evaluator
+from repro.core.evaluator import RUNTIME_ERRORS, EvaluationResult, Evaluator
 from repro.dsl.ast import Program
 from repro.dsl.compile import DEFAULT_BACKEND
 from repro.netsim.link import LinkConfig
@@ -160,13 +160,10 @@ class CongestionControlEvaluator(Evaluator):
         self.initial_window = initial_window
         self.backend = backend
         self.evaluations = 0
-        #: Evaluations by *resolved* backend (``make_runner`` falls back down
-        #: the chain for unvectorizable/uncompilable programs).  Shared with
-        #: ``at_fidelity`` copies; with a process-pool executor the counters
-        #: only reflect in-process evaluations.
-        self.backend_stats: Dict[str, Any] = {"requested": backend, "resolved": {}}
 
-    def _run_scenario(self, program: Program) -> Tuple[SimulationMetrics, List[int]]:
+    def _run_scenario(
+        self, program: Program
+    ) -> Tuple[SimulationMetrics, List[int], Dict[str, int]]:
         seen: List[str] = []
 
         def controller() -> DslCongestionController:
@@ -181,10 +178,12 @@ class CongestionControlEvaluator(Evaluator):
             return ctl
 
         simulator, candidate_ids = self.scenario.build(controller)
-        if seen:
-            resolved = self.backend_stats["resolved"]
-            resolved[seen[0]] = resolved.get(seen[0], 0) + 1
-        return simulator.run(), candidate_ids
+        backends = {seen[0]: 1} if seen else {}
+        try:
+            return simulator.run(), candidate_ids, backends
+        except RUNTIME_ERRORS as exc:
+            exc.backends = backends  # see EvaluationResult.backends
+            raise
 
     def run_candidate(self, program: Program) -> SimulationMetrics:
         """Simulate ``program`` on the scenario and return raw metrics."""
@@ -197,17 +196,15 @@ class CongestionControlEvaluator(Evaluator):
         """A reduced-budget copy: the same link, ``fraction`` of the run."""
         if fraction == 1.0:
             return self
-        scaled = CongestionControlEvaluator(
+        return CongestionControlEvaluator(
             objective=self.objective,
             initial_window=self.initial_window,
             backend=self.backend,
             scenario=self.scenario.scaled(fraction),
         )
-        scaled.backend_stats = self.backend_stats  # rung evaluations count too
-        return scaled
 
     def evaluate_program(self, program: Program) -> EvaluationResult:
-        metrics, candidate_ids = self._run_scenario(program)
+        metrics, candidate_ids, backends = self._run_scenario(program)
         self.evaluations += 1
         fairness = metrics.jain_fairness(candidate_ids)
         score = self.objective.score(
@@ -225,4 +222,5 @@ class CongestionControlEvaluator(Evaluator):
                 "throughput_bps": metrics.aggregate_throughput_bps(),
                 "jain_fairness": fairness,
             },
+            backends=backends,
         )

@@ -661,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-workers",
             type=int,
             default=None,
-            help="override the spec's engine worker count",
+            help="override the spec's engine worker count (default: the usable "
+            "CPUs; 1 evaluates in-process, for debugging and profiling)",
         )
         p.add_argument(
             "--backend",

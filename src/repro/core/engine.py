@@ -56,6 +56,7 @@ outcome with any engine configuration and any store state.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -79,23 +80,31 @@ from repro.dsl.codegen import canonical_key
 from repro.dsl.compile import BACKENDS as DSL_BACKENDS
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return max(1, len(getaffinity(0)) if getaffinity else os.cpu_count() or 1)
+
+
 @dataclass
 class EngineConfig:
     """Where and how the engine's work runs; the path a candidate takes (see
     the module docstring) is fixed, and no field here changes a score.
 
-    ``max_workers=1`` (the default) keeps evaluation serial and in-process;
-    anything larger fans unique candidates out over the ``executor`` backend
-    (any name in :func:`~repro.core.executors.available_executors`; the
-    default, ``"process"``, is the one that parallelises CPU-bound
+    ``max_workers`` defaults to :func:`usable_cpus`, the CPUs this process
+    may run on; above 1 it fans unique candidates out over the ``executor``
+    backend (any name in :func:`~repro.core.executors.available_executors`;
+    the default, ``"process"``, is the one that parallelises CPU-bound
     simulation), one pool per engine for every fidelity, a few tasks per
-    batch.  ``eval_timeout_s`` bounds how long the engine waits for one
-    unit's evaluation (each unit then is a task of its own); a timed-out
-    unit gets a failure result and its worker is abandoned (threads cannot
-    be killed; the DSL step budget still bounds the stray work).  Timeouts
-    and crash isolation require a worker pool: with ``max_workers=1`` or
-    ``executor="serial"`` evaluation runs in-process and ``eval_timeout_s``
-    has no effect.
+    batch.  ``max_workers=1`` (and a 1-CPU box) keeps evaluation serial and
+    in-process: pin it to debug or profile a run, or for an evaluator that
+    cannot be pickled.  ``eval_timeout_s`` bounds how long the engine waits
+    for one unit's evaluation (each unit then is a task of its own); a
+    timed-out unit gets a failure result and its worker is abandoned
+    (threads cannot be killed; the DSL step budget still bounds the stray
+    work).  Timeouts and crash isolation require a worker pool: with
+    ``max_workers=1`` or ``executor="serial"`` evaluation runs in-process
+    and ``eval_timeout_s`` has no effect.
 
     ``dsl_backend`` selects how candidate DSL programs execute during
     evaluation (``"interpreter"``, or lowered: ``"vectorized"``, also spelled
@@ -116,7 +125,7 @@ class EngineConfig:
     to the same run with it off.
     """
 
-    max_workers: int = 1
+    max_workers: int = field(default_factory=usable_cpus)
     executor: str = "process"  # any registered backend; see core/executors.py
     eval_timeout_s: Optional[float] = None
     dsl_backend: Optional[str] = None
@@ -217,6 +226,9 @@ class EvaluationEngine:
         self.unique_evaluations = 0
         self.store_writes = 0
         self.totals = BudgetCounters()
+        # DSL backends resolved by fresh evaluations, read off their results
+        # so pool workers' evaluations count too (metadata.json only).
+        self.backends: Dict[str, int] = {}
         if fidelity is not None:
             self.attach_fidelity(fidelity)
 
@@ -579,9 +591,8 @@ class EvaluationEngine:
             self._executor = None
 
     def _backend_name(self) -> str:
-        # A single worker cannot fan out: run serially whatever the backend,
-        # which also keeps the legacy max_workers=1 behaviour (no timeout,
-        # no pool startup cost).
+        # A single worker cannot fan out: run serially whatever the backend
+        # (no timeout, no pool startup cost) -- the in-process reference path.
         return "serial" if self.config.max_workers <= 1 else self.config.executor
 
     def _evaluate_many(
@@ -606,12 +617,17 @@ class EvaluationEngine:
         # backend -- a serial shortcut would silently drop the timeout and
         # crash isolation.
         if backend != "serial" and isinstance(evaluator, MultiScenarioEvaluator):
-            return self._evaluate_many_sharded(programs, evaluator, executor, stats, fraction)
-        units = [
-            EvalUnit(program=program, failure_score=evaluator.failure_score, fidelity=fraction)
-            for program in programs
-        ]
-        return executor.run_units(units, stats)
+            results = self._evaluate_many_sharded(programs, evaluator, executor, stats, fraction)
+        else:
+            units = [
+                EvalUnit(program=program, failure_score=evaluator.failure_score, fidelity=fraction)
+                for program in programs
+            ]
+            results = executor.run_units(units, stats)
+        for result in results:
+            for name, count in result.backends.items():
+                self.backends[name] = self.backends.get(name, 0) + count
+        return results
 
     def _evaluate_many_sharded(
         self,

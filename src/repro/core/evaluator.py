@@ -20,6 +20,10 @@ from typing import Callable, Dict, Optional
 from repro.dsl.ast import Program
 from repro.dsl.errors import DslError
 
+#: What a candidate may raise at run time: :meth:`Evaluator.evaluate` scores
+#: these as the candidate's failure instead of ending the search.
+RUNTIME_ERRORS = (DslError, ValueError, TypeError, ZeroDivisionError, OverflowError)
+
 
 @dataclass
 class EvaluationResult:
@@ -40,6 +44,11 @@ class EvaluationResult:
     default, and the only value ordinary evaluation ever produces -- marks a
     full-fidelity score; anything smaller is a screening-rung score, which
     ranking and selection must never consume.
+
+    ``backends`` counts the DSL backends ``make_runner`` resolved for the
+    simulations behind a fresh result (one per scenario run, failed runs
+    included), so the engine can tally them wherever the evaluation ran.
+    Telemetry only: it is never persisted and takes no part in comparisons.
     """
 
     score: float
@@ -50,6 +59,7 @@ class EvaluationResult:
     transient: bool = False
     scenario_scores: Dict[str, float] = field(default_factory=dict)
     fidelity: float = 1.0
+    backends: Dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def full_fidelity(self) -> bool:
@@ -103,10 +113,12 @@ class Evaluator(ABC):
         start = time.perf_counter()
         try:
             result = self.evaluate_program(program)
-        except DslError as exc:
-            result = EvaluationResult.failure(f"runtime error: {exc}", self.failure_score)
-        except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-            result = EvaluationResult.failure(f"{type(exc).__name__}: {exc}", self.failure_score)
+        except RUNTIME_ERRORS as exc:
+            kind = "runtime error" if isinstance(exc, DslError) else type(exc).__name__
+            result = EvaluationResult.failure(f"{kind}: {exc}", self.failure_score)
+            # A program that raised still ran on a backend; the evaluator
+            # tags the exception with it (see EvaluationResult.backends).
+            result.backends = getattr(exc, "backends", {})
         result.wall_time_s = time.perf_counter() - start
         return result
 

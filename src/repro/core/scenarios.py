@@ -24,7 +24,7 @@ under any engine configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.dsl.ast import Program
@@ -177,28 +177,9 @@ class MultiScenarioEvaluator(Evaluator):
         return self.scenarios[index][1].evaluate(program)
 
     @property
-    def backend_stats(self) -> Optional[Dict[str, Any]]:
-        """Per-scenario DSL backend counters summed across the matrix.
-
-        ``None`` when no scenario evaluator tracks them (non-DSL ablation
-        evaluators); otherwise the same ``{"requested", "resolved"}`` shape
-        the single-scenario evaluators expose.
-        """
-        merged: Dict[str, int] = {}
-        requested: Optional[str] = None
-        found = False
-        for _name, evaluator in self.scenarios:
-            stats = getattr(evaluator, "backend_stats", None)
-            if not isinstance(stats, dict):
-                continue
-            found = True
-            if requested is None:
-                requested = stats.get("requested")
-            for backend, count in stats.get("resolved", {}).items():
-                merged[backend] = merged.get(backend, 0) + count
-        if not found:
-            return None
-        return {"requested": requested, "resolved": merged}
+    def backend(self) -> Optional[str]:
+        """The DSL backend the scenarios request (``None`` for non-DSL ones)."""
+        return getattr(self.scenarios[0][1], "backend", None)
 
     def input_intervals(self):
         """Hull of the per-scenario input declarations.
@@ -246,9 +227,12 @@ class MultiScenarioEvaluator(Evaluator):
             )
         scores: Dict[str, float] = {}
         details: Dict[str, float] = {}
+        backends: Dict[str, int] = {}
         errors: List[str] = []
         for (name, _evaluator), result in zip(self.scenarios, results):
             scores[name] = result.score
+            for backend, count in result.backends.items():
+                backends[backend] = backends.get(backend, 0) + count
             for key, value in result.details.items():
                 details[f"{name}{SCENARIO_DETAIL_SEP}{key}"] = value
             if not result.valid:
@@ -261,6 +245,7 @@ class MultiScenarioEvaluator(Evaluator):
             details=details,
             transient=any(r.transient for r in results),
             scenario_scores=scores,
+            backends=backends,
         )
 
     def evaluate_program(self, program: Program) -> EvaluationResult:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -33,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core import artifacts as artifact_store
 from repro.core.domain import SearchDomain, SearchSetup, build_search, get_domain
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, usable_cpus
 from repro.core.events import EventBus, JsonlEventLog, Subscriber
 from repro.core.fidelity import FidelitySchedule
 from repro.core.results import SearchResult
@@ -493,6 +492,7 @@ def run(
     subscribers: Sequence[Subscriber] = (),
     seed: Optional[int] = None,
     eval_store: Union[None, str, Path, EvaluationStore] = "auto",
+    workers: Optional[int] = None,
 ) -> RunOutcome:
     """Execute one spec; returns the result plus the artifact directory.
 
@@ -509,6 +509,10 @@ def run(
     ``None`` disables it.  The store only ever changes *where* evaluation
     results come from, never what they are -- a fixed seed produces a
     byte-identical ``result.json`` with the store cold, warm or disabled.
+
+    ``workers`` replaces the engine's default worker count when the spec
+    leaves ``max_workers`` unset (:func:`run_sweep` splits the CPUs among
+    its seeds this way); like any worker count, it changes no artifact.
     """
     if spec.is_sweep and seed is None:
         raise ValueError(
@@ -566,6 +570,8 @@ def run(
             events=events,
             resolved_kwargs=resolved_kwargs,
         )
+        if workers is not None and "max_workers" not in spec.engine and setup.engine is not None:
+            setup.engine.config.max_workers = workers
         if evaluation_store is not None and setup.engine is not None:
             setup.engine.attach_store(
                 evaluation_store.bind(effective_spec.eval_config_hash())
@@ -613,10 +619,9 @@ def run(
                 "rung_eliminations": setup.engine.totals.rung_eliminations,
             }
         backend_record = None
-        backend_stats = getattr(setup.evaluator, "backend_stats", None)
-        if isinstance(backend_stats, dict) and backend_stats.get("resolved"):
-            requested = backend_stats.get("requested")
-            resolved = dict(backend_stats["resolved"])
+        if setup.engine is not None and setup.engine.backends:
+            requested = getattr(setup.evaluator, "backend", None)
+            resolved = dict(setup.engine.backends)
             backend_record = {
                 "requested": requested,
                 "resolved": resolved,
@@ -706,7 +711,9 @@ def run_sweep(
 
     ``subscribers`` are shared by every seed's event stream and may be
     called from multiple threads concurrently -- pass stateless/thread-safe
-    subscribers, or cap ``max_parallel=1``.
+    subscribers, or cap ``max_parallel=1``.  A spec that leaves
+    ``max_workers`` unset gets ``cpus // seeds in flight`` workers per seed
+    (at least 1), so the seeds' pools together fit the machine.
     """
     seeds = spec.seed_list
     sweep_dir: Optional[Path] = None
@@ -717,6 +724,8 @@ def run_sweep(
         sweep_dir = store.sweep_dir(spec.name, spec.config_hash())
         artifact_root = store.root
     evaluation_store = resolve_eval_store(eval_store, artifact_root)
+    cpus = usable_cpus()
+    in_flight = min(len(seeds), max_parallel or cpus)
 
     def _one(seed: int) -> RunOutcome:
         return run(
@@ -725,13 +734,13 @@ def run_sweep(
             run_dir=(sweep_dir / f"seed-{seed}") if sweep_dir is not None else None,
             subscribers=subscribers,
             eval_store=evaluation_store,
+            workers=max(1, cpus // in_flight),
         )
 
-    workers = max_parallel or min(len(seeds), os.cpu_count() or 1)
-    if workers <= 1 or len(seeds) == 1:
+    if in_flight <= 1:
         outcomes = [_one(seed) for seed in seeds]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=in_flight) as pool:
             outcomes = list(pool.map(_one, seeds))
 
     sweep = SweepOutcome(spec=spec, outcomes=outcomes, artifact_dir=sweep_dir)

@@ -215,5 +215,5 @@ def test_scenario_scores_identical_across_backends():
         evaluator = CongestionControlEvaluator(backend=backend)
         evaluation = evaluator.evaluate(parse(PROGRAMS["history-heavy"]))
         results[backend] = (evaluation.score, tuple(sorted(evaluation.details.items())))
-        assert evaluator.backend_stats["resolved"] == {backend: 1}
+        assert evaluation.backends == {backend: 1}
     assert len(set(results.values())) == 1, results

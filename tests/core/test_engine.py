@@ -55,10 +55,12 @@ def candidates(sources):
 
 def make_engine(evaluator=None, **config_kwargs):
     template = make_template()
+    # In-process unless a test asks for workers: tests read the evaluator's
+    # own counters, which a pool worker's copy would keep instead.
     return EvaluationEngine(
         StructuralChecker(template),
         evaluator or CountingEvaluator(),
-        config=EngineConfig(**config_kwargs) if config_kwargs else None,
+        config=EngineConfig(**{"max_workers": 1, **config_kwargs}),
     )
 
 

@@ -50,10 +50,12 @@ def candidates(sources):
 
 def make_engine(evaluator=None, **config_kwargs):
     template = make_template()
+    # In-process unless a test asks for workers: tests read the evaluator's
+    # own counters, which a pool worker's copy would keep instead.
     return EvaluationEngine(
         StructuralChecker(template),
         evaluator or ConstEvaluator(),
-        config=EngineConfig(**config_kwargs) if config_kwargs else None,
+        config=EngineConfig(**{"max_workers": 1, **config_kwargs}),
     )
 
 
@@ -254,6 +256,26 @@ def test_killed_process_worker_costs_time_never_a_score(tmp_path, monkeypatch, s
 
 
 # -- timeouts -----------------------------------------------------------------------
+
+
+def test_a_timeout_alone_is_enforced_on_a_multicore_box(tmp_path, monkeypatch):
+    """A config that names ``eval_timeout_s`` but not ``max_workers`` gets a
+    worker per usable CPU, so the timeout bounds the hung unit."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    release = tmp_path / "release"
+    engine = EvaluationEngine(
+        StructuralChecker(make_template()),
+        HangingEvaluator(release, trigger_score=3.0),
+        config=EngineConfig(eval_timeout_s=2.0),
+    )
+    try:
+        batch = engine.process_batch(candidates(SOURCES))
+    finally:
+        release.touch()
+        engine.close()
+    assert batch.stats.eval_timeouts == 1
+    assert [s.evaluation.transient for s in batch.scored] == [False] * 3 + [True] + [False] * 2
+    assert "timed out" in batch.scored[3].evaluation.error
 
 
 def test_process_timeout_costs_only_the_hung_unit(tmp_path, monkeypatch):

@@ -64,10 +64,12 @@ def candidates(values):
 
 def make_engine(evaluator, fidelity=None, events=None, **config_kwargs):
     template = make_template()
+    # In-process unless a test asks for workers: tests read the evaluator's
+    # own log, which a pool worker's copy would keep instead.
     return EvaluationEngine(
         StructuralChecker(template),
         evaluator,
-        config=EngineConfig(**config_kwargs) if config_kwargs else None,
+        config=EngineConfig(**{"max_workers": 1, **config_kwargs}),
         events=events,
         fidelity=fidelity,
     )

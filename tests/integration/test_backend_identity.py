@@ -9,6 +9,7 @@ in ``metadata.json`` (which, like wall time, is allowed to differ).
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from repro.dsl.parser import parse
 from repro.workloads import build_trace
 
 BACKENDS = ("interpreter", "compiled", "vectorized")
+
+SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 CACHING_SPEC = dict(
     domain="caching",
@@ -114,6 +117,27 @@ def test_raising_candidates_fail_identically_on_every_backend_and_executor(tmp_p
     assert [key for key, result in results.items() if result != oracle] == []
 
 
+@pytest.mark.parametrize("name", ["smoke_caching", "fidelity_caching", "matrix_cc"])
+def test_the_backend_record_is_the_same_from_workers_as_in_process(name, tmp_path):
+    """Each fresh result carries the backend it ran on and the engine tallies
+    them, so ``metadata.json`` records a pool's evaluations (ladder rungs,
+    scenario shards and programs that raised included) as a serial run does."""
+    records = []
+    for label, engine in (
+        ("serial", {"max_workers": 1}),
+        ("pool", {"executor": "process", "max_workers": 2}),
+    ):
+        data = RunSpec.from_file(SPECS / f"{name}.json").to_dict()
+        data["engine"] = {**data["engine"], **engine}
+        data["checkpoint"] = False
+        outcome = run(RunSpec.from_dict(data), store=tmp_path / label, eval_store=None)
+        metadata = json.loads((outcome.artifact_dir / "metadata.json").read_text())
+        records.append(metadata["dsl_backend"])
+    assert records[0] == records[1]
+    assert records[0]["requested"] == "vectorized"
+    assert sum(records[0]["resolved"].values()) > 0
+
+
 def test_engine_config_rejects_unknown_backend():
     with pytest.raises(ValueError, match="dsl_backend"):
         RunSpec(**CC_SPEC, engine={"dsl_backend": "numba"}).engine_config()
@@ -136,10 +160,10 @@ def test_caching_evaluator_counts_fallbacks():
     trace = build_trace("caching/zipf-hot", num_requests=200, num_objects=60)
     evaluator = CachingEvaluator(trace, backend="vectorized")
     sig = "def f(now, obj_id, obj_info, counts, ages, sizes, history)"
-    evaluator.evaluate(parse(f"{sig} {{ return obj_info.count }}"))
+    plain = evaluator.evaluate(parse(f"{sig} {{ return obj_info.count }}"))
     # An expression method-argument is unvectorizable: resolves one rung down.
-    evaluator.evaluate(parse(f"{sig} {{ return counts.percentile(now % 1) }}"))
-    assert evaluator.backend_stats == {
-        "requested": "vectorized",
-        "resolved": {"vectorized": 1, "compiled": 1},
-    }
+    fallback = evaluator.evaluate(parse(f"{sig} {{ return counts.percentile(now % 1) }}"))
+    # A program that raises at run time still reports the backend it ran on.
+    raising = evaluator.evaluate(parse(f"{sig} {{ return 1 // (now - now) }}"))
+    assert [plain.backends, fallback.backends] == [{"vectorized": 1}, {"compiled": 1}]
+    assert not raising.valid and raising.backends == {"vectorized": 1}

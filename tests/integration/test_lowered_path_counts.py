@@ -50,7 +50,7 @@ def test_a_caching_search_pinned_to_compiled_simulates_on_the_fused_loop(monkeyp
     data["seed"] = 3
     outcome = run(RunSpec.from_dict(data), store=tmp_path, eval_store=None)
 
-    resolved = outcome.setup.evaluator.backend_stats["resolved"]
+    resolved = outcome.setup.engine.backends
     assert set(resolved) == {"compiled", "interpreter"}
     assert len(taken) == resolved["compiled"] > resolved["interpreter"] == len(declined) > 0
     assert all(policy._priority.backend == "interpreter" for policy in declined)

@@ -3,15 +3,21 @@
 No wall-clock: counting wrappers around ``ProcessExecutor``.  A search on a
 fidelity ladder makes one pool, whatever the number of rungs, and ships each
 batch as a few chunk tasks rather than one task per unit -- while its
-``result.json`` stays byte-identical to the serial run's.
+``result.json`` stays byte-identical to the serial run's.  A spec that leaves
+``max_workers`` unset gets a pool of the usable CPUs, and a sweep splits them
+among the seeds it runs at once.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
+import pytest
+
+from repro.core.engine import EngineConfig, usable_cpus
 from repro.core.executors import ProcessExecutor
-from repro.core.spec import RunSpec, run
+from repro.core.spec import RunSpec, run, run_sweep
 
 SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
@@ -56,7 +62,7 @@ def test_a_laddered_process_search_makes_one_pool_and_few_tasks(monkeypatch, tmp
         store=tmp_path / "pooled",
         eval_store=None,
     )
-    serial = run(_spec({}), store=tmp_path / "serial", eval_store=None)
+    serial = run(_spec({"max_workers": 1}), store=tmp_path / "serial", eval_store=None)
 
     assert pooled.setup.engine.totals.rung_evaluations > 0  # the ladder ran
     assert len(pools) == 1
@@ -64,3 +70,81 @@ def test_a_laddered_process_search_makes_one_pool_and_few_tasks(monkeypatch, tmp
     assert sum(submits for _units, submits in calls) < sum(units for units, _ in calls)
     result = "result.json"
     assert (pooled.artifact_dir / result).read_bytes() == (serial.artifact_dir / result).read_bytes()
+
+
+def _stub_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def _count_pools(monkeypatch):
+    """The ``max_workers`` of every pool the process executor makes."""
+    sizes = []
+    make_pool = ProcessExecutor._make_pool
+
+    def counting_make_pool(self):
+        sizes.append(self.config.max_workers)
+        return make_pool(self)
+
+    monkeypatch.setattr(ProcessExecutor, "_make_pool", counting_make_pool)
+    return sizes
+
+
+def test_max_workers_defaults_to_the_usable_cpus(monkeypatch):
+    assert EngineConfig().max_workers == usable_cpus()
+    if hasattr(os, "sched_getaffinity"):
+        assert usable_cpus() == len(os.sched_getaffinity(0))
+    _stub_cpus(monkeypatch, 4)
+    assert EngineConfig().max_workers == 4
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert EngineConfig().max_workers == 1
+
+
+def test_a_spec_without_an_engine_block_fans_out_over_one_pool(monkeypatch, tmp_path):
+    _stub_cpus(monkeypatch, 2)
+    sizes = _count_pools(monkeypatch)
+    data = RunSpec.from_file(SPECS / "smoke_caching.json").to_dict()
+    del data["engine"]
+    data["checkpoint"] = False
+    default = run(RunSpec.from_dict(data), store=tmp_path / "default", eval_store=None)
+    assert sizes == [2]
+    data["engine"] = {"max_workers": 1}
+    serial = run(RunSpec.from_dict(data), store=tmp_path / "serial", eval_store=None)
+    assert sizes == [2]  # max_workers 1 is the in-process reference path
+    default_bytes = (default.artifact_dir / "result.json").read_bytes()
+    assert default_bytes == (serial.artifact_dir / "result.json").read_bytes()
+
+
+def _sweep_spec(seeds, engine=None):
+    data = _spec(engine or {}).to_dict()
+    data["search"] = {"rounds": 2, "candidates_per_round": 6}
+    data.pop("fidelity")
+    data["seeds"] = seeds
+    return RunSpec.from_dict(data)
+
+
+def _digests(sweep):
+    return [(o.seed, (o.artifact_dir / "result.json").read_bytes()) for o in sweep.outcomes]
+
+
+@pytest.mark.parametrize("seeds", [[0, 1, 2, 3], [0, 1]], ids=["4-seeds", "2-seeds"])
+def test_a_sweep_splits_the_cpus_among_the_seeds_in_flight(monkeypatch, tmp_path, seeds):
+    _stub_cpus(monkeypatch, 4)
+    sizes = _count_pools(monkeypatch)
+    parallel = run_sweep(_sweep_spec(seeds), store=tmp_path / "parallel", eval_store=None)
+    assert sum(sizes) <= 4
+    assert sizes == ([] if len(seeds) == 4 else [2, 2])  # 4 // seeds in flight each
+    del sizes[:]
+    one_by_one = run_sweep(
+        _sweep_spec(seeds), store=tmp_path / "one", eval_store=None, max_parallel=1
+    )
+    assert sizes == [4] * len(seeds)
+    assert _digests(parallel) == _digests(one_by_one)
+
+
+def test_a_sweep_honours_an_explicit_max_workers(monkeypatch, tmp_path):
+    _stub_cpus(monkeypatch, 4)
+    sizes = _count_pools(monkeypatch)
+    run_sweep(_sweep_spec([0, 1], {"max_workers": 3}), store=tmp_path, eval_store=None)
+    assert sizes == [3, 3]
