@@ -13,7 +13,7 @@ Commands
     cache) onto the spec -- none of which change the run's results.
 ``sweep <spec.json>``
     Run the spec once per seed (``--seeds`` overrides the spec's list),
-    seeds in parallel, and print the sweep table.
+    ``--parallel`` seeds at a time, and print the sweep table.
 ``resume <run dir>``
     Continue an interrupted checkpointed search from its artifact directory.
 ``experiments list``
@@ -62,7 +62,7 @@ from repro.core.artifacts import search_result_from_dict
 from repro.core.events import ProgressPrinter
 from repro.core.executors import available_executors
 from repro.dsl.compile import BACKENDS as DSL_BACKENDS
-from repro.core.spec import EVAL_STORE_DIRNAME, RunSpec, run, run_sweep
+from repro.core.spec import EVAL_STORE_DIRNAME, RunSpec, run, run_sweep, seeds_in_flight
 from repro.core.store import EvaluationStore
 from repro.llm.cache import PROMPT_CACHE_DIRNAME, PromptCache
 from repro.experiments import registry
@@ -339,7 +339,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _apply_provider_override(spec, args)
     # Progress printing only when seeds run one at a time: concurrent seeds
     # would interleave unattributed lines through one shared printer.
-    serial = args.parallel == 1 or len(spec.seed_list) == 1
+    serial = seeds_in_flight(spec, args.parallel) == 1
     outcome = run_sweep(
         spec,
         store=_store(args),
@@ -710,13 +710,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_overrides(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a RunSpec once per seed, in parallel")
+    p_sweep = sub.add_parser("sweep", help="run a RunSpec once per seed")
     p_sweep.add_argument("spec", help="path to a RunSpec JSON file")
     p_sweep.add_argument(
         "--seeds", nargs="+", default=None, help="override the spec's seed list"
     )
     p_sweep.add_argument(
-        "--parallel", type=int, default=None, help="max concurrent seeds"
+        "--parallel",
+        type=int,
+        default=None,
+        help="max concurrent seeds (default: 1 unless max_workers is set, else one per CPU)",
     )
     add_common(p_sweep)
     add_engine_overrides(p_sweep)

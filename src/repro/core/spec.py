@@ -11,9 +11,10 @@ the event stream, and re-render its artifacts without re-running anything.
 :func:`run` executes one spec (layered on
 :func:`~repro.core.domain.build_search`) and, when given an artifact store,
 writes the versioned run directory described in
-:mod:`repro.core.artifacts`.  :func:`run_sweep` fans the spec's seed list out
-over a thread pool, one independent search per seed, and writes a sweep
-index over the per-seed run directories.
+:mod:`repro.core.artifacts`.  :func:`run_sweep` runs one independent search
+per seed of the spec's seed list (in turn, or over a thread pool, see
+:func:`seeds_in_flight`) and writes a sweep index over the per-seed run
+directories.
 
 Traces are referenced, not embedded: a caching spec's ``domain_kwargs`` may
 set ``"trace"`` to ``{"dataset": "cloudphysics", "index": 89,
@@ -492,7 +493,6 @@ def run(
     subscribers: Sequence[Subscriber] = (),
     seed: Optional[int] = None,
     eval_store: Union[None, str, Path, EvaluationStore] = "auto",
-    workers: Optional[int] = None,
 ) -> RunOutcome:
     """Execute one spec; returns the result plus the artifact directory.
 
@@ -509,10 +509,6 @@ def run(
     ``None`` disables it.  The store only ever changes *where* evaluation
     results come from, never what they are -- a fixed seed produces a
     byte-identical ``result.json`` with the store cold, warm or disabled.
-
-    ``workers`` replaces the engine's default worker count when the spec
-    leaves ``max_workers`` unset (:func:`run_sweep` splits the CPUs among
-    its seeds this way); like any worker count, it changes no artifact.
     """
     if spec.is_sweep and seed is None:
         raise ValueError(
@@ -570,8 +566,6 @@ def run(
             events=events,
             resolved_kwargs=resolved_kwargs,
         )
-        if workers is not None and "max_workers" not in spec.engine and setup.engine is not None:
-            setup.engine.config.max_workers = workers
         if evaluation_store is not None and setup.engine is not None:
             setup.engine.attach_store(
                 evaluation_store.bind(effective_spec.eval_config_hash())
@@ -687,6 +681,14 @@ def run(
     )
 
 
+def seeds_in_flight(spec: RunSpec, max_parallel: Optional[int] = None) -> int:
+    """How many seeds :func:`run_sweep` runs at once: ``max_parallel`` if
+    given, else one for a spec that leaves ``max_workers`` unset (each
+    seed's engine has a pool of every usable CPU), else one per CPU."""
+    default = usable_cpus() if "max_workers" in spec.engine else 1
+    return min(len(spec.seed_list), max_parallel or default)
+
+
 def run_sweep(
     spec: RunSpec,
     *,
@@ -695,7 +697,7 @@ def run_sweep(
     max_parallel: Optional[int] = None,
     eval_store: Union[None, str, Path, EvaluationStore] = "auto",
 ) -> SweepOutcome:
-    """Run every seed of a sweep spec; seeds execute in parallel.
+    """Run every seed of a sweep spec; seeds may execute in parallel.
 
     Each seed is an independent deterministic search (its own client, engine
     and evaluator), so outcomes are identical whatever the scheduling; they
@@ -711,9 +713,8 @@ def run_sweep(
 
     ``subscribers`` are shared by every seed's event stream and may be
     called from multiple threads concurrently -- pass stateless/thread-safe
-    subscribers, or cap ``max_parallel=1``.  A spec that leaves
-    ``max_workers`` unset gets ``cpus // seeds in flight`` workers per seed
-    (at least 1), so the seeds' pools together fit the machine.
+    subscribers, or cap ``max_parallel=1``.  :func:`seeds_in_flight` says
+    how many seeds run at once.
     """
     seeds = spec.seed_list
     sweep_dir: Optional[Path] = None
@@ -724,8 +725,7 @@ def run_sweep(
         sweep_dir = store.sweep_dir(spec.name, spec.config_hash())
         artifact_root = store.root
     evaluation_store = resolve_eval_store(eval_store, artifact_root)
-    cpus = usable_cpus()
-    in_flight = min(len(seeds), max_parallel or cpus)
+    in_flight = seeds_in_flight(spec, max_parallel)
 
     def _one(seed: int) -> RunOutcome:
         return run(
@@ -734,7 +734,6 @@ def run_sweep(
             run_dir=(sweep_dir / f"seed-{seed}") if sweep_dir is not None else None,
             subscribers=subscribers,
             eval_store=evaluation_store,
-            workers=max(1, cpus // in_flight),
         )
 
     if in_flight <= 1:

@@ -15,13 +15,20 @@ Run via the unified CLI::
 
 from __future__ import annotations
 
-import time
+import os
 from typing import List, Optional
 
 from repro.core.cost import GPT_4O_MINI_PRICING, SearchCostReport
 from repro.core.domain import build_search
 from repro.experiments.registry import ExperimentDef, register_experiment
 from repro.workloads import build_trace
+
+
+def _cpu_seconds() -> float:
+    """CPU time of this process plus its reaped children: evaluation runs in
+    pool workers, which ``search.run()`` joins before it returns."""
+    times = os.times()
+    return times.user + times.system + times.children_user + times.children_system
 
 
 def run_cost_accounting(
@@ -43,9 +50,9 @@ def run_cost_accounting(
             seed=seed,
             trace=trace,
         )
-        start = time.process_time()
+        start = _cpu_seconds()
         result = setup.search.run()
-        cpu_seconds = time.process_time() - start
+        cpu_seconds = _cpu_seconds() - start
         report.add_run(
             name=f"cloudphysics/{trace.name}",
             prompt_tokens=result.prompt_tokens,

@@ -6,9 +6,11 @@ versions.
 """
 
 import json
+import os
 
 import pytest
 
+from repro.core.executors import ProcessExecutor
 from repro.experiments.cc_behaviour import format_behaviour, run_cc_behaviour
 from repro.experiments.cc_compilation import format_compilation, run_cc_compilation
 from repro.experiments.corpus import evaluate_corpus
@@ -133,6 +135,30 @@ def test_cost_accounting_report():
     assert report.evaluation_cpu_seconds > 0
     text = format_cost_report(report)
     assert "TOTAL" in text and "CPU-hours" in text
+
+
+def test_cost_accounting_counts_the_pool_workers_cpu(monkeypatch):
+    """On a multi-core box the evaluation runs in pool workers; their CPU
+    time is counted, so the report reads about what the in-process run does
+    (the coordinator alone spends a small fraction of it)."""
+    pools = []
+    make_pool = ProcessExecutor._make_pool
+    monkeypatch.setattr(
+        ProcessExecutor, "_make_pool", lambda self: pools.append(self) or make_pool(self)
+    )
+
+    def cpu_seconds_on(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+        report = run_cost_accounting(
+            trace_indices=[89], rounds=2, candidates_per_round=6, num_requests=3000
+        )
+        return report.evaluation_cpu_seconds
+
+    serial = cpu_seconds_on(1)
+    assert pools == []
+    pooled = cpu_seconds_on(2)
+    assert len(pools) == 1
+    assert 0.5 * serial <= pooled <= 3 * serial
 
 
 # -- the experiment registry --------------------------------------------------------

@@ -4,20 +4,19 @@ No wall-clock: counting wrappers around ``ProcessExecutor``.  A search on a
 fidelity ladder makes one pool, whatever the number of rungs, and ships each
 batch as a few chunk tasks rather than one task per unit -- while its
 ``result.json`` stays byte-identical to the serial run's.  A spec that leaves
-``max_workers`` unset gets a pool of the usable CPUs, and a sweep splits them
-among the seeds it runs at once.
+``max_workers`` unset gets a pool of the usable CPUs, and a sweep of such
+specs runs its seeds in turn rather than multiply pools.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
-
-import pytest
 
 from repro.core.engine import EngineConfig, usable_cpus
 from repro.core.executors import ProcessExecutor
-from repro.core.spec import RunSpec, run, run_sweep
+from repro.core.spec import RunSpec, run, run_sweep, seeds_in_flight
 
 SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
@@ -78,16 +77,26 @@ def _stub_cpus(monkeypatch, count):
 
 
 def _count_pools(monkeypatch):
-    """The ``max_workers`` of every pool the process executor makes."""
-    sizes = []
-    make_pool = ProcessExecutor._make_pool
+    """The ``max_workers`` of every pool the process executor makes; ``peak``
+    holds the most workers alive at once."""
+    sizes, alive, peak, lock = [], [0], [0], threading.Lock()
+    make_pool, discard_pool = ProcessExecutor._make_pool, ProcessExecutor._discard_pool
 
     def counting_make_pool(self):
-        sizes.append(self.config.max_workers)
+        with lock:
+            sizes.append(self.config.max_workers)
+            alive[0] += self.config.max_workers
+            peak[0] = max(peak[0], alive[0])
         return make_pool(self)
 
+    def counting_discard_pool(self, wait):
+        with lock:
+            alive[0] -= self.config.max_workers if self._pool is not None else 0
+        discard_pool(self, wait)
+
     monkeypatch.setattr(ProcessExecutor, "_make_pool", counting_make_pool)
-    return sizes
+    monkeypatch.setattr(ProcessExecutor, "_discard_pool", counting_discard_pool)
+    return sizes, peak
 
 
 def test_max_workers_defaults_to_the_usable_cpus(monkeypatch):
@@ -103,7 +112,7 @@ def test_max_workers_defaults_to_the_usable_cpus(monkeypatch):
 
 def test_a_spec_without_an_engine_block_fans_out_over_one_pool(monkeypatch, tmp_path):
     _stub_cpus(monkeypatch, 2)
-    sizes = _count_pools(monkeypatch)
+    sizes, _peak = _count_pools(monkeypatch)
     data = RunSpec.from_file(SPECS / "smoke_caching.json").to_dict()
     del data["engine"]
     data["checkpoint"] = False
@@ -128,23 +137,28 @@ def _digests(sweep):
     return [(o.seed, (o.artifact_dir / "result.json").read_bytes()) for o in sweep.outcomes]
 
 
-@pytest.mark.parametrize("seeds", [[0, 1, 2, 3], [0, 1]], ids=["4-seeds", "2-seeds"])
-def test_a_sweep_splits_the_cpus_among_the_seeds_in_flight(monkeypatch, tmp_path, seeds):
+def test_a_default_sweep_runs_its_seeds_in_turn_on_every_cpu(monkeypatch, tmp_path):
+    """A spec that leaves ``max_workers`` unset gets a pool of every CPU per
+    seed, so its seeds run one at a time: never more workers than CPUs."""
     _stub_cpus(monkeypatch, 4)
-    sizes = _count_pools(monkeypatch)
-    parallel = run_sweep(_sweep_spec(seeds), store=tmp_path / "parallel", eval_store=None)
-    assert sum(sizes) <= 4
-    assert sizes == ([] if len(seeds) == 4 else [2, 2])  # 4 // seeds in flight each
-    del sizes[:]
-    one_by_one = run_sweep(
-        _sweep_spec(seeds), store=tmp_path / "one", eval_store=None, max_parallel=1
+    sizes, peak = _count_pools(monkeypatch)
+    spec = _sweep_spec([0, 1, 2, 3])
+    assert seeds_in_flight(spec) == 1
+    pooled = run_sweep(spec, store=tmp_path / "pooled", eval_store=None)
+    assert sizes == [4] * 4
+    assert peak == [4]
+    serial = run_sweep(
+        _sweep_spec([0, 1, 2, 3], {"max_workers": 1}), store=tmp_path / "serial", eval_store=None
     )
-    assert sizes == [4] * len(seeds)
-    assert _digests(parallel) == _digests(one_by_one)
+    assert sizes == [4] * 4
+    assert _digests(pooled) == _digests(serial)
 
 
-def test_a_sweep_honours_an_explicit_max_workers(monkeypatch, tmp_path):
+def test_a_sweep_honours_an_explicit_max_workers_and_max_parallel(monkeypatch, tmp_path):
     _stub_cpus(monkeypatch, 4)
-    sizes = _count_pools(monkeypatch)
-    run_sweep(_sweep_spec([0, 1], {"max_workers": 3}), store=tmp_path, eval_store=None)
+    sizes, _peak = _count_pools(monkeypatch)
+    spec = _sweep_spec([0, 1], {"max_workers": 3})
+    assert seeds_in_flight(spec) == 2  # a seed per CPU, as many as there are
+    run_sweep(spec, store=tmp_path, eval_store=None)
     assert sizes == [3, 3]
+    assert seeds_in_flight(_sweep_spec([0, 1, 2]), max_parallel=2) == 2
