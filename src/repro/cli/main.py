@@ -4,16 +4,16 @@ Commands
 --------
 
 ``run <experiment | spec.json>``
-    Run a registered experiment (overriding parameters with ``--set k=v``) or
-    a declarative :class:`~repro.core.spec.RunSpec` file, store the run as a
-    versioned artifact directory, and print the report.  ``--executor`` /
-    ``--max-workers`` override the spec's engine parallelism and
-    ``--backend`` its DSL execution backend without editing the JSON;
-    ``--provider`` layers an LLM provider block (retries, timeouts, prompt
-    cache) onto the spec -- none of which change the run's results.
+    Run a registered experiment or a declarative
+    :class:`~repro.core.spec.RunSpec` file, store the run as a versioned
+    artifact directory, and print the report.  ``--set key=value`` is the
+    one override path: it sets an experiment parameter, or a spec field at
+    any depth (``--set engine.max_workers=1``, ``--set fidelity=null``,
+    ``--set 'llm.provider={"name": "synthetic", "retries": 2}'``), which
+    :meth:`~repro.core.spec.RunSpec.from_dict` then validates.
 ``sweep <spec.json>``
-    Run the spec once per seed (``--seeds`` overrides the spec's list),
-    ``--parallel`` seeds at a time, and print the sweep table.
+    Run the spec once per seed (``--set 'seeds=[0, 1]'`` overrides the
+    spec's list), ``--parallel`` seeds at a time, and print the sweep table.
 ``resume <run dir>``
     Continue an interrupted checkpointed search from its artifact directory.
 ``experiments list``
@@ -39,9 +39,9 @@ Commands
     program file) with the abstract interpreter: the output's provable
     ``[lo, hi]`` range over the domain's declared input intervals, whether
     it is constant or input-independent, and the window the evaluator's
-    output clamp forces it into.  ``--static-screen`` on ``run``/``sweep``
-    uses the same analysis to reject degenerate candidates before
-    evaluation.
+    output clamp forces it into.  ``--set engine.static_screen=true`` on
+    ``run``/``sweep`` uses the same analysis to reject degenerate
+    candidates before evaluation.
 
 Reports go to stdout; progress and artifact paths go to stderr, so stdout
 can be diffed between ``run`` and ``report``.
@@ -60,8 +60,6 @@ from repro.cli.render import render_search_report, render_sweep_report
 from repro.core import artifacts
 from repro.core.artifacts import search_result_from_dict
 from repro.core.events import ProgressPrinter
-from repro.core.executors import available_executors
-from repro.dsl.compile import BACKENDS as DSL_BACKENDS
 from repro.core.spec import EVAL_STORE_DIRNAME, RunSpec, run, run_sweep, seeds_in_flight
 from repro.core.store import EvaluationStore
 from repro.llm.cache import PROMPT_CACHE_DIRNAME, PromptCache
@@ -72,6 +70,35 @@ DEFAULT_ARTIFACT_ROOT = "runs"
 
 class CliError(Exception):
     """User-facing CLI failure (printed without a traceback)."""
+
+
+#: Spec-field flags that gave way to ``--set``, and what to pass instead;
+#: naming one exits 2 with that hint (the CLI's counterpart of the spec's
+#: ``REMOVED_KEYS``).
+REMOVED_FLAGS = {
+    "--executor": "use --set engine.executor=NAME",
+    "--max-workers": "use --set engine.max_workers=N",
+    "--backend": "use --set engine.dsl_backend=NAME",
+    "--static-screen": "use --set engine.static_screen=true",
+    "--fidelity": "use --set 'fidelity=[0.1, 0.3, 1.0]' (a rung list or a "
+    "JSON object; fidelity=null turns the ladder off)",
+    "--provider": "use --set llm.provider=NAME or --set 'llm.provider={...}'",
+    "--seeds": "use --set 'seeds=[0, 1, 2]'",
+    "--pipeline": "every round generates, then evaluates (the pipeline "
+    "scheduler is gone)",
+}
+
+
+class _RemovedFlag(argparse.Action):
+    """A hidden option that only fails, naming the flag's replacement."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(
+            option_strings, dest, nargs="*", default=argparse.SUPPRESS, help=argparse.SUPPRESS
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise CliError(f"{option_string} was removed; {REMOVED_FLAGS[option_string]}")
 
 
 def _parse_set(values: List[str]) -> Dict[str, Any]:
@@ -117,96 +144,18 @@ def _eval_store_arg(args: argparse.Namespace):
     return explicit if explicit is not None else "auto"
 
 
-def _engine_overrides(args: argparse.Namespace) -> Dict[str, Any]:
-    overrides: Dict[str, Any] = {}
-    if getattr(args, "executor", None) is not None:
-        # Validated here (not via argparse choices) so an unknown name gets
-        # the same "unknown <thing> ...; available: ..." message and exit
-        # code every other registry miss produces.
-        if args.executor not in available_executors():
-            raise CliError(
-                f"unknown executor {args.executor!r}; "
-                f"available: {available_executors()}"
-            )
-        overrides["executor"] = args.executor
-    if getattr(args, "max_workers", None) is not None:
-        if args.max_workers <= 0:
-            raise CliError("--max-workers must be positive")
-        overrides["max_workers"] = args.max_workers
-    if getattr(args, "backend", None) is not None:
-        overrides["dsl_backend"] = args.backend
-    if getattr(args, "static_screen", False):
-        overrides["static_screen"] = True
-    return overrides
-
-
-def _apply_engine_overrides(spec: RunSpec, args: argparse.Namespace) -> RunSpec:
-    """Layer ``--executor`` / ``--max-workers`` / ``--backend`` onto a spec's
-    engine block."""
-    overrides = _engine_overrides(args)
-    if not overrides:
-        return spec
+def _apply_set(spec: RunSpec, overrides: Dict[str, Any]) -> RunSpec:
+    """Layer ``--set a.b=value`` pairs onto a spec's dict form, at any depth;
+    :meth:`RunSpec.from_dict` validates the result."""
     data = spec.to_dict()
-    data["engine"] = {**data["engine"], **overrides}
-    return RunSpec.from_dict(data)
-
-
-def _apply_provider_override(spec: RunSpec, args: argparse.Namespace) -> RunSpec:
-    """Layer ``--provider`` onto a spec without editing the JSON.
-
-    ``--provider`` accepts a bare provider name (``synthetic``) or a JSON
-    object (``{"name": "synthetic", "retries": 2, "prompt_cache":
-    "runs/promptcache"}``); it lands in the spec's ``llm["provider"]`` block
-    and is validated by :class:`~repro.llm.client.ProviderConfig`.
-    """
-    raw = getattr(args, "provider", None)
-    if raw is None:
-        return spec
-    try:
-        ref: Any = json.loads(raw)
-    except json.JSONDecodeError:
-        ref = raw  # a bare provider name
-    if not isinstance(ref, (str, dict)):
-        raise CliError(
-            f"--provider expects a provider name or a JSON object, got {raw!r}"
-        )
-    data = spec.to_dict()
-    data["llm"] = {**data["llm"], "provider": ref}
-    return RunSpec.from_dict(data)
-
-
-def _apply_fidelity_override(spec: RunSpec, args: argparse.Namespace) -> RunSpec:
-    """Layer ``--fidelity`` onto a spec without editing the JSON.
-
-    Accepted forms: ``off`` (disable the spec's ladder), a comma-separated
-    rung list (``0.1,0.3,1.0``), or a JSON object
-    (``{"rungs": [...], "eta": 4, "mode": "shadow"}``).
-    """
-    raw = getattr(args, "fidelity", None)
-    if raw is None:
-        return spec
-    if raw.strip().lower() in ("off", "none"):
-        ref = None
-    else:
-        try:
-            ref = json.loads(raw)
-        except json.JSONDecodeError:
-            try:
-                ref = [float(part) for part in raw.split(",") if part.strip()]
-            except ValueError:
-                raise CliError(
-                    f"--fidelity expects 'off', a comma-separated rung list "
-                    f"or a JSON object, got {raw!r}"
-                ) from None
-        if not isinstance(ref, (list, dict)):
-            # e.g. a bare number: json.loads accepts it but a schedule needs
-            # a rung list or a mapping.
-            raise CliError(
-                f"--fidelity expects 'off', a comma-separated rung list "
-                f"or a JSON object, got {raw!r}"
-            )
-    data = spec.to_dict()
-    data["fidelity"] = ref
+    for key, value in overrides.items():
+        *parents, leaf = key.split(".")
+        node = data
+        for part in parents:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise CliError(f"--set {key}: {part!r} is not a mapping")
+        node[leaf] = value
     return RunSpec.from_dict(data)
 
 
@@ -247,12 +196,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 else ""
             )
             raise CliError(f"{target} is not a RunSpec file{hint}")
-        if overrides:
-            raise CliError(
-                "--set overrides apply to registered experiments; "
-                "edit the spec file to change a RunSpec"
-            )
-        spec = RunSpec.from_file(spec_path)
+        spec = _apply_set(RunSpec.from_file(spec_path), overrides)
         if spec.is_sweep and args.seed is None:
             raise CliError(
                 f"spec {spec.name!r} declares a seed sweep {spec.seeds}; "
@@ -260,9 +204,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         if args.seed is not None:
             spec = spec.for_seed(args.seed)
-        spec = _apply_engine_overrides(spec, args)
-        spec = _apply_fidelity_override(spec, args)
-        spec = _apply_provider_override(spec, args)
         outcome = run(
             spec,
             store=store,
@@ -274,22 +215,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             _note(f"artifacts: {outcome.artifact_dir}")
         return 0
 
-    if _engine_overrides(args):
-        raise CliError(
-            "--executor/--max-workers/--backend/--static-screen apply to "
-            "RunSpec runs; registered experiments manage their own engine "
-            "configuration"
-        )
-    if getattr(args, "fidelity", None) is not None:
-        raise CliError(
-            "--fidelity applies to RunSpec runs; registered experiments "
-            "do not use the multi-fidelity scheduler"
-        )
-    if getattr(args, "provider", None) is not None:
-        raise CliError(
-            "--provider applies to RunSpec runs; registered experiments "
-            "build their own LLM client"
-        )
     if getattr(args, "eval_store", None) is not None or getattr(
         args, "no_eval_store", False
     ):
@@ -330,13 +255,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = RunSpec.from_file(args.spec)
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds]
-        spec = RunSpec.from_dict({**spec.to_dict(), "seeds": seeds})
-    spec = _apply_engine_overrides(spec, args)
-    spec = _apply_fidelity_override(spec, args)
-    spec = _apply_provider_override(spec, args)
+    spec = _apply_set(RunSpec.from_file(args.spec), _parse_set(args.set or []))
     # Progress printing only when seeds run one at a time: concurrent seeds
     # would interleave unattributed lines through one shared printer.
     serial = seeds_in_flight(spec, args.parallel) == 1
@@ -649,72 +568,28 @@ def build_parser() -> argparse.ArgumentParser:
             help="disable the persistent evaluation store for this run",
         )
 
-    def add_engine_overrides(p: argparse.ArgumentParser) -> None:
+    def add_set(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--executor",
-            default=None,
-            metavar="NAME",
-            help="override the spec's engine executor backend "
-            f"(one of: {', '.join(available_executors())})",
+            "--set",
+            action="append",
+            metavar="KEY=VALUE",
+            help="override a spec field (a.b=v sets a nested one, e.g. "
+            "engine.max_workers=1) or an experiment parameter; repeatable, "
+            "values parsed as JSON, else taken as a string",
         )
-        p.add_argument(
-            "--max-workers",
-            type=int,
-            default=None,
-            help="override the spec's engine worker count (default: the usable "
-            "CPUs; 1 evaluates in-process, for debugging and profiling)",
-        )
-        p.add_argument(
-            "--backend",
-            default=None,
-            choices=DSL_BACKENDS,
-            help="override the DSL execution backend candidates are "
-            "evaluated with (scores are bit-identical across backends)",
-        )
-        p.add_argument(
-            "--fidelity",
-            default=None,
-            metavar="LADDER",
-            help="override the spec's multi-fidelity schedule: 'off', a "
-            "comma-separated rung list (e.g. 0.1,0.3,1.0) or a JSON object "
-            '(e.g. {"rungs": [0.1, 1.0], "eta": 4, "mode": "shadow"})',
-        )
-        p.add_argument(
-            "--static-screen",
-            action="store_true",
-            help="reject provably-degenerate candidates (constant, "
-            "input-independent or clamp-pinned output) with the interval "
-            "abstract interpreter before any evaluation",
-        )
-        # Kept only to reject it by name (see main()).
-        p.add_argument("--pipeline", action="store_true", help=argparse.SUPPRESS)
-        p.add_argument(
-            "--provider",
-            default=None,
-            metavar="NAME|JSON",
-            help="LLM provider block: a bare name ('synthetic') or a JSON "
-            'object (e.g. {"name": "synthetic", "retries": 2, '
-            '"prompt_cache": "runs/promptcache"})',
-        )
+        for flag in REMOVED_FLAGS:
+            p.add_argument(flag, action=_RemovedFlag)
 
     p_run = sub.add_parser("run", help="run an experiment by name or a RunSpec file")
     p_run.add_argument("target", help="registered experiment name or path to spec.json")
-    p_run.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override an experiment parameter (repeatable; values parsed as JSON)",
-    )
+    add_set(p_run)
     p_run.add_argument("--seed", type=int, default=None, help="override the spec seed")
     add_common(p_run)
-    add_engine_overrides(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a RunSpec once per seed")
     p_sweep.add_argument("spec", help="path to a RunSpec JSON file")
-    p_sweep.add_argument(
-        "--seeds", nargs="+", default=None, help="override the spec's seed list"
-    )
+    add_set(p_sweep)
     p_sweep.add_argument(
         "--parallel",
         type=int,
@@ -722,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max concurrent seeds (default: 1 unless max_workers is set, else one per CPU)",
     )
     add_common(p_sweep)
-    add_engine_overrides(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_resume = sub.add_parser(
@@ -804,14 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "pipeline", False):
-            raise CliError(
-                "--pipeline was removed along with the pipeline scheduler; "
-                "every round generates, then evaluates"
-            )
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

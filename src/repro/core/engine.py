@@ -78,6 +78,7 @@ from repro.core.store import BoundEvalStore
 from repro.dsl.ast import Program
 from repro.dsl.codegen import canonical_key
 from repro.dsl.compile import BACKENDS as DSL_BACKENDS
+from repro.typecheck import check_field_types
 
 
 def usable_cpus() -> int:
@@ -132,22 +133,13 @@ class EngineConfig:
     static_screen: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_workers, int):
-            raise ValueError(
-                "engine.max_workers must be an integer, "
-                f"got {type(self.max_workers).__name__} {self.max_workers!r}"
-            )
+        check_field_types(self, "engine")
         if self.max_workers <= 0:
             raise ValueError("max_workers must be positive")
         if self.executor not in available_executors():
             raise ValueError(
                 f"unknown executor {self.executor!r}; "
                 f"available: {available_executors()}"
-            )
-        if self.eval_timeout_s is not None and not isinstance(self.eval_timeout_s, (int, float)):
-            raise ValueError(
-                "engine.eval_timeout_s must be a number, "
-                f"got {type(self.eval_timeout_s).__name__} {self.eval_timeout_s!r}"
             )
         if self.eval_timeout_s is not None and self.eval_timeout_s <= 0:
             raise ValueError("eval_timeout_s must be positive")

@@ -60,6 +60,7 @@ from repro.core.results import (
 )
 from repro.core.template import Template
 from repro.dsl.codegen import to_source
+from repro.typecheck import check_field_types
 
 
 @dataclass
@@ -74,12 +75,7 @@ class SearchConfig:
     cost_model: CostModel = GPT_4O_MINI_PRICING
 
     def __post_init__(self) -> None:
-        for name in ("rounds", "candidates_per_round", "top_k_parents", "repair_attempts"):
-            value = getattr(self, name)
-            if not isinstance(value, int):
-                raise ValueError(
-                    f"search.{name} must be an integer, got {type(value).__name__} {value!r}"
-                )
+        check_field_types(self, "search")
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
         if self.candidates_per_round <= 0:

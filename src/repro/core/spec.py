@@ -41,6 +41,7 @@ from repro.core.search import SearchConfig
 from repro.core.store import STORE_SCHEMA_VERSION, EvaluationStore
 from repro.llm.client import ProviderConfig
 from repro.llm.mock import SyntheticLLMConfig
+from repro.typecheck import check_field_types
 
 #: Directory name of the shared evaluation store under an artifact root.
 EVAL_STORE_DIRNAME = "evalstore"
@@ -127,6 +128,7 @@ class RunSpec:
     fidelity: Optional[Any] = None
 
     def __post_init__(self) -> None:
+        check_field_types(self, "spec")
         if not self.domain:
             raise ValueError("a RunSpec must name a search domain")
         if not self.name:
@@ -139,6 +141,10 @@ class RunSpec:
         _check_overrides("search", self.search, SEARCH_FIELDS, REMOVED_KEYS["search"])
         _check_overrides("engine", self.engine, ENGINE_FIELDS, REMOVED_KEYS["engine"])
         _check_overrides("llm", self.llm, LLM_FIELDS)
+        # Built once to validate, so a bad value fails here and not after
+        # the run directory has been created.
+        SearchConfig(**self.search)
+        EngineConfig(**self.engine)
         if isinstance(self.llm.get(PROVIDER_KEY), dict):
             _check_overrides(
                 "provider", self.llm[PROVIDER_KEY], PROVIDER_FIELDS, REMOVED_KEYS["provider"]
@@ -162,6 +168,8 @@ class RunSpec:
         if self.seeds is not None:
             if not self.seeds:
                 raise ValueError("seeds, when given, must be a non-empty list")
+            if any(isinstance(s, bool) or not isinstance(s, int) for s in self.seeds):
+                raise ValueError(f"spec.seeds must be a list of integers, got {self.seeds!r}")
             if len(set(self.seeds)) != len(self.seeds):
                 raise ValueError(
                     f"seeds {self.seeds} contains duplicates; each seed runs "
@@ -209,7 +217,8 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
-        data = dict(data)
+        # Top-level copies, so the spec never shares a block with the caller.
+        data = {k: v.copy() if isinstance(v, (dict, list)) else v for k, v in data.items()}
         version = data.pop("version", SPEC_VERSION)
         if version != SPEC_VERSION:
             raise ValueError(
@@ -221,20 +230,7 @@ class RunSpec:
             raise ValueError(
                 f"unknown RunSpec field(s) {sorted(unknown)}; known: {sorted(known)}"
             )
-        seeds = data.get("seeds")
-        return cls(
-            domain=data.get("domain", ""),
-            name=data.get("name", ""),
-            domain_kwargs=dict(data.get("domain_kwargs", {})),
-            search=dict(data.get("search", {})),
-            engine=dict(data.get("engine", {})),
-            llm=dict(data.get("llm", {})),
-            seed=int(data.get("seed", 0)),
-            seeds=[int(s) for s in seeds] if seeds is not None else None,
-            checkpoint=bool(data.get("checkpoint", False)),
-            checkpoint_every=int(data.get("checkpoint_every", 1)),
-            fidelity=data.get("fidelity"),
-        )
+        return cls(**{"domain": "", **data})
 
     @classmethod
     def from_json(cls, text: str) -> "RunSpec":

@@ -341,7 +341,7 @@ class _InterpreterRunner:
 #: Names :func:`make_runner` accepts and reports (the first two ask alike).
 BACKENDS = ("vectorized", "compiled", "interpreter")
 
-#: What runs unless ``engine.dsl_backend`` / ``--backend`` names another.
+#: What runs unless ``engine.dsl_backend`` (``--set engine.dsl_backend=...``) names another.
 DEFAULT_BACKEND = "vectorized"
 
 

@@ -24,6 +24,8 @@ from concurrent.futures import (
 from dataclasses import dataclass, fields
 from typing import Any, Callable, List, Optional, Protocol, Sequence
 
+from repro.typecheck import check_field_types
+
 
 @dataclass(frozen=True)
 class ChatMessage:
@@ -96,30 +98,16 @@ class ProviderConfig:
     prompt_cache: Optional[str] = None
 
     def __post_init__(self) -> None:
+        check_field_types(self, "provider")
         if self.name not in KNOWN_PROVIDERS:
             raise ValueError(
                 f"unknown LLM provider {self.name!r}; "
                 f"available: {sorted(KNOWN_PROVIDERS)}"
             )
-        if not isinstance(self.retries, int):
-            raise ValueError(
-                "provider retries must be an integer, "
-                f"got {type(self.retries).__name__} {self.retries!r}"
-            )
         if self.retries < 0:
             raise ValueError("provider retries cannot be negative")
-        if self.timeout_s is not None and not isinstance(self.timeout_s, (int, float)):
-            raise ValueError(
-                "provider timeout_s must be a number, "
-                f"got {type(self.timeout_s).__name__} {self.timeout_s!r}"
-            )
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("provider timeout_s must be positive")
-        if self.prompt_cache is not None and not isinstance(self.prompt_cache, str):
-            raise ValueError(
-                "provider prompt_cache must be a directory path, "
-                f"got {type(self.prompt_cache).__name__} {self.prompt_cache!r}"
-            )
 
     @classmethod
     def from_ref(cls, ref: Any) -> Optional["ProviderConfig"]:

@@ -226,9 +226,8 @@ def test_sweep_and_report(capsys, tmp_path):
         capsys,
         "sweep",
         str(SMOKE_SPEC),
-        "--seeds",
-        "0",
-        "1",
+        "--set",
+        "seeds=[0, 1]",
         "--artifacts",
         str(tmp_path),
         "--quiet",
@@ -343,7 +342,7 @@ def test_executor_and_max_workers_flags(capsys, tmp_path):
     assert baseline_code == 0
     code, out, err = run_cli(
         capsys, "run", str(SMOKE_SPEC), "--artifacts", str(tmp_path / "b"),
-        "--executor", "thread", "--max-workers", "2", "--quiet",
+        "--set", "engine.executor=thread", "--set", "engine.max_workers=2", "--quiet",
     )
     assert code == 0
     # Same search trajectory, different engine configuration.
@@ -356,7 +355,7 @@ def test_executor_and_max_workers_flags(capsys, tmp_path):
 def test_static_screen_flag_records_metadata_and_certifies(capsys, tmp_path):
     code, run_out, run_err = run_cli(
         capsys, "run", str(SMOKE_SPEC), "--artifacts", str(tmp_path),
-        "--static-screen", "--no-eval-store", "--quiet",
+        "--set", "engine.static_screen=true", "--no-eval-store", "--quiet",
     )
     assert code == 0
     run_dir = artifact_dir_from(run_err)
@@ -391,7 +390,7 @@ def test_static_screen_off_keeps_result_json_byte_identical(capsys, tmp_path):
     )
     run_cli(
         capsys, "run", str(SMOKE_SPEC), "--artifacts", str(tmp_path / "on"),
-        "--static-screen", "--no-eval-store", "--quiet",
+        "--set", "engine.static_screen=true", "--no-eval-store", "--quiet",
     )
     off_dir = next(p for p in (tmp_path / "off").iterdir() if (p / "spec.json").exists())
     on_dir = next(p for p in (tmp_path / "on").iterdir() if (p / "spec.json").exists())
@@ -420,10 +419,10 @@ def test_static_screen_off_keeps_result_json_byte_identical(capsys, tmp_path):
 
 def test_engine_flags_rejected_for_experiments(capsys):
     code, _out, err = run_cli(
-        capsys, "run", "table2", "--executor", "thread"
+        capsys, "run", "table2", "--set", "engine.executor=thread"
     )
     assert code == 2
-    assert "RunSpec" in err
+    assert "experiment 'table2' has no parameter(s) ['engine.executor']" in err
 
 
 def test_eval_store_flags_rejected_for_experiments(capsys, tmp_path):
@@ -439,7 +438,7 @@ def test_eval_store_flags_rejected_for_experiments(capsys, tmp_path):
 
 def test_invalid_max_workers(capsys, tmp_path):
     code, _out, err = run_cli(
-        capsys, "run", str(SMOKE_SPEC), "--max-workers", "0", "--no-artifacts"
+        capsys, "run", str(SMOKE_SPEC), "--set", "engine.max_workers=0", "--no-artifacts"
     )
     assert code == 2
     assert "positive" in err

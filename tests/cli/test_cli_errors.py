@@ -1,4 +1,4 @@
-"""CLI error paths and the ``--fidelity`` override.
+"""CLI error paths, the removed spec flags and ``--set fidelity=...``.
 
 Every user mistake must exit 2 with a one-line ``error:`` message on stderr
 -- never a traceback -- and ``repro store gc`` must handle degenerate stores.
@@ -78,7 +78,7 @@ def test_workloads_show_unknown_name_exits_2(capsys):
 
 def test_run_unknown_executor_exits_2_listing_names(capsys):
     code, _out, err = run_cli(
-        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--executor", "quantum"
+        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--set", "engine.executor=quantum"
     )
     assert code == 2
     assert "unknown executor 'quantum'" in err
@@ -87,7 +87,7 @@ def test_run_unknown_executor_exits_2_listing_names(capsys):
     assert "async" not in err and "distributed" not in err
     assert "Traceback" not in err
     code, _out, err = run_cli(
-        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--executor", "distributed"
+        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--set", "engine.executor=distributed"
     )
     assert code == 2
     assert "unknown executor 'distributed'" in err
@@ -133,13 +133,35 @@ def test_run_spec_naming_a_pipeline_scheduler_key_exits_2(capsys, tmp_path, bloc
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_pipeline_flag_is_gone_and_exits_2(capsys, tmp_path, command):
+#: Each removed spec flag: sample arguments, and the hint its error must give.
+REMOVED_FLAGS = {
+    "--executor": (["thread"], "use --set engine.executor=NAME"),
+    "--max-workers": (["1"], "use --set engine.max_workers=N"),
+    "--backend": (["interpreter"], "use --set engine.dsl_backend=NAME"),
+    "--fidelity": (["0.1,1.0"], "use --set 'fidelity=[0.1, 0.3, 1.0]'"),
+    "--static-screen": ([], "use --set engine.static_screen=true"),
+    "--provider": (["synthetic"], "use --set llm.provider=NAME"),
+    "--seeds": (["0", "1"], "use --set 'seeds=[0, 1, 2]'"),
+    "--pipeline": ([], "every round generates, then evaluates (the pipeline scheduler is gone)"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        # The --pipeline cases keep their original [run] / [sweep] ids.
+        pytest.param(command, flag, id=command if flag == "--pipeline" else command + flag)
+        for command in ("run", "sweep")
+        for flag in REMOVED_FLAGS
+    ],
+)
+def test_pipeline_flag_is_gone_and_exits_2(capsys, tmp_path, command, flag):
+    args, hint = REMOVED_FLAGS[flag]
     code, _out, err = run_cli(
-        capsys, command, str(SMOKE_SPEC), "--no-artifacts", "--quiet", "--pipeline"
+        capsys, command, str(SMOKE_SPEC), "--no-artifacts", "--quiet", flag, *args
     )
     assert code == 2
-    assert "--pipeline was removed along with the pipeline scheduler" in err
+    assert f"error: {flag} was removed; {hint}" in err
     assert "Traceback" not in err
 
 
@@ -149,17 +171,26 @@ def test_pipeline_flag_is_gone_and_exits_2(capsys, tmp_path, command):
         ("search", {"rounds": "3"}, "search.rounds must be an integer, got str '3'"),
         ("engine", {"max_workers": "2"}, "engine.max_workers must be an integer, got str '2'"),
         ("engine", {"eval_timeout_s": "1"}, "engine.eval_timeout_s must be a number, got str '1'"),
-        ("provider", {"retries": "2"}, "provider retries must be an integer, got str '2'"),
-        ("provider", {"prompt_cache": 5}, "provider prompt_cache must be a directory path"),
+        ("provider", {"retries": "2"}, "provider.retries must be an integer, got str '2'"),
+        ("provider", {"prompt_cache": 5}, "provider.prompt_cache must be a string, got int 5"),
+        ("engine", {"static_screen": "no"}, "engine.static_screen must be a boolean, got str 'no'"),
+        ("search", {"include_seeds": "no"}, "search.include_seeds must be a boolean, got str 'no'"),
+        ("engine", {"max_workers": True}, "engine.max_workers must be an integer, got bool True"),
+        ("spec", {"checkpoint": "no"}, "spec.checkpoint must be a boolean, got str 'no'"),
+        ("spec", {"engine": None}, "spec.engine must be a mapping, got NoneType None"),
+        ("spec", {"seeds": ["0"]}, "spec.seeds must be a list of integers, got ['0']"),
     ],
     ids=["search.rounds", "engine.max_workers", "engine.eval_timeout_s", "provider.retries",
-         "provider.prompt_cache"],
+         "provider.prompt_cache", "engine.static_screen", "search.include_seeds",
+         "engine.max_workers=true", "spec.checkpoint", "spec.engine", "spec.seeds"],
 )
 def test_run_spec_field_of_the_wrong_json_type_exits_2(capsys, tmp_path, block, override, message):
     data = json.loads(SMOKE_SPEC.read_text(encoding="utf-8"))
     data["checkpoint"] = False
     if block == "provider":
         data["llm"] = {"provider": {"name": "synthetic", **override}}
+    elif block == "spec":
+        data.update(override)
     else:
         data[block] = {**data[block], **override}
     spec = write_spec(tmp_path, data)
@@ -172,10 +203,30 @@ def test_run_spec_field_of_the_wrong_json_type_exits_2(capsys, tmp_path, block, 
 def test_provider_flag_of_the_wrong_json_type_exits_2(capsys):
     code, _out, err = run_cli(
         capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--quiet",
-        "--provider", '{"name": "synthetic", "retries": "2"}',
+        "--set", 'llm.provider={"name": "synthetic", "retries": "2"}',
     )
     assert code == 2
-    assert "provider retries must be an integer, got str '2'" in err
+    assert "provider.retries must be an integer, got str '2'" in err
+    assert "Traceback" not in err
+
+
+def test_bad_engine_value_leaves_no_run_directory(capsys, tmp_path):
+    data = json.loads(SMOKE_SPEC.read_text(encoding="utf-8"))
+    data["engine"] = {"max_workers": 0}
+    spec = write_spec(tmp_path, data)
+    artifacts = tmp_path / "art"
+    code, _out, err = run_cli(capsys, "run", spec, "--artifacts", str(artifacts), "--quiet")
+    assert code == 2
+    assert "max_workers must be positive" in err
+    assert not artifacts.exists() or not any(artifacts.iterdir())
+
+
+def test_set_on_a_spec_rejects_a_path_through_a_non_mapping(capsys):
+    code, _out, err = run_cli(
+        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--quiet", "--set", "seed.x=1"
+    )
+    assert code == 2
+    assert "--set seed.x: 'seed' is not a mapping" in err
     assert "Traceback" not in err
 
 
@@ -188,7 +239,7 @@ def test_worker_verb_is_gone_and_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-# -- the --fidelity override --------------------------------------------------------
+# -- --set fidelity=... -------------------------------------------------------------
 
 
 def test_fidelity_flag_rung_list_applies(capsys, tmp_path):
@@ -198,8 +249,8 @@ def test_fidelity_flag_rung_list_applies(capsys, tmp_path):
         str(SMOKE_SPEC),
         "--artifacts",
         str(tmp_path),
-        "--fidelity",
-        "0.2,1.0",
+        "--set",
+        "fidelity=[0.2, 1.0]",
         "--quiet",
     )
     assert code == 0
@@ -228,7 +279,7 @@ def test_fidelity_flag_json_and_off_forms(capsys, tmp_path):
     )
     code, _out, _err = run_cli(
         capsys, "run", spec, "--artifacts", str(tmp_path / "a"),
-        "--fidelity", '{"rungs": [0.25, 1.0], "mode": "shadow", "eta": 4}', "--quiet",
+        "--set", 'fidelity={"rungs": [0.25, 1.0], "mode": "shadow", "eta": 4}', "--quiet",
     )
     assert code == 0
     run_dir = next(
@@ -238,10 +289,10 @@ def test_fidelity_flag_json_and_off_forms(capsys, tmp_path):
     assert stored["fidelity"] == {
         "rungs": [0.25, 1.0], "eta": 4.0, "min_keep": 2, "mode": "shadow",
     }
-    # "off" strips the spec's own ladder.
+    # null strips the spec's own ladder.
     code, _out, _err = run_cli(
         capsys, "run", spec, "--artifacts", str(tmp_path / "b"),
-        "--fidelity", "off", "--quiet",
+        "--set", "fidelity=null", "--quiet",
     )
     assert code == 0
     run_dir = next(
@@ -252,27 +303,29 @@ def test_fidelity_flag_json_and_off_forms(capsys, tmp_path):
 
 
 def test_fidelity_flag_rejects_garbage(capsys):
-    code, _out, err = run_cli(
-        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--fidelity", "fast,please"
-    )
-    assert code == 2
-    assert "--fidelity expects" in err
+    # Not JSON, so it arrives as a string; "off" and a comma rung list alike.
+    for value in ("fast,please", "off", "0.1,1.0"):
+        code, _out, err = run_cli(
+            capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--set", f"fidelity={value}"
+        )
+        assert code == 2
+        assert "cannot build a FidelitySchedule from str" in err
 
 
 def test_fidelity_flag_rejects_a_bare_number(capsys):
     # json.loads happily parses "0.5"; it still is not a schedule.
     code, _out, err = run_cli(
-        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--fidelity", "0.5"
+        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--set", "fidelity=0.5"
     )
     assert code == 2
-    assert "--fidelity expects" in err
+    assert "cannot build a FidelitySchedule from float" in err
     assert "Traceback" not in err
 
 
 def test_fidelity_flag_rejects_bad_ladders(capsys):
     # Valid syntax, invalid schedule (last rung must be 1.0).
     code, _out, err = run_cli(
-        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--fidelity", "0.1,0.5"
+        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--set", "fidelity=[0.1, 0.5]"
     )
     assert code == 2
     assert "final rung" in err
@@ -280,10 +333,10 @@ def test_fidelity_flag_rejects_bad_ladders(capsys):
 
 def test_fidelity_flag_rejected_for_experiments(capsys):
     code, _out, err = run_cli(
-        capsys, "run", "figure2", "--no-artifacts", "--fidelity", "0.1,1.0"
+        capsys, "run", "figure2", "--no-artifacts", "--set", "fidelity=[0.1, 1.0]"
     )
     assert code == 2
-    assert "--fidelity applies to RunSpec runs" in err
+    assert "experiment 'figure2' has no parameter(s) ['fidelity']" in err
 
 
 # -- report on broken run directories -----------------------------------------------

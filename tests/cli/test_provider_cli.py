@@ -1,5 +1,5 @@
-"""CLI surface of the LLM provider block: ``--provider`` on run/sweep, and
-``repro store --prompt-cache`` maintenance."""
+"""CLI surface of the LLM provider block: ``--set llm.provider=...`` on
+run/sweep, and ``repro store --prompt-cache`` maintenance."""
 
 import json
 from pathlib import Path
@@ -26,7 +26,7 @@ def test_provider_flag_and_prompt_cache_store_commands(capsys, tmp_path):
         "run", str(SMOKE_SPEC),
         "--artifacts", str(tmp_path / "runs"),
         "--quiet", "--no-eval-store",
-        "--provider", provider,
+        "--set", f"llm.provider={provider}",
     )
     assert code == 0
     assert cache_dir.exists()
@@ -63,7 +63,7 @@ def test_bare_provider_name_accepted(capsys, tmp_path):
         capsys,
         "run", str(SMOKE_SPEC),
         "--artifacts", str(tmp_path),
-        "--quiet", "--provider", "synthetic",
+        "--quiet", "--set", "llm.provider=synthetic",
     )
     assert code == 0
 
@@ -72,7 +72,7 @@ def test_unknown_provider_is_a_clean_error(capsys, tmp_path):
     code, _out, err = run_cli(
         capsys,
         "run", str(SMOKE_SPEC), "--no-artifacts", "--quiet",
-        "--provider", "openai",
+        "--set", "llm.provider=openai",
     )
     assert code == 2
     assert "unknown LLM provider" in err
@@ -82,28 +82,33 @@ def test_malformed_provider_json_is_a_clean_error(capsys):
     code, _out, err = run_cli(
         capsys,
         "run", str(SMOKE_SPEC), "--no-artifacts", "--quiet",
-        "--provider", "[1, 2]",
+        "--set", "llm.provider=[1, 2]",
     )
     assert code == 2
-    assert "--provider expects" in err
+    assert "a provider reference must be a name or a mapping, got list" in err
 
 
 def test_provider_flag_rejected_for_experiments(capsys):
     code, _out, err = run_cli(
-        capsys, "run", "caching-search", "--provider", "synthetic"
+        capsys, "run", "caching-search", "--set", "llm.provider=synthetic"
     )
     assert code == 2
-    assert "--provider applies to RunSpec runs" in err
+    assert "experiment 'caching-search' has no parameter(s) ['llm.provider']" in err
 
 
 def test_sweep_accepts_provider_flag(capsys, tmp_path):
     code, out, _err = run_cli(
         capsys,
         "sweep", str(SMOKE_SPEC),
-        "--seeds", "3", "4",
+        "--set", "seeds=[3, 4]",
         "--artifacts", str(tmp_path),
         "--quiet", "--no-eval-store",
-        "--provider", json.dumps({"name": "synthetic", "retries": 1}),
+        "--set", "llm.provider=" + json.dumps({"name": "synthetic", "retries": 1}),
     )
     assert code == 0
     assert "seed" in out
+    # --set reaches every seed's stored spec.
+    stored = [json.loads(path.read_text()) for path in sorted(tmp_path.rglob("spec.json"))]
+    assert sorted(spec["seed"] for spec in stored) == [3, 4]
+    for spec in stored:
+        assert spec["llm"]["provider"]["retries"] == 1

@@ -153,7 +153,7 @@ def test_provider_config_from_ref_forms():
         ({"batch_size": 4}, "unknown provider key"),
         ({"retries": "2"}, "retries must be an integer"),
         ({"timeout_s": "30"}, "timeout_s must be a number"),
-        ({"prompt_cache": 5}, "prompt_cache must be a directory path"),
+        ({"prompt_cache": 5}, "prompt_cache must be a string"),
         (42, "must be a name or a mapping"),
     ],
 )
