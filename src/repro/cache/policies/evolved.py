@@ -22,7 +22,7 @@ policy factory compatible with :data:`repro.cache.policies.BASELINES`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.cache.policies.base import EvictionPolicy
 from repro.cache.priority_cache import PriorityFunctionCache
@@ -226,9 +226,10 @@ def program_for(name: str) -> Program:
     return parse(source)
 
 
-def policy_factory(name: str) -> Callable[[int], EvictionPolicy]:
-    """A ``capacity -> policy`` factory for the shipped heuristic ``name``."""
-    program = program_for(name)
+def policy_factory(name: str, source: Optional[str] = None) -> Callable[[int], EvictionPolicy]:
+    """A ``capacity -> policy`` factory for heuristic ``name``: the shipped one,
+    or the program in ``source`` when given."""
+    program = program_for(name) if source is None else parse(source)
 
     def factory(capacity: int) -> EvictionPolicy:
         cache = PriorityFunctionCache(capacity, program, name=name)
@@ -237,7 +238,10 @@ def policy_factory(name: str) -> Callable[[int], EvictionPolicy]:
     return factory
 
 
-def evolved_policy_factories(names: Dict[str, str] | None = None) -> Dict[str, Callable[[int], EvictionPolicy]]:
-    """Factories for a set of shipped heuristics (defaults to all of them)."""
-    selected = names if names is not None else EVOLVED_HEURISTICS
-    return {name: policy_factory(name) for name in selected}
+def evolved_policy_factories(
+    sources: Dict[str, str] | None = None,
+) -> Dict[str, Callable[[int], EvictionPolicy]]:
+    """Factories for ``{name: source}`` heuristics, each built from its own
+    source (defaults to every shipped heuristic)."""
+    selected = sources if sources is not None else EVOLVED_HEURISTICS
+    return {name: policy_factory(name, source) for name, source in selected.items()}

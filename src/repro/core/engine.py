@@ -81,10 +81,31 @@ from repro.dsl.compile import BACKENDS as DSL_BACKENDS
 from repro.typecheck import check_field_types
 
 
+def _cgroup_cpu_max_path() -> str:
+    """The ``cpu.max`` file of this process's cgroup v2 (its ``0::`` line)."""
+    with open("/proc/self/cgroup") as lines:
+        path = next(line[3:].strip() for line in lines if line.startswith("0::"))
+    return f"/sys/fs/cgroup{path.rstrip('/')}/cpu.max"
+
+
+def _cgroup_cpu_quota() -> Optional[int]:
+    """CPUs the cgroup v2 quota ``cpu.max`` grants, rounded up; None for no limit
+    (``max``, no cgroup v2, or a file that does not read as ``quota period``)."""
+    try:
+        with open(_cgroup_cpu_max_path()) as handle:
+            quota, period = (int(value) for value in handle.read().split())
+    except (OSError, StopIteration, ValueError):
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
 def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
+    """CPUs this process may run on: its affinity mask where the OS has one,
+    capped by a cgroup v2 CPU quota (a container's ``cpu.max``)."""
     getaffinity = getattr(os, "sched_getaffinity", None)
-    return max(1, len(getaffinity(0)) if getaffinity else os.cpu_count() or 1)
+    cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+    quota = _cgroup_cpu_quota()
+    return max(1, cpus if quota is None else min(cpus, quota))
 
 
 @dataclass

@@ -8,6 +8,10 @@ advances the counter by ``n``, so every other event keeps the number it would
 have next to ``n`` separate entries.  A run counts ``n`` logical events
 towards ``processed`` and ``max_events``; the valve can stop inside one, and
 the members that did not fire stay queued under the numbers they held.
+
+The invariant holds in two loops: :meth:`EventQueue.run_until`, which calls
+each entry's handler, and :func:`repro.netsim.fused.run_until`, which fires a
+fresh single-flow run in one frame and numbers its entries the same way.
 """
 
 from __future__ import annotations

@@ -6,6 +6,13 @@ its drops from the link directly, as counts).  :class:`SimulationMetrics`
 collects the two numbers the paper reports in §5.0.3 -- bandwidth utilisation
 and average queueing delay -- plus throughput, loss rate and RTT statistics
 per flow.
+
+:meth:`NetworkSimulator.run` hands a fresh single-flow run on a loss-free
+link -- every default cc search's -- to the fused loop in
+:mod:`repro.netsim.fused`, one Python frame for the whole run.  Every other
+run (several flows, random loss, a queue that already fired) takes the
+classic per-event loop, which stays the general path and the oracle; both
+fire the same events in the same order (see :mod:`repro.netsim.events`).
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.netsim import fused
 from repro.netsim.events import EventQueue
 from repro.netsim.flow import CongestionController, Flow
 from repro.netsim.link import DropTailLink, LinkConfig
@@ -141,7 +149,10 @@ class NetworkSimulator:
         if not self._flows:
             raise ValueError("add at least one flow before running the simulation")
         duration_us = self.config.duration_us
-        events = self.events.run_until(duration_us, max_events=self.config.max_events)
+        if fused.eligible(self):
+            events = fused.run_until(self, duration_us, self.config.max_events)
+        else:
+            events = self.events.run_until(duration_us, max_events=self.config.max_events)
         for flow in self._flows.values():
             flow.stop()
 

@@ -6,6 +6,7 @@ from concurrent.futures import BrokenExecutor
 import pytest
 
 from pool_helpers import CrashOnceEvaluator, HangingEvaluator, InterpEvaluator
+from repro.core import engine as engine_module
 from repro.core.checker import StructuralChecker
 from repro.core.engine import BatchStats, EngineConfig, EvaluationEngine
 from repro.core.evaluator import EvaluationResult, Evaluator
@@ -262,6 +263,7 @@ def test_a_timeout_alone_is_enforced_on_a_multicore_box(tmp_path, monkeypatch):
     """A config that names ``eval_timeout_s`` but not ``max_workers`` gets a
     worker per usable CPU, so the timeout bounds the hung unit."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    monkeypatch.setattr(engine_module, "_cgroup_cpu_quota", lambda: None)
     release = tmp_path / "release"
     engine = EvaluationEngine(
         StructuralChecker(make_template()),

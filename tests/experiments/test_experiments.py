@@ -10,6 +10,9 @@ import os
 
 import pytest
 
+from repro.cache.policies.evolved import EVOLVED_HEURISTICS, LFU_SEED_SOURCE, LRU_SEED_SOURCE
+from repro.cache.policies.fifo import FIFOCache
+from repro.core import engine
 from repro.core.executors import ProcessExecutor
 from repro.experiments.cc_behaviour import format_behaviour, run_cc_behaviour
 from repro.experiments.cc_compilation import format_compilation, run_cc_compilation
@@ -46,6 +49,38 @@ def test_corpus_evaluation_structure(small_cloudphysics_evaluation):
         for result in per_policy.values():
             assert result.trace == trace
             assert 0 < result.miss_ratio <= 1
+
+
+def _corpus_miss_ratios(heuristics):
+    evaluation = evaluate_corpus(
+        "cloudphysics",
+        trace_count=2,
+        num_requests=800,
+        baselines={"FIFO": FIFOCache},
+        heuristics=heuristics,
+    )
+    assert evaluation.heuristic_names == list(heuristics)
+    return {
+        (trace, name): result.miss_ratio
+        for trace, per_policy in evaluation.results.items()
+        for name, result in per_policy.items()
+        if name in heuristics
+    }
+
+
+def test_corpus_evaluates_an_unshipped_heuristic_from_its_source():
+    ratios = _corpus_miss_ratios({"Heuristic Q": LRU_SEED_SOURCE})
+    assert len(ratios) == 2 and all(0 < ratio < 1 for ratio in ratios.values())
+
+
+def test_corpus_scores_the_source_it_is_given_under_a_shipped_name():
+    def under(name, source):
+        ratios = _corpus_miss_ratios({name: source})
+        return {trace: ratio for (trace, _name), ratio in ratios.items()}
+
+    given = under("Heuristic A", LFU_SEED_SOURCE)
+    assert given == under("LFU seed", LFU_SEED_SOURCE)
+    assert given != under("Heuristic A", EVOLVED_HEURISTICS["Heuristic A"])
 
 
 def test_figure2_shape(small_cloudphysics_evaluation):
@@ -146,6 +181,8 @@ def test_cost_accounting_counts_the_pool_workers_cpu(monkeypatch):
     monkeypatch.setattr(
         ProcessExecutor, "_make_pool", lambda self: pools.append(self) or make_pool(self)
     )
+
+    monkeypatch.setattr(engine, "_cgroup_cpu_quota", lambda: None)
 
     def cpu_seconds_on(cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)

@@ -1,11 +1,12 @@
 """Golden bytes: ``result.json`` of the example specs, pinned by sha256.
 
 ``tests/golden/result_sha256.json`` was recorded on the commit it names
-(``repro run examples/specs/<spec>.json [--backend B] --no-eval-store``) and
-is asserted here, so a change to any layer a candidate passes through --
-tokenizer, parser, AST, analysis, renderer, checker, engine, simulators,
-artifact writer -- is pinned by bytes, under every DSL backend, rather than
-by one-knob-at-a-time diffs alone.  The default column must also hold with a
+(``recorded_on``; a spec added later names its own in ``recorded_on_by_spec``)
+with ``repro run examples/specs/<spec>.json [--set engine.dsl_backend=B]
+--no-eval-store``, and is asserted here, so a change to any layer a
+candidate passes through -- tokenizer, parser, AST, analysis, renderer,
+checker, engine, simulators, artifact writer -- is pinned by bytes, under
+every DSL backend, rather than by one-knob-at-a-time diffs alone.  The default column must also hold with a
 prompt cache attached, cold and then warm.  Regenerate only for an intended
 change of what a search finds or of the artifact schema.
 """

@@ -14,6 +14,9 @@ import os
 import threading
 from pathlib import Path
 
+import pytest
+
+from repro.core import engine
 from repro.core.engine import EngineConfig, usable_cpus
 from repro.core.executors import ProcessExecutor
 from repro.core.spec import RunSpec, run, run_sweep, seeds_in_flight
@@ -74,6 +77,7 @@ def test_a_laddered_process_search_makes_one_pool_and_few_tasks(monkeypatch, tmp
 def _stub_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
+    monkeypatch.setattr(engine, "_cgroup_cpu_quota", lambda: None)
 
 
 def _count_pools(monkeypatch):
@@ -101,6 +105,7 @@ def _count_pools(monkeypatch):
 
 def test_max_workers_defaults_to_the_usable_cpus(monkeypatch):
     assert EngineConfig().max_workers == usable_cpus()
+    monkeypatch.setattr(engine, "_cgroup_cpu_quota", lambda: None)
     if hasattr(os, "sched_getaffinity"):
         assert usable_cpus() == len(os.sched_getaffinity(0))
     _stub_cpus(monkeypatch, 4)
@@ -108,6 +113,28 @@ def test_max_workers_defaults_to_the_usable_cpus(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert EngineConfig().max_workers == 1
+
+
+@pytest.mark.parametrize(
+    "cpu_max,expected",
+    [
+        ("max 100000\n", 8),
+        ("150000 100000\n", 2),
+        ("50000 100000\n", 1),
+        ("garbage\n", 8),
+    ],
+    ids=["max", "one-and-a-half-cpus", "half-a-cpu", "garbage"],
+)
+def test_usable_cpus_honours_a_cgroup_v2_cpu_quota(monkeypatch, tmp_path, cpu_max, expected):
+    """A container capped by ``cpu.max`` sizes its default pool by the quota
+    (rounded up), not by the host's CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(8)), raising=False)
+    cpu_max_file = tmp_path / "cpu.max"
+    cpu_max_file.write_text(cpu_max)
+    monkeypatch.setattr(engine, "_cgroup_cpu_max_path", lambda: str(cpu_max_file))
+    assert usable_cpus() == EngineConfig().max_workers == expected
+    cpu_max_file.unlink()  # no cgroup v2 file: no limit
+    assert usable_cpus() == 8
 
 
 def test_a_spec_without_an_engine_block_fans_out_over_one_pool(monkeypatch, tmp_path):
