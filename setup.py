@@ -33,7 +33,6 @@ setup(
         # and CI).
         "dev": [
             "pytest>=8",
-            "pytest-benchmark>=4",
             "hypothesis>=6",
             "ruff==0.9.6",
         ],

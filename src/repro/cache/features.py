@@ -43,18 +43,6 @@ class ObjectInfoView(FeatureObject):
         self.inserted_at = obj.insert_time
         self.size = obj.size
 
-    @classmethod
-    def from_fields(
-        cls, count: int, last_accessed: int, inserted_at: int, size: int
-    ) -> "ObjectInfoView":
-        """Build a view without a :class:`CachedObject` (used in tests)."""
-        view = cls.__new__(cls)
-        view.count = count
-        view.last_accessed = last_accessed
-        view.inserted_at = inserted_at
-        view.size = size
-        return view
-
 
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile over a pre-sorted sequence."""

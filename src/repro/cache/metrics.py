@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 
 @dataclass
@@ -53,18 +52,3 @@ class SimulationResult:
         if baseline.miss_ratio == 0:
             return 0.0
         return (baseline.miss_ratio - self.miss_ratio) / baseline.miss_ratio
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary used by the experiment report writers."""
-        return {
-            "policy": self.policy,
-            "trace": self.trace,
-            "cache_size": self.cache_size,
-            "requests": self.requests,
-            "hits": self.hits,
-            "misses": self.misses,
-            "miss_ratio": self.miss_ratio,
-            "byte_miss_ratio": self.byte_miss_ratio,
-            "evictions": self.evictions,
-            "admissions": self.admissions,
-        }

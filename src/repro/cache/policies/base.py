@@ -85,10 +85,6 @@ class EvictionPolicy(ABC):
     def used_bytes(self) -> int:
         return self._used
 
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity - self._used
-
     def get(self, key: int) -> Optional[CachedObject]:
         return self._objects.get(key)
 

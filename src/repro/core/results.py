@@ -223,10 +223,3 @@ class SearchResult(BudgetCounters):
         if not self.eval_cache_lookups:
             return 0.0
         return self.eval_cache_hits / self.eval_cache_lookups
-
-    def store_hit_rate(self) -> float:
-        """Fraction of memory-tier misses the persistent evaluation store
-        served from disk (0.0 when the run had no store attached)."""
-        if not self.store_lookups:
-            return 0.0
-        return self.store_hits / self.store_lookups

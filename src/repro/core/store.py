@@ -120,6 +120,13 @@ class GcOutcome:
     remaining_bytes: int
 
 
+def _check_bounds(max_entries: Optional[int], max_bytes: Optional[int]) -> None:
+    if max_entries is not None and max_entries < 0:
+        raise ValueError("max_entries cannot be negative")
+    if max_bytes is not None and max_bytes < 0:
+        raise ValueError("max_bytes cannot be negative")
+
+
 class ContentAddressedStore:
     """Shared disk machinery for schema-versioned content-addressed caches.
 
@@ -149,10 +156,7 @@ class ContentAddressedStore:
         gc_interval: int = 64,
     ):
         self.root = Path(root)
-        if max_entries is not None and max_entries < 0:
-            raise ValueError("max_entries cannot be negative")
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("max_bytes cannot be negative")
+        _check_bounds(max_entries, max_bytes)
         if gc_interval <= 0:
             raise ValueError("gc_interval must be positive")
         self.max_entries = max_entries
@@ -311,6 +315,7 @@ class ContentAddressedStore:
         (see :meth:`_scan`; its bytes count in ``freed_bytes``) and trees of
         other schema versions.
         """
+        _check_bounds(max_entries, max_bytes)
         max_entries = self.max_entries if max_entries is None else max_entries
         max_bytes = self.max_bytes if max_bytes is None else max_bytes
         removed = 0

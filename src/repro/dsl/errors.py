@@ -52,16 +52,3 @@ class DslTimeoutError(DslRuntimeError):
     Generated code may contain loops; the interpreter enforces a step budget
     so a pathological candidate cannot stall the whole search.
     """
-
-
-class DslConstraintError(DslError):
-    """Raised (or collected) when a candidate violates Template constraints.
-
-    The kernel-constraint checker reports violations with this type, carrying
-    a machine-readable ``code`` (e.g. ``"float-arith"``) alongside the human
-    readable message so tests and experiments can aggregate failure causes.
-    """
-
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(message)

@@ -54,10 +54,6 @@ class CompilationReport:
     def repaired_rate(self) -> float:
         return self.repaired / self.candidates if self.candidates else 0.0
 
-    @property
-    def total_pass_rate(self) -> float:
-        return self.first_pass_rate + self.repaired_rate
-
 
 def _measure(
     template: Template,

@@ -138,16 +138,6 @@ class DropTailLink:
     def set_drop_callback(self, callback: DropCallback) -> None:
         self._on_drop = callback
 
-    # -- inspection ----------------------------------------------------------------
-
-    @property
-    def queued_bytes(self) -> int:
-        return self._queued_bytes
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     # -- datapath --------------------------------------------------------------------
 
     def _refuses(self, size: int) -> bool:

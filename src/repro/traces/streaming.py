@@ -38,7 +38,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.cache.request import Request, Trace
+from repro.cache.request import Request
 
 #: Default file-read granularity (bytes) for the CSV decoder.
 DEFAULT_CHUNK_SIZE = 64 * 1024
@@ -349,12 +349,6 @@ class StreamingTrace:
 
     def duration(self) -> int:
         return self.stats.last_timestamp - self.stats.first_timestamp
-
-    # -- conversion ----------------------------------------------------------------
-
-    def materialize(self) -> Trace:
-        """An in-memory :class:`Trace` with the same requests (tests, tools)."""
-        return Trace(list(self), name=self.name)
 
 
 def open_csv_trace(

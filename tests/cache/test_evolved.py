@@ -13,8 +13,8 @@ from repro.cache.policies.evolved import (
     policy_factory,
     program_for,
 )
-from repro.cache.priority_cache import TEMPLATE_PARAMS
-from repro.cache.simulator import simulate
+from repro.cache.priority_cache import TEMPLATE_PARAMS, PriorityFunctionCache
+from repro.cache.simulator import simulate, simulate_many
 from repro.dsl import analyze, parse
 
 
@@ -70,6 +70,23 @@ def test_policy_factories_run_on_trace(small_synthetic_trace):
         result = simulate(factory, small_synthetic_trace, cache_fraction=0.08)
         assert 0 < result.miss_ratio < 1
         assert result.policy == name
+
+
+def test_batched_scoring_of_every_heuristic_matches_the_interpreter(small_synthetic_trace):
+    """``simulate_many`` over the shared columns scores each shipped heuristic
+    as the interpreter oracle does, one by one."""
+
+    def factories(backend):
+        return {
+            name: lambda capacity, program=program_for(name): PriorityFunctionCache(
+                capacity, program, backend=backend
+            )
+            for name in sorted(EVOLVED_HEURISTICS)
+        }
+
+    lowered = simulate_many(factories("vectorized"), small_synthetic_trace)
+    assert len(lowered) == len(EVOLVED_HEURISTICS)
+    assert lowered == simulate_many(factories("interpreter"), small_synthetic_trace)
 
 
 def test_evolved_heuristics_beat_fifo_on_average(small_synthetic_trace):

@@ -71,6 +71,21 @@ def test_an_eviction_enters_no_python_frame():
     assert tight_frames == roomy_frames
 
 
+def test_both_lowered_spellings_enter_equal_frames():
+    """``compiled`` and ``vectorized`` name one fused run: the same frames,
+    more of them than requests (the kernel is entered per scored request)."""
+    trace = _workload_trace()
+
+    def run(backend):
+        return CacheSimulator().run(_policy(PROGRAMS["history"], backend=backend), trace)
+
+    frames = {}
+    for backend in ("compiled", "vectorized"):
+        run(backend)  # first-run set-up (lowering, kernel tables) stays outside the count
+        frames[backend], _result = frames_entered(lambda: run(backend))
+    assert frames["compiled"] == frames["vectorized"] > len(trace)
+
+
 class _CountingColumn:
     def __init__(self, values, decodes):
         self._values = values

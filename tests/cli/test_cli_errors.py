@@ -467,3 +467,17 @@ def test_store_gc_requires_a_bound(capsys, tmp_path):
     code, _out, err = run_cli(capsys, "store", "gc", "--store", str(tmp_path))
     assert code == 2
     assert "needs a bound" in err
+
+
+@pytest.mark.parametrize("bound", ["--max-entries", "--max-bytes"])
+def test_store_gc_rejects_a_negative_bound_and_deletes_nothing(capsys, tmp_path, bound):
+    from repro.core.evaluator import EvaluationResult
+    from repro.core.store import EvaluationStore
+
+    store = EvaluationStore(tmp_path / "evalstore")
+    for index in range(3):
+        assert store.put("k" * 64, f"program-{index}", EvaluationResult(score=index, valid=True))
+    code, out, err = run_cli(capsys, "store", "gc", "--store", str(store.root), bound, "-1")
+    assert code == 2
+    assert "cannot be negative" in err and out == ""
+    assert store.stats().entries == 3

@@ -172,3 +172,21 @@ def small_synthetic_trace() -> Trace:
         name="unit-small", num_requests=1500, num_objects=300, seed=7
     )
     return generate_trace(config)
+
+
+@pytest.fixture
+def evaluated_fidelities(monkeypatch):
+    """The fidelity of every unit the engine hands an executor while the test
+    runs: one entry per fresh evaluation, counted in the coordinator, so a
+    pool's work is counted as an in-process run's is."""
+    from repro.core import executors
+
+    fidelities: list = []
+    for cls in (executors.SerialExecutor, executors._PoolExecutor):
+
+        def counting(self, units, stats, run_units=cls.run_units):
+            fidelities.extend(unit.fidelity for unit in units)
+            return run_units(self, units, stats)
+
+        monkeypatch.setattr(cls, "run_units", counting)
+    return fidelities

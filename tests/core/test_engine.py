@@ -277,6 +277,46 @@ def test_static_screen_never_touches_store(tmp_path):
     assert engine.totals.store_lookups == 0 and engine.store_writes == 0
 
 
+def test_a_screened_grammar_candidate_costs_no_evaluation_memo_or_store_traffic(tmp_path):
+    """On a real evaluator: of 64 grammar-generated caching programs the
+    screener rejects the one degenerate, and every other candidate is
+    evaluated, looked up in the memo and the store, and written back --
+    once each, at the ladder's cheapest rung."""
+    import random
+
+    from repro.cache.search import CachingEvaluator, caching_feature_spec, caching_template
+    from repro.core.store import EvaluationStore
+    from repro.dsl.codegen import to_source
+    from repro.dsl.grammar import random_program
+    from repro.workloads import build_trace
+
+    spec = caching_feature_spec()
+    sources = [to_source(random_program(spec, random.Random(seed))) for seed in range(64)]
+    assert len(set(sources)) == 64
+    trace = build_trace("caching/zipf-hot", num_requests=2000, num_objects=400)
+    evaluator = CachingEvaluator(trace).at_fidelity(0.1)
+    evaluated, evaluate_program = [], evaluator.evaluate_program
+
+    def counting(program):
+        evaluated.append(program)
+        return evaluate_program(program)
+
+    evaluator.evaluate_program = counting
+    engine = EvaluationEngine(
+        StructuralChecker(caching_template()),
+        evaluator,
+        config=EngineConfig(max_workers=1, static_screen=True),
+    )
+    engine.attach_store(EvaluationStore(tmp_path / "evalstore").bind("k" * 64))
+    batch = engine.process_batch(candidates(sources))
+    survivors = 64 - 1
+    assert batch.stats.passed_check == batch.stats.screen_checks == 64
+    assert batch.stats.screened == 1
+    assert len(evaluated) == survivors
+    assert batch.stats.eval_cache_lookups == survivors
+    assert engine.totals.store_lookups == engine.store_writes == survivors
+
+
 # -- the disk memo tier -------------------------------------------------------------
 
 

@@ -1,8 +1,8 @@
 """Experiment-harness tests on reduced corpora / candidate counts.
 
 These tests verify the harness mechanics and the qualitative *shape* of the
-paper's results (see EXPERIMENTS.md); the benchmark suite runs the larger
-versions.
+paper's results (see EXPERIMENTS.md), each at the smallest scale that keeps
+its shape meaningful; ``repro run <experiment>`` runs the paper-scale versions.
 """
 
 import json
@@ -14,6 +14,7 @@ from repro.cache.policies.evolved import EVOLVED_HEURISTICS, LFU_SEED_SOURCE, LR
 from repro.cache.policies.fifo import FIFOCache
 from repro.core import engine
 from repro.core.executors import ProcessExecutor
+from repro.experiments.ablations import run_ablations
 from repro.experiments.cc_behaviour import format_behaviour, run_cc_behaviour
 from repro.experiments.cc_compilation import format_compilation, run_cc_compilation
 from repro.experiments.corpus import evaluate_corpus
@@ -30,6 +31,7 @@ from repro.experiments.registry import (
     merge_params,
     run_experiment,
 )
+from repro.experiments.search_caching import run_search_experiment
 from repro.experiments.table2 import format_table2, table2_from_evaluation
 
 
@@ -83,6 +85,24 @@ def test_corpus_scores_the_source_it_is_given_under_a_shipped_name():
     assert given != under("Heuristic A", EVOLVED_HEURISTICS["Heuristic A"])
 
 
+def _assert_oracles_dominate(figure):
+    b_oracle = figure.row("B-Oracle")
+    ps_oracle = figure.row("PS-Oracle")
+    # Oracles dominate: per trace they pick the best candidate.
+    for row in figure.rows:
+        if row.kind == "baseline":
+            assert b_oracle.mean_improvement >= row.mean_improvement - 1e-9
+    assert ps_oracle.mean_improvement >= b_oracle.mean_improvement - 1e-9
+
+
+def _assert_best_heuristic_rivals_the_best_baseline(figure):
+    best = {
+        kind: max(row.mean_improvement for row in figure.rows if row.kind == kind)
+        for kind in ("heuristic", "baseline")
+    }
+    assert best["heuristic"] >= best["baseline"] - 0.05
+
+
 def test_figure2_shape(small_cloudphysics_evaluation):
     figure = figure2_from_evaluation(small_cloudphysics_evaluation)
     policies = {row.policy for row in figure.rows}
@@ -91,13 +111,7 @@ def test_figure2_shape(small_cloudphysics_evaluation):
     fifo = figure.row("FIFO")
     assert fifo.mean_improvement == pytest.approx(0.0)
 
-    b_oracle = figure.row("B-Oracle")
-    ps_oracle = figure.row("PS-Oracle")
-    # Oracles dominate: per trace they pick the best candidate.
-    for row in figure.rows:
-        if row.kind == "baseline":
-            assert b_oracle.mean_improvement >= row.mean_improvement - 1e-9
-    assert ps_oracle.mean_improvement >= b_oracle.mean_improvement - 1e-9
+    _assert_oracles_dominate(figure)
 
     # The strongest synthesized heuristics sit near the top of the ordering
     # (the paper: second only to GDSF on average).
@@ -107,6 +121,14 @@ def test_figure2_shape(small_cloudphysics_evaluation):
 
     text = format_figure2(figure, top_baselines=5)
     assert "Figure 2" in text and "GDSF" in text
+
+
+def test_figure2_best_heuristic_rivals_the_best_baseline(small_cloudphysics_evaluation):
+    """The best synthesized heuristic's mean improvement over FIFO is within
+    0.05 of the best baseline's."""
+    _assert_best_heuristic_rivals_the_best_baseline(
+        figure2_from_evaluation(small_cloudphysics_evaluation)
+    )
 
 
 def test_figure2_json_roundtrip(small_cloudphysics_evaluation):
@@ -128,6 +150,49 @@ def test_table2_shape(small_cloudphysics_evaluation):
     # traces (the paper reports 14-48 % for CloudPhysics).
     assert max(entry.win_fraction for entry in entries) >= 0.25
     assert "Table 2" in format_table2(entries)
+
+
+@pytest.fixture(scope="module")
+def small_msr_evaluation():
+    """4 MSR-like traces with shortened requests: shared by the MSR tests."""
+    return evaluate_corpus("msr", trace_count=4, num_requests=1500)
+
+
+def test_figure2_shape_on_msr(small_msr_evaluation):
+    figure = figure2_from_evaluation(small_msr_evaluation)
+    _assert_oracles_dominate(figure)
+    _assert_best_heuristic_rivals_the_best_baseline(figure)
+
+
+def test_table2_shape_on_msr(small_msr_evaluation):
+    entries = table2_from_evaluation(small_msr_evaluation)
+    assert len(entries) == 4
+    assert max(entry.win_fraction for entry in entries) >= 0.25
+
+
+def test_search_on_context_trace_w89_matches_the_best_baseline():
+    """§4.2.3: the synthesized heuristic lands within 5 % of the best
+    baseline on its own context trace, and beats FIFO there."""
+    result = run_search_experiment(
+        dataset="cloudphysics",
+        trace_index=89,
+        rounds=3,
+        candidates_per_round=10,
+        seed=1,
+        num_requests=2500,
+    )
+    assert result.heuristic_miss_ratio <= result.best_baseline_miss_ratio * 1.05
+    assert result.improvement_over_fifo > 0
+    assert result.search.prompt_tokens > 0
+
+
+def test_ablations_keep_a_usable_heuristic_and_full_is_not_the_worst():
+    results = run_ablations(trace_index=89, num_requests=1500, rounds=2, candidates_per_round=8)
+    miss_ratios = {result.name: result.best_miss_ratio for result in results}
+    assert set(miss_ratios) == {"full", "no-parent-feedback", "no-repair", "object-features-only"}
+    assert all(0 < ratio < 1 for ratio in miss_ratios.values())
+    full = miss_ratios.pop("full")
+    assert full <= max(miss_ratios.values())
 
 
 def test_cc_compilation_rates_match_paper_shape():

@@ -114,6 +114,20 @@ def test_screen_ladder_reaches_equal_final_quality(base, tmp_path):
     assert metadata["fidelity"]["rung_eliminations"] == len(screened) > 0
 
 
+@DOMAINS
+def test_screen_ladder_runs_fewer_full_fidelity_evaluations(base, tmp_path, evaluated_fidelities):
+    """What the ladder saves: full-fidelity evaluations.  Without it every
+    evaluation is one; with it the eliminated candidates only ran a rung."""
+    run(RunSpec(**base), store=tmp_path / "off", eval_store=None)
+    off = list(evaluated_fidelities)
+    del evaluated_fidelities[:]
+    run(RunSpec(**base, fidelity=dict(LADDER)), store=tmp_path / "screen", eval_store=None)
+    assert set(off) == {1.0}
+    full = evaluated_fidelities.count(1.0)
+    assert 0 < full < len(off)
+    assert len(evaluated_fidelities) > full
+
+
 def test_screen_ladder_writes_one_store_file_per_saved_batch(tmp_path, monkeypatch):
     """No wall-clock: every ``put_many`` that saved a result -- one per
     evaluated result set, full fidelity and each screening rung -- created

@@ -131,3 +131,24 @@ def test_metadata_records_live_store_statistics(tmp_path):
     assert result["store_hits"] == 0 and result["store_lookups"] == 0
     for round_data in result["rounds"]:
         assert round_data["store_hits"] == 0
+
+
+def test_a_warm_sweep_evaluates_nothing(tmp_path, evaluated_fidelities):
+    """A sweep re-run over the store a cold sweep populated regenerates and
+    re-checks every candidate but hands no unit to an executor."""
+    from repro.core.spec import run_sweep
+
+    spec = RunSpec(**CACHING_SPEC, seeds=[0, 1])
+    cold = run_sweep(spec, store=tmp_path / "cold", eval_store=tmp_path / "store", max_parallel=1)
+    assert evaluated_fidelities
+    del evaluated_fidelities[:]
+    warm = run_sweep(spec, store=tmp_path / "warm", eval_store=tmp_path / "store", max_parallel=1)
+    assert evaluated_fidelities == []
+    lookups = sum(o.setup.engine.totals.store_lookups for o in warm.outcomes)
+    assert lookups > 0
+    assert sum(o.setup.engine.totals.store_hits for o in warm.outcomes) == lookups
+    for first, second in zip(cold.outcomes, warm.outcomes):
+        assert (
+            (first.artifact_dir / "result.json").read_bytes()
+            == (second.artifact_dir / "result.json").read_bytes()
+        )

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.policies.evolved import program_for
 from repro.cache.policies.lru import LRUCache
 from repro.cache.policies.s3fifo import S3FIFOCache
+from repro.cache.priority_cache import PriorityFunctionCache
 from repro.cache.request import Request, Trace
-from repro.cache.simulator import simulate
+from repro.cache.simulator import CacheSimulator, cache_size_for, simulate
+from repro.traces import streaming as streaming_module
 from repro.traces.cloudphysics import cloudphysics_config
 from repro.traces.msr import msr_config
 from repro.traces.streaming import (
@@ -172,6 +175,42 @@ def test_decoded_cache_invalidated_on_source_change(tmp_path):
     second.to_csv(path)
     streaming = open_csv_trace(path, cache_decoded=True)
     assert _request_tuples(streaming) == _request_tuples(second)
+
+
+def test_a_cached_decode_pass_builds_no_request_and_decodes_once(tmp_path, monkeypatch):
+    """Simulating a lowered candidate over a cached-decode trace three times
+    constructs no ``Request`` and decodes the sidecar's columns once (the
+    first pass's, kept by the trace), and scores like the materialized trace."""
+    trace = generate_trace(cloudphysics_config(89, num_requests=1500))
+    path = tmp_path / "w89.csv"
+    trace.to_csv(path)
+    streamed = open_csv_trace(path, cache_decoded=True)
+    streamed.footprint_bytes()  # the stats pass (it iterates) stays outside the counts
+
+    def simulate_heuristic_a(trace_like):
+        cache = PriorityFunctionCache(
+            cache_size_for(trace_like), program_for("Heuristic A"), name="Heuristic A"
+        )
+        return CacheSimulator().run(cache, trace_like)
+
+    expected = simulate_heuristic_a(Trace.from_csv(path))
+    constructed, decodes = [], []
+    request, columns = streaming_module.Request, DecodedArraySource.columns
+
+    def counting_request(**fields):
+        constructed.append(fields)
+        return request(**fields)
+
+    def counting_columns(source):
+        decodes.append(source)
+        return columns(source)
+
+    monkeypatch.setattr(streaming_module, "Request", counting_request)
+    monkeypatch.setattr(DecodedArraySource, "columns", counting_columns)
+    for _ in range(3):
+        assert simulate_heuristic_a(streamed) == expected
+        assert len(decodes) == 1
+        assert constructed == []
 
 
 def test_streaming_trace_pickles_for_process_pools(tmp_path):
