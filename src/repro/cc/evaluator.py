@@ -28,7 +28,7 @@ def cc_input_intervals():
     Every signal is a non-negative integer (``signals_environment`` clamps
     the RTT family at zero); ``cwnd`` additionally lives inside the flow's
     clamp, which is also the declared ``output_clamp`` -- the window a
-    returned value is forced into by :meth:`repro.netsim.flow.Flow._apply_cwnd`.
+    returned value is clamped into by the netsim loop (:mod:`repro.netsim.fused`).
     A return provably at or below the floor (or at or above the ceiling) for
     all signal values is a pinned, degenerate controller.
     """

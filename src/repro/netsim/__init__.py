@@ -4,12 +4,13 @@ The congestion-control case study (§5 of the paper) evaluates candidates on
 an emulated 12 Mbps, 20 ms link.  This package provides the equivalent
 simulation substrate:
 
-* :mod:`repro.netsim.events` -- the event queue,
-* :mod:`repro.netsim.packet` -- packets and ACKs,
+* :mod:`repro.netsim.packet` -- packets (an ACK is an event, not a packet),
 * :mod:`repro.netsim.link` -- a bottleneck link with a drop-tail queue,
-  serialisation delay and propagation delay,
+  serialisation delay, propagation delay and optional random loss,
 * :mod:`repro.netsim.flow` -- TCP-like senders driven by a pluggable
   congestion controller,
+* :mod:`repro.netsim.fused` -- the event loop that runs them, one Python
+  frame per run, and the event-ordering rules it keeps,
 * :mod:`repro.netsim.simulator` -- wiring plus per-run metrics (utilisation,
   mean/percentile queueing delay, throughput, losses).
 
@@ -17,14 +18,12 @@ Time is measured in integer microseconds throughout, which keeps the
 kernel-style (integer-only) congestion controllers honest.
 """
 
-from repro.netsim.events import EventQueue
 from repro.netsim.packet import Packet
 from repro.netsim.link import DropTailLink, LinkConfig
 from repro.netsim.flow import CongestionController, Flow, FlowStats
 from repro.netsim.simulator import NetworkSimulator, SimulationConfig, SimulationMetrics
 
 __all__ = [
-    "EventQueue",
     "Packet",
     "DropTailLink",
     "LinkConfig",

@@ -21,8 +21,6 @@ class Packet:
         Time the packet left the sender, in microseconds.
     enqueued_at / dequeued_at:
         Set by the link; their difference is the packet's queueing delay.
-    retransmission:
-        True when this packet is a retransmission of a lost sequence.
     """
 
     flow_id: int
@@ -31,11 +29,6 @@ class Packet:
     sent_at: int
     enqueued_at: int = 0
     dequeued_at: int = 0
-    retransmission: bool = False
-
-    def queueing_delay_us(self) -> int:
-        """Time spent waiting in the bottleneck queue (microseconds)."""
-        return max(0, self.dequeued_at - self.enqueued_at)
 
 
 #: Conventional Ethernet-ish maximum segment size used by the flows.

@@ -1,41 +1,39 @@
 """Top-level network simulation wiring and metrics.
 
-A :class:`NetworkSimulator` owns the event queue, one bottleneck link and a
-set of flows, and routes deliveries back to the owning flow (a flow hears of
-its drops from the link directly, as counts).  :class:`SimulationMetrics`
-collects the two numbers the paper reports in §5.0.3 -- bandwidth utilisation
-and average queueing delay -- plus throughput, loss rate and RTT statistics
-per flow.
-
-:meth:`NetworkSimulator.run` hands a fresh single-flow run on a loss-free
-link -- every default cc search's -- to the fused loop in
-:mod:`repro.netsim.fused`, one Python frame for the whole run.  Every other
-run (several flows, random loss, a queue that already fired) takes the
-classic per-event loop, which stays the general path and the oracle; both
-fire the same events in the same order (see :mod:`repro.netsim.events`).
+A :class:`NetworkSimulator` owns one bottleneck link, a set of flows and the
+event queue that :func:`repro.netsim.fused.run_until` fires, one Python frame
+per run whatever the topology.  :class:`SimulationMetrics` collects the two
+numbers the paper reports in §5.0.3 -- bandwidth utilisation and average
+queueing delay -- plus throughput, loss rate and RTT statistics per flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Dict, List, Optional
 
 from repro.netsim import fused
-from repro.netsim.events import EventQueue
 from repro.netsim.flow import CongestionController, Flow
 from repro.netsim.link import DropTailLink, LinkConfig
-from repro.netsim.packet import DEFAULT_MSS, Packet
+from repro.netsim.packet import DEFAULT_MSS
 
 
 @dataclass
 class SimulationConfig:
-    """Parameters of one emulation run (§5.0.3: 12 Mbps, 20 ms RTT)."""
+    """Parameters of one emulation run (§5.0.3: 12 Mbps, 20 ms RTT), checked when built."""
 
     link: LinkConfig = field(default_factory=LinkConfig)
     duration_s: float = 10.0
     mss: int = DEFAULT_MSS
     #: Safety valve: maximum number of events processed before aborting.
     max_events: int = 2_000_000
+
+    def __post_init__(self) -> None:
+        if not self.mss > 0:
+            raise ValueError(f"mss must be positive, got {self.mss!r}")
+        if not self.max_events >= 1:
+            raise ValueError(f"max_events must be >= 1, got {self.max_events!r}")
 
     @property
     def duration_us(self) -> int:
@@ -103,12 +101,16 @@ class NetworkSimulator:
 
     def __init__(self, config: Optional[SimulationConfig] = None):
         self.config = config or SimulationConfig()
-        self.events = EventQueue()
-        self.link = DropTailLink(self.events, self.config.link)
-        self.link.set_delivery_callback(self._on_delivery)
+        self.link = DropTailLink(self.config.link)
         self._flows: Dict[int, Flow] = {}
-
-    # -- construction ----------------------------------------------------------------
+        #: Events as ``(time, number, kind, arg, run)`` (see :mod:`repro.netsim.fused`).
+        self._heap: List[tuple] = []
+        self._next_number = 0
+        self.now = 0
+        #: Events fired so far (a loss run of n counts n).
+        self.processed = 0
+        #: True when ``max_events`` stopped the last run short of its horizon.
+        self.truncated = False
 
     def add_flow(
         self,
@@ -120,41 +122,27 @@ class NetworkSimulator:
         fid = flow_id if flow_id is not None else len(self._flows)
         if fid in self._flows:
             raise ValueError(f"duplicate flow id {fid}")
-        flow = Flow(
-            flow_id=fid,
-            events=self.events,
-            link=self.link,
-            controller=controller,
-            mss=self.config.mss,
-        )
-        self._flows[fid] = flow
-        flow.start(at_us=int(start_at_s * 1_000_000))
+        flow = self._flows[fid] = Flow(fid, controller)
+        start_us = max(int(start_at_s * 1_000_000), self.now)
+        heappush(self._heap, (start_us, self._next_number, fused.START, fid, 0))
+        self._next_number += 1
         return flow
 
     @property
     def flows(self) -> List[Flow]:
         return list(self._flows.values())
 
-    # -- link callbacks ----------------------------------------------------------------
-
-    def _on_delivery(self, packet: Packet, now: int) -> None:
-        flow = self._flows.get(packet.flow_id)
-        if flow is not None:
-            flow.handle_delivery(packet, now)
-
-    # -- execution ------------------------------------------------------------------------
+    def run_until(self, end_us: int, max_events: Optional[int] = None) -> int:
+        """Fire the events up to ``end_us``, at most ``max_events`` of them, and
+        return how many fired; a run the valve cut carries on from the cut."""
+        return fused.run_until(self, end_us, max_events)
 
     def run(self) -> SimulationMetrics:
         """Run for the configured duration and return the metrics."""
         if not self._flows:
             raise ValueError("add at least one flow before running the simulation")
         duration_us = self.config.duration_us
-        if fused.eligible(self):
-            events = fused.run_until(self, duration_us, self.config.max_events)
-        else:
-            events = self.events.run_until(duration_us, max_events=self.config.max_events)
-        for flow in self._flows.values():
-            flow.stop()
+        events = self.run_until(duration_us, self.config.max_events)
 
         link_stats = self.link.stats
         p95, p99 = link_stats.queueing_delay_percentiles_ms(0.95, 0.99)
@@ -178,7 +166,7 @@ class NetworkSimulator:
             duration_s=self.config.duration_s,
             flows=flow_metrics,
             events=events,
-            truncated=self.events.truncated,
+            truncated=self.truncated,
         )
 
 

@@ -34,16 +34,11 @@ class BurstWindowController:
     ``duty`` fraction of every ``period_us``, ``low`` for the rest), so the
     burst pattern is deterministic and ignores congestion signals entirely --
     exactly the background traffic a robust controller must coexist with.
-    ``duty=1.0`` degenerates to steady fixed-window cross traffic.
+    ``duty=1.0`` degenerates to steady fixed-window cross traffic.  Its
+    arguments are checked where a spec supplies them, by :class:`CrossTrafficSpec`.
     """
 
     def __init__(self, high: int = 40, low: int = 2, period_us: int = 1_000_000, duty: float = 0.5):
-        if high < 1 or low < 1:
-            raise ValueError("window sizes must be at least 1 packet")
-        if period_us <= 0:
-            raise ValueError("period_us must be positive")
-        if not 0 < duty <= 1:
-            raise ValueError("duty must be in (0, 1]")
         self.high = high
         self.low = low
         self.period_us = period_us
@@ -65,13 +60,24 @@ class BurstWindowController:
 
 @dataclass(frozen=True)
 class CrossTrafficSpec:
-    """One cross-traffic flow (see :class:`BurstWindowController`)."""
+    """One cross-traffic flow (see :class:`BurstWindowController`), checked when built."""
 
     window_high: int = 40
     window_low: int = 2
     period_s: float = 1.0
     duty: float = 0.5
     start_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("window_high", "window_low"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"cross_traffic {name} must be at least 1 packet")
+        if not int(self.period_s * 1_000_000) >= 1:
+            raise ValueError(f"cross_traffic period_s must be at least 1 us, got {self.period_s!r}")
+        if not 0 < self.duty <= 1:
+            raise ValueError(f"cross_traffic duty must be in (0, 1], got {self.duty!r}")
+        if not self.start_s >= 0:
+            raise ValueError(f"cross_traffic start_s must be >= 0, got {self.start_s!r}")
 
     def controller(self) -> BurstWindowController:
         return BurstWindowController(
@@ -84,7 +90,11 @@ class CrossTrafficSpec:
 
 @dataclass(frozen=True)
 class NetSimScenario:
-    """One declarative evaluation topology for the cc domain."""
+    """One declarative evaluation topology for the cc domain, checked when built.
+
+    The link fields are checked by :class:`~repro.netsim.link.LinkConfig`,
+    ``mss`` and ``max_events`` by :class:`~repro.netsim.simulator.SimulationConfig`.
+    """
 
     name: str = "cc/single-flow"
     rate_bps: int = 12_000_000
@@ -109,6 +119,9 @@ class NetSimScenario:
             raise ValueError("a scenario needs at least one candidate flow")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
+        if not self.flow_stagger_s >= 0:
+            raise ValueError(f"flow_stagger_s must be >= 0, got {self.flow_stagger_s!r}")
+        self.simulation_config()  # its LinkConfig and itself check the remaining fields
 
     def link_config(self) -> LinkConfig:
         return LinkConfig(

@@ -58,6 +58,42 @@ def test_run_spec_with_unknown_workload_name_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "workload,field,value",
+    [
+        ("single-flow", "rate_bps", 0),
+        ("single-flow", "rate_bps", -1),
+        ("single-flow", "one_way_delay_us", -5),
+        ("single-flow", "one_way_delay_us", 10.5),
+        ("single-flow", "queue_bytes", -1),
+        ("lossy-link", "loss_rate", 1.0),
+        ("multi-flow", "flow_stagger_s", -0.5),
+        ("bursty-cross", "cross_traffic", [{"window_high": 0}]),
+        ("bursty-cross", "cross_traffic", [{"period_s": 0}]),
+        ("bursty-cross", "cross_traffic", [{"duty": 0}]),
+    ],
+)
+def test_run_spec_with_a_malformed_netsim_topology_exits_2(
+    capsys, tmp_path, workload, field, value
+):
+    """Rejected once, when the spec is loaded, not charged to every candidate."""
+    spec = write_spec(
+        tmp_path,
+        {
+            "domain": "cc",
+            "name": "bad-link",
+            "domain_kwargs": {"workloads": [{"name": f"cc/{workload}", field: value}]},
+            "search": {"rounds": 1, "candidates_per_round": 2},
+            "engine": {"max_workers": 1},
+        },
+    )
+    code, out, err = run_cli(capsys, "run", spec, "--no-artifacts", "--quiet")
+    assert code == 2
+    named = list(value[0])[0] if field == "cross_traffic" else field
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err and "valid" not in out
+
+
 def test_run_spec_with_unknown_domain_exits_2(capsys, tmp_path):
     spec = write_spec(
         tmp_path, {"domain": "quantum", "search": {"rounds": 1}}

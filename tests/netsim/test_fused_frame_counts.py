@@ -1,44 +1,31 @@
-"""Count-based gates on which netsim loop ran: frames entered, no wall-clock.
+"""Count-based gates on the netsim loop: frames entered, no wall-clock.
 
-``sys.setprofile`` counts the Python frames a run enters, by code object.  A
-fresh ``cc/single-flow`` run takes the fused loop and enters none of the
-classic loop's per-event methods; every other shape keeps the classic loop.
+``sys.setprofile`` counts the Python frames a run enters, by code object.
+Every run, whatever its topology, enters :func:`repro.netsim.fused.run_until`
+once, calls each controller once per ACK or reacted loss, and enters no
+other netsim function per event: besides the loop, only the ``Packet``,
+``CCSignals`` and ``HistoryInterval`` constructors (and, when the next event
+belongs to another flow, the write-back of the last one's state).
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from collections import Counter
 
 import pytest
 
+import repro.netsim
 from repro.cc.dsl_controller import DslCongestionController
 from repro.cc.policies import RenoController
 from repro.dsl import parse
 from repro.netsim import fused
-from repro.netsim.events import EventQueue
-from repro.netsim.flow import Flow
-from repro.netsim.link import DropTailLink
-from repro.netsim.simulator import NetworkSimulator
-from repro.workloads.netsim import build_scenario
+from repro.workloads.netsim import BurstWindowController, build_scenario
 from tests.cc.test_cc_columnar import PROGRAMS
-from tests.netsim.oracle import ReferenceSimulator
 
-#: The classic loop's per-event methods, and the two of them a per-packet
-#: :class:`~tests.netsim.oracle.ReferenceFlow` replaces.
-CLASSIC = {
-    method.__code__
-    for method in (
-        EventQueue.step,
-        Flow._on_ack,
-        Flow._pump,
-        DropTailLink.send_burst,
-        DropTailLink._finish_transmission,
-        DropTailLink._deliver,
-    )
-}
-BURST = {Flow._pump.__code__, DropTailLink.send_burst.__code__}
+NETSIM_DIR = os.path.dirname(repro.netsim.__file__)
 
 
 def frames_by_code(fn):
@@ -62,11 +49,27 @@ def frames_by_code(fn):
     return entered, outcome
 
 
-def _single_flow(controller, simulator_class=NetworkSimulator):
-    config = build_scenario("cc/single-flow", duration_s=1.0).simulation_config()
-    simulator = simulator_class(config)
-    simulator.add_flow(controller)
-    return simulator
+def _check_frames(simulator):
+    """Run ``simulator`` and apply the gates; returns (frames entered, metrics)."""
+    entered, metrics = frames_by_code(simulator.run)
+    assert entered[fused.run_until.__code__] == 1
+    # Per event, the netsim enters constructors only (and ``_park`` when the
+    # event belongs to another flow than the last); the rest is per run.
+    per_run = [
+        code.co_name
+        for code, n in entered.items()
+        for _ in range(n)
+        if code.co_filename.startswith(NETSIM_DIR) and code.co_name not in ("__init__", "_park")
+    ]
+    assert len(per_run) <= 20, Counter(per_run)
+    if len(simulator.flows) == 1:
+        assert entered[fused._park.__code__] == 1  # the write-back at the end
+    acked = sum(flow.stats.packets_acked for flow in simulator.flows)
+    updates = sum(len(flow.stats.cwnd_trace) for flow in simulator.flows)  # one per call
+    controllers = {type(flow.controller) for flow in simulator.flows}
+    assert sum(entered[kind.on_ack.__code__] for kind in controllers) == acked
+    assert sum(entered[kind.on_loss.__code__] for kind in controllers) == updates - acked
+    return entered, metrics
 
 
 @pytest.mark.parametrize(
@@ -77,39 +80,18 @@ def _single_flow(controller, simulator_class=NetworkSimulator):
 def test_a_single_flow_run_enters_one_fused_frame_and_no_classic_one(controller):
     controller = controller()
     simulator, _ids = build_scenario("cc/single-flow", duration_s=1.0).build(lambda: controller)
-    entered, metrics = frames_by_code(simulator.run)
+    _entered, metrics = _check_frames(simulator)
     (flow,) = simulator.flows
     assert flow.stats.packets_acked > 500 and metrics.events > 2000
-    assert entered[fused.run_until.__code__] == 1
-    assert sum(entered[code] for code in CLASSIC) == 0
-    assert entered[type(controller).on_ack.__code__] == flow.stats.packets_acked
-    updates = len(flow.stats.cwnd_trace)  # one per controller call
-    assert entered[type(controller).on_loss.__code__] == updates - flow.stats.packets_acked
-
-
-def _scenario(name):
-    return lambda: build_scenario(name, duration_s=0.5).build(RenoController)[0]
-
-
-def _already_fired():
-    simulator = _single_flow(RenoController())
-    simulator.events.step()
-    return simulator
+    assert flow.stats.packets_lost > 0  # loss runs and reactions went through the loop
 
 
 @pytest.mark.parametrize(
-    "build,expected",
-    [
-        (_scenario("cc/multi-flow"), CLASSIC),
-        (_scenario("cc/lossy-link"), CLASSIC),
-        (_scenario("cc/bursty-cross"), CLASSIC),
-        (lambda: _single_flow(RenoController(), ReferenceSimulator), CLASSIC - BURST),
-        (_already_fired, CLASSIC),
-    ],
-    ids=["multi-flow", "lossy-link", "bursty-cross", "reference-flow", "already-fired"],
+    "scenario", ["single-flow", "multi-flow", "bursty-cross", "lossy-link", "satellite"]
 )
-def test_every_other_run_keeps_the_classic_loop(build, expected):
-    simulator = build()
-    entered, _metrics = frames_by_code(simulator.run)
-    assert entered[fused.run_until.__code__] == 0
-    assert sorted(code.co_name for code in expected if not entered[code]) == []
+def test_every_scenario_enters_one_fused_frame(scenario):
+    simulator, _ids = build_scenario(f"cc/{scenario}", duration_s=1.0).build(RenoController)
+    entered, metrics = _check_frames(simulator)
+    assert metrics.events > 200
+    if scenario == "bursty-cross":
+        assert entered[BurstWindowController.on_ack.__code__] > 0

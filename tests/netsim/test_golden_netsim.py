@@ -1,10 +1,11 @@
 """Absolute pin of the netsim: finished runs must equal ``golden_netsim.json``.
 
-Every identity test elsewhere compares two knobs on the *same* code, so a
-netsim change that moved every score would pass them all.  The golden file
-was recorded on the per-packet netsim (one event per dropped packet) and a
-test run must reproduce it exactly -- equality, not approx: the simulator is
-integer-timed and deterministic.
+The differential tests compare the fused loop with the per-packet oracle,
+which re-implements the same rules, so a rule both got wrong the same way
+would pass them.  The golden file was recorded on the earlier per-packet
+netsim (one event per dropped packet), before either existed, and covers
+every built-in topology; a run of the one loop must reproduce it exactly --
+equality, not approx: the simulator is integer-timed and deterministic.
 
 Regenerate (only when a behaviour change is intended and reviewed):
 ``PYTHONPATH=src python -m tests.netsim.test_golden_netsim``.
@@ -102,7 +103,7 @@ def test_run_reproduces_the_golden_file(name):
     # Through JSON and back, so tuples and lists compare alike.
     assert json.loads(json.dumps(observed)) == golden
     # The run's own account of the valve agrees with the queue's.
-    assert observed["metrics"]["events"] == simulator.events.processed
+    assert observed["metrics"]["events"] == simulator.processed
     assert observed["metrics"]["truncated"] == name.endswith("/cut")
     for flow in observed["flows"]:
         assert flow["packets_sent"] == (

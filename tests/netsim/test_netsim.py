@@ -3,9 +3,7 @@
 import pytest
 
 from repro.cc.policies import FixedWindowController, RenoController
-from repro.netsim.events import EventQueue
 from repro.netsim.link import DropTailLink, LinkConfig
-from repro.netsim.packet import Packet
 from repro.netsim.simulator import (
     NetworkSimulator,
     SimulationConfig,
@@ -13,37 +11,44 @@ from repro.netsim.simulator import (
 )
 
 
-# -- EventQueue ------------------------------------------------------------------
+# -- The event queue --------------------------------------------------------------
+
+
+def _fixed(window, **link):
+    config = SimulationConfig(link=LinkConfig(**link), mss=1500)
+    simulator = NetworkSimulator(config)
+    simulator.add_flow(FixedWindowController(window))
+    return simulator
 
 
 def test_event_queue_orders_by_time_then_fifo():
-    queue = EventQueue()
-    order = []
-    queue.schedule(20, lambda now: order.append("b"))
-    queue.schedule(10, lambda now: order.append("a"))
-    queue.schedule(20, lambda now: order.append("c"))
-    while queue.step():
-        pass
-    assert order == ["a", "b", "c"]
-    assert queue.now == 20
-    assert queue.processed == 3
+    link = LinkConfig(rate_bps=1_000_000, queue_bytes=10**6)  # one packet takes 11.6 ms
+    simulator = NetworkSimulator(SimulationConfig(link=link))
+    for start_at_s in (0.002, 0.001, 0.002):
+        simulator.add_flow(FixedWindowController(2), start_at_s=start_at_s)
+    assert simulator.run_until(2_000) == 3  # the three starts, nothing served yet
+    assert [packet.flow_id for packet in simulator.link._queue] == [1, 1, 0, 0, 2, 2]
+    assert simulator.now == 2_000
+    assert simulator.processed == 3
 
 
 def test_event_queue_rejects_past_events():
-    queue = EventQueue()
-    queue.schedule(10, lambda now: queue.schedule(5, lambda n: None))
-    with pytest.raises(ValueError):
-        while queue.step():
-            pass
+    """A negative delay is the one way an event could land in the past."""
+    with pytest.raises(ValueError, match="one_way_delay_us"):
+        LinkConfig(one_way_delay_us=-1)
+    simulator = _fixed(4)
+    simulator.run_until(5_000)
+    simulator.add_flow(FixedWindowController(4), start_at_s=0.0)  # starts now, not at 0
+    assert min(entry[0] for entry in simulator._heap) >= 5_000
 
 
 def test_run_until_respects_horizon_and_budget():
-    queue = EventQueue()
-    for t in range(1, 11):
-        queue.schedule(t, lambda now: None)
-    assert queue.run_until(5) == 5
-    assert queue.now == 5
-    assert queue.run_until(100, max_events=2) == 2
+    simulator = _fixed(10)
+    fired = simulator.run_until(20_000)
+    assert fired > 10 and simulator.now == 20_000 and not simulator.truncated
+    assert min(entry[0] for entry in simulator._heap) > 20_000
+    assert simulator.run_until(10**6, max_events=2) == 2 and simulator.truncated
+    assert simulator.processed == fired + 2
 
 
 # -- LinkConfig / DropTailLink -----------------------------------------------------
@@ -57,45 +62,32 @@ def test_link_config_serialization_and_bdp():
 
 
 def test_link_delivers_packets_with_correct_latency():
-    queue = EventQueue()
-    config = LinkConfig(rate_bps=12_000_000, one_way_delay_us=10_000, queue_bytes=100_000)
-    deliveries = []
-    link = DropTailLink(queue, config, on_delivery=lambda p, now: deliveries.append((p, now)))
-    packet = Packet(flow_id=0, sequence=0, size=1500, sent_at=0)
-    link.send(packet)
-    queue.run_until(1_000_000)
-    assert len(deliveries) == 1
-    _p, arrival = deliveries[0]
-    assert arrival == pytest.approx(config.serialization_us(1500) + 10_000, abs=2)
+    simulator = _fixed(2, queue_bytes=100_000)
+    arrival = simulator.link.config.serialization_us(1500) + 10_000
+    simulator.run_until(arrival - 1)
+    assert simulator.link.stats.delivered_packets == 0
+    simulator.run_until(arrival)
+    assert simulator.link.stats.delivered_packets == 1
 
 
 def test_link_queueing_delay_accumulates():
-    queue = EventQueue()
-    config = LinkConfig(rate_bps=12_000_000, one_way_delay_us=1_000, queue_bytes=1_000_000)
-    link = DropTailLink(queue, config)
-    for seq in range(5):
-        link.send(Packet(flow_id=0, sequence=seq, size=1500, sent_at=0))
-    queue.run_until(1_000_000)
-    delays = link.stats.queueing_delays_us
+    simulator = _fixed(5, one_way_delay_us=1_000, queue_bytes=1_000_000)
+    simulator.run_until(5 * simulator.link.config.serialization_us(1500))
+    delays = simulator.link.stats.queueing_delays_us
     assert len(delays) == 5
     assert delays[0] == 0
     assert delays[-1] > delays[1] > 0
 
 
 def test_link_drops_when_buffer_full():
-    queue = EventQueue()
-    config = LinkConfig(rate_bps=1_000_000, one_way_delay_us=1_000, queue_bytes=3_000)
-    drops = []
-    link = DropTailLink(queue, config, on_drop=lambda p, now: drops.append(p))
-    for seq in range(10):
-        link.send(Packet(flow_id=0, sequence=seq, size=1500, sent_at=0))
-    assert len(drops) == 8          # only two 1500-byte packets fit
-    assert link.stats.dropped_packets == 8
-    assert link.stats.loss_rate() == pytest.approx(8 / 10)
+    simulator = _fixed(10, rate_bps=1_000_000, one_way_delay_us=1_000, queue_bytes=3_000)
+    simulator.run_until(0)  # the flow's first burst of ten
+    assert simulator.link.stats.dropped_packets == 8  # only two 1500-byte packets fit
+    assert simulator.link.stats.loss_rate() == pytest.approx(8 / 10)
 
 
 def test_link_utilization_bounded():
-    metrics_stats = DropTailLink(EventQueue(), LinkConfig()).stats
+    metrics_stats = DropTailLink(LinkConfig()).stats
     assert metrics_stats.utilization(12_000_000, 0) == 0.0
 
 

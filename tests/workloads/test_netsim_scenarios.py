@@ -149,6 +149,12 @@ def test_scenario_validation():
         NetSimScenario(name="bad", flow_count=0)
     with pytest.raises(ValueError, match="duration"):
         NetSimScenario(name="bad", duration_s=0)
+    with pytest.raises(ValueError, match="mss"):
+        NetSimScenario(name="bad", mss=0)
+    with pytest.raises(ValueError, match="max_events"):
+        NetSimScenario(name="bad", max_events=0)
+    with pytest.raises(ValueError, match="start_s"):
+        CrossTrafficSpec(start_s=-1.0)
     with pytest.raises(ValueError, match="either a scenario or a raw config"):
         CongestionControlEvaluator(
             config=SimulationConfig(), scenario=build_scenario("cc/single-flow")
