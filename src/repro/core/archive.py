@@ -26,8 +26,6 @@ from repro.core.context import Context
 from repro.core.evaluator import EvaluationResult
 from repro.core.events import encode_non_finite
 from repro.core.results import Candidate, RoundSummary, ScoredCandidate
-from repro.dsl.errors import DslError
-from repro.dsl.parser import parse
 
 
 @dataclass
@@ -209,7 +207,7 @@ def scored_candidate_to_dict(scored: ScoredCandidate) -> dict:
             {"code": issue.code, "message": issue.message}
             for issue in scored.check_issues
         ],
-        "canonical_source": scored.source if scored.program is not None else None,
+        "canonical_source": scored.canonical_source,
         "evaluation": (
             _evaluation_to_dict(scored.evaluation)
             if scored.evaluation is not None
@@ -219,19 +217,10 @@ def scored_candidate_to_dict(scored: ScoredCandidate) -> dict:
 
 
 def scored_candidate_from_dict(data: dict) -> ScoredCandidate:
-    """Rebuild a scored candidate; the program is re-parsed from canonical source."""
-    candidate = Candidate(**data["candidate"])
-    program = None
-    canonical = data.get("canonical_source")
-    if data["check_ok"] and canonical:
-        try:
-            program = parse(canonical)
-        except DslError:  # pragma: no cover - corrupt checkpoint
-            program = None
+    """Rebuild a scored candidate; it keeps the stored canonical source."""
     evaluation = data.get("evaluation")
-    return ScoredCandidate(
-        candidate=candidate,
-        program=program,
+    scored = ScoredCandidate(
+        candidate=Candidate(**data["candidate"]),
         check_ok=bool(data["check_ok"]),
         check_issues=[
             CheckIssue(code=issue["code"], message=issue["message"])
@@ -239,6 +228,9 @@ def scored_candidate_from_dict(data: dict) -> ScoredCandidate:
         ],
         evaluation=_evaluation_from_dict(evaluation) if evaluation else None,
     )
+    if scored.check_ok:
+        scored.canonical_source = data.get("canonical_source") or None
+    return scored
 
 
 @dataclass

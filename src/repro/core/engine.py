@@ -9,6 +9,8 @@ taking what the previous one left unresolved:
    through the Generator) serially, in submission order.  This phase is cheap
    and must stay ordered: the synthetic LLM client is a seeded RNG, so the
    sequence of repair calls is part of the reproducible search trajectory.
+   A record keeps only its canonical text; the checked trees ride along
+   with the batch through the steps below and are dropped when it returns.
 2. **Static screen** (rung "-1", ``static_screen`` on and an evaluator that
    declares input intervals) -- the interval abstract interpreter
    (:mod:`repro.dsl.abstract`) rejects the provably degenerate candidates --
@@ -292,8 +294,9 @@ class EvaluationEngine:
 
     # -- check/repair phase -------------------------------------------------------
 
-    def check_candidate(self, candidate: Candidate) -> ScoredCandidate:
-        """Check (and, on failure, repair) one candidate; no evaluation."""
+    def check_candidate(self, candidate: Candidate) -> Tuple[ScoredCandidate, Optional[Program]]:
+        """Check (and, on failure, repair) one candidate; no evaluation.  Returns
+        the record and, if it passed, the tree its batch carries while in flight."""
         check = self.checker.check(candidate.source)
         issues = list(check.issues)
         if not check.ok and self.repair_attempts > 0 and self.generator is not None:
@@ -310,12 +313,9 @@ class EvaluationEngine:
                     break
                 check = recheck
                 issues.extend(recheck.issues)
-        return ScoredCandidate(
-            candidate=candidate,
-            program=check.program if check.ok else None,
-            check_ok=check.ok,
-            check_issues=issues if not check.ok else [],
-        )
+        program = check.program if check.ok else None
+        issues = issues if not check.ok else []
+        return ScoredCandidate(candidate, program, check.ok, issues), program
 
     # -- evaluation phase ---------------------------------------------------------
 
@@ -325,8 +325,11 @@ class EvaluationEngine:
             [self.check_candidate(candidate) for candidate in candidates]
         )
 
-    def process_scored(self, scored: List[ScoredCandidate]) -> BatchResult:
-        """Run the evaluation pipeline over already-checked candidates."""
+    def process_scored(
+        self, checked: List[Tuple[ScoredCandidate, Optional[Program]]]
+    ) -> BatchResult:
+        """Run the evaluation pipeline over :meth:`check_candidate`'s pairs."""
+        scored = [item for item, _program in checked]
         stats = BatchStats(checked=len(scored))
         for item in scored:
             if item.check_ok and not item.candidate.repaired:
@@ -349,14 +352,14 @@ class EvaluationEngine:
         if self.config.static_screen:
             screener = self._static_screener()
             if screener is not None:
-                for item in scored:
-                    if not item.check_ok or item.program is None:
+                for item, program in checked:
+                    if program is None:
                         continue
                     stats.screen_checks += 1
-                    key = canonical_key(item.program)
+                    key = canonical_key(program)
                     verdict = self._screen_verdicts.get(key)
                     if verdict is None:
-                        verdict = screener.screen(item.program)
+                        verdict = screener.screen(program)
                         self._screen_verdicts[key] = verdict
                     if not verdict.screened:
                         continue
@@ -381,20 +384,20 @@ class EvaluationEngine:
         # hit; each first occurrence is one unit of work for the steps below.
         pending: Dict[str, List[ScoredCandidate]] = {}
         order: List[Tuple[str, Program]] = []
-        for item in scored:
-            if not item.check_ok or item.program is None:
+        for item, program in checked:
+            if program is None:
                 continue
             if item.evaluation is not None:
                 continue  # statically screened: never costs a cache lookup
             stats.eval_cache_lookups += 1
-            key = canonical_key(item.program)
+            key = canonical_key(program)
             if key in self._memo:
                 item.evaluation = self._memo[key]
             elif key in pending:
                 pending[key].append(item)
             else:
                 pending[key] = [item]
-                order.append((key, item.program))
+                order.append((key, program))
                 tiers[item.candidate.candidate_id] = "fresh"
                 continue
             stats.eval_cache_hits += 1

@@ -9,6 +9,7 @@ from repro.core.checker import CheckIssue
 from repro.core.evaluator import EvaluationResult
 from repro.dsl.ast import Program
 from repro.dsl.codegen import to_source
+from repro.dsl.parser import parse
 
 
 @dataclass
@@ -23,15 +24,37 @@ class Candidate:
     origin: str = "generated"  # "seed" | "generated" | "repaired"
 
 
-@dataclass
+@dataclass(init=False)
 class ScoredCandidate:
-    """A candidate together with its check and evaluation outcomes."""
+    """A candidate together with its check and evaluation outcomes.
+
+    A checked candidate keeps its canonical source text, not its tree: the
+    ``program`` passed in is rendered and dropped (a search scores thousands
+    of candidates), and :attr:`program` re-parses the text through the
+    :func:`~repro.dsl.parser.parse` memo -- read-only, and off the hot path.
+    """
 
     candidate: Candidate
-    program: Optional[Program] = None
-    check_ok: bool = False
-    check_issues: List[CheckIssue] = field(default_factory=list)
-    evaluation: Optional[EvaluationResult] = None
+    check_ok: bool
+    check_issues: List[CheckIssue]
+    evaluation: Optional[EvaluationResult]
+    canonical_source: Optional[str]  # None unless the check passed
+
+    def __init__(
+        self,
+        candidate: Candidate,
+        program: Optional[Program] = None,
+        check_ok: bool = False,
+        check_issues: Optional[List[CheckIssue]] = None,
+        evaluation: Optional[EvaluationResult] = None,
+    ) -> None:
+        self.candidate, self.check_ok, self.evaluation = candidate, check_ok, evaluation
+        self.check_issues = [] if check_issues is None else check_issues
+        self.canonical_source = None if program is None else to_source(program)
+
+    @property
+    def program(self) -> Optional[Program]:
+        return None if self.canonical_source is None else parse(self.canonical_source)
 
     @property
     def valid(self) -> bool:
@@ -52,8 +75,8 @@ class ScoredCandidate:
 
     @property
     def source(self) -> str:
-        if self.program is not None:
-            return to_source(self.program)
+        if self.canonical_source is not None:
+            return self.canonical_source
         return self.candidate.source
 
 
@@ -178,9 +201,10 @@ class SearchResult(BudgetCounters):
         return self.best.source
 
     def best_program(self) -> Program:
-        if self.best is None or self.best.program is None:
+        program = self.best.program if self.best is not None else None
+        if program is None:
             raise ValueError("the search produced no valid candidate")
-        return self.best.program
+        return program
 
     def valid_candidates(self) -> List[ScoredCandidate]:
         return [c for c in self.candidates if c.valid]

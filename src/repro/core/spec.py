@@ -580,14 +580,13 @@ def run(
     # it lands in result.json without breaking the screening-knob
     # byte-identity guarantee.
     certification_record: Optional[Dict[str, Any]] = None
-    if result.best is not None and result.best.program is not None:
+    winner = result.best.program if result.best is not None else None
+    if winner is not None:
         intervals = setup.evaluator.input_intervals()
         if intervals is not None:
             from repro.dsl.abstract import certify_program
 
-            certification_record = certify_program(
-                result.best.program, intervals
-            ).to_dict()
+            certification_record = certify_program(winner, intervals).to_dict()
 
     if artifact_dir is not None:
         eval_store_record = None

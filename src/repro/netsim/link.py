@@ -52,11 +52,13 @@ class LinkConfig:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate!r}")
 
     def serialization_us(self, size_bytes: int) -> int:
-        """Time to clock ``size_bytes`` onto the wire, in microseconds."""
+        """Time to clock ``size_bytes`` onto the wire, rounded to whole
+        microseconds; the loop clocks the link at this rounded time."""
         return int(round(size_bytes * 8 * 1_000_000 / self.rate_bps))
 
     def bdp_bytes(self, rtt_us: Optional[int] = None) -> int:
-        """Bandwidth-delay product for ``rtt_us`` (defaults to 2x one-way delay)."""
+        """Bandwidth-delay product for ``rtt_us`` (defaults to 2x one-way delay)
+        at the nominal rate; the loop clocks the rounded :meth:`serialization_us`."""
         rtt = rtt_us if rtt_us is not None else 2 * self.one_way_delay_us
         return int(self.rate_bps * rtt / 8 / 1_000_000)
 
@@ -87,6 +89,8 @@ class LinkStats:
         return [ordered[min(last, int(f * len(ordered)))] / 1000.0 for f in fractions]
 
     def utilization(self, rate_bps: int, duration_us: int) -> float:
+        """Delivered over nominal capacity; the loop clocks the rounded
+        :meth:`LinkConfig.serialization_us`, so a busy link may read below 1.0."""
         if duration_us <= 0:
             return 0.0
         capacity_bytes = rate_bps * duration_us / 8 / 1_000_000

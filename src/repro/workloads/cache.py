@@ -31,9 +31,6 @@ from typing import Iterator, Optional
 
 from repro.cache.request import Request, Trace
 from repro.cache.simulator import DEFAULT_CACHE_FRACTION
-from repro.traces.cloudphysics import cloudphysics_config
-from repro.traces.msr import msr_config
-from repro.traces.synthetic import SyntheticWorkloadConfig, generate_trace
 from repro.workloads.spec import (
     WorkloadSpec,
     register_builder,
@@ -169,15 +166,17 @@ def corpus_traces(
     ``msr_corpus`` entry points were removed after their deprecation
     window).
     """
+    from repro.traces.synthetic import generate_trace
+
     if dataset == "cloudphysics":
         from repro.traces.cloudphysics import NUM_TRACES as total
+        from repro.traces.cloudphysics import cloudphysics_config as config_for
 
-        config_for = cloudphysics_config
         defaults = (6000, 1500)
     elif dataset == "msr":
         from repro.traces.msr import NUM_TRACES as total
+        from repro.traces.msr import msr_config as config_for
 
-        config_for = msr_config
         defaults = (8000, 2000)
     else:
         raise ValueError(
@@ -194,21 +193,29 @@ def corpus_traces(
         )
 
 
-# -- builders -----------------------------------------------------------------------
+# -- builders (``repro.traces`` imports numpy: a cc run must not load it) -----------
 
 
 def _build_synthetic(spec: WorkloadSpec) -> Trace:
+    from repro.traces.synthetic import SyntheticWorkloadConfig, generate_trace
+
     params = _builder_params(spec)
     params.setdefault("name", spec.display_name)
     return generate_trace(SyntheticWorkloadConfig(**params))
 
 
 def _build_cloudphysics(spec: WorkloadSpec) -> Trace:
+    from repro.traces.cloudphysics import cloudphysics_config
+    from repro.traces.synthetic import generate_trace
+
     params = _builder_params(spec)
     return generate_trace(cloudphysics_config(**params))
 
 
 def _build_msr(spec: WorkloadSpec) -> Trace:
+    from repro.traces.msr import msr_config
+    from repro.traces.synthetic import generate_trace
+
     params = _builder_params(spec)
     return generate_trace(msr_config(**params))
 

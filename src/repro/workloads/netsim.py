@@ -121,7 +121,12 @@ class NetSimScenario:
             raise ValueError("duration_s must be positive")
         if not self.flow_stagger_s >= 0:
             raise ValueError(f"flow_stagger_s must be >= 0, got {self.flow_stagger_s!r}")
-        self.simulation_config()  # its LinkConfig and itself check the remaining fields
+        config = self.simulation_config()  # its LinkConfig and itself check the remaining fields
+        if config.link.serialization_us(self.mss) == 0:
+            raise ValueError(
+                f"rate_bps={self.rate_bps!r} with mss={self.mss!r} serialises a packet in 0 us "
+                "once rounded to whole microseconds: an infinitely fast link"
+            )
 
     def link_config(self) -> LinkConfig:
         return LinkConfig(

@@ -1,6 +1,11 @@
 """Congestion-control case-study tests: kernel checker, DSL controller,
 baselines, evaluator and template."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cc.dsl_controller import DslCongestionController
@@ -18,6 +23,7 @@ from repro.dsl import parse
 from repro.dsl.errors import DslRuntimeError
 from repro.netsim.flow import CCSignals, HistoryInterval
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
 CC_SIG = f"def cong_control({', '.join(CC_TEMPLATE_PARAMS)})"
 
 
@@ -224,3 +230,24 @@ def test_template_constraints_mention_kernel_rules():
     assert "division" in text
     assert "loops" in text
     assert len(template.seed_programs) == 2
+
+
+def test_a_cc_run_never_imports_numpy():
+    """The trace generators import numpy; a cc run builds no trace."""
+    script = (
+        "import sys\n"
+        "from repro.core import RunSpec, run\n"
+        "run(RunSpec.from_dict({'domain': 'cc', 'name': 'tiny-cc', 'checkpoint': False,\n"
+        "    'domain_kwargs': {'duration_s': 0.5},\n"
+        "    'search': {'rounds': 1, 'candidates_per_round': 2}}))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -94,6 +94,27 @@ def test_run_spec_with_a_malformed_netsim_topology_exits_2(
     assert "Traceback" not in err and "valid" not in out
 
 
+def test_run_spec_with_a_link_that_serialises_in_zero_us_exits_2(capsys, tmp_path):
+    """100 Gb/s x the default 1448 B mss rounds to a 0 us packet: an
+    infinitely fast link."""
+    spec = write_spec(
+        tmp_path,
+        {
+            "domain": "cc",
+            "name": "instant-link",
+            "domain_kwargs": {
+                "workloads": [{"name": "cc/single-flow", "rate_bps": 10**11, "duration_s": 0.2}]
+            },
+            "search": {"rounds": 1, "candidates_per_round": 2},
+            "engine": {"max_workers": 1},
+        },
+    )
+    code, out, err = run_cli(capsys, "run", spec, "--no-artifacts", "--quiet")
+    assert code == 2
+    assert err.startswith("error:") and "rate_bps" in err and "mss" in err
+    assert "Traceback" not in err and "valid" not in out
+
+
 def test_run_spec_with_unknown_domain_exits_2(capsys, tmp_path):
     spec = write_spec(
         tmp_path, {"domain": "quantum", "search": {"rounds": 1}}

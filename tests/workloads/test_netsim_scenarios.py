@@ -153,6 +153,10 @@ def test_scenario_validation():
         NetSimScenario(name="bad", mss=0)
     with pytest.raises(ValueError, match="max_events"):
         NetSimScenario(name="bad", max_events=0)
+    # 1 Gb/s x 50 B rounds to 0 us: the loop would clock an infinitely fast link.
+    with pytest.raises(ValueError, match=r"rate_bps=1000000000 with mss=50 .* 0 us"):
+        NetSimScenario(name="bad", rate_bps=10**9, mss=50)
+    assert NetSimScenario(name="fast", rate_bps=10**9).link_config().serialization_us(1448) == 12
     with pytest.raises(ValueError, match="start_s"):
         CrossTrafficSpec(start_s=-1.0)
     with pytest.raises(ValueError, match="either a scenario or a raw config"):
