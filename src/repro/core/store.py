@@ -281,8 +281,7 @@ class ContentAddressedStore:
                 if not path.is_file():
                     continue
                 stat = path.stat()
-                if path.suffix == _ENTRY_SUFFIX:
-                    count = self._entry_count(path)
+                if path.suffix == _ENTRY_SUFFIX and (count := self._entry_count(path)):
                     entries.append((path, stat.st_mtime, stat.st_size, count))
                 elif path.suffix != _TMP_SUFFIX or stat.st_mtime < stale_before:
                     garbage.append((path, stat.st_size))
@@ -402,7 +401,7 @@ class ContentAddressedStore:
                     path.rmdir()
                     continue
                 size = path.stat().st_size
-                count = self._entry_count(path) if path.suffix == _ENTRY_SUFFIX else 0
+                count = max(self._entry_count(path), 1) if path.suffix == _ENTRY_SUFFIX else 0
                 path.unlink()
                 freed += size
                 removed += count
@@ -520,8 +519,8 @@ class EvaluationStore(ContentAddressedStore):
     def _entry_count(self, path: Path) -> int:
         try:
             return len(json.loads(path.read_text(encoding="utf-8"))["entries"])
-        except Exception:  # noqa: BLE001 - not a readable pack: one file, one entry
-            return 1
+        except Exception:  # noqa: BLE001 - holds no readable entry: garbage for gc
+            return 0
 
     # -- writes -------------------------------------------------------------------
 

@@ -88,6 +88,12 @@ class PromptCache(ContentAddressedStore):
             raise ValueError("prompt-cache entries need a non-empty key")
         return self.schema_root / key[:2] / f"{key}{_ENTRY_SUFFIX}"
 
+    def _entry_count(self, path: "Any") -> int:
+        try:  # an entry that does not parse, or sits under another key, is garbage
+            return int(json.loads(path.read_text(encoding="utf-8"))["key"] == path.stem)
+        except Exception:  # noqa: BLE001
+            return 0
+
     # -- reads --------------------------------------------------------------------
 
     def get(self, key: str) -> Optional[dict]:

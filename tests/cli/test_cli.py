@@ -381,42 +381,6 @@ def test_static_screen_flag_records_metadata_and_certifies(capsys, tmp_path):
     assert "priority in" in out
 
 
-def test_static_screen_off_keeps_result_json_byte_identical(capsys, tmp_path):
-    """The knob must not leak into result.json when nothing screens --
-    volatile screen counters are stripped, certification is unconditional."""
-    run_cli(
-        capsys, "run", str(SMOKE_SPEC), "--artifacts", str(tmp_path / "off"),
-        "--no-eval-store", "--quiet",
-    )
-    run_cli(
-        capsys, "run", str(SMOKE_SPEC), "--artifacts", str(tmp_path / "on"),
-        "--set", "engine.static_screen=true", "--no-eval-store", "--quiet",
-    )
-    off_dir = next(p for p in (tmp_path / "off").iterdir() if (p / "spec.json").exists())
-    on_dir = next(p for p in (tmp_path / "on").iterdir() if (p / "spec.json").exists())
-    metadata = json.loads((on_dir / "metadata.json").read_text())
-    if metadata["static_screen"]["screened"] == 0:
-        assert (on_dir / "result.json").read_bytes() == (
-            off_dir / "result.json"
-        ).read_bytes()
-    else:
-        # The only divergence is the screened candidates' sentinel entries;
-        # the search trajectory and winner are unchanged.
-        on_result = json.loads((on_dir / "result.json").read_text())
-        off_result = json.loads((off_dir / "result.json").read_text())
-        assert on_result["best_candidate_id"] == off_result["best_candidate_id"]
-        assert on_result["certification"] == off_result["certification"]
-        assert on_result["total_candidates"] == off_result["total_candidates"]
-        sentinels = [
-            c
-            for c in on_result["candidates"]
-            if ((c["evaluation"] or {}).get("error") or "").startswith(
-                "static-screen:"
-            )
-        ]
-        assert sentinels
-
-
 def test_engine_flags_rejected_for_experiments(capsys):
     code, _out, err = run_cli(
         capsys, "run", "table2", "--set", "engine.executor=thread"

@@ -315,6 +315,23 @@ def test_gc_collects_a_sidecar_only_store(tmp_path):
     assert store.stats().entries == 0
 
 
+def test_gc_collects_an_unreadable_pack_as_garbage_not_as_an_entry(tmp_path):
+    """A truncated pack holds no result a reader can use: stats do not count
+    it, and gc removes it rather than evicting a valid pack in its place."""
+    store = store_in(tmp_path)
+    for i, names in enumerate((["prog0a", "prog0b"], ["prog1"], ["prog2"])):
+        before = set(packs(store))
+        store.put_many(EVAL_KEY, [(name, result_for(float(i))) for name in names])
+        (pack,) = set(packs(store)) - before
+        os.utime(pack, (1_000_000 + i, 1_000_000 + i))
+    pack.write_text(pack.read_text()[:20])  # the newest pack, prog2's
+    assert store.stats().entries == 3
+    outcome = store.gc(max_entries=1)
+    assert not pack.exists()
+    assert (outcome.removed_entries, outcome.remaining_entries) == (2, 1)
+    assert store_in(tmp_path).get(EVAL_KEY, "prog1") is not None
+
+
 def test_clear_removes_everything(tmp_path):
     store = store_in(tmp_path)
     for i in range(3):

@@ -6,11 +6,9 @@ warm-cache and cache-disabled runs produce the identical completion stream.
 """
 
 import json
-
-import pytest
+import os
 
 from repro.cache.search import caching_archetypes, caching_template
-from repro.core.spec import RunSpec, run
 from repro.llm.cache import (
     CachingClient,
     PROMPT_CACHE_SCHEMA_VERSION,
@@ -148,6 +146,21 @@ def test_stats_gc_and_clear(tmp_path):
     assert cache.stats().entries == 0
 
 
+def test_gc_collects_a_garbled_entry_as_garbage_not_as_an_entry(tmp_path):
+    cache = PromptCache(tmp_path)
+    keys = [prompt_key("m", PROMPT, n, 1.0) for n in (1, 2)]
+    for key in keys:
+        cache.put(key, [response(key[:8])])
+    os.utime(cache.entry_path(keys[0]), (1_000_000, 1_000_000))  # the older entry
+    garbled = cache.entry_path(keys[1])
+    garbled.write_text("garbled")
+    assert cache.stats().entries == 1
+    outcome = cache.gc(max_entries=1)
+    assert not garbled.exists()
+    assert (outcome.removed_entries, outcome.remaining_entries) == (0, 1)
+    assert cache.get(keys[0]) is not None
+
+
 def test_read_only_root_degrades_to_passthrough(tmp_path, monkeypatch):
     cache = PromptCache(tmp_path)
     monkeypatch.setattr(
@@ -234,55 +247,3 @@ def test_stateless_client_hits_across_instances(tmp_path):
     assert [r.text for r in second.complete(PROMPT)] == ["call-1"]
     assert second.inner.calls == 0
     assert (second.hits, second.misses) == (1, 0)
-
-
-# -- end to end: result.json ---------------------------------------------------------
-
-
-CACHING_SPEC = dict(
-    domain="caching",
-    name="promptcache-caching",
-    domain_kwargs={
-        "workloads": [
-            {"name": "caching/zipf-hot", "num_requests": 400, "num_objects": 120},
-            {"name": "caching/scan-storm", "num_requests": 400, "num_objects": 120},
-        ],
-        "reducer": "mean",
-    },
-    search={"rounds": 2, "candidates_per_round": 4},
-)
-
-CC_SPEC = dict(
-    domain="cc",
-    name="promptcache-cc",
-    domain_kwargs={"duration_s": 0.3},
-    search={"rounds": 2, "candidates_per_round": 4},
-)
-
-
-def result_bytes(base, tmp_path, tag, provider=None):
-    spec_dict = dict(base)
-    if provider is not None:
-        spec_dict["llm"] = {"provider": provider}
-    outcome = run(RunSpec(**spec_dict), store=tmp_path / tag, eval_store=None)
-    metadata = json.loads((outcome.artifact_dir / "metadata.json").read_text())
-    return (outcome.artifact_dir / "result.json").read_bytes(), metadata
-
-
-@pytest.mark.parametrize("base", [CACHING_SPEC, CC_SPEC], ids=["caching", "cc"])
-def test_result_json_identical_with_prompt_cache_absent_cold_warm(base, tmp_path):
-    provider = {"name": "synthetic", "prompt_cache": str(tmp_path / "promptcache")}
-
-    absent, absent_meta = result_bytes(base, tmp_path, "absent")
-    cold, cold_meta = result_bytes(base, tmp_path, "cold", provider)
-    warm, warm_meta = result_bytes(base, tmp_path, "warm", provider)
-
-    assert cold == absent
-    assert warm == absent
-    assert "prompt_cache" not in absent_meta["pipeline"]
-    cold_cache = cold_meta["pipeline"]["prompt_cache"]
-    warm_cache = warm_meta["pipeline"]["prompt_cache"]
-    assert cold_cache["hits"] == 0 and cold_cache["misses"] > 0
-    # Same seed, same calls: the warm run replays entirely from disk.
-    assert warm_cache["misses"] == 0
-    assert warm_cache["hits"] == cold_cache["misses"]
