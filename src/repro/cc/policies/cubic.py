@@ -2,9 +2,27 @@
 
 Follows the shape of the kernel implementation: after a loss the window is
 reduced by the CUBIC beta (0.7), and during congestion avoidance the window
-follows ``W(t) = C * (t - K)^3 + W_max`` where ``K`` is the time at which the
+steers towards ``W(t) = C * (t - K)^3 + W_max`` where ``K`` is the time at which the
 window would regrow to ``W_max``.  All arithmetic is scaled-integer, like in
 the kernel (which cannot use floating point).
+
+Where it departs from RFC 8312 (``tests/netsim/test_closed_form.py`` holds
+it to both points):
+
+* **K.**  The RFC's ``K = cbrt(W_max * (1 - beta) / C)`` -- equivalently
+  ``cbrt((W_max - cwnd) / C)`` right after the cut -- is computed here as
+  ``cbrt((W_max - cwnd) * (1 - beta) / (1000 * C))``: the gap is scaled by
+  ``1 - beta`` a second time and ``C``'s x1000 scale is not undone.  ``K``
+  is about 1/15 of the RFC's (0.28 s instead of 4.2 s at ``W_max = 100``),
+  so the target regains ``W_max`` that much sooner.  The target then
+  follows ``C * (t - K)^3 + W_max`` with that ``K``, to within its integer
+  rounding.
+* **The window.**  Each ACK credits at least one packet towards growth,
+  so the window grows at least one packet per RTT whatever the target: it
+  climbs to the target within a few RTTs of the cut, then keeps growing
+  one packet per RTT, above the curve.  The RFC moves it towards
+  ``W(t + RTT)`` instead, or along its TCP-friendly estimate (about half a
+  packet per RTT at beta 0.7) where that is larger.
 """
 
 from __future__ import annotations

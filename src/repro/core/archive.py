@@ -17,9 +17,11 @@ uninterrupted one.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, TextIO
 
 from repro.core.checker import CheckIssue
 from repro.core.context import Context
@@ -200,8 +202,18 @@ evaluation_from_dict = _evaluation_from_dict
 
 def scored_candidate_to_dict(scored: ScoredCandidate) -> dict:
     """JSON-serializable form of one scored candidate."""
+    candidate = scored.candidate
     return {
-        "candidate": asdict(scored.candidate),
+        # What ``asdict`` gives, in field order, without its deep copy
+        # (about a fifth of the time it takes to write a candidate).
+        "candidate": {
+            "candidate_id": candidate.candidate_id,
+            "source": candidate.source,
+            "round_index": candidate.round_index,
+            "parent_ids": list(candidate.parent_ids),
+            "repaired": candidate.repaired,
+            "origin": candidate.origin,
+        },
         "check_ok": scored.check_ok,
         "check_issues": [
             {"code": issue.code, "message": issue.message}
@@ -231,6 +243,29 @@ def scored_candidate_from_dict(data: dict) -> ScoredCandidate:
     if scored.check_ok:
         scored.canonical_source = data.get("canonical_source") or None
     return scored
+
+
+@contextmanager
+def atomic_text(path: Path, suffix: str = ".tmp") -> Iterator[TextIO]:
+    """Write ``path`` through a temp file beside it, renamed into place.
+
+    The temp file's name is unique to this write (so two writers of one
+    path never share it) and ends in ``suffix``; it is created with the
+    mode a plain ``open`` gives.  An exception while writing removes it and
+    leaves ``path`` as it was: a reader never sees a partial file.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}{suffix}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass
@@ -275,10 +310,9 @@ class SearchCheckpoint:
             "generator_state": self.generator_state,
             "seed_stats": dict(self.seed_stats),
         }
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, allow_nan=False))
-        tmp.replace(path)
+        text = json.dumps(payload, allow_nan=False)
+        with atomic_text(Path(path)) as fh:
+            fh.write(text)
 
     @classmethod
     def load(cls, path: Path | str) -> "SearchCheckpoint":

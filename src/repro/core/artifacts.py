@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro import __version__ as _REPRO_VERSION
 from repro.core.archive import (
+    atomic_text,
     round_summary_from_dict,
     round_summary_to_dict,
     scored_candidate_from_dict,
@@ -81,23 +82,15 @@ def _strip_volatile_round(data: dict) -> dict:
     return dict(data, **_ZERO_BUDGET, generation_s=0.0, evaluation_s=0.0, overlap_s=0.0)
 
 
-def search_result_to_dict(result: SearchResult, include_timing: bool = False) -> dict:
-    """JSON form of a whole :class:`SearchResult`.
+def _candidate_to_dict(scored: ScoredCandidate, include_timing: bool) -> dict:
+    data = scored_candidate_to_dict(scored)
+    if not include_timing and data["evaluation"] is not None:
+        data["evaluation"] = dict(data["evaluation"], wall_time_s=0.0)
+    return data
 
-    With ``include_timing=False`` (the artifact-store default) per-candidate
-    and total wall-clock fields are zeroed -- and so are the budget
-    counters, which depend on execution state rather than the spec --
-    so the dictionary -- and therefore ``result.json`` -- is a pure function
-    of the spec: rerunning an identical spec yields byte-identical output,
-    with the store cold, warm or disabled.  Timing and live budget counters
-    go to ``metadata.json``, which is allowed to differ between reruns.
-    """
-    candidates = []
-    for scored in result.candidates:
-        data = scored_candidate_to_dict(scored)
-        if not include_timing and data["evaluation"] is not None:
-            data["evaluation"] = dict(data["evaluation"], wall_time_s=0.0)
-        candidates.append(data)
+
+def _result_head(result: SearchResult, include_timing: bool) -> dict:
+    """:func:`search_result_to_dict` without the ``candidates`` list."""
     rounds = [round_summary_to_dict(r) for r in result.rounds]
     if not include_timing:
         rounds = [_strip_volatile_round(r) for r in rounds]
@@ -105,7 +98,6 @@ def search_result_to_dict(result: SearchResult, include_timing: bool = False) ->
         "best_candidate_id": (
             result.best.candidate.candidate_id if result.best is not None else None
         ),
-        "candidates": candidates,
         "rounds": rounds,
         "context_name": result.context_name,
         "template_name": result.template_name,
@@ -118,6 +110,55 @@ def search_result_to_dict(result: SearchResult, include_timing: bool = False) ->
         "eval_cache_hits": result.eval_cache_hits,
         **(result.budget() if include_timing else _ZERO_BUDGET),
     }
+
+
+def search_result_to_dict(result: SearchResult, include_timing: bool = False) -> dict:
+    """JSON form of a whole :class:`SearchResult`.
+
+    With ``include_timing=False`` (the artifact-store default) per-candidate
+    and total wall-clock fields are zeroed -- and so are the budget
+    counters, which depend on execution state rather than the spec --
+    so the dictionary -- and therefore ``result.json`` -- is a pure function
+    of the spec: rerunning an identical spec yields byte-identical output,
+    with the store cold, warm or disabled.  Timing and live budget counters
+    go to ``metadata.json``, which is allowed to differ between reruns.
+    """
+    return dict(
+        _result_head(result, include_timing),
+        candidates=[_candidate_to_dict(scored, include_timing) for scored in result.candidates],
+    )
+
+
+#: Where the (empty) candidate list sits in :func:`canonical_json` of a result
+#: head: the only top-level key of that name, at the top level's indent.
+_CANDIDATES_SLOT = '\n  "candidates": []'
+#: A line break inside that list: the list's entries sit two levels deep.
+_ENTRY = "\n    "
+
+
+def _write_result_json(
+    path: Path, result: SearchResult, certification: Optional[Dict[str, Any]]
+) -> None:
+    """Write ``canonical_json`` of the result's dictionary, one candidate at a time.
+
+    The head (everything but the candidates) is encoded with an empty
+    candidate list; each candidate's own ``indent=2`` encoding, re-indented
+    four spaces (JSON strings hold no raw newline), is spliced into that
+    slot.  The bytes are those of ``canonical_json(search_result_to_dict())``
+    while memory holds one candidate's encoding, not the whole file's.
+    """
+    head = dict(_result_head(result, include_timing=False), candidates=[])
+    if certification is not None:
+        head["certification"] = certification
+    before, slot, after = canonical_json(head).partition(_CANDIDATES_SLOT)
+    assert slot, "the candidate list must sit at the top level"
+    with atomic_text(path) as fh:
+        fh.write(before + slot[:-1])  # up to the list's "["
+        for index, scored in enumerate(result.candidates):
+            entry = canonical_json(_candidate_to_dict(scored, include_timing=False))[:-1]
+            fh.write(("," if index else "") + _ENTRY + entry.replace("\n", _ENTRY))
+        fh.write("\n  ]" if result.candidates else "]")
+        fh.write(after)
 
 
 def search_result_from_dict(data: dict) -> SearchResult:
@@ -285,10 +326,7 @@ def finalize_run_dir(
     screening knob -- so it *does* go into ``result.json``.
     """
     path = Path(path)
-    result_data = search_result_to_dict(result)
-    if certification is not None:
-        result_data["certification"] = certification
-    _write_json(path / RESULT_FILE, result_data)
+    _write_result_json(path / RESULT_FILE, result, certification)
     rounds_lines = [
         json.dumps(_strip_volatile_round(round_summary_to_dict(r)), sort_keys=True)
         for r in result.rounds

@@ -643,6 +643,9 @@ class EvaluationEngine:
         for result in results:
             for name, count in result.backends.items():
                 self.backends[name] = self.backends.get(name, 0) + count
+            # Tallied: the memo and the finished search keep the result, not
+            # its telemetry.
+            result.backends = {}
         return results
 
     def _evaluate_many_sharded(

@@ -25,7 +25,7 @@ from repro.dsl.errors import DslError
 RUNTIME_ERRORS = (DslError, ValueError, TypeError, ZeroDivisionError, OverflowError)
 
 
-@dataclass
+@dataclass(slots=True)
 class EvaluationResult:
     """Outcome of evaluating one candidate in one context.
 
@@ -48,7 +48,11 @@ class EvaluationResult:
     ``backends`` counts the DSL backends ``make_runner`` resolved for the
     simulations behind a fresh result (one per scenario run, failed runs
     included), so the engine can tally them wherever the evaluation ran.
-    Telemetry only: it is never persisted and takes no part in comparisons.
+    Telemetry only: it is never persisted and takes no part in comparisons,
+    and the engine empties it once tallied.
+
+    The record is slotted (no per-instance ``__dict__``): a finished search
+    keeps one per unique program it scored.
     """
 
     score: float

@@ -12,9 +12,13 @@ from repro.dsl.codegen import to_source
 from repro.dsl.parser import parse
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
-    """One candidate heuristic emitted by the Generator."""
+    """One candidate heuristic emitted by the Generator.
+
+    The record is slotted (no per-instance ``__dict__``): a finished search
+    keeps one per candidate it scored.
+    """
 
     candidate_id: str
     source: str
@@ -24,7 +28,7 @@ class Candidate:
     origin: str = "generated"  # "seed" | "generated" | "repaired"
 
 
-@dataclass(init=False)
+@dataclass(init=False, slots=True)
 class ScoredCandidate:
     """A candidate together with its check and evaluation outcomes.
 
@@ -32,6 +36,7 @@ class ScoredCandidate:
     ``program`` passed in is rendered and dropped (a search scores thousands
     of candidates), and :attr:`program` re-parses the text through the
     :func:`~repro.dsl.parser.parse` memo -- read-only, and off the hot path.
+    The record is slotted (no per-instance ``__dict__``) for the same reason.
     """
 
     candidate: Candidate

@@ -47,13 +47,12 @@ import json
 import os
 import re
 import socket
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.core.archive import evaluation_from_dict, evaluation_to_dict
+from repro.core.archive import atomic_text, evaluation_from_dict, evaluation_to_dict
 from repro.core.evaluator import EvaluationResult
 
 #: Version of the on-disk payload; readers ignore packs written by any
@@ -62,7 +61,7 @@ from repro.core.evaluator import EvaluationResult
 STORE_SCHEMA_VERSION = 2
 
 #: A temp file older than this (seconds) is an orphan -- its writer died
-#: between ``mkstemp`` and ``os.replace`` -- and :meth:`ContentAddressedStore.gc`
+#: between creating it and ``os.replace`` -- and :meth:`ContentAddressedStore.gc`
 #: removes it; a younger one may be a write in flight.
 STALE_TMP_AGE_S = 3600.0
 
@@ -243,17 +242,8 @@ class ContentAddressedStore:
 
     @staticmethod
     def _atomic_write_text(path: Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=_TMP_SUFFIX)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_text(path, _TMP_SUFFIX) as fh:
+            fh.write(text)
 
     # -- maintenance --------------------------------------------------------------
 
@@ -401,7 +391,13 @@ class ContentAddressedStore:
                     path.rmdir()
                     continue
                 size = path.stat().st_size
-                count = max(self._entry_count(path), 1) if path.suffix == _ENTRY_SUFFIX else 0
+                count = 0
+                if path.suffix == _ENTRY_SUFFIX:
+                    # An unreadable file of this schema holds no entry, as
+                    # stats and gc count it; another schema's file holds one.
+                    count = self._entry_count(path)
+                    if root != self.schema_root:
+                        count = max(count, 1)
                 path.unlink()
                 freed += size
                 removed += count

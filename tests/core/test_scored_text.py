@@ -60,9 +60,17 @@ def test_no_finished_candidate_holds_a_program(outcomes):
         candidates = outcome.result.candidates
         assert any(c.check_ok for c in candidates)
         for scored in candidates:
-            state = vars(scored)
+            state = {name: getattr(scored, name) for name in ScoredCandidate.__slots__}
             assert not any(isinstance(value, Program) for value in state.values()), state
             assert (scored.canonical_source is None) == (not scored.check_ok)
+
+
+def test_finished_records_have_no_instance_dict(outcomes):
+    """The records a finished search keeps one of per candidate are slotted."""
+    for outcome in outcomes:
+        for scored in outcome.result.candidates:
+            records = (scored, scored.candidate, scored.evaluation)
+            assert not any(hasattr(record, "__dict__") for record in records), records
 
 
 def test_candidates_pin_a_handful_of_tracked_objects_each(outcomes):

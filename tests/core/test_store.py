@@ -332,6 +332,19 @@ def test_gc_collects_an_unreadable_pack_as_garbage_not_as_an_entry(tmp_path):
     assert store_in(tmp_path).get(EVAL_KEY, "prog1") is not None
 
 
+def test_clear_counts_an_unreadable_pack_as_stats_does(tmp_path):
+    """A truncated pack holds no entry for clear either, not one."""
+    store = store_in(tmp_path)
+    store.put(EVAL_KEY, "prog0", result_for(0.0))
+    before = set(packs(store))
+    store.put_many(EVAL_KEY, [("prog1a", result_for(1.0)), ("prog1b", result_for(1.0))])
+    (pack,) = set(packs(store)) - before
+    pack.write_text(pack.read_text()[:20])
+    assert store.stats().entries == 1
+    assert store.clear() == 1
+    assert not store.schema_root.exists()
+
+
 def test_clear_removes_everything(tmp_path):
     store = store_in(tmp_path)
     for i in range(3):
