@@ -100,6 +100,9 @@ class StructuralChecker(AstChecker):
         self.max_nodes = max_nodes
         self.allow_loops = allow_loops
         self._builtins = {"min", "max", "abs", "clamp"}
+        attrs, methods = template.spec.object_attrs, template.spec.object_methods
+        self._allowed_attrs = {(param, a) for param in attrs for a in attrs[param]}
+        self._allowed_methods = {(param, m) for param in methods for m, _ in methods[param]}
 
     def issues(self, program: Program) -> Iterable[CheckIssue]:
         spec = self.template.spec
@@ -123,29 +126,19 @@ class StructuralChecker(AstChecker):
                 "unknown-name",
                 f"reference to undefined name(s): {', '.join(sorted(unknown))}",
             )
-        allowed_attrs = {
-            (param, attr)
-            for param, attrs in spec.object_attrs.items()
-            for attr in attrs
-        }
         for param, attr in sorted(facts.attributes_read):
-            if param in spec.object_attrs and (param, attr) not in allowed_attrs:
+            if param in spec.object_attrs and (param, attr) not in self._allowed_attrs:
                 yield CheckIssue(
                     "unknown-feature",
                     f"{param}.{attr} is not an available feature",
                 )
-        allowed_methods = {
-            (param, method)
-            for param, methods in spec.object_methods.items()
-            for method, _kind in methods
-        }
         for param, method in sorted(facts.methods_called):
             if param == "<builtin>":
                 if method not in self._builtins:
                     yield CheckIssue(
                         "unknown-function", f"call to unknown function {method}()"
                     )
-            elif param in spec.object_methods and (param, method) not in allowed_methods:
+            elif param in spec.object_methods and (param, method) not in self._allowed_methods:
                 yield CheckIssue(
                     "unknown-feature",
                     f"{param}.{method}() is not an available feature method",

@@ -10,6 +10,9 @@ The facts gathered here feed two consumers:
   of verifier failures (§5.0.3).
 * **Experiments** -- complexity and feature-usage statistics of discovered
   heuristics (the paper discusses Listing 1's structure in §4.2.5).
+
+:func:`analyze` gathers every fact in one walk, one branch per node type
+reading that type's fields; a parsed program is analysed once.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.dsl.ast import (
     UnaryOp,
     While,
 )
+from repro.dsl.codegen import expr_to_source
 
 
 @dataclass(slots=True)
@@ -102,74 +106,96 @@ def analyze(program: Program) -> ProgramFacts:
 
 def _analyze(program: Program) -> ProgramFacts:
     facts = ProgramFacts(
-        has_return=False,
-        return_count=0,
-        uses_float_literal=False,
-        uses_true_division=False,
+        has_return=False, return_count=0, uses_float_literal=False, uses_true_division=False
     )
     # A name is free when it is read before anything in program order binds
     # it (parameters, assignment targets, loop variables; no block scoping).
     assigned = set(program.params)
     free = facts.free_names
+    names_read = facts.names_read
+    nodes = 0
 
-    def visit(node, reads: bool = True) -> int:
-        """Record ``node``'s facts, then its children's in field order;
-        return the subtree's height.  ``reads`` is False for the name an
-        assignment or loop binds, which is no read of it."""
-        facts.node_count += 1
+    def block(body) -> int:
+        height = 0
+        for stmt in body:
+            child = visit(stmt)
+            if child > height:
+                height = child
+        return height
+
+    def visit(node) -> int:
+        """Record ``node``'s facts, then its children's in field order, and
+        return its height.  A bound name is a child of height 1, not a read."""
+        nonlocal nodes
+        nodes += 1
         kind = type(node)
         if kind is Name:
-            facts.names_read.add(node.id)
-            if reads and node.id not in assigned and node.id not in free:
-                free.append(node.id)
+            name = node.id
+            names_read.add(name)
+            if name not in assigned and name not in free:
+                free.append(name)
             return 1
         if kind is Number:
-            if node.is_float():
-                facts.uses_float_literal = True
+            facts.uses_float_literal |= isinstance(node.value, float)
             return 1
-        if kind is Assign or kind is AugAssign:
+        if kind is Attribute:
+            base = node.value
+            facts.attributes_read.add((base.id if type(base) is Name else "<expr>", node.attr))
+            return 1 + visit(base)
+        if kind is BinOp or kind is Compare:
+            op = node.op
+            if op == "/" or op == "//" or op == "%":
+                facts.uses_true_division |= op == "/"
+                divisor = node.right
+                checked = type(divisor) is Number and divisor.value != 0
+                facts.division_sites.append(DivisionSite(op, checked, _brief_repr(divisor)))
+            left = visit(node.left)
+            right = visit(node.right)
+            return 1 + (left if left > right else right)
+        if kind is AugAssign or kind is Assign:
             target = node.target.id
-            height = max(visit(node.target, False), visit(node.value))
+            nodes += 1
+            names_read.add(target)
+            height = visit(node.value)
             if kind is AugAssign and target not in assigned and target not in free:
                 free.append(target)
             assigned.add(target)
             return 1 + height
-        if kind is ForRange:
-            facts.for_loop_count += 1
-            if not isinstance(node.limit, Number):
-                facts.unbounded_for_count += 1
-            height = max(visit(node.var, False), visit(node.limit))
-            assigned.add(node.var.id)
-            return 1 + max([height, *map(visit, node.body)])
-        if kind is Return:
-            facts.has_return = True
-            facts.return_count += 1
-        elif kind is While:
-            facts.while_loop_count += 1
-        elif kind is Attribute:
-            base = node.value
-            facts.attributes_read.add((base.id if type(base) is Name else "<expr>", node.attr))
-        elif kind is Call:
+        if kind is Call:
             func = node.func
             if type(func) is Attribute:
                 base = func.value
                 facts.methods_called.add((base.id if type(base) is Name else "<expr>", func.attr))
             elif type(func) is Name:
                 facts.methods_called.add(("<builtin>", func.id))
-        elif kind is BinOp and node.op in ("/", "//", "%"):
-            if node.op == "/":
-                facts.uses_true_division = True
-            divisor = node.right
-            facts.division_sites.append(
-                DivisionSite(
-                    op=node.op,
-                    checked=isinstance(divisor, Number) and divisor.value != 0,
-                    divisor_repr=_brief_repr(divisor),
-                )
-            )
-        return 1 + max(map(visit, node.children()), default=0)
+            return 1 + max(visit(func), block(node.args))
+        if kind is If:
+            return 1 + max(visit(node.condition), block(node.body), block(node.orelse))
+        if kind is Return:
+            facts.return_count += 1
+            return 1 + visit(node.value)
+        if kind is UnaryOp:
+            return 1 + visit(node.operand)
+        if kind is Ternary:
+            return 1 + max(visit(node.condition), visit(node.if_true), visit(node.if_false))
+        if kind is Program or kind is BoolOp:
+            return 1 + block(node.body if kind is Program else node.values)
+        if kind is ForRange:
+            facts.for_loop_count += 1
+            facts.unbounded_for_count += type(node.limit) is not Number
+            nodes += 1
+            names_read.add(node.var.id)
+            height = visit(node.limit)
+            assigned.add(node.var.id)
+            return 1 + max(height, block(node.body))
+        if kind is While:
+            facts.while_loop_count += 1
+            return 1 + max(visit(node.condition), block(node.body))
+        raise TypeError(f"not a DSL node: {kind.__name__}")
 
     facts.max_expression_depth = visit(program)
+    facts.node_count = nodes
+    facts.has_return = facts.return_count > 0
     # Method calls also show up as attribute reads because Call.func is an
     # Attribute node; strip them so "attributes_read" means data accesses.
     facts.attributes_read -= facts.methods_called
@@ -178,8 +204,6 @@ def _analyze(program: Program) -> ProgramFacts:
 
 def _brief_repr(node) -> str:
     """A short human-readable rendering of an expression for diagnostics."""
-    from repro.dsl.codegen import expr_to_source
-
     text = expr_to_source(node)
     if len(text) > 40:
         text = text[:37] + "..."

@@ -18,15 +18,21 @@ Listing 1)::
 
 Statements are separated by newlines or semicolons; blocks use braces.
 ``parse`` returns a :class:`repro.dsl.ast.Program`.
+
+``_scan`` reads a text with one ``findall`` and a dict lookup per token;
+no :class:`Token` is built and no position counted on the way to a program
+(an error finds its position with the same pattern; :func:`tokenize` is
+the positioned view tests read).
 """
 
 from __future__ import annotations
 
 import functools
 import re
+import string
 from sys import intern
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 from repro.dsl.ast import (
     Assign,
@@ -79,94 +85,110 @@ class Token:
 
 @functools.lru_cache(maxsize=8)
 def _token_pattern(digits: str = "", alphas: str = "", alnums: str = "") -> re.Pattern:
-    """The master pattern: blanks, then exactly one token (or the end).
-
-    ``str.isdigit`` / ``isalpha`` / ``isalnum`` decide what a number or a
-    name is made of, and no ``re`` character class spells them, so the
-    non-ASCII characters of a source that satisfy each are added to the
-    ASCII classes by name (none, for nearly every candidate).
+    """A token's text (name, number, operator, ``#`` comment, newline, junk
+    character or the end) as the one group, then blanks: the matches tile
+    the source after its leading blanks.  ``str.isdigit`` / ``isalpha`` /
+    ``isalnum`` decide what a number or a name is made of, and no ``re``
+    class spells them, so a source's non-ASCII characters that satisfy
+    each join the ASCII classes by name (none, for nearly every candidate).
     """
     digit = f"[0-9{digits}]"
     return re.compile(
-        rf"""[ \t\r]*(?:
-            (?P<op>//=|[<>=!+\-*/%]=|[-+*%<>=?:,(){{}};]|/(?!/)|\.(?!{digit}))
-          | (?P<name>[A-Za-z_{alphas}][A-Za-z0-9_{alnums}]*)
-          | (?P<number>{digit}+(?:\.{digit}+)?|\.{digit}+)
-          | (?P<newline>\n)
-          | (?P<slashes>//)
-          | (?P<comment>\#[^\n]*)
-          | (?P<end>\Z)
-        )""",
+        rf"""(
+            [A-Za-z_{alphas}][A-Za-z0-9_{alnums}]*
+          | {digit}+(?:\.{digit}+)?|\.{digit}+
+          | [<>=!+\-*%]=|//?=?|[-+*%<>=?:,(){{}};.]
+          | \#[^\n]* | [^ \t\r] | \Z
+        )[ \t\r]*""",
         re.VERBOSE,
     )
 
 
-def tokenize(source: str) -> List[Token]:
-    """Split ``source`` into tokens, raising :class:`DslSyntaxError` on junk."""
+def _pattern_for(source: str) -> re.Pattern:
     if source.isascii():
-        match = _token_pattern().match
-    else:
-        foreign = sorted({ch for ch in source if not ch.isascii()})
-        match = _token_pattern(
-            *("".join(filter(test, foreign)) for test in (str.isdigit, str.isalpha, str.isalnum))
-        ).match
-    tokens: List[Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while True:
-        found = match(source, pos)
-        if found is None:
-            while source[pos] in " \t\r":
-                pos += 1
-            raise DslSyntaxError(
-                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
-            )
-        kind = found.lastgroup
-        column = found.start(kind) - line_start + 1
-        pos = found.end()
-        if kind == "op" or kind == "name":
-            # Interned: a search's thousands of ASTs share one small
-            # vocabulary, and their nodes keep these strings.
-            text = intern(found[kind])
-            tokens.append(Token("keyword" if text in KEYWORDS else kind, text, line, column))
-        elif kind == "number":
-            tokens.append(Token(kind, found[kind], line, column))
-        elif kind == "newline":
-            tokens.append(Token(kind, "\n", line, column))
-            line += 1
-            line_start = pos
-        elif kind == "slashes":
-            # "//" (not "//=") is integer division after something an
-            # expression could continue from, and otherwise a comment.
-            prev = tokens[-1] if tokens else None
-            if prev is not None and (
-                prev.kind in ("number", "name") or (prev.kind == "op" and prev.text == ")")
-            ):
-                tokens.append(Token("op", "//", line, column))
-            else:
-                end = source.find("\n", pos)
-                pos = len(source) if end < 0 else end
-        elif kind == "end":
-            tokens.append(Token("eof", "", line, column))
-            return tokens
+        return _token_pattern()
+    foreign = sorted({ch for ch in source if not ch.isascii()})
+    return _token_pattern(
+        *("".join(filter(test, foreign)) for test in (str.isdigit, str.isalpha, str.isalnum))
+    )
+
+
+#: Tag by text (an operator or keyword is its own), else by a first ASCII character.
+_OPS = "//= <= >= == != += -= *= /= %= // / . ( ) { } ; , ? : = < > - + * %".split()
+_FIXED = {text: text for text in (*_OPS, *KEYWORDS)} | {"\n": "newline", "": "eof"}
+_LEADS = dict.fromkeys("0123456789.", "number") | dict.fromkeys(string.ascii_letters + "_", "name")
+
+
+def _scan(source: str) -> Tuple[List[str], List[str]]:
+    """The tags and texts of ``source``'s tokens, up to ``eof``; a tag is an
+    operator's or keyword's text, else the kind (``name``, ``number``,
+    ``newline``, ``eof``).  Raises :class:`DslSyntaxError` on junk."""
+    texts = _pattern_for(source).findall(source)
+    tags = [_FIXED.get(text) or _LEADS.get(text[0]) for text in texts]
+    at = 0
+    while "//" in tags[at:]:
+        # Division after what an expression continues from (untagged here: a
+        # non-ASCII name or number, or junk, which raises below), else a comment.
+        at = tags.index("//", at)
+        if at and tags[at - 1] in ("name", "number", ")", None):
+            at += 1
+        else:
+            end = at
+            while tags[end] != "newline" and tags[end] != "eof":
+                end += 1
+            del tags[at:end], texts[at:end]
+    if not all(tags):
+        comments = []
+        for at, text in enumerate(texts):
+            if tags[at] is None:
+                if text[0] == "#":
+                    comments.append(at)
+                elif text[0].isdigit() or text[0].isalpha():
+                    tags[at] = "number" if text[0].isdigit() else "name"
+                else:
+                    error = f"unexpected character {text!r}"
+                    raise DslSyntaxError(error, *list(_positions(source, tags[: at + 1]))[-1])
+        for at in reversed(comments):
+            del tags[at], texts[at]
+    return tags, texts
+
+
+def _positions(source: str, tags: List[str]) -> Iterator[Tuple[int, int]]:
+    """Line and column of each token of ``tags`` (a prefix of ``_scan``'s):
+    a newline or the end where it is, any other token the next match on its
+    line (a line's tokens are its first matches, a comment's after them)."""
+    pattern = _pattern_for(source)
+    matches = pattern.finditer(source)
+    line, start = 1, 0
+    for tag in tags:
+        if tag == "newline":
+            at = source.index("\n", start)
+        else:
+            at = len(source) if tag == "eof" else next(matches).start(1)
+        yield line, at - start + 1
+        if tag == "newline":
+            line, start = line + 1, at + 1
+            matches = pattern.finditer(source, start)
+
+
+def tokenize(source: str) -> List[Token]:
+    """``source``'s tokens with their positions: the scan ``parse`` runs,
+    which builds no :class:`Token`, in a positioned view."""
+    tags, texts = _scan(source)
+    kinds = (("keyword" if t in KEYWORDS else "op") if t in _FIXED else t for t in tags)
+    return [Token(*token, *at) for *token, at in zip(kinds, texts, _positions(source, tags))]
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream.
+    """Recursive-descent parser over ``_scan``'s parallel tags and texts.
 
-    ``_tags`` holds, per token, what the grammar dispatches on: the text of
-    an operator or keyword, the kind of anything else (``"name"``,
-    ``"number"``, ``"newline"``, ``"eof"`` -- no operator or keyword is
-    spelled like a kind).  The stream ends in ``eof`` and ``_pos`` never
-    moves past it, so ``_tags[_pos]`` is always a valid read.
+    They end in ``eof`` and ``_pos`` never moves past it, so ``_tags[_pos]``
+    is always a valid read.  Positions are worked out only for an error.
     """
 
-    def __init__(self, tokens: List[Token]):
-        self._tokens = tokens
-        self._tags = [
-            t.text if t.kind == "op" or t.kind == "keyword" else t.kind for t in tokens
-        ]
+    def __init__(self, source: str):
+        self._source = source
+        self._tags, self._texts = _scan(source)
         self._pos = 0
 
     # -- token helpers ------------------------------------------------------
@@ -179,20 +201,18 @@ class _Parser:
 
     def _expect(self, tag: str) -> str:
         """Consume a ``tag`` token and return its text."""
-        token = self._tokens[self._pos]
         if self._tags[self._pos] != tag:
-            raise DslSyntaxError(
-                f"expected {tag!r} but found {token.text or token.kind!r}",
-                token.line,
-                token.column,
-            )
+            raise self._unexpected(f"expected {tag!r} but found")
         self._pos += 1
-        return token.text
+        # Interned: a search's thousands of trees share one small vocabulary.
+        return intern(self._texts[self._pos - 1])
 
     def _unexpected(self, what: str) -> DslSyntaxError:
-        token = self._tokens[self._pos]
+        """``what``, the current token and its position, as an error."""
+        pos = self._pos
         return DslSyntaxError(
-            f"{what} {token.text or token.kind!r}", token.line, token.column
+            f"{what} {self._texts[pos] or self._tags[pos]!r}",
+            *list(_positions(self._source, self._tags[: pos + 1]))[-1],
         )
 
     def _skip_separators(self) -> None:
@@ -238,7 +258,7 @@ class _Parser:
         if tag == "name":
             op = self._tags[self._pos + 1]
             if op in ("=", "+=", "-=", "*=", "/=", "//=", "%="):
-                target = Name(self._tokens[self._pos].text)
+                target = Name(intern(self._texts[self._pos]))
                 self._pos += 2
                 value = self._parse_ternary()
                 if op == "=":
@@ -300,7 +320,8 @@ class _Parser:
 
     def _parse_ternary(self) -> Expr:
         condition = self._parse_or()
-        if self._match("?"):
+        if self._tags[self._pos] == "?":
+            self._pos += 1
             if_true = self._parse_ternary()
             self._expect(":")
             return Ternary(condition, if_true, self._parse_ternary())
@@ -325,7 +346,8 @@ class _Parser:
         return BoolOp("and", values)
 
     def _parse_not(self) -> Expr:
-        if self._match("not"):
+        if self._tags[self._pos] == "not":
+            self._pos += 1
             return UnaryOp("not", self._parse_not())
         left = self._parse_additive()
         op = self._tags[self._pos]
@@ -353,10 +375,11 @@ class _Parser:
         return left
 
     def _parse_unary(self) -> Expr:
-        if self._match("-"):
-            return UnaryOp("-", self._parse_unary())
-        if self._match("+"):
-            return self._parse_unary()
+        tag = self._tags[self._pos]
+        if tag == "-" or tag == "+":
+            self._pos += 1
+            operand = self._parse_unary()
+            return UnaryOp("-", operand) if tag == "-" else operand
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
@@ -383,10 +406,10 @@ class _Parser:
 
     def _parse_primary(self) -> Expr:
         tag = self._tags[self._pos]
-        text = self._tokens[self._pos].text
+        text = self._texts[self._pos]
         if tag == "name":
             self._pos += 1
-            return Name(text)
+            return Name(intern(text))
         if tag == "number":
             self._pos += 1
             return Number(float(text) if "." in text else int(text))
@@ -408,7 +431,7 @@ def _parse_memo(source: str) -> Union[Program, Tuple[str, int, int]]:
     exception object would pin the frames of every raise through its
     ``__traceback__``."""
     try:
-        program = _Parser(tokenize(source)).parse_program()
+        program = _Parser(source).parse_program()
     except DslSyntaxError as exc:
         return (exc.message, exc.line, exc.column)
     program.derived = {}

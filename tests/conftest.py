@@ -5,12 +5,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.cache.request import Request, Trace
 from repro.cache.search import caching_template
 from repro.dsl.grammar import FeatureSpec
 from repro.dsl.interpreter import FeatureObject
 from repro.traces.synthetic import SyntheticWorkloadConfig, generate_trace
+
+
+# ``pytest --hypothesis-profile nightly`` runs every property test at ten
+# times hypothesis' default example count; a test that sets its own count
+# scales it by the same factor (``tests/dsl/test_frontend_differential.py``).
+settings.register_profile("nightly", max_examples=10 * settings.get_profile("default").max_examples)
 
 
 PRIORITY_SIGNATURE = "def priority(now, obj_id, obj_info, counts, ages, sizes, history)"

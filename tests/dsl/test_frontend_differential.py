@@ -17,6 +17,7 @@ import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,10 @@ from hypothesis import strategies as st
 
 from repro.cache.search import caching_feature_spec
 from repro.cc.template import cc_feature_spec
+from repro.core.spec import RunSpec, run
+from repro.dsl import analysis, parser
 from repro.dsl.analysis import analyze
-from repro.dsl.ast import Node, Program
+from repro.dsl.ast import ForRange, Name, Node, Number, Program, While
 from repro.dsl.codegen import to_source
 from repro.dsl.errors import DslSyntaxError
 from repro.dsl.grammar import random_program
@@ -35,7 +38,10 @@ from repro.llm.mock import SyntheticLLMClient
 from tests.dsl import oracle
 
 SPECS = (caching_feature_spec(), cc_feature_spec())
-PROGRAMS = 1500
+#: 1 in tier-1, 10 under the ``nightly`` hypothesis profile (tests/conftest.py).
+SCALE = settings().max_examples // settings.get_profile("default").max_examples
+PROGRAMS = 1500 * SCALE
+EXAMPLE_SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 #: What the DSL is written in, plus what it is not: every character class the
 #: tokenizers branch on (digits that are not decimals, letters and numerics
@@ -106,7 +112,7 @@ def _parse_outcome(parser, text: str):
 
 
 def _fresh_parse(text: str) -> Program:
-    return _Parser(tokenize(text)).parse_program()
+    return _Parser(text).parse_program()
 
 
 @settings(max_examples=PROGRAMS, deadline=None)
@@ -117,7 +123,7 @@ def test_tokens_programs_and_errors_match_the_oracle(seed, junk):
         assert _parse_outcome(_fresh_parse, text) == _parse_outcome(oracle.parse, text)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500 * SCALE, deadline=None)
 @given(text=st.text(_ALPHABET, max_size=60))
 def test_tokens_match_the_oracle_on_junk(text):
     assert _token_stream(tokenize, text) == _token_stream(oracle.tokenize, text)
@@ -163,8 +169,54 @@ def test_clone_analyze_walk_and_roundtrip_match_the_oracle(seed):
 
     expected = oracle.analyze(program)
     for facts in (analyze(program), analyze(parsed)):
-        for f in dataclasses.fields(expected):
-            assert getattr(facts, f.name) == getattr(expected, f.name), f.name
+        _assert_same_facts(facts, expected)
+
+
+def _assert_same_facts(facts, expected):
+    for f in dataclasses.fields(expected):
+        assert getattr(facts, f.name) == getattr(expected, f.name), f.name
+
+
+def _looped(program: Program):
+    """``program`` with its body inside a bounded and an unbounded ``for``,
+    and with a ``while`` before its last statement (a loop reads and binds)."""
+    name, params = program.name, program.params
+    yield Program(name, params[:], [ForRange(Name("i"), Number(8), program.clone().body)])
+    yield Program(name, params[:], [ForRange(Name("k"), Name(params[0]), program.clone().body)])
+    body = program.clone().body
+    loop = While(Name("score"), [stmt.clone() for stmt in body[:1]])
+    yield Program(name, params[:], [*body[:-1], loop, *body[-1:]])
+
+
+@pytest.mark.parametrize("name", ["smoke_caching", "matrix_cc"])
+def test_facts_match_the_oracle_on_every_candidate_of_a_search(name, tmp_path, monkeypatch):
+    """Every program a whole search analyses -- parsed candidates and the
+    stand-in model's drafts -- and every candidate again inside loops."""
+    fresh = analysis._analyze
+    analysed = []
+
+    def checked(program):
+        facts = fresh(program)
+        _assert_same_facts(facts, oracle.analyze(program))
+        analysed.append(program)
+        return facts
+
+    monkeypatch.setattr(analysis, "_analyze", checked)
+    parser._parse_memo.cache_clear()
+    outcome = run(RunSpec.from_file(EXAMPLE_SPECS / f"{name}.json"), store=tmp_path)
+    assert len(analysed) >= len(outcome.result.candidates)
+    parsed = loops = 0
+    for scored in outcome.result.candidates:
+        try:
+            program = parse(scored.candidate.source)
+        except DslSyntaxError:
+            continue
+        parsed += 1
+        for variant in (program, *_looped(program)):
+            facts = fresh(variant)
+            _assert_same_facts(facts, oracle.analyze(variant))
+            loops += facts.for_loop_count + facts.while_loop_count
+    assert loops >= 3 * parsed > 0
 
 
 def _lists(node: Node):

@@ -1,19 +1,13 @@
-"""Acceptance: the fidelity ladder's determinism contract, in both domains.
+"""The fidelity ladder in both domains, on fixed-seed runs with a 3-rung
+ladder: at these configurations screen mode reaches **equal final quality**
+(the same best candidate at the same full-fidelity score as the
+ladder-disabled run) while evaluating strictly fewer candidates in full, and
+a screen-mode run writes one store file per batch of results, not one per
+result.
 
-Three properties, each asserted on fixed-seed runs with a 3-rung ladder:
-
-* a **shadow**-mode ladder run produces byte-identical ``result.json`` to
-  the ladder-disabled run -- rung evaluations are pure telemetry and can
-  never perturb scores, the search trajectory, counters or serialization;
-* a **screen**-mode ladder run is byte-identical across evaluation-store
-  states (disabled / cold / warm): screening decisions depend only on the
-  spec and seed, never on what the store happens to contain;
-* at these configurations screen mode reaches **equal final quality**: the
-  same best candidate at the same full-fidelity score as the ladder-disabled
-  run, while evaluating strictly fewer candidates in full.
-
-Beside them, a count: a screen-mode run writes one store file per batch of
-results, not one per result.
+That a shadow ladder leaves ``result.json`` byte-identical to no ladder, and
+a screen ladder leaves it byte-identical whatever the store's state, is
+asserted by the conformance matrix (``tests/integration/test_golden_results.py``).
 """
 
 import pytest
@@ -46,38 +40,6 @@ CC_SPEC = dict(
 DOMAINS = pytest.mark.parametrize(
     "base", [CACHING_SPEC, CC_SPEC], ids=["caching", "cc"]
 )
-
-
-def result_bytes(outcome):
-    return (outcome.artifact_dir / "result.json").read_bytes()
-
-
-@DOMAINS
-def test_shadow_ladder_is_byte_identical_to_ladder_off(base, tmp_path):
-    off = run(RunSpec(**base), store=tmp_path / "off", eval_store=None)
-    shadow = run(
-        RunSpec(**base, fidelity={**LADDER, "mode": "shadow"}),
-        store=tmp_path / "shadow",
-        eval_store=None,
-    )
-    assert result_bytes(off) == result_bytes(shadow)
-    # The ladder really ran: rung decisions were taken and recorded live.
-    assert shadow.setup.engine.totals.rung_evaluations > 0
-    assert shadow.setup.engine.totals.rung_eliminations > 0
-
-
-@DOMAINS
-def test_screen_ladder_is_byte_identical_across_store_states(base, tmp_path):
-    spec = RunSpec(**base, fidelity=dict(LADDER))
-    shared = tmp_path / "store"
-    disabled = run(spec, store=tmp_path / "a", eval_store=None)
-    cold = run(spec, store=tmp_path / "b", eval_store=shared)
-    warm = run(spec, store=tmp_path / "c", eval_store=shared)
-    assert result_bytes(disabled) == result_bytes(cold) == result_bytes(warm)
-    # The warm run re-ran no rung evaluations: every rung score and every
-    # promoted full evaluation was served from the store.
-    assert warm.setup.engine.totals.rung_evaluations == 0
-    assert warm.setup.engine.totals.store_hits == warm.setup.engine.totals.store_lookups > 0
 
 
 @DOMAINS

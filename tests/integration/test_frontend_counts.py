@@ -1,11 +1,12 @@
 """Count-based gate: the front end does each step once per distinct text.
 
 No wall-clock: counting wrappers around the three places work is done --
-``parser.tokenize`` (a tokenise + parse of one text), ``analysis._analyze``
-(one walk of one program) and ``codegen._render_program`` (one render) --
-during whole searches.  A text tokenised twice, a parsed program analysed or
-rendered twice, is a repeat the memo or ``Program.derived`` should have
-served.
+``parser._scan`` (the one scan of a text that a parse starts with),
+``analysis._analyze`` (one walk of one program) and
+``codegen._render_program`` (one render) -- during whole searches.  A text
+scanned twice, a parsed program analysed or rendered twice, is a repeat the
+memo or ``Program.derived`` should have served.  A positioned ``Token`` is
+built only to report a syntax error, never on the way to a program.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Texts tokenised, programs analysed and parsed programs rendered, in
-    call order (the programs themselves, so no ``id`` is ever reused)."""
-    seen = {"tokenised": [], "analysed": [], "rendered": []}
+    """Texts scanned, programs analysed and parsed programs rendered, in
+    call order (the programs themselves, so no ``id`` is ever reused), and
+    the text being scanned whenever a ``Token`` was built."""
+    seen = {"tokenised": [], "analysed": [], "rendered": [], "tokens": []}
 
     def counting(module, name, key, keep=lambda arg: True):
         original = getattr(module, name)
@@ -42,7 +44,14 @@ def counts(monkeypatch):
     def parsed(program):
         return program.derived is not None
 
-    counting(parser, "tokenize", "tokenised")
+    counting(parser, "_scan", "tokenised")
+
+    def token(*args):
+        seen["tokens"].append(seen["tokenised"][-1])
+        return original_token(*args)
+
+    original_token = parser.Token
+    monkeypatch.setattr(parser, "Token", token)
     counting(analysis, "_analyze", "analysed", keep=parsed)
     counting(codegen, "_render_program", "rendered", keep=parsed)
     parser._parse_memo.cache_clear()
@@ -71,12 +80,17 @@ def test_a_caching_search_parses_analyses_and_renders_each_text_once(counts, tmp
     info = parser._parse_memo.cache_info()
     assert info.misses == len(counts["tokenised"]) <= info.maxsize
     assert info.hits > info.misses
+    # The model's syntax-error modes fired, and none of the texts that
+    # parsed had a Token built for it.
+    raising = {text for text in set(counts["tokenised"]) if type(parser._parse_memo(text)) is tuple}
+    assert raising
+    assert set(counts["tokens"]) <= raising
 
 
 def test_a_cc_search_tokenises_once_per_candidate_despite_two_sub_checkers(counts, tmp_path):
     outcome = run(RunSpec.from_file(SPECS / "matrix_cc.json"), store=tmp_path)
     _assert_no_repeats(counts)
     # KernelConstraintChecker = StructuralChecker + KernelRuleChecker over
-    # one parse: each candidate's text went through the tokenizer once.
+    # one parse: each candidate's text went through the scanner once.
     for scored in outcome.result.candidates:
         assert counts["tokenised"].count(scored.candidate.source) == 1

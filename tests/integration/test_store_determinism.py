@@ -1,15 +1,12 @@
-"""Acceptance: fixed-seed determinism in every store mode and executor.
+"""The evaluation store across runs: sweeps and resumes share it, a warm
+sweep evaluates nothing, and ``metadata.json`` records live statistics.
 
-The evaluation store and the executor backends are pure mechanism: for a
-fixed seed, ``result.json`` must be byte-identical whether the store is
-disabled, cold (populated by the run itself) or pre-populated (every
-evaluation a disk hit), under the serial, thread and process backends, in
-both shipped domains.
+That ``result.json`` is byte-identical whatever the store's state and the
+executor is asserted by the conformance matrix
+(``tests/integration/test_golden_results.py``).
 """
 
 import json
-
-import pytest
 
 from repro.core.spec import RunSpec, run
 
@@ -25,50 +22,6 @@ CACHING_SPEC = dict(
     },
     search={"rounds": 1, "candidates_per_round": 3},
 )
-
-CC_SPEC = dict(
-    domain="cc",
-    name="det-cc",
-    domain_kwargs={"duration_s": 0.6},
-    search={"rounds": 1, "candidates_per_round": 3},
-)
-
-EXECUTORS = [
-    {},  # serial (max_workers=1 default)
-    {"max_workers": 2, "executor": "thread"},
-    {"max_workers": 2, "executor": "process"},
-]
-
-
-@pytest.mark.parametrize("base", [CACHING_SPEC, CC_SPEC], ids=["caching", "cc"])
-def test_result_json_identical_across_store_modes_and_executors(base, tmp_path):
-    results = {}
-    for index, engine in enumerate(EXECUTORS):
-        spec = RunSpec(**base, engine=engine)
-        shared_store = tmp_path / f"store-{index}"
-
-        disabled = run(
-            spec, store=tmp_path / f"off-{index}", eval_store=None
-        ).artifact_dir
-        cold = run(
-            spec, store=tmp_path / f"cold-{index}", eval_store=shared_store
-        ).artifact_dir
-        warm_outcome = run(
-            spec, store=tmp_path / f"warm-{index}", eval_store=shared_store
-        )
-        warm = warm_outcome.artifact_dir
-
-        blobs = {
-            mode: (path / "result.json").read_bytes()
-            for mode, path in (("disabled", disabled), ("cold", cold), ("warm", warm))
-        }
-        assert blobs["disabled"] == blobs["cold"] == blobs["warm"]
-        # The warm run really did come from disk.
-        assert warm_outcome.setup.engine.totals.store_hits > 0
-        assert warm_outcome.setup.engine.totals.store_hits == warm_outcome.setup.engine.totals.store_lookups
-        results[index] = blobs["disabled"]
-    # ... and the executors agree with each other.
-    assert results[0] == results[1] == results[2]
 
 
 def test_sweep_seeds_share_the_store(tmp_path):
