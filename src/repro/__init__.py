@@ -19,8 +19,8 @@ Package map
 ``repro.netsim``       discrete-event network simulator (link, flows)
 ``repro.cc``           congestion-control Template, kernel-constraint
                         checker, baselines, evaluator
-``repro.experiments``  one module per paper table/figure, each registered as
-                        a named spec + reducer in the experiment registry
+``repro.experiments``  one module per paper table/figure, each a named
+                        spec + reducer in the experiment table
 ``repro.cli``          the unified ``python -m repro`` frontend (run / sweep
                         / resume / experiments list / report)
 

@@ -11,9 +11,8 @@ This module wires the framework to the cache substrate:
 * :func:`caching_archetypes` -- the background knowledge the synthetic LLM
   remixes (frequency/size value density, recency, history revival, ...);
 * :class:`CachingDomain` -- the :class:`~repro.core.domain.SearchDomain`
-  registration that plugs all of the above into the shared engine; assemble
-  a search with ``build_search("caching", trace=...)`` (or the thin
-  :func:`build_caching_search` / :func:`run_caching_search` wrappers).
+  that plugs all of the above into the shared engine; assemble a search
+  with ``build_search("caching", trace=...)``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.cache.request import Trace, prefix_trace
 from repro.cache.simulator import CacheSimulator, cache_size_for
 from repro.core.checker import StructuralChecker
 from repro.core.context import Context
-from repro.core.domain import SearchDomain, SearchSetup, build_search, register_domain
+from repro.core.domain import SearchDomain
 from repro.core.evaluator import RUNTIME_ERRORS, EvaluationResult, Evaluator
 from repro.core.search import SearchConfig
 from repro.core.template import Template
@@ -298,7 +297,7 @@ class CachingEvaluator(Evaluator):
 
 
 class CachingDomain(SearchDomain):
-    """The web-caching instantiation as a pluggable search domain.
+    """The web-caching instantiation as a search domain.
 
     Domain keyword arguments accepted by :func:`~repro.core.domain.build_search`:
     ``trace`` (required), ``cache_fraction`` (default 0.10) and ``backend``
@@ -377,51 +376,4 @@ class CachingDomain(SearchDomain):
         return SearchConfig(rounds=20, candidates_per_round=25)
 
 
-register_domain(CachingDomain())
-
-
-def build_caching_search(
-    trace: Trace,
-    rounds: int = 20,
-    candidates_per_round: int = 25,
-    seed: int = 0,
-    cache_fraction: float = 0.10,
-    llm_config: Optional[SyntheticLLMConfig] = None,
-    **kwargs: Any,
-) -> SearchSetup:
-    """Assemble the full caching search for ``trace`` (paper defaults).
-
-    Thin wrapper over ``build_search("caching", ...)``; extra keyword
-    arguments (``engine_config=``, ``checkpoint_path=``, ``backend=``, ...)
-    are forwarded.
-    """
-    return build_search(
-        "caching",
-        rounds=rounds,
-        candidates_per_round=candidates_per_round,
-        seed=seed,
-        llm_config=llm_config,
-        trace=trace,
-        cache_fraction=cache_fraction,
-        **kwargs,
-    )
-
-
-def run_caching_search(
-    trace: Trace,
-    rounds: int = 20,
-    candidates_per_round: int = 25,
-    seed: int = 0,
-    cache_fraction: float = 0.10,
-    **kwargs: Any,
-):
-    """Run the §4.2.1 search for ``trace`` and return its :class:`SearchResult`."""
-    setup = build_caching_search(
-        trace,
-        rounds=rounds,
-        candidates_per_round=candidates_per_round,
-        seed=seed,
-        cache_fraction=cache_fraction,
-        **kwargs,
-    )
-    return setup.search.run()
+DOMAIN = CachingDomain()

@@ -28,7 +28,6 @@ from repro.cc.template import (
 from repro.cc.kernel_constraints import KernelConstraintChecker, KernelRuleChecker
 from repro.cc.dsl_controller import DslCongestionController
 from repro.cc.evaluator import CongestionControlEvaluator
-from repro.cc.search import build_cc_search, run_cc_search
 
 __all__ = [
     "CC_TEMPLATE_PARAMS",
@@ -41,6 +40,4 @@ __all__ = [
     "KernelRuleChecker",
     "DslCongestionController",
     "CongestionControlEvaluator",
-    "build_cc_search",
-    "run_cc_search",
 ]

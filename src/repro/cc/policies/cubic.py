@@ -2,27 +2,17 @@
 
 Follows the shape of the kernel implementation: after a loss the window is
 reduced by the CUBIC beta (0.7), and during congestion avoidance the window
-steers towards ``W(t) = C * (t - K)^3 + W_max`` where ``K`` is the time at which the
-window would regrow to ``W_max``.  All arithmetic is scaled-integer, like in
-the kernel (which cannot use floating point).
+steers towards ``W(t) = C * (t - K)^3 + W_max``, where RFC 8312's
+``K = cbrt((W_max - cwnd) / C)`` is the time at which the window would
+regrow to ``W_max``.  All arithmetic is scaled-integer, like in the kernel
+(which cannot use floating point).
 
 Where it departs from RFC 8312 (``tests/netsim/test_closed_form.py`` holds
-it to both points):
-
-* **K.**  The RFC's ``K = cbrt(W_max * (1 - beta) / C)`` -- equivalently
-  ``cbrt((W_max - cwnd) / C)`` right after the cut -- is computed here as
-  ``cbrt((W_max - cwnd) * (1 - beta) / (1000 * C))``: the gap is scaled by
-  ``1 - beta`` a second time and ``C``'s x1000 scale is not undone.  ``K``
-  is about 1/15 of the RFC's (0.28 s instead of 4.2 s at ``W_max = 100``),
-  so the target regains ``W_max`` that much sooner.  The target then
-  follows ``C * (t - K)^3 + W_max`` with that ``K``, to within its integer
-  rounding.
-* **The window.**  Each ACK credits at least one packet towards growth,
-  so the window grows at least one packet per RTT whatever the target: it
-  climbs to the target within a few RTTs of the cut, then keeps growing
-  one packet per RTT, above the curve.  The RFC moves it towards
-  ``W(t + RTT)`` instead, or along its TCP-friendly estimate (about half a
-  packet per RTT at beta 0.7) where that is larger.
+it to the curve and to this departure): each ACK credits at least one packet
+towards growth, so the window grows at least one packet per RTT whatever the
+target, and sits above the curve wherever the curve grows more slowly.  The
+RFC moves it towards ``W(t + RTT)`` instead, or along its TCP-friendly
+estimate (about half a packet per RTT at beta 0.7) where that is larger.
 """
 
 from __future__ import annotations
@@ -68,10 +58,9 @@ class CubicController:
         if self._epoch_start_us == 0:
             self._epoch_start_us = now_us
             w_diff = max(0, self._w_max - cwnd)
-            # K = cbrt(W_max * (1 - beta) / C), in seconds scaled to ms here.
-            k_cubed_ms3 = (w_diff * 1000 * 1000 * 1000 * (10 - _BETA_SCALED)) // (
-                10 * max(1, _C_SCALED)
-            )
+            # K = cbrt((W_max - cwnd) / C) in ms: K_ms^3 = w_diff * 1e9 / C,
+            # and 1 / C is 1000 / _C_SCALED.
+            k_cubed_ms3 = (w_diff * 1000 * 1000 * 1000 * 1000) // _C_SCALED
             self._k_us = self._cube_root(k_cubed_ms3) * 1000
         t_us = now_us - self._epoch_start_us
         delta_ms = (t_us - self._k_us) // 1000

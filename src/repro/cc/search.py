@@ -1,11 +1,10 @@
-"""The congestion-control search as a pluggable domain (§5 of the paper).
+"""The congestion-control search as a domain (§5 of the paper).
 
-All the wiring lives in the shared engine now; this module only registers
-the :class:`CCDomain` -- the kernel Template, the kernel-constraint checker
+All the wiring lives in the shared engine; this module only defines the
+:class:`CCDomain` -- the kernel Template, the kernel-constraint checker
 (the eBPF-verifier stand-in), the emulated-link evaluator and the
 kernel-flavoured synthetic-LLM configuration.  Assemble a search with
-``build_search("cc", ...)`` or the thin :func:`build_cc_search` /
-:func:`run_cc_search` wrappers.
+``build_search("cc", ...)``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.cc.evaluator import (
 from repro.cc.kernel_constraints import KernelConstraintChecker
 from repro.cc.template import cc_grammar_config, cc_template, kernel_llm_config
 from repro.core.context import Context
-from repro.core.domain import SearchDomain, SearchSetup, build_search, register_domain
+from repro.core.domain import SearchDomain
 from repro.core.search import SearchConfig
 from repro.core.template import Template
 from repro.dsl.compile import DEFAULT_BACKEND
@@ -100,46 +99,4 @@ class CCDomain(SearchDomain):
         return SearchConfig(rounds=4, candidates_per_round=25, repair_attempts=1)
 
 
-register_domain(CCDomain())
-
-
-def build_cc_search(
-    rounds: int = 4,
-    candidates_per_round: int = 25,
-    seed: int = 0,
-    duration_s: float = 8.0,
-    simulation: Optional[SimulationConfig] = None,
-    llm_config: Optional[SyntheticLLMConfig] = None,
-    repair_attempts: int = 1,
-    **kwargs: Any,
-) -> SearchSetup:
-    """Assemble the kernel-constrained search (thin ``build_search`` wrapper)."""
-    return build_search(
-        "cc",
-        rounds=rounds,
-        candidates_per_round=candidates_per_round,
-        repair_attempts=repair_attempts,
-        seed=seed,
-        llm_config=llm_config,
-        duration_s=duration_s,
-        simulation=simulation,
-        **kwargs,
-    )
-
-
-def run_cc_search(
-    rounds: int = 4,
-    candidates_per_round: int = 25,
-    seed: int = 0,
-    duration_s: float = 8.0,
-    **kwargs: Any,
-):
-    """Run the congestion-control search and return its :class:`SearchResult`."""
-    setup = build_cc_search(
-        rounds=rounds,
-        candidates_per_round=candidates_per_round,
-        seed=seed,
-        duration_s=duration_s,
-        **kwargs,
-    )
-    return setup.search.run()
+DOMAIN = CCDomain()

@@ -30,13 +30,7 @@ from repro.core.generator import Generator, LLMGenerator
 from repro.core.results import Candidate, ScoredCandidate, RoundSummary, SearchResult
 from repro.core.search import EvolutionarySearch, SearchConfig
 from repro.core.engine import BatchStats, EngineConfig, EvaluationEngine
-from repro.core.executors import (
-    EvalUnit,
-    Executor,
-    available_executors,
-    create_executor,
-    register_executor,
-)
+from repro.core.executors import EvalUnit, Executor
 from repro.core.store import (
     STORE_SCHEMA_VERSION,
     BoundEvalStore,
@@ -52,7 +46,6 @@ from repro.core.domain import (
     available_domains,
     build_search,
     get_domain,
-    register_domain,
 )
 from repro.core.archive import HeuristicArchive, ArchiveEntry, SearchCheckpoint
 from repro.core.cost import CostModel, GPT_4O_MINI_PRICING, SearchCostReport
@@ -112,9 +105,6 @@ __all__ = [
     "EvaluationEngine",
     "EvalUnit",
     "Executor",
-    "available_executors",
-    "create_executor",
-    "register_executor",
     "STORE_SCHEMA_VERSION",
     "BoundEvalStore",
     "EvaluationStore",
@@ -128,7 +118,6 @@ __all__ = [
     "available_domains",
     "build_search",
     "get_domain",
-    "register_domain",
     "HeuristicArchive",
     "ArchiveEntry",
     "SearchCheckpoint",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -243,6 +244,10 @@ def scored_candidate_from_dict(data: dict) -> ScoredCandidate:
     if scored.check_ok:
         scored.canonical_source = data.get("canonical_source") or None
     return scored
+
+
+#: The name :func:`atomic_text` gives its temp file under the default suffix.
+TEMP_NAME = re.compile(r".+\.\d+-[0-9a-f]{8}\.tmp")
 
 
 @contextmanager

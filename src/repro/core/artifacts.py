@@ -24,11 +24,13 @@ gates the layout; readers reject directories written by a future format.
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro import __version__ as _REPRO_VERSION
 from repro.core.archive import (
+    TEMP_NAME,
     atomic_text,
     round_summary_from_dict,
     round_summary_to_dict,
@@ -36,6 +38,7 @@ from repro.core.archive import (
     scored_candidate_to_dict,
 )
 from repro.core.events import read_event_log
+from repro.core.store import STALE_TMP_AGE_S
 from repro.core.results import (
     BUDGET_FIELDS,
     RoundSummary,
@@ -279,7 +282,10 @@ def prepare_run_dir(path: Union[str, Path], spec_data: dict) -> Path:
     """Create ``path`` and write ``spec.json`` before the run starts.
 
     Writing the spec up front makes an interrupted run resumable: the
-    directory already identifies what was being run.
+    directory already identifies what was being run.  A temp file that a
+    writer killed before its rename left behind is removed once it is older
+    than :data:`~repro.core.store.STALE_TMP_AGE_S`; a younger one may be a
+    write still in flight.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -289,6 +295,13 @@ def prepare_run_dir(path: Union[str, Path], spec_data: dict) -> Path:
         stale = path / name
         if stale.exists():
             stale.unlink()
+    stale_before = time.time() - STALE_TMP_AGE_S
+    for orphan in path.glob("*.tmp"):
+        try:
+            if TEMP_NAME.fullmatch(orphan.name) and orphan.stat().st_mtime < stale_before:
+                orphan.unlink()
+        except OSError:  # removed by a concurrent run first
+            continue
     return path
 
 

@@ -1,12 +1,11 @@
-"""Pluggable search domains and the one-call ``build_search`` entry point.
+"""Search domains and the one-call ``build_search`` entry point.
 
 A *domain* bundles everything that makes a search instance of the framework
 concrete: the Template (program space + constraints), the paired Checker,
 the context-specific Evaluator, the synthetic-LLM configuration (archetypes,
-hallucination rates, grammar) and a Context factory.  The two case studies
-register themselves here -- ``"caching"`` in :mod:`repro.cache.search` and
-``"cc"`` in :mod:`repro.cc.search` -- and new workloads plug in the same
-way, without touching the engine or the search loop.
+hallucination rates, grammar) and a Context factory.  The paper's two case
+studies are the two domains, listed in one table here: ``"caching"``
+(:mod:`repro.cache.search`) and ``"cc"`` (:mod:`repro.cc.search`).
 
 ``build_search(domain_name, ...)`` is the single assembly path used by
 ``experiments/`` and ``examples/``: it resolves the domain, builds every
@@ -38,7 +37,7 @@ from repro.llm.mock import SyntheticLLMClient, SyntheticLLMConfig
 
 
 class SearchDomain:
-    """Base class for pluggable search domains.
+    """Base class of the two search domains.
 
     Subclasses override the ``build_*`` factories; every factory that takes
     ``**kwargs`` receives the caller's domain-specific keyword arguments
@@ -46,21 +45,20 @@ class SearchDomain:
     control) and should ignore keys it does not know.
     """
 
-    #: Registry key, e.g. ``"caching"`` or ``"cc"``.
+    #: The domain's key in :data:`_DOMAINS`, e.g. ``"caching"`` or ``"cc"``.
     name: str = ""
 
     #: Keyword arguments the domain's factories understand; ``build_search``
     #: rejects anything else so typos (``duration=`` for ``duration_s=``)
     #: fail loudly instead of silently running a default configuration.
-    #: ``None`` disables the check (custom domains that forward kwargs).
-    accepted_kwargs: Optional[frozenset] = None
+    accepted_kwargs: frozenset = frozenset()
 
     #: Keyword arguments that remain meaningful alongside a ``workloads=``
     #: scenario matrix (e.g. ``backend=``).  Single-scenario arguments such
     #: as ``trace=`` or ``duration_s=`` are rejected in matrix mode -- the
     #: per-scenario values live on the workload references -- instead of
-    #: being silently ignored.  ``None`` falls back to ``accepted_kwargs``.
-    matrix_kwargs: Optional[frozenset] = None
+    #: being silently ignored.
+    matrix_kwargs: frozenset = frozenset()
 
     def build_template(self) -> Template:
         raise NotImplementedError
@@ -148,43 +146,29 @@ class SearchSetup:
     domain: Optional[SearchDomain] = None
 
 
-# -- registry -----------------------------------------------------------------------
+# -- the built-in domains ----------------------------------------------------------
 
-_REGISTRY: Dict[str, SearchDomain] = {}
-
-#: Domains shipped with the repository, imported lazily on first lookup so
-#: the registry works without import-order gymnastics.
-_BUILTIN_DOMAIN_MODULES = {
-    "caching": "repro.cache.search",
-    "cc": "repro.cc.search",
+#: Domain name -> (module, attribute) of its :class:`SearchDomain`.  A domain's
+#: module is imported on its first lookup, so a cc run never loads the caching
+#: stack (nor numpy).
+_DOMAINS = {
+    "caching": ("repro.cache.search", "DOMAIN"),
+    "cc": ("repro.cc.search", "DOMAIN"),
 }
 
 
-def register_domain(domain: SearchDomain) -> SearchDomain:
-    """Register ``domain`` under its ``name`` (last registration wins)."""
-    if not domain.name:
-        raise ValueError("a SearchDomain must declare a non-empty name")
-    _REGISTRY[domain.name] = domain
-    return domain
-
-
 def get_domain(name: str) -> SearchDomain:
-    """Look up a registered domain, lazily importing built-in ones."""
-    if name not in _REGISTRY and name in _BUILTIN_DOMAIN_MODULES:
-        importlib.import_module(_BUILTIN_DOMAIN_MODULES[name])
+    """Look up a domain, importing its module on first use."""
     try:
-        return _REGISTRY[name]
+        module, attribute = _DOMAINS[name]
     except KeyError as exc:
-        known = sorted(set(_REGISTRY) | set(_BUILTIN_DOMAIN_MODULES))
-        raise KeyError(f"unknown search domain {name!r}; available: {known}") from exc
+        raise KeyError(f"unknown search domain {name!r}; available: {sorted(_DOMAINS)}") from exc
+    return getattr(importlib.import_module(module), attribute)
 
 
 def available_domains() -> list:
-    """Names of every resolvable domain (built-ins included)."""
-    for name in _BUILTIN_DOMAIN_MODULES:
-        if name not in _REGISTRY:
-            importlib.import_module(_BUILTIN_DOMAIN_MODULES[name])
-    return sorted(_REGISTRY)
+    """Names of every domain."""
+    return sorted(_DOMAINS)
 
 
 # -- the one-call entry point -------------------------------------------------------
@@ -232,7 +216,7 @@ def build_search(
     are made.
 
     ``workloads`` declares a *scenario matrix*: a list of workload references
-    (registry names, ``{"name": ..., **overrides}`` dictionaries or
+    (workload names, ``{"name": ..., **overrides}`` dictionaries or
     :class:`~repro.workloads.spec.WorkloadSpec` objects, all from the same
     domain) that every candidate is scored across, aggregated by ``reducer``
     (``"mean"`` / ``"worst"`` / ``{"kind": "weighted", "weights": ...}``).
@@ -242,22 +226,17 @@ def build_search(
     congestion control).
     """
     domain = get_domain(domain_name)
-    if domain.accepted_kwargs is not None:
-        unknown = set(domain_kwargs) - set(domain.accepted_kwargs)
-        if unknown:
-            raise TypeError(
-                f"domain {domain.name!r} got unexpected keyword argument(s) "
-                f"{sorted(unknown)}; accepted: {sorted(domain.accepted_kwargs)}"
-            )
-        # The engine-level DSL backend knob reaches the domain as its
-        # ``backend`` kwarg; an explicit domain kwarg wins over the engine
-        # default so ablations can still pin one evaluator's backend.
-        if (
-            engine_config is not None
-            and engine_config.dsl_backend is not None
-            and "backend" in domain.accepted_kwargs
-        ):
-            domain_kwargs.setdefault("backend", engine_config.dsl_backend)
+    unknown = set(domain_kwargs) - domain.accepted_kwargs
+    if unknown:
+        raise TypeError(
+            f"domain {domain.name!r} got unexpected keyword argument(s) "
+            f"{sorted(unknown)}; accepted: {sorted(domain.accepted_kwargs)}"
+        )
+    # The engine-level DSL backend knob reaches the domain as its
+    # ``backend`` kwarg; an explicit domain kwarg wins over the engine
+    # default so ablations can still pin one evaluator's backend.
+    if engine_config is not None and engine_config.dsl_backend is not None:
+        domain_kwargs.setdefault("backend", engine_config.dsl_backend)
 
     workload_specs: Optional[List[Any]] = None
     reducer_obj: Optional[ScoreReducer] = None
@@ -272,20 +251,14 @@ def build_search(
             raise ValueError(
                 f"workload(s) {foreign} do not belong to domain {domain.name!r}"
             )
-        allowed = (
-            domain.matrix_kwargs
-            if domain.matrix_kwargs is not None
-            else domain.accepted_kwargs
-        )
-        if allowed is not None:
-            single_scenario = set(domain_kwargs) - set(allowed)
-            if single_scenario:
-                raise TypeError(
-                    f"keyword argument(s) {sorted(single_scenario)} have no "
-                    "effect alongside a workloads= scenario matrix; set "
-                    "per-scenario parameters on the workload references "
-                    f"(matrix-compatible kwargs: {sorted(allowed)})"
-                )
+        single_scenario = set(domain_kwargs) - domain.matrix_kwargs
+        if single_scenario:
+            raise TypeError(
+                f"keyword argument(s) {sorted(single_scenario)} have no "
+                "effect alongside a workloads= scenario matrix; set "
+                "per-scenario parameters on the workload references "
+                f"(matrix-compatible kwargs: {sorted(domain.matrix_kwargs)})"
+            )
         reducer_obj = ScoreReducer.from_ref(reducer)
     elif reducer is not None:
         raise ValueError("reducer= only applies to a workloads= scenario matrix")

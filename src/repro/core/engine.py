@@ -36,12 +36,12 @@ taking what the previous one left unresolved:
    sweep seeds, ``repro resume`` and repeated runs warm-start from it).  It
    is asked after the ladder, so the ladder's pool never depends on what the
    store happens to contain.
-6. **Fan-out** -- the rest runs on a registered
-   :class:`~repro.core.executors.Executor` backend (``serial`` / ``thread`` /
-   ``process``), selected by :class:`EngineConfig`, with
-   optional per-unit timeouts and crash isolation, and back-fills both memo
-   tiers.  Under a :class:`~repro.core.scenarios.MultiScenarioEvaluator` and
-   a parallel backend the unit of work is one (candidate, scenario) pair
+6. **Fan-out** -- the rest runs in-process (``max_workers: 1``) or on the
+   ``thread`` / ``process`` pool :class:`EngineConfig` names
+   (:mod:`repro.core.executors`), with optional per-unit timeouts and crash
+   isolation, and back-fills both memo tiers.  Under a
+   :class:`~repro.core.scenarios.MultiScenarioEvaluator` and a pool the unit
+   of work is one (candidate, scenario) pair
    (see :meth:`EvaluationEngine._evaluate_many_sharded`).
 
 Each candidate that receives an evaluation result is announced as a
@@ -71,7 +71,7 @@ from repro.core.events import (
     CandidateScreened,
     EventBus,
 )
-from repro.core.executors import EvalUnit, available_executors, create_executor, evaluator_at
+from repro.core.executors import POOLS, EvalUnit, SerialExecutor, evaluator_at
 from repro.core.fidelity import FidelitySchedule
 from repro.core.generator import Generator
 from repro.core.results import BudgetCounters, Candidate, ScoredCandidate
@@ -117,18 +117,17 @@ class EngineConfig:
 
     ``max_workers`` defaults to :func:`usable_cpus`, the CPUs this process
     may run on; above 1 it fans unique candidates out over the ``executor``
-    backend (any name in :func:`~repro.core.executors.available_executors`;
-    the default, ``"process"``, is the one that parallelises CPU-bound
-    simulation), one pool per engine for every fidelity, a few tasks per
-    batch.  ``max_workers=1`` (and a 1-CPU box) keeps evaluation serial and
-    in-process: pin it to debug or profile a run, or for an evaluator that
-    cannot be pickled.  ``eval_timeout_s`` bounds how long the engine waits
-    for one unit's evaluation (each unit then is a task of its own); a
-    timed-out unit gets a failure result and its worker is abandoned
-    (threads cannot be killed; the DSL step budget still bounds the stray
-    work).  Timeouts and crash isolation require a worker pool: with
-    ``max_workers=1`` or ``executor="serial"`` evaluation runs in-process
-    and ``eval_timeout_s`` has no effect.
+    pool (``"thread"``, or the default ``"process"``, the one that
+    parallelises CPU-bound simulation), one pool per engine for every
+    fidelity, a few tasks per batch.  ``max_workers=1`` (and a 1-CPU box)
+    keeps evaluation serial and in-process: pin it to debug or profile a
+    run, or for an evaluator that cannot be pickled.  ``eval_timeout_s``
+    bounds how long the engine waits for one unit's evaluation (each unit
+    then is a task of its own); a timed-out unit gets a failure result and
+    its worker is abandoned (threads cannot be killed; the DSL step budget
+    still bounds the stray work).  Timeouts and crash isolation require a worker pool: with
+    ``max_workers=1`` evaluation runs in-process and ``eval_timeout_s`` has
+    no effect.
 
     ``dsl_backend`` selects how candidate DSL programs execute during
     evaluation (``"interpreter"``, or lowered: ``"vectorized"``, also spelled
@@ -150,7 +149,7 @@ class EngineConfig:
     """
 
     max_workers: int = field(default_factory=usable_cpus)
-    executor: str = "process"  # any registered backend; see core/executors.py
+    executor: str = "process"  # a key of executors.POOLS
     eval_timeout_s: Optional[float] = None
     dsl_backend: Optional[str] = None
     static_screen: bool = False
@@ -159,11 +158,10 @@ class EngineConfig:
         check_field_types(self, "engine")
         if self.max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        if self.executor not in available_executors():
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"available: {available_executors()}"
-            )
+        if self.executor == "serial":
+            raise ValueError("executor 'serial' is gone: in-process evaluation is max_workers: 1")
+        if self.executor not in POOLS:
+            raise ValueError(f"unknown executor {self.executor!r}; available: {sorted(POOLS)}")
         if self.eval_timeout_s is not None and self.eval_timeout_s <= 0:
             raise ValueError("eval_timeout_s must be positive")
         if self.dsl_backend is not None and self.dsl_backend not in DSL_BACKENDS:
@@ -606,11 +604,6 @@ class EvaluationEngine:
             self._executor.close()
             self._executor = None
 
-    def _backend_name(self) -> str:
-        # A single worker cannot fan out: run serially whatever the backend
-        # (no timeout, no pool startup cost) -- the in-process reference path.
-        return "serial" if self.config.max_workers <= 1 else self.config.executor
-
     def _evaluate_many(
         self,
         programs: List[Program],
@@ -621,18 +614,18 @@ class EvaluationEngine:
         backend (a rung's units run its scaled evaluator)."""
         if not programs:
             return []
-        backend = self._backend_name()
         evaluator = self._scaled_evaluator(fraction)
-        if self._executor is None or self._executor.name != backend:
-            self.close()
-            self._executor = create_executor(
-                backend, self.config, self.evaluator, self._scaled_evaluators
-            )
+        pooled = self.config.max_workers > 1
+        if self._executor is None:
+            # A single worker cannot fan out: it runs in-process whatever the
+            # pool (no timeout, no pool startup cost) -- the reference path.
+            cls = POOLS[self.config.executor] if pooled else SerialExecutor
+            self._executor = cls(self.config, self.evaluator, self._scaled_evaluators)
         executor = self._executor
-        # Note: single-program batches still go through the configured
-        # backend -- a serial shortcut would silently drop the timeout and
-        # crash isolation.
-        if backend != "serial" and isinstance(evaluator, MultiScenarioEvaluator):
+        # Note: single-program batches still go through the pool -- an
+        # in-process shortcut would silently drop the timeout and crash
+        # isolation.
+        if pooled and isinstance(evaluator, MultiScenarioEvaluator):
             results = self._evaluate_many_sharded(programs, evaluator, executor, stats, fraction)
         else:
             units = [

@@ -1,4 +1,4 @@
-"""Pluggable evaluation executors: how the engine fans evaluation work out.
+"""Evaluation executors: how the engine fans evaluation work out.
 
 The :class:`~repro.core.engine.EvaluationEngine` decides *what* to evaluate
 (check/repair, dedup, memo and store tiers); an :class:`Executor` decides
@@ -6,14 +6,14 @@ The :class:`~repro.core.engine.EvaluationEngine` decides *what* to evaluate
 (:class:`EvalUnit`) is either one whole candidate evaluation or -- under
 multi-scenario sharding -- one (candidate, scenario) pair, at the fidelity it
 carries, so one executor per engine serves every rung of a fidelity ladder.
-Executors are registered by name and selected through
-:class:`~repro.core.engine.EngineConfig.executor`, so a new backend plugs in
-without touching the engine:
+``max_workers`` picks the in-process path or a pool, and
+:class:`~repro.core.engine.EngineConfig.executor` names the pool
+(:data:`POOLS`):
 
-``serial``
+:class:`SerialExecutor` (``max_workers: 1``)
     In-process, in submission order.  No timeout or crash isolation (the
     DSL step budget still bounds candidate runtime); this is the reference
-    trajectory every other backend must reproduce bit-for-bit.
+    trajectory every pool must reproduce bit-for-bit.
 ``thread``
     A reused :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap fan-out
     for evaluators that release the GIL or are I/O-bound; per-unit timeouts
@@ -25,12 +25,12 @@ without touching the engine:
     crash isolation: a worker that dies takes neither the pool's results nor
     the search down.
 
-A pool backend ships a batch as a few strided chunks of units (at most
+A pool ships a batch as a few strided chunks of units (at most
 ``4 * max_workers``), one task each, so a sub-millisecond unit does not pay
 for a task of its own; with ``eval_timeout_s`` set every chunk holds one
-unit, so the timeout bounds each unit.  Every backend returns results in
+unit, so the timeout bounds each unit.  Every executor returns results in
 unit order and reuses the engine's failure/timeout conventions, which is
-what keeps a fixed seed byte-identical across backends (asserted in the
+what keeps a fixed seed byte-identical across them (asserted in the
 tests).
 """
 
@@ -45,7 +45,7 @@ from concurrent.futures import (
     TimeoutError as FutureTimeoutError,
 )
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional
 
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.scenarios import MultiScenarioEvaluator
@@ -127,7 +127,7 @@ def _run_chunk_in_worker(units: List[EvalUnit]) -> List[EvaluationResult]:
 
 
 class Executor(ABC):
-    """One evaluation backend; created per engine, reused across batches.
+    """One way to run units; created per engine, reused across batches.
 
     ``config`` is the engine's :class:`~repro.core.engine.EngineConfig`
     (``max_workers``, ``eval_timeout_s``); ``evaluator`` the engine's
@@ -135,9 +135,6 @@ class Executor(ABC):
     below fidelity 1.0 runs on those).  ``run_units`` must return one result
     per unit, in unit order, and record timeouts on ``stats``.
     """
-
-    #: Registry key (set by subclasses).
-    name: str = ""
 
     def __init__(self, config, evaluator: Evaluator, scaled: Optional[Dict[float, Evaluator]] = None):
         self.config = config
@@ -160,8 +157,6 @@ class Executor(ABC):
 
 class SerialExecutor(Executor):
     """In-process, ordered evaluation -- the reference trajectory."""
-
-    name = "serial"
 
     def run_units(self, units: List[EvalUnit], stats) -> List[EvaluationResult]:
         return [self._run_inline(unit) for unit in units]
@@ -247,8 +242,6 @@ class _PoolExecutor(Executor):
 class ThreadExecutor(_PoolExecutor):
     """Thread-pool fan-out (shared-memory evaluator, abandonable timeouts)."""
 
-    name = "thread"
-
     def _make_pool(self):
         return ThreadPoolExecutor(max_workers=self.config.max_workers)
 
@@ -258,8 +251,6 @@ class ThreadExecutor(_PoolExecutor):
 
 class ProcessExecutor(_PoolExecutor):
     """Process-pool fan-out (pickled evaluator, hard crash isolation)."""
-
-    name = "process"
 
     def _make_pool(self):
         return ProcessPoolExecutor(
@@ -272,37 +263,5 @@ class ProcessExecutor(_PoolExecutor):
         return pool.submit(_run_chunk_in_worker, chunk)
 
 
-# -- registry -----------------------------------------------------------------------
-
-_EXECUTORS: Dict[str, Type[Executor]] = {}
-
-
-def register_executor(cls: Type[Executor]) -> Type[Executor]:
-    """Register an executor backend under ``cls.name`` (last wins)."""
-    if not cls.name:
-        raise ValueError("an Executor must declare a non-empty name")
-    _EXECUTORS[cls.name] = cls
-    return cls
-
-
-def available_executors() -> List[str]:
-    """Names of every registered backend."""
-    return sorted(_EXECUTORS)
-
-
-def create_executor(
-    name: str, config, evaluator: Evaluator, scaled: Optional[Dict[float, Evaluator]] = None
-) -> Executor:
-    """Instantiate the backend ``name`` for one engine (``scaled``: its
-    cache of scaled evaluators, shared so inline runs reuse them)."""
-    try:
-        cls = _EXECUTORS[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown executor {name!r}; available: {available_executors()}"
-        ) from exc
-    return cls(config, evaluator, scaled)
-
-
-for _cls in (SerialExecutor, ThreadExecutor, ProcessExecutor):
-    register_executor(_cls)
+#: The pools :attr:`~repro.core.engine.EngineConfig.executor` names.
+POOLS = {"thread": ThreadExecutor, "process": ProcessExecutor}

@@ -335,9 +335,13 @@ def build_trace(ref: Dict[str, Any]):
     ``{"dataset": "cloudphysics" | "msr", "index": int, "num_requests": int}``
     selects a corpus trace; ``{"dataset": "synthetic", ...}`` forwards the
     remaining keys to :class:`~repro.traces.synthetic.SyntheticWorkloadConfig`;
-    ``{"dataset": "workload", "name": <registry name>, ...overrides}``
-    resolves a registered caching workload (see :mod:`repro.workloads`).
+    ``{"dataset": "workload", "name": <workload name>, ...overrides}``
+    resolves a built-in caching workload (see :mod:`repro.workloads`).  All
+    of them are built by the caching workload builders.
     """
+    from repro.workloads import WorkloadSpec, build_workload
+    from repro.workloads import build_trace as build_workload_trace
+
     ref = dict(ref)
     try:
         dataset = ref.pop("dataset")
@@ -345,35 +349,28 @@ def build_trace(ref: Dict[str, Any]):
         raise ValueError(
             f"a trace reference needs a 'dataset' key; got {sorted(ref)}"
         ) from None
-    if dataset == "synthetic":
-        from repro.traces.synthetic import SyntheticWorkloadConfig, generate_trace
-
-        return generate_trace(SyntheticWorkloadConfig(**ref))
     if dataset == "workload":
-        from repro.workloads import build_trace as build_workload_trace
-
         return build_workload_trace(ref)
-    index = ref.pop("index", 0)
-    num_requests = ref.pop("num_requests", None)
-    if ref:
-        raise ValueError(
-            f"unknown trace-reference key(s) {sorted(ref)} for dataset {dataset!r}"
-        )
-    if dataset == "cloudphysics":
-        from repro.traces.cloudphysics import cloudphysics_config
-        from repro.traces.synthetic import generate_trace
-
-        return generate_trace(
-            cloudphysics_config(index, **_maybe(num_requests))
-        )
-    if dataset == "msr":
-        from repro.traces.msr import msr_config
-        from repro.traces.synthetic import generate_trace
-
-        return generate_trace(msr_config(index, **_maybe(num_requests)))
-    raise ValueError(
-        f"unknown trace dataset {dataset!r} "
-        "(use 'cloudphysics', 'msr', 'synthetic' or 'workload')"
+    if dataset == "synthetic":
+        # The builder drops a workload's cache_fraction; in a trace
+        # reference it is a misplaced domain kwarg.
+        if "cache_fraction" in ref:
+            raise ValueError("a synthetic trace reference takes no 'cache_fraction'")
+    else:
+        index = ref.pop("index", 0)
+        num_requests = ref.pop("num_requests", None)
+        if ref:
+            raise ValueError(
+                f"unknown trace-reference key(s) {sorted(ref)} for dataset {dataset!r}"
+            )
+        if dataset not in ("cloudphysics", "msr"):
+            raise ValueError(
+                f"unknown trace dataset {dataset!r} "
+                "(use 'cloudphysics', 'msr', 'synthetic' or 'workload')"
+            )
+        ref = {"index": index, **_maybe(num_requests)}
+    return build_workload(
+        WorkloadSpec.create(name=dataset, domain="caching", kind=dataset, params=ref)
     )
 
 

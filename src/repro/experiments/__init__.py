@@ -1,8 +1,8 @@
 """Experiment harness: one module per table/figure of the paper.
 
 Every module exposes a ``run_*`` function returning plain data structures and
-registers itself in the experiment registry
-(:mod:`repro.experiments.registry`) as a named spec + reducer, so the unified
+defines its entry of the experiment table
+(:mod:`repro.experiments.registry`), a named spec + reducer, so the unified
 CLI runs it (``python -m repro run <name>``), stores its payload as an
 artifact, and re-renders the report offline (``python -m repro report``).
 README.md ("The ``repro`` CLI") shows how to run and re-render them.
@@ -10,7 +10,7 @@ README.md ("The ``repro`` CLI") shows how to run and re-render them.
 Quick map:
 
 ========================  ================  ===================================
-Paper artefact            Registry name     Module
+Paper artefact            Name              Module
 ========================  ================  ===================================
 Figure 2a / 2b            ``figure2``       :mod:`repro.experiments.figure2`
 Table 2                   ``table2``        :mod:`repro.experiments.table2`
@@ -28,7 +28,6 @@ from repro.experiments.registry import (
     ExperimentDef,
     available_experiments,
     get_experiment,
-    register_experiment,
     run_experiment,
 )
 from repro.experiments.table2 import Table2Entry, run_table2
@@ -43,7 +42,6 @@ __all__ = [
     "ExperimentDef",
     "available_experiments",
     "get_experiment",
-    "register_experiment",
     "run_experiment",
     "Figure2Row",
     "run_figure2",

@@ -29,7 +29,7 @@ from repro.core.domain import build_search
 from repro.core.search import SearchConfig
 from repro.core.template import Template
 from repro.dsl.grammar import FeatureSpec
-from repro.experiments.registry import ExperimentDef, register_experiment
+from repro.experiments.registry import ExperimentDef
 from repro.llm.mock import SyntheticLLMClient, SyntheticLLMConfig
 from repro.workloads import build_trace
 
@@ -175,18 +175,16 @@ def _run_ablations_experiment(
     return ablations_payload(results)
 
 
-register_experiment(
-    ExperimentDef(
-        name="ablations",
-        description="Search-design ablations: parent feedback, repair, feature richness",
-        runner=_run_ablations_experiment,
-        renderer=render_ablations,
-        params={
-            "trace": 89,
-            "requests": 3000,
-            "rounds": 4,
-            "candidates": 10,
-            "seed": 0,
-        },
-    )
+EXPERIMENT = ExperimentDef(
+    name="ablations",
+    description="Search-design ablations: parent feedback, repair, feature richness",
+    runner=_run_ablations_experiment,
+    renderer=render_ablations,
+    params={
+        "trace": 89,
+        "requests": 3000,
+        "rounds": 4,
+        "candidates": 10,
+        "seed": 0,
+    },
 )

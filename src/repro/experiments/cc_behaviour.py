@@ -21,7 +21,7 @@ from typing import List
 from repro.cc.evaluator import default_cc_simulation_config
 from repro.cc.policies import CubicController, RenoController
 from repro.core.domain import build_search
-from repro.experiments.registry import ExperimentDef, register_experiment
+from repro.experiments.registry import ExperimentDef
 from repro.netsim.simulator import NetworkSimulator
 
 
@@ -156,12 +156,10 @@ def _run_cc_behaviour_experiment(candidates: int, seed: int, duration: float) ->
     return behaviour_payload(report)
 
 
-register_experiment(
-    ExperimentDef(
-        name="cc-behaviour",
-        description="§5.0.3: utilisation/queueing-delay spread of compiled candidates",
-        runner=_run_cc_behaviour_experiment,
-        renderer=render_behaviour,
-        params={"candidates": 50, "seed": 23, "duration": 4.0},
-    )
+EXPERIMENT = ExperimentDef(
+    name="cc-behaviour",
+    description="§5.0.3: utilisation/queueing-delay spread of compiled candidates",
+    runner=_run_cc_behaviour_experiment,
+    renderer=render_behaviour,
+    params={"candidates": 50, "seed": 23, "duration": 4.0},
 )

@@ -31,7 +31,7 @@ from repro.core.checker import Checker, StructuralChecker
 from repro.core.generator import LLMGenerator
 from repro.core.template import Template
 from repro.dsl.codegen import to_source
-from repro.experiments.registry import ExperimentDef, register_experiment
+from repro.experiments.registry import ExperimentDef
 from repro.llm.mock import SyntheticLLMClient, SyntheticLLMConfig
 
 
@@ -197,12 +197,10 @@ def _run_cc_compilation_experiment(
     return compilation_payload(reports)
 
 
-register_experiment(
-    ExperimentDef(
-        name="cc-compilation",
-        description="§5.0.3: verifier pass rates (kernel vs caching templates)",
-        runner=_run_cc_compilation_experiment,
-        renderer=render_compilation,
-        params={"candidates": 100, "seed": 11, "caching": True, "repair": True},
-    )
+EXPERIMENT = ExperimentDef(
+    name="cc-compilation",
+    description="§5.0.3: verifier pass rates (kernel vs caching templates)",
+    runner=_run_cc_compilation_experiment,
+    renderer=render_compilation,
+    params={"candidates": 100, "seed": 11, "caching": True, "repair": True},
 )

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from repro.core.cost import GPT_4O_MINI_PRICING, SearchCostReport
 from repro.core.domain import build_search
-from repro.experiments.registry import ExperimentDef, register_experiment
+from repro.experiments.registry import ExperimentDef
 from repro.workloads import build_trace
 
 
@@ -129,18 +129,16 @@ def _run_cost_accounting_experiment(
     return cost_report_payload(report)
 
 
-register_experiment(
-    ExperimentDef(
-        name="cost-accounting",
-        description="§4.2.6: CPU time, tokens and dollar cost of search runs",
-        runner=_run_cost_accounting_experiment,
-        renderer=render_cost_report,
-        params={
-            "traces": [89],
-            "rounds": 4,
-            "candidates": 10,
-            "requests": 3000,
-            "seed": 0,
-        },
-    )
+EXPERIMENT = ExperimentDef(
+    name="cost-accounting",
+    description="§4.2.6: CPU time, tokens and dollar cost of search runs",
+    runner=_run_cost_accounting_experiment,
+    renderer=render_cost_report,
+    params={
+        "traces": [89],
+        "rounds": 4,
+        "candidates": 10,
+        "requests": 3000,
+        "seed": 0,
+    },
 )

@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
-from repro.experiments.registry import ExperimentDef, register_experiment
+from repro.experiments.registry import ExperimentDef
 
 from repro.cache.oracle import baseline_oracle, policysmith_oracle
 from repro.experiments.corpus import CorpusEvaluation, evaluate_corpus
@@ -199,19 +199,17 @@ def _run_figure2_experiment(
     return figure2_payload(result, top_baselines=top_baselines)
 
 
-register_experiment(
-    ExperimentDef(
-        name="figure2",
-        description="Figure 2: miss-ratio improvement over FIFO across a corpus",
-        runner=_run_figure2_experiment,
-        renderer=render_figure2,
-        params={
-            "dataset": "cloudphysics",
-            "traces": None,
-            "requests": None,
-            "cache_fraction": 0.10,
-            "top_baselines": 5,
-        },
-        accepts_progress=True,
-    )
+EXPERIMENT = ExperimentDef(
+    name="figure2",
+    description="Figure 2: miss-ratio improvement over FIFO across a corpus",
+    runner=_run_figure2_experiment,
+    renderer=render_figure2,
+    params={
+        "dataset": "cloudphysics",
+        "traces": None,
+        "requests": None,
+        "cache_fraction": 0.10,
+        "top_baselines": 5,
+    },
+    accepts_progress=True,
 )

@@ -1,17 +1,13 @@
-"""The experiment registry: every paper artefact as a named spec + reducer.
+"""The experiment table: every paper artefact as a named spec + reducer.
 
-Each experiment module registers one :class:`ExperimentDef` -- a name, its
-default parameters, a *runner* producing a JSON-serializable payload, and a
-*renderer* (the reducer) that turns a payload back into the printed
-table/figure.  The split is what makes artifacts re-renderable offline:
-``repro run <name>`` stores the payload, and ``repro report <dir>`` feeds the
-stored payload through the same pure renderer, reproducing the output
-byte-for-byte without re-running anything.
-
-Registration mirrors the search-domain registry
-(:mod:`repro.core.domain`): built-in experiments are imported lazily on
-first lookup, and new experiments plug in with
-:func:`register_experiment` without touching the CLI.
+Each experiment module defines one :class:`ExperimentDef`, ``EXPERIMENT`` --
+a name, its default parameters, a *runner* producing a JSON-serializable
+payload, and a *renderer* (the reducer) that turns a payload back into the
+printed table/figure.  The split is what makes artifacts re-renderable
+offline: ``repro run <name>`` stores the payload, and ``repro report <dir>``
+feeds the stored payload through the same pure renderer, reproducing the
+output byte-for-byte without re-running anything.  :data:`_EXPERIMENTS`
+names each experiment's module, imported on first lookup.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ Renderer = Callable[[Dict[str, Any]], str]
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    """One registered experiment.
+    """One experiment of the paper.
 
     ``accepts_progress`` marks runners taking a presentation-only
     ``progress`` keyword (stderr progress lines).  It is passed alongside --
@@ -46,10 +42,8 @@ class ExperimentDef:
     accepts_progress: bool = False
 
 
-_REGISTRY: Dict[str, ExperimentDef] = {}
-
-#: Experiments shipped with the repository, imported lazily on first lookup.
-_BUILTIN_EXPERIMENT_MODULES = {
+#: Experiment name -> the module whose ``EXPERIMENT`` it is.
+_EXPERIMENTS = {
     "caching-search": "repro.experiments.search_caching",
     "figure2": "repro.experiments.figure2",
     "table2": "repro.experiments.table2",
@@ -60,31 +54,18 @@ _BUILTIN_EXPERIMENT_MODULES = {
 }
 
 
-def register_experiment(experiment: ExperimentDef) -> ExperimentDef:
-    """Register ``experiment`` under its name (last registration wins)."""
-    if not experiment.name:
-        raise ValueError("an ExperimentDef must declare a non-empty name")
-    _REGISTRY[experiment.name] = experiment
-    return experiment
-
-
 def get_experiment(name: str) -> ExperimentDef:
-    """Look up a registered experiment, lazily importing built-in ones."""
-    if name not in _REGISTRY and name in _BUILTIN_EXPERIMENT_MODULES:
-        importlib.import_module(_BUILTIN_EXPERIMENT_MODULES[name])
+    """Look up an experiment, importing its module on first use."""
     try:
-        return _REGISTRY[name]
+        module = _EXPERIMENTS[name]
     except KeyError as exc:
-        known = sorted(set(_REGISTRY) | set(_BUILTIN_EXPERIMENT_MODULES))
-        raise KeyError(f"unknown experiment {name!r}; available: {known}") from exc
+        raise KeyError(f"unknown experiment {name!r}; available: {sorted(_EXPERIMENTS)}") from exc
+    return importlib.import_module(module).EXPERIMENT
 
 
 def available_experiments() -> List[str]:
-    """Names of every resolvable experiment (built-ins included)."""
-    for name in _BUILTIN_EXPERIMENT_MODULES:
-        if name not in _REGISTRY:
-            importlib.import_module(_BUILTIN_EXPERIMENT_MODULES[name])
-    return sorted(_REGISTRY)
+    """Names of every experiment."""
+    return sorted(_EXPERIMENTS)
 
 
 def merge_params(
@@ -105,7 +86,7 @@ def merge_params(
 def run_experiment(
     name: str, *, progress: bool = False, **overrides: Any
 ) -> Dict[str, Any]:
-    """Run a registered experiment and return its payload."""
+    """Run an experiment and return its payload."""
     experiment = get_experiment(name)
     kwargs = merge_params(experiment, overrides)
     if experiment.accepts_progress:

@@ -25,7 +25,7 @@ from repro.cache.simulator import CacheSimulator, cache_size_for, simulate_many
 from repro.core.domain import build_search
 from repro.core.engine import EngineConfig
 from repro.core.results import SearchResult
-from repro.experiments.registry import ExperimentDef, register_experiment
+from repro.experiments.registry import ExperimentDef
 from repro.workloads import build_trace
 
 
@@ -166,7 +166,7 @@ def format_search_experiment(result: SearchExperimentResult) -> str:
 # -- experiment registration --------------------------------------------------------
 
 
-def _run_caching_search_experiment(
+def _run_search_experiment(
     dataset: str,
     trace: int,
     rounds: int,
@@ -187,20 +187,18 @@ def _run_caching_search_experiment(
     return search_experiment_payload(result)
 
 
-register_experiment(
-    ExperimentDef(
-        name="caching-search",
-        description="§4.2.1: synthesize a heuristic for one trace, compare to all baselines",
-        runner=_run_caching_search_experiment,
-        renderer=render_search_experiment,
-        params={
-            "dataset": "cloudphysics",
-            "trace": 89,
-            "rounds": 20,
-            "candidates": 25,
-            "requests": None,
-            "seed": 0,
-            "cache_fraction": 0.10,
-        },
-    )
+EXPERIMENT = ExperimentDef(
+    name="caching-search",
+    description="§4.2.1: synthesize a heuristic for one trace, compare to all baselines",
+    runner=_run_search_experiment,
+    renderer=render_search_experiment,
+    params={
+        "dataset": "cloudphysics",
+        "trace": 89,
+        "rounds": 20,
+        "candidates": 25,
+        "requests": None,
+        "seed": 0,
+        "cache_fraction": 0.10,
+    },
 )

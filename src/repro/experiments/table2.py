@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 from repro.experiments.corpus import CorpusEvaluation, evaluate_corpus
-from repro.experiments.registry import ExperimentDef, register_experiment
+from repro.experiments.registry import ExperimentDef
 
 
 @dataclass
@@ -118,12 +118,10 @@ def _run_table2_experiment(
     return table2_payload(all_entries)
 
 
-register_experiment(
-    ExperimentDef(
-        name="table2",
-        description="Table 2: share of traces where each heuristic beats all baselines",
-        runner=_run_table2_experiment,
-        renderer=render_table2,
-        params={"dataset": "both", "traces": None, "requests": None},
-    )
+EXPERIMENT = ExperimentDef(
+    name="table2",
+    description="Table 2: share of traces where each heuristic beats all baselines",
+    runner=_run_table2_experiment,
+    renderer=render_table2,
+    params={"dataset": "both", "traces": None, "requests": None},
 )

@@ -10,7 +10,7 @@ crucially for instance-optimality experiments -- *diversity across traces*
 within a corpus, so that different traces favour different eviction
 policies.
 
-README.md ("Workload subsystem") lists the generators and the registered
+README.md ("Workload subsystem") lists the generators and the built-in
 traces built on them.
 """
 
@@ -29,7 +29,7 @@ from repro.traces.streaming import (
     open_csv_trace,
 )
 
-#: Traces are loaded through the workload registry
+#: Traces are loaded through the workload tables
 #: (``repro.workloads.build_trace("caching/cloudphysics", index=...)``,
 #: ``repro.workloads.corpus_traces(dataset, ...)``); the ``*_config``
 #: parameter sources and :func:`generate_trace` are the machinery beneath it.

@@ -1,4 +1,4 @@
-"""Caching workloads: registry builders + adversarial/shifting generators.
+"""Caching workloads: the built-in table, its builders and two generators.
 
 Every builder here turns a :class:`~repro.workloads.spec.WorkloadSpec` into a
 :class:`~repro.cache.request.Trace` (or a constant-memory
@@ -21,7 +21,7 @@ Two generator families are new relative to the corpus stand-ins in
 ``cache_fraction`` appears in every caching workload's parameters but is not
 a generator knob: the caching domain's scenario-evaluator factory reads it,
 which is what makes a *cache-size grid* (same trace, several fractions,
-distinct labels) expressible as plain registry references.
+distinct labels) expressible as plain workload references.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from typing import Iterator, Optional
 
 from repro.cache.request import Request, Trace
 from repro.cache.simulator import DEFAULT_CACHE_FRACTION
-from repro.workloads.spec import (
-    WorkloadSpec,
-    register_builder,
-    register_workload,
-)
+from repro.workloads.spec import WorkloadSpec
 
 #: Parameters read by the caching domain's evaluator factory, not by trace
 #: builders.
@@ -254,156 +250,142 @@ def build_trace(ref, **overrides) -> Trace:
     return build_workload(spec)
 
 
-register_builder("caching", "synthetic", _build_synthetic)
-register_builder("caching", "cloudphysics", _build_cloudphysics)
-register_builder("caching", "msr", _build_msr)
-register_builder("caching", "shifting", _build_shifting)
-register_builder("caching", "adversarial", _build_adversarial)
-register_builder("caching", "csv", _build_csv)
+#: ``(domain, kind)`` -> the function that builds a spec of that kind.
+BUILDERS = {
+    ("caching", "synthetic"): _build_synthetic,
+    ("caching", "cloudphysics"): _build_cloudphysics,
+    ("caching", "msr"): _build_msr,
+    ("caching", "shifting"): _build_shifting,
+    ("caching", "adversarial"): _build_adversarial,
+    ("caching", "csv"): _build_csv,
+}
 
 
-# -- built-in registrations ---------------------------------------------------------
+# -- the built-in workloads ---------------------------------------------------------
 
-register_workload(
-    WorkloadSpec.create(
-        name="caching/synthetic",
-        domain="caching",
-        kind="synthetic",
-        params={
-            "num_requests": 6000,
-            "num_objects": 1500,
-            "seed": 0,
-            "zipf_weight": 0.45,
-            "churn_weight": 0.30,
-            "scan_weight": 0.15,
-            "recent_weight": 0.10,
-            "zipf_alpha": 0.9,
-            "cache_fraction": DEFAULT_CACHE_FRACTION,
-        },
-        description="Generic four-source synthetic mixture (zipf/churn/scan/recent).",
+#: The built-in caching workloads, by name.
+WORKLOADS = {
+    spec.name: spec
+    for spec in (
+        WorkloadSpec.create(
+            name="caching/synthetic",
+            domain="caching",
+            kind="synthetic",
+            params={
+                "num_requests": 6000,
+                "num_objects": 1500,
+                "seed": 0,
+                "zipf_weight": 0.45,
+                "churn_weight": 0.30,
+                "scan_weight": 0.15,
+                "recent_weight": 0.10,
+                "zipf_alpha": 0.9,
+                "cache_fraction": DEFAULT_CACHE_FRACTION,
+            },
+            description="Generic four-source synthetic mixture (zipf/churn/scan/recent).",
+        ),
+        WorkloadSpec.create(
+            name="caching/cloudphysics",
+            domain="caching",
+            kind="cloudphysics",
+            params={
+                "index": 89,
+                "num_requests": 6000,
+                "num_objects": 1500,
+                "cache_fraction": DEFAULT_CACHE_FRACTION,
+            },
+            description="CloudPhysics-like corpus trace w<index> (105 diverse VM traces).",
+        ),
+        WorkloadSpec.create(
+            name="caching/msr",
+            domain="caching",
+            kind="msr",
+            params={
+                "index": 1,
+                "num_requests": 8000,
+                "num_objects": 2000,
+                "cache_fraction": DEFAULT_CACHE_FRACTION,
+            },
+            description="MSR-Cambridge-like corpus trace <index> (14 server roles).",
+        ),
+        WorkloadSpec.create(
+            name="caching/zipf-hot",
+            domain="caching",
+            kind="synthetic",
+            params={
+                "num_requests": 6000,
+                "num_objects": 1500,
+                "seed": 11,
+                "zipf_weight": 0.85,
+                "churn_weight": 0.05,
+                "scan_weight": 0.02,
+                "recent_weight": 0.08,
+                "zipf_alpha": 1.2,
+                "cache_fraction": DEFAULT_CACHE_FRACTION,
+            },
+            description="Heavily skewed Zipf reuse: frequency-aware policies shine.",
+        ),
+        WorkloadSpec.create(
+            name="caching/scan-storm",
+            domain="caching",
+            kind="synthetic",
+            params={
+                "num_requests": 6000,
+                "num_objects": 1500,
+                "seed": 12,
+                "zipf_weight": 0.25,
+                "churn_weight": 0.10,
+                "scan_weight": 0.55,
+                "recent_weight": 0.10,
+                "zipf_alpha": 0.8,
+                "scan_length": 200,
+                "cache_fraction": DEFAULT_CACHE_FRACTION,
+            },
+            description="One-touch scan storms: scan-resistant policies shine.",
+        ),
+        WorkloadSpec.create(
+            name="caching/shifting",
+            domain="caching",
+            kind="shifting",
+            params={
+                "num_requests": 6000,
+                "num_objects": 1500,
+                "seed": 13,
+                "phase_length": 1200,
+                "hot_fraction": 0.08,
+                "hot_weight": 0.75,
+                "zipf_alpha": 0.9,
+                "cache_fraction": DEFAULT_CACHE_FRACTION,
+            },
+            description="Hot set jumps to a disjoint region every phase_length requests.",
+        ),
+        WorkloadSpec.create(
+            name="caching/adversarial-loop",
+            domain="caching",
+            kind="adversarial",
+            params={
+                "num_requests": 6000,
+                "num_objects": 1500,
+                "seed": 14,
+                "loop_fraction": 0.13,
+                "loop_weight": 0.55,
+                "scan_weight": 0.15,
+                "scan_length": 150,
+                "cache_fraction": DEFAULT_CACHE_FRACTION,
+            },
+            description="Cyclic loop just over the cache size (LRU-adversarial) + scans.",
+        ),
+        WorkloadSpec.create(
+            name="caching/csv",
+            domain="caching",
+            kind="csv",
+            params={
+                "path": "trace.csv",
+                "chunk_size": 65536,
+                "cache_decoded": True,
+                "cache_fraction": DEFAULT_CACHE_FRACTION,
+            },
+            description="File-backed trace, streamed in constant memory (see traces/streaming).",
+        ),
     )
-)
-
-register_workload(
-    WorkloadSpec.create(
-        name="caching/cloudphysics",
-        domain="caching",
-        kind="cloudphysics",
-        params={
-            "index": 89,
-            "num_requests": 6000,
-            "num_objects": 1500,
-            "cache_fraction": DEFAULT_CACHE_FRACTION,
-        },
-        description="CloudPhysics-like corpus trace w<index> (105 diverse VM traces).",
-    )
-)
-
-register_workload(
-    WorkloadSpec.create(
-        name="caching/msr",
-        domain="caching",
-        kind="msr",
-        params={
-            "index": 1,
-            "num_requests": 8000,
-            "num_objects": 2000,
-            "cache_fraction": DEFAULT_CACHE_FRACTION,
-        },
-        description="MSR-Cambridge-like corpus trace <index> (14 server roles).",
-    )
-)
-
-register_workload(
-    WorkloadSpec.create(
-        name="caching/zipf-hot",
-        domain="caching",
-        kind="synthetic",
-        params={
-            "num_requests": 6000,
-            "num_objects": 1500,
-            "seed": 11,
-            "zipf_weight": 0.85,
-            "churn_weight": 0.05,
-            "scan_weight": 0.02,
-            "recent_weight": 0.08,
-            "zipf_alpha": 1.2,
-            "cache_fraction": DEFAULT_CACHE_FRACTION,
-        },
-        description="Heavily skewed Zipf reuse: frequency-aware policies shine.",
-    )
-)
-
-register_workload(
-    WorkloadSpec.create(
-        name="caching/scan-storm",
-        domain="caching",
-        kind="synthetic",
-        params={
-            "num_requests": 6000,
-            "num_objects": 1500,
-            "seed": 12,
-            "zipf_weight": 0.25,
-            "churn_weight": 0.10,
-            "scan_weight": 0.55,
-            "recent_weight": 0.10,
-            "zipf_alpha": 0.8,
-            "scan_length": 200,
-            "cache_fraction": DEFAULT_CACHE_FRACTION,
-        },
-        description="One-touch scan storms: scan-resistant policies shine.",
-    )
-)
-
-register_workload(
-    WorkloadSpec.create(
-        name="caching/shifting",
-        domain="caching",
-        kind="shifting",
-        params={
-            "num_requests": 6000,
-            "num_objects": 1500,
-            "seed": 13,
-            "phase_length": 1200,
-            "hot_fraction": 0.08,
-            "hot_weight": 0.75,
-            "zipf_alpha": 0.9,
-            "cache_fraction": DEFAULT_CACHE_FRACTION,
-        },
-        description="Hot set jumps to a disjoint region every phase_length requests.",
-    )
-)
-
-register_workload(
-    WorkloadSpec.create(
-        name="caching/adversarial-loop",
-        domain="caching",
-        kind="adversarial",
-        params={
-            "num_requests": 6000,
-            "num_objects": 1500,
-            "seed": 14,
-            "loop_fraction": 0.13,
-            "loop_weight": 0.55,
-            "scan_weight": 0.15,
-            "scan_length": 150,
-            "cache_fraction": DEFAULT_CACHE_FRACTION,
-        },
-        description="Cyclic loop just over the cache size (LRU-adversarial) + scans.",
-    )
-)
-
-register_workload(
-    WorkloadSpec.create(
-        name="caching/csv",
-        domain="caching",
-        kind="csv",
-        params={
-            "path": "trace.csv",
-            "chunk_size": 65536,
-            "cache_decoded": True,
-            "cache_fraction": DEFAULT_CACHE_FRACTION,
-        },
-        description="File-backed trace, streamed in constant memory (see traces/streaming).",
-    )
-)
+}

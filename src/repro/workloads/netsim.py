@@ -8,8 +8,8 @@ starts), bursty cross traffic, and the objective weights -- including the
 fairness and p99-queueing-delay terms that only matter once more than one
 flow or a deep queue is in play.
 
-Scenarios are registered as named :class:`~repro.workloads.spec.WorkloadSpec`
-entries (kind ``"netsim"``) so a :class:`~repro.core.spec.RunSpec` can
+Scenarios are named :class:`~repro.workloads.spec.WorkloadSpec` entries
+(kind ``"netsim"``) of :data:`WORKLOADS`, so a :class:`~repro.core.spec.RunSpec` can
 declare a matrix like ``["cc/single-flow", "cc/multi-flow",
 "cc/lossy-link"]`` and the search scores every candidate controller across
 all of them.
@@ -24,7 +24,7 @@ from repro.netsim.flow import CCSignals
 from repro.netsim.link import LinkConfig
 from repro.netsim.packet import DEFAULT_MSS
 from repro.netsim.simulator import NetworkSimulator, SimulationConfig
-from repro.workloads.spec import WorkloadSpec, register_builder, register_workload
+from repro.workloads.spec import WorkloadSpec
 
 
 class BurstWindowController:
@@ -223,94 +223,89 @@ def build_scenario(ref, **overrides) -> NetSimScenario:
     return build_workload(spec)
 
 
-register_builder("cc", "netsim", _build_netsim)
+#: ``(domain, kind)`` -> the function that builds a spec of that kind.
+BUILDERS = {
+    ("cc", "netsim"): _build_netsim,
+}
 
 
-# -- built-in registrations ---------------------------------------------------------
+# -- the built-in workloads ---------------------------------------------------------
 
-register_workload(
-    WorkloadSpec.create(
-        name="cc/single-flow",
-        domain="cc",
-        kind="netsim",
-        params={
-            "rate_bps": 12_000_000,
-            "one_way_delay_us": 10_000,
-            "queue_bytes": 60_000,
-            "duration_s": 8.0,
-        },
-        description="The paper's §5 link: one bulk flow, 12 Mbps, 20 ms RTT, drop-tail.",
+#: The built-in cc workloads, by name.
+WORKLOADS = {
+    spec.name: spec
+    for spec in (
+        WorkloadSpec.create(
+            name="cc/single-flow",
+            domain="cc",
+            kind="netsim",
+            params={
+                "rate_bps": 12_000_000,
+                "one_way_delay_us": 10_000,
+                "queue_bytes": 60_000,
+                "duration_s": 8.0,
+            },
+            description="The paper's §5 link: one bulk flow, 12 Mbps, 20 ms RTT, drop-tail.",
+        ),
+        WorkloadSpec.create(
+            name="cc/multi-flow",
+            domain="cc",
+            kind="netsim",
+            params={
+                "rate_bps": 12_000_000,
+                "one_way_delay_us": 10_000,
+                "queue_bytes": 60_000,
+                "duration_s": 8.0,
+                "flow_count": 3,
+                "flow_stagger_s": 0.5,
+                "fairness_weight": 0.5,
+                "p99_penalty": 0.1,
+            },
+            description="Three staggered candidate flows sharing the link; Jain fairness scored.",
+        ),
+        WorkloadSpec.create(
+            name="cc/bursty-cross",
+            domain="cc",
+            kind="netsim",
+            params={
+                "rate_bps": 12_000_000,
+                "one_way_delay_us": 10_000,
+                "queue_bytes": 60_000,
+                "duration_s": 8.0,
+                "cross_traffic": [
+                    {"window_high": 40, "window_low": 2, "period_s": 1.0, "duty": 0.4}
+                ],
+                "p99_penalty": 0.2,
+            },
+            description="One candidate flow against on/off burst cross traffic; p99 delay scored.",
+        ),
+        WorkloadSpec.create(
+            name="cc/lossy-link",
+            domain="cc",
+            kind="netsim",
+            params={
+                "rate_bps": 12_000_000,
+                "one_way_delay_us": 10_000,
+                "queue_bytes": 60_000,
+                "duration_s": 8.0,
+                "loss_rate": 0.01,
+                "loss_seed": 7,
+                "loss_penalty": 0.25,
+            },
+            description="1% random non-congestive loss: loss-backoff-only controllers starve.",
+        ),
+        WorkloadSpec.create(
+            name="cc/satellite",
+            domain="cc",
+            kind="netsim",
+            params={
+                "rate_bps": 8_000_000,
+                "one_way_delay_us": 150_000,
+                "queue_bytes": 500_000,
+                "duration_s": 12.0,
+                "p99_penalty": 0.1,
+            },
+            description="Long-RTT (300 ms) deep-buffer path: bufferbloat-prone.",
+        ),
     )
-)
-
-register_workload(
-    WorkloadSpec.create(
-        name="cc/multi-flow",
-        domain="cc",
-        kind="netsim",
-        params={
-            "rate_bps": 12_000_000,
-            "one_way_delay_us": 10_000,
-            "queue_bytes": 60_000,
-            "duration_s": 8.0,
-            "flow_count": 3,
-            "flow_stagger_s": 0.5,
-            "fairness_weight": 0.5,
-            "p99_penalty": 0.1,
-        },
-        description="Three staggered candidate flows sharing the link; Jain fairness scored.",
-    )
-)
-
-register_workload(
-    WorkloadSpec.create(
-        name="cc/bursty-cross",
-        domain="cc",
-        kind="netsim",
-        params={
-            "rate_bps": 12_000_000,
-            "one_way_delay_us": 10_000,
-            "queue_bytes": 60_000,
-            "duration_s": 8.0,
-            "cross_traffic": [
-                {"window_high": 40, "window_low": 2, "period_s": 1.0, "duty": 0.4}
-            ],
-            "p99_penalty": 0.2,
-        },
-        description="One candidate flow against on/off burst cross traffic; p99 delay scored.",
-    )
-)
-
-register_workload(
-    WorkloadSpec.create(
-        name="cc/lossy-link",
-        domain="cc",
-        kind="netsim",
-        params={
-            "rate_bps": 12_000_000,
-            "one_way_delay_us": 10_000,
-            "queue_bytes": 60_000,
-            "duration_s": 8.0,
-            "loss_rate": 0.01,
-            "loss_seed": 7,
-            "loss_penalty": 0.25,
-        },
-        description="1% random non-congestive loss: loss-backoff-only controllers starve.",
-    )
-)
-
-register_workload(
-    WorkloadSpec.create(
-        name="cc/satellite",
-        domain="cc",
-        kind="netsim",
-        params={
-            "rate_bps": 8_000_000,
-            "one_way_delay_us": 150_000,
-            "queue_bytes": 500_000,
-            "duration_s": 12.0,
-            "p99_penalty": 0.1,
-        },
-        description="Long-RTT (300 ms) deep-buffer path: bufferbloat-prone.",
-    )
-)
+}

@@ -1,21 +1,17 @@
-"""WorkloadSpec and the workload registry.
+"""WorkloadSpec and the lookups over the built-in workload tables.
 
 A :class:`WorkloadSpec` is pure data -- name, owning domain, builder kind and
 a parameter dictionary -- that round-trips through JSON, so a scenario matrix
 can live inside a stored ``spec.json`` and rebuild the exact same workloads
-on another machine.  Builders are registered per ``(domain, kind)`` and turn
-a spec into the domain object (a trace for ``"caching"``, a
+on another machine.  :mod:`repro.workloads.cache` and
+:mod:`repro.workloads.netsim` each hold two tables: ``WORKLOADS`` (name ->
+spec) and ``BUILDERS`` (``(domain, kind)`` -> the function that turns a spec
+into the domain object: a trace for ``"caching"``, a
 :class:`~repro.workloads.netsim.NetSimScenario` for ``"cc"``).
-
-The registry mirrors the search-domain and experiment registries
-(:mod:`repro.core.domain`, :mod:`repro.experiments.registry`): built-in
-workloads are imported lazily on first lookup, and new workloads plug in
-with :func:`register_workload` without touching the engine or the CLI.
 """
 
 from __future__ import annotations
 
-import importlib
 import json
 import math
 from dataclasses import dataclass
@@ -213,45 +209,20 @@ class WorkloadSpec:
         return "-"
 
 
-# -- registry -----------------------------------------------------------------------
-
-_REGISTRY: Dict[str, WorkloadSpec] = {}
-_BUILDERS: Dict[Tuple[str, str], WorkloadBuilder] = {}
-
-#: Modules registering the built-in workloads, imported lazily on first
-#: lookup (mirrors the domain registry's import-order-free pattern).
-_BUILTIN_WORKLOAD_MODULES = (
-    "repro.workloads.cache",
-    "repro.workloads.netsim",
-)
-_builtins_loaded = False
+# -- lookups ------------------------------------------------------------------------
 
 
-def _ensure_builtins() -> None:
-    global _builtins_loaded
-    if not _builtins_loaded:
-        _builtins_loaded = True
-        for module in _BUILTIN_WORKLOAD_MODULES:
-            importlib.import_module(module)
+def _tables() -> Tuple[Dict[str, WorkloadSpec], Dict[Tuple[str, str], WorkloadBuilder]]:
+    """The built-in workloads and builders (both modules import this one)."""
+    from repro.workloads import cache, netsim
 
-
-def register_workload(spec: WorkloadSpec) -> WorkloadSpec:
-    """Register ``spec`` under its name (last registration wins)."""
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def register_builder(domain: str, kind: str, builder: WorkloadBuilder) -> WorkloadBuilder:
-    """Register the builder behind every ``(domain, kind)`` workload."""
-    _BUILDERS[(domain, kind)] = builder
-    return builder
+    return {**cache.WORKLOADS, **netsim.WORKLOADS}, {**cache.BUILDERS, **netsim.BUILDERS}
 
 
 def get_workload(name: str, **overrides: Any) -> WorkloadSpec:
-    """Look up a registered workload, with optional parameter overrides."""
-    _ensure_builtins()
+    """Look up a built-in workload, with optional parameter overrides."""
     try:
-        spec = _REGISTRY[name]
+        spec = _tables()[0][name]
     except KeyError as exc:
         raise KeyError(
             f"unknown workload {name!r}; available: {available_workloads()}"
@@ -260,11 +231,10 @@ def get_workload(name: str, **overrides: Any) -> WorkloadSpec:
 
 
 def available_workloads(domain: Optional[str] = None) -> List[str]:
-    """Names of every registered workload (optionally for one domain)."""
-    _ensure_builtins()
+    """Names of every built-in workload (optionally for one domain)."""
     return sorted(
         name
-        for name, spec in _REGISTRY.items()
+        for name, spec in _tables()[0].items()
         if domain is None or spec.domain == domain
     )
 
@@ -274,8 +244,8 @@ def resolve_workload_ref(
 ) -> WorkloadSpec:
     """Build a spec from a declarative reference.
 
-    A reference is a registry name (``"caching/zipf-hot"``), a dictionary
-    ``{"name": <registry name>, <param overrides>...}``, an inline spec
+    A reference is a workload name (``"caching/zipf-hot"``), a dictionary
+    ``{"name": <workload name>, <param overrides>...}``, an inline spec
     dictionary (with ``domain`` and ``kind`` keys), or an already-built
     :class:`WorkloadSpec`.
     """
@@ -291,7 +261,7 @@ def resolve_workload_ref(
             name = data.pop("name")
         except KeyError:
             raise ValueError(
-                "a workload reference dict needs a 'name' key (a registry "
+                "a workload reference dict needs a 'name' key (a workload "
                 "name plus overrides) or 'domain'+'kind' (an inline spec); "
                 f"got keys {sorted(ref)}"
             ) from None
@@ -303,14 +273,14 @@ def build_workload(
     ref: Union[str, Mapping[str, Any], WorkloadSpec], **overrides: Any
 ) -> Any:
     """Resolve a workload reference and build its domain object."""
-    _ensure_builtins()
     spec = resolve_workload_ref(ref)
     if overrides:
         spec = spec.with_overrides(**overrides)
+    builders = _tables()[1]
     try:
-        builder = _BUILDERS[(spec.domain, spec.kind)]
+        builder = builders[(spec.domain, spec.kind)]
     except KeyError as exc:
-        known = sorted(f"{d}/{k}" for d, k in _BUILDERS)
+        known = sorted(f"{d}/{k}" for d, k in builders)
         raise KeyError(
             f"no builder registered for workload kind "
             f"{spec.domain}/{spec.kind} (workload {spec.name!r}); "

@@ -4,12 +4,12 @@ import pytest
 
 from repro.cache.search import (
     CachingEvaluator,
-    build_caching_search,
     caching_archetypes,
     caching_seed_programs,
     caching_template,
 )
 from repro.core.checker import StructuralChecker
+from repro.core.domain import build_search
 from repro.dsl import parse
 
 from tests.conftest import LISTING_1, PRIORITY_SIGNATURE
@@ -71,8 +71,8 @@ def test_evaluator_handles_broken_candidate(small_synthetic_trace):
 
 
 def test_small_search_run_finds_valid_heuristic(small_synthetic_trace):
-    setup = build_caching_search(
-        small_synthetic_trace, rounds=2, candidates_per_round=5, seed=3
+    setup = build_search(
+        "caching", trace=small_synthetic_trace, rounds=2, candidates_per_round=5, seed=3
     )
     result = setup.search.run()
     assert result.total_candidates == 2 + 2 * 5    # seeds + 2 rounds
@@ -85,6 +85,7 @@ def test_small_search_run_finds_valid_heuristic(small_synthetic_trace):
 
 
 def test_search_is_deterministic_per_seed(small_synthetic_trace):
-    first = build_caching_search(small_synthetic_trace, rounds=1, candidates_per_round=4, seed=11)
-    second = build_caching_search(small_synthetic_trace, rounds=1, candidates_per_round=4, seed=11)
+    kwargs = dict(trace=small_synthetic_trace, rounds=1, candidates_per_round=4, seed=11)
+    first = build_search("caching", **kwargs)
+    second = build_search("caching", **kwargs)
     assert first.search.run().best_source() == second.search.run().best_source()

@@ -139,15 +139,24 @@ def test_run_unknown_executor_exits_2_listing_names(capsys):
     )
     assert code == 2
     assert "unknown executor 'quantum'" in err
-    for name in ("serial", "thread", "process"):
+    for name in ("thread", "process"):
         assert name in err
-    assert "async" not in err and "distributed" not in err
+    assert "async" not in err and "distributed" not in err and "serial" not in err
     assert "Traceback" not in err
     code, _out, err = run_cli(
         capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--set", "engine.executor=distributed"
     )
     assert code == 2
     assert "unknown executor 'distributed'" in err
+
+
+def test_run_serial_executor_exits_2_naming_max_workers_1(capsys):
+    code, _out, err = run_cli(
+        capsys, "run", str(SMOKE_SPEC), "--no-artifacts", "--set", "engine.executor=serial"
+    )
+    assert code == 2
+    assert "in-process evaluation is max_workers: 1" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

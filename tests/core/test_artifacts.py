@@ -1,6 +1,8 @@
 """Artifact store: layout, serialization round-trip, byte-identical reruns."""
 
 import json
+import os
+import time
 from pathlib import Path
 
 import pytest
@@ -10,11 +12,13 @@ from repro.core.artifacts import (
     ARTIFACT_VERSION,
     ArtifactStore,
     RunArtifact,
+    prepare_run_dir,
     search_result_from_dict,
     search_result_to_dict,
 )
 from repro.core.results import BUDGET_FIELDS, RoundSummary
 from repro.core.spec import RunSpec, run
+from repro.core.store import STALE_TMP_AGE_S
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = REPO_ROOT / "tests" / "golden"
@@ -52,6 +56,24 @@ def test_run_directory_layout(tmp_path):
     events = [json.loads(line) for line in (run_dir / "events.jsonl").read_text().splitlines()]
     assert events[0]["event"] == "run_started"
     assert events[-1]["event"] == "run_finished"
+
+
+def test_a_rerun_removes_orphaned_temp_files_once_stale(tmp_path):
+    """A writer killed between its temp file and the rename leaves
+    ``<name>.<pid>-<hex>.tmp``; the next run into the directory removes it
+    once it is older than the store's stale age, and keeps a younger one,
+    which may be a write in flight."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    orphan = run_dir / "result.json.4242-0123abcd.tmp"
+    in_flight = run_dir / "checkpoint.json.4243-89abcdef.tmp"
+    for path in (orphan, in_flight):
+        path.write_text("{")
+    aged = time.time() - STALE_TMP_AGE_S - 60
+    os.utime(orphan, (aged, aged))
+    prepare_run_dir(run_dir, {"name": "x"})
+    assert not orphan.exists()
+    assert in_flight.exists()
 
 
 def test_metadata_records_reproducibility_info(tmp_path):

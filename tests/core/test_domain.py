@@ -1,8 +1,8 @@
-"""Tests of the domain registry and the one-call ``build_search`` entry point."""
+"""Tests of the domain table and the one-call ``build_search`` entry point."""
 
 import pytest
 
-from repro.cache.search import CachingDomain, build_caching_search
+from repro.cache.search import CachingDomain
 from repro.core.checker import StructuralChecker
 from repro.core.domain import (
     SearchDomain,
@@ -10,7 +10,6 @@ from repro.core.domain import (
     available_domains,
     build_search,
     get_domain,
-    register_domain,
 )
 from repro.core.engine import EngineConfig
 from repro.core.search import SearchConfig
@@ -29,8 +28,11 @@ def test_unknown_domain_raises_with_known_names():
 
 
 def test_register_domain_requires_name():
-    with pytest.raises(ValueError):
-        register_domain(SearchDomain())
+    """Each table entry is a domain that declares the name it is listed under."""
+    assert SearchDomain.name == ""
+    for name in available_domains():
+        domain = get_domain(name)
+        assert isinstance(domain, SearchDomain) and domain.name == name
 
 
 def test_build_search_assembles_all_layers(small_synthetic_trace):
@@ -85,9 +87,16 @@ def test_explicit_search_config_is_used():
 
 
 def test_build_search_matches_legacy_wrapper(small_synthetic_trace):
-    """The wrapper and the generic entry point produce identical searches."""
-    legacy = build_caching_search(
-        small_synthetic_trace, rounds=2, candidates_per_round=5, seed=3
+    """The paper's settings, which the removed caching wrapper
+    spelled out, are the caching domain's defaults."""
+    legacy = build_search(
+        "caching",
+        trace=small_synthetic_trace,
+        rounds=2,
+        candidates_per_round=5,
+        seed=3,
+        cache_fraction=0.10,
+        llm_config=None,
     ).search.run()
     generic = build_search(
         "caching", trace=small_synthetic_trace, rounds=2, candidates_per_round=5, seed=3

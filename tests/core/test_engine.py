@@ -8,6 +8,7 @@ import pytest
 from repro.core.checker import StructuralChecker
 from repro.core.engine import EngineConfig, EvaluationEngine
 from repro.core.evaluator import EvaluationResult, Evaluator
+from repro.core.executors import ThreadExecutor
 from repro.core.results import Candidate
 from repro.core.template import Template
 from repro.dsl import Interpreter, parse
@@ -148,7 +149,7 @@ def test_executor_is_reused_across_batches():
     engine = make_engine(CountingEvaluator(), max_workers=2, executor="thread")
     engine.process_batch(candidates(["def f(x) { return 1 }", "def f(x) { return 2 }"]))
     executor = engine._executor
-    assert executor.name == "thread"
+    assert type(executor) is ThreadExecutor
     pool = executor._pool
     assert pool is not None
     engine.process_batch(candidates(["def f(x) { return 3 }", "def f(x) { return 4 }"]))

@@ -1,4 +1,4 @@
-"""The pluggable executor layer: registry, backend parity, crash rescue."""
+"""The executor layer: the pool table, backend parity, crash rescue."""
 
 import os
 from concurrent.futures import BrokenExecutor
@@ -11,13 +11,11 @@ from repro.core.checker import StructuralChecker
 from repro.core.engine import BatchStats, EngineConfig, EvaluationEngine
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.executors import (
+    POOLS,
     EvalUnit,
-    Executor,
     ProcessExecutor,
     SerialExecutor,
-    available_executors,
-    create_executor,
-    register_executor,
+    ThreadExecutor,
 )
 from repro.core.results import Candidate
 from repro.core.scenarios import MultiScenarioEvaluator
@@ -60,11 +58,12 @@ def make_engine(evaluator=None, **config_kwargs):
     )
 
 
-# -- registry -----------------------------------------------------------------------
+# -- the pool table -----------------------------------------------------------------
 
 
 def test_builtin_backends_registered():
-    assert available_executors() == ["process", "serial", "thread"]
+    """The two pools are a literal table; in-process is ``max_workers: 1``."""
+    assert POOLS == {"thread": ThreadExecutor, "process": ProcessExecutor}
 
 
 def test_async_backend_is_gone_and_rejected_by_name():
@@ -73,52 +72,20 @@ def test_async_backend_is_gone_and_rejected_by_name():
 
 
 def test_engine_config_accepts_any_registered_backend():
-    for name in available_executors():
+    for name in POOLS:
         assert EngineConfig(executor=name).executor == name
     with pytest.raises(ValueError, match="unknown executor"):
         EngineConfig(executor="gpu")
+    with pytest.raises(ValueError, match="in-process evaluation is max_workers: 1"):
+        EngineConfig(executor="serial")
 
 
 def test_create_executor_unknown_name():
-    with pytest.raises(KeyError, match="unknown executor"):
-        create_executor("gpu", EngineConfig(), ConstEvaluator())
-
-
-def test_custom_backend_plugs_in():
-    class ReversedSerial(SerialExecutor):
-        """Evaluates in reverse submission order (results still ordered)."""
-
-        name = "reversed-serial"
-
-        def run_units(self, units, stats):
-            results = {}
-            for unit in reversed(list(enumerate(units))):
-                index, u = unit
-                results[index] = self._run_inline(u)
-            return [results[i] for i in range(len(units))]
-
-    register_executor(ReversedSerial)
-    try:
-        assert "reversed-serial" in available_executors()
-        engine = make_engine(max_workers=2, executor="reversed-serial")
-        batch = engine.process_batch(
-            candidates(["def f(x) { return 3 }", "def f(x) { return 4 }"])
-        )
-        assert [s.score for s in batch.scored] == [3.0, 4.0]
-        engine.close()
-    finally:
-        from repro.core import executors as executors_module
-
-        executors_module._EXECUTORS.pop("reversed-serial", None)
-
-
-def test_executor_must_declare_a_name():
-    class Anonymous(Executor):
-        def run_units(self, units, stats):  # pragma: no cover - never runs
-            return []
-
-    with pytest.raises(ValueError, match="name"):
-        register_executor(Anonymous)
+    """With no ``create_executor`` step, an unknown name fails where the
+    config is built, naming the pools."""
+    message = r"unknown executor 'gpu'; available: \['process', 'thread'\]"
+    with pytest.raises(ValueError, match=message):
+        EngineConfig(executor="gpu")
 
 
 # -- backend parity -----------------------------------------------------------------
@@ -156,7 +123,7 @@ def test_backends_match_serial_under_scenario_sharding(executor):
 def test_single_worker_runs_serially_whatever_the_backend():
     engine = make_engine(max_workers=1, executor="process")
     engine.process_batch(candidates(["def f(x) { return 1 }"]))
-    assert engine._executor.name == "serial"
+    assert type(engine._executor) is SerialExecutor
     engine.close()
 
 
@@ -215,9 +182,7 @@ def test_killed_process_worker_costs_time_never_a_score(tmp_path, monkeypatch, s
     units = crash_units(sharded)
     serial = SerialExecutor(EngineConfig(), reference).run_units(units, BatchStats())
     submitted = record_submissions(monkeypatch)
-    executor = create_executor(
-        "process", EngineConfig(executor="process", max_workers=2), evaluator
-    )
+    executor = ProcessExecutor(EngineConfig(executor="process", max_workers=2), evaluator)
     stats = BatchStats()
     try:
         results = executor.run_units(units, stats)
@@ -286,8 +251,7 @@ def test_process_timeout_costs_only_the_hung_unit(tmp_path, monkeypatch):
     release = tmp_path / "release"
     units = [EvalUnit(program=parse(source), failure_score=-1.0) for source in SOURCES]
     serial = SerialExecutor(EngineConfig(), InterpEvaluator()).run_units(units, BatchStats())
-    executor = create_executor(
-        "process",
+    executor = ProcessExecutor(
         EngineConfig(max_workers=2, eval_timeout_s=2.0),
         HangingEvaluator(release, trigger_score=3.0),
     )

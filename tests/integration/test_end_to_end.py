@@ -5,19 +5,18 @@ import pytest
 
 from repro.cache.policies import BASELINES
 from repro.cache.priority_cache import PriorityFunctionCache
-from repro.cache.search import build_caching_search
 from repro.cache.simulator import CacheSimulator, cache_size_for, simulate_many
-from repro.cc.search import build_cc_search
 from repro.core.archive import HeuristicArchive
 from repro.core.context import ContextShiftDetector
+from repro.core.domain import build_search
 from repro.dsl import parse
 from repro.traces.synthetic import SyntheticWorkloadConfig, generate_trace
 
 
 def test_caching_search_end_to_end_beats_seeds(small_synthetic_trace):
     """Template -> Generator -> Checker -> Evaluator -> archive, §4 style."""
-    setup = build_caching_search(
-        small_synthetic_trace, rounds=3, candidates_per_round=8, seed=2
+    setup = build_search(
+        "caching", trace=small_synthetic_trace, rounds=3, candidates_per_round=8, seed=2
     )
     result = setup.search.run()
 
@@ -45,8 +44,8 @@ def test_caching_search_end_to_end_beats_seeds(small_synthetic_trace):
 
 def test_caching_search_winner_competitive_with_baselines(small_synthetic_trace):
     """A modest search already lands in the upper half of the baseline field."""
-    setup = build_caching_search(
-        small_synthetic_trace, rounds=3, candidates_per_round=10, seed=4
+    setup = build_search(
+        "caching", trace=small_synthetic_trace, rounds=3, candidates_per_round=10, seed=4
     )
     result = setup.search.run()
     winner_miss = -result.best.score
@@ -59,7 +58,7 @@ def test_caching_search_winner_competitive_with_baselines(small_synthetic_trace)
 def test_cc_search_end_to_end_produces_safe_controller():
     """Kernel-constrained search: every valid candidate passed the verifier
     stand-in, and the winner performs sensibly on the emulated link."""
-    setup = build_cc_search(rounds=2, candidates_per_round=8, seed=13, duration_s=2.0)
+    setup = build_search("cc", rounds=2, candidates_per_round=8, seed=13, duration_s=2.0)
     result = setup.search.run()
     assert result.best is not None
     # Winner respects kernel constraints by construction.
@@ -82,7 +81,7 @@ def test_context_shift_triggers_resynthesis_workflow():
                                 churn_weight=0.05, recent_weight=0.05)
     )
 
-    setup = build_caching_search(stable, rounds=1, candidates_per_round=5, seed=5)
+    setup = build_search("caching", trace=stable, rounds=1, candidates_per_round=5, seed=5)
     first = setup.search.run()
     archive = HeuristicArchive()
     archive.add_candidate(setup.context, first.best, name="phase-a-heuristic")
@@ -108,7 +107,7 @@ def test_context_shift_triggers_resynthesis_workflow():
     assert shift_seen, "the workload change must be detected"
 
     # Re-synthesis for the new phase extends the library.
-    resynth = build_caching_search(shifted, rounds=1, candidates_per_round=5, seed=6)
+    resynth = build_search("caching", trace=shifted, rounds=1, candidates_per_round=5, seed=6)
     second = resynth.search.run()
     archive.add_candidate(resynth.context, second.best, name="phase-b-heuristic")
     assert len(archive) == 2

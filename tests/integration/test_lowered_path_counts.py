@@ -46,7 +46,7 @@ def test_a_caching_search_pinned_to_compiled_simulates_on_the_fused_loop(monkeyp
     data = RunSpec.from_file(SPECS / "smoke_caching.json").to_dict()
     data["domain_kwargs"]["trace"]["num_requests"] = 300
     data["search"] = {"rounds": 5, "candidates_per_round": 12}
-    data["engine"] = {"dsl_backend": "compiled", "executor": "serial"}
+    data["engine"] = {"dsl_backend": "compiled", "max_workers": 1}
     data["seed"] = 3
     outcome = run(RunSpec.from_dict(data), store=tmp_path, eval_store=None)
 

@@ -18,10 +18,10 @@ compute their expectation from queueing theory and TCP modelling instead:
   1.12x on the links below; a Reno that backs off to 0.7 instead of 0.5
   reads about 1.43x).
 * **RFC 8312.**  After a loss, CUBIC steers its window to
-  ``W(t) = C (t - K)^3 + W_max``.  The controller's target is held to that
-  curve at sampled points, within its integer rounding, with the ``K`` its
-  docstring states (which departs from the RFC's); its window is held to
-  the departure the docstring describes.
+  ``W(t) = C (t - K)^3 + W_max`` with ``K = cbrt((W_max - cwnd) / C)``.
+  The controller's target is held to that curve at sampled points, within
+  its integer rounding; its window is held to the one departure its
+  docstring describes.
 """
 
 from __future__ import annotations
@@ -119,11 +119,8 @@ def test_cubic_target_follows_the_cubic_curve_with_the_docstrings_k(w_max):
     start_us = 1_000_000
     cubic, _ = _cubic_after_loss(w_max, start_us)
     reduced = int(w_max * CUBIC_BETA)
-    # The docstring's K: the RFC's (W_max - cwnd) / C, times (1 - beta)
-    # again and with C's x1000 scale left in -- about 1/15 of RFC 8312's
-    # cbrt(W_max (1 - beta) / C).  That departure is a known fault (see the
-    # FOUND line on cubic.py's K in CHANGES.md); mending it changes this K.
-    k_s = ((w_max - reduced) * (1 - CUBIC_BETA) / CUBIC_C / 1000) ** (1 / 3)
+    # The docstring states RFC 8312's K: 4.2 s at W_max = 100, 19.6 s at 10 000.
+    k_s = ((w_max - reduced) / CUBIC_C) ** (1 / 3)
     # The epoch started at the first ACK after the cut, so reading the
     # target below does not restart it.
     for t_s in (0.0, 0.05, k_s, 0.5, 1.0, 2.0, 5.0, 10.0):
@@ -135,19 +132,20 @@ def test_cubic_target_follows_the_cubic_curve_with_the_docstrings_k(w_max):
 
 
 def test_cubic_window_departs_from_the_curve_where_its_docstring_says():
-    """ACK-clocked at 20 ms: back at W_max within a few RTTs, then one
-    packet per RTT above the curve."""
+    """ACK-clocked at 20 ms: one packet per RTT from the cut on, never below
+    the curve, and far above its plateau by the time the curve reaches it."""
     w_max, rtt_us, now_us = 400, 20_000, 1_000_000
     cubic, cwnd = _cubic_after_loss(w_max, now_us)
-    windows = []
-    for _ in range(60):
+    k_s = ((w_max - cwnd) / CUBIC_C) ** (1 / 3)  # 6.7 s
+    windows, targets = [], []
+    for _ in range(round(k_s * 1e6 / rtt_us) + 10):
         for _ack in range(cwnd):
             now_us += rtt_us // cwnd
             cwnd = cubic.on_ack(_acked(now_us, cwnd))
         windows.append(cwnd)
-    back = next(rtt for rtt, window in enumerate(windows) if window >= w_max)
-    assert back < 10, windows[:10]
-    growth = [after - before for before, after in zip(windows[back:], windows[back + 1 :])]
+        targets.append(cubic._cubic_target(now_us, cwnd))
+    growth = [after - before for before, after in zip(windows, windows[1:])]
     assert set(growth) == {1}, growth
-    # Meanwhile the curve still sits near its plateau, below the window.
-    assert cubic._cubic_target(now_us, cwnd) < windows[-1] - 40
+    assert all(window >= target for window, target in zip(windows, targets))
+    # Past K the curve sits at W_max; the window is a packet per RTT above it.
+    assert targets[-1] == w_max and windows[-1] > w_max + 200
